@@ -16,13 +16,14 @@ from .errors import DomainError, UndefinedRatioError
 from .model import BillingParams, Trace
 from .online import DistributionSpec, SwitchPolicy
 from .quadrature import integrate
+from .validators import check_beta
 
 _E = math.e
 
 
-def _check_beta(beta: float) -> None:
-    if not 0 < beta <= 1:
-        raise DomainError(f"beta must lie in (0, 1], got {beta}")
+def _check_mass(sigma: float) -> None:
+    if not sigma >= 0:
+        raise DomainError(f"premium mass must be >= 0, got {sigma}")
 
 
 def cost_ratio(policy: SwitchPolicy | float, sigma: float, beta: float) -> float:
@@ -39,9 +40,13 @@ def cost_ratio(policy: SwitchPolicy | float, sigma: float, beta: float) -> float
     returns 1 by convention (no demand, both costs vanish).
     """
     s = policy.s if isinstance(policy, SwitchPolicy) else float(policy)
-    _check_beta(beta)
-    if sigma < 0:
-        raise DomainError(f"premium mass must be >= 0, got {sigma}")
+    check_beta(beta)
+    _check_mass(sigma)
+    return _ratio(s, sigma, beta)
+
+
+def _ratio(s: float, sigma: float, beta: float) -> float:
+    """:func:`cost_ratio` of threshold ``s`` for arguments already checked."""
     if sigma == 0:
         return 1.0
     if sigma <= 1:
@@ -59,7 +64,7 @@ def cost_ratio(policy: SwitchPolicy | float, sigma: float, beta: float) -> float
 def worst_case_ratio(s: float, beta: float) -> float:
     """Competitive ratio of the threshold policy ``s``: the supremum of
     :func:`cost_ratio` over premium masses, attained at ``sigma = s``."""
-    _check_beta(beta)
+    check_beta(beta)
     if not s > 0:
         raise DomainError(f"threshold multiplier must be > 0, got {s}")
     if s <= 1:
@@ -80,7 +85,7 @@ def deterministic_bounds(lam: float, beta: float) -> Bounds:
     """
     if not 0 < lam <= 1:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
-    _check_beta(beta)
+    check_beta(beta)
     return Bounds(1.0 + (1.0 - beta) / lam, 1.0 + lam)
 
 
@@ -92,7 +97,7 @@ def randomized_bounds(lam: float, beta: float) -> Bounds:
     """
     if not 0 <= lam <= 1:
         raise DomainError(f"lambda must lie in [0, 1], got {lam}")
-    _check_beta(beta)
+    check_beta(beta)
     phi = 1.0 / (_E - 1.0 + beta)
     robustness = phi * (_E + (1.0 - lam) * (1.0 - beta) * (_E - 1.0 + beta) / beta)
     consistency = phi * (
@@ -109,7 +114,7 @@ def naive_randomized_bounds(lam: float, beta: float) -> Bounds:
     """
     if not 0 < lam <= 1:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
-    _check_beta(beta)
+    check_beta(beta)
     inv = 1.0 / lam
     stretched = math.exp(inv) / (math.exp(inv) - 1.0 + beta)
     shrunk = math.exp(lam) / (math.exp(lam) - 1.0 + beta)
@@ -124,11 +129,14 @@ def expected_ratio(spec: DistributionSpec, sigma: float, beta: float) -> float:
     is integrated adaptively to absolute error 1e-9, split at the branch
     point ``s = sigma`` where the ratio curve has a kink.
     """
+    check_beta(beta)
+    _check_mass(sigma)
     spec.require_normalized()
-    total = sum(mass * cost_ratio(where, sigma, beta) for where, mass in spec.atoms)
+    total = sum(mass * _ratio(where, sigma, beta) for where, mass in spec.atoms)
     if spec.coeff > 0 and spec.hi > spec.lo:
+        coeff = spec.coeff
         value, _ = integrate(
-            lambda s: spec.coeff * math.exp(s) * cost_ratio(s, sigma, beta),
+            lambda s: coeff * math.exp(s) * _ratio(s, sigma, beta),
             spec.lo,
             spec.hi,
             abs_tol=1e-9,
@@ -149,7 +157,7 @@ def expected_ratio_closed_form(predicted_high: bool, sigma: float, lam: float, b
     """
     if not 0 <= lam <= 1:
         raise DomainError(f"lambda must lie in [0, 1], got {lam}")
-    _check_beta(beta)
+    check_beta(beta)
     if not sigma > 0:
         raise DomainError("closed forms assume a positive premium mass")
     phi = 1.0 / (_E - 1.0 + beta)
@@ -181,7 +189,7 @@ def worst_case_instance(
     """
     if not s > 0:
         raise DomainError(f"threshold multiplier must be > 0, got {s}")
-    _check_beta(beta)
+    check_beta(beta)
     if p_m <= 0:
         raise DomainError(f"peak price must be > 0, got {p_m}")
     if slots < 1:

@@ -72,6 +72,13 @@ def _config_from_args(args: argparse.Namespace, **extra) -> ExperimentConfig:
     return config_from_sources(file_values, overrides)
 
 
+def _report_errors(errors: dict[str, str], prefix: str = "") -> bool:
+    """Print a manifest's per-cell errors on stderr; True when there were any."""
+    for key, message in errors.items():
+        print(f"error [{prefix}{key}]: {message}", file=sys.stderr)
+    return bool(errors)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(
         args,
@@ -80,9 +87,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         predictors=(args.predictor,) if args.predictor else None,
     )
     result = run_experiment(config, write=args.out_dir is not None)
-    if result.manifest["errors"]:
-        for key, message in result.manifest["errors"].items():
-            print(f"error [{key}]: {message}", file=sys.stderr)
+    if _report_errors(result.manifest["errors"]):
         return 1
     for row in result.rows:
         print(
@@ -106,10 +111,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"{row['algorithm']:<18}{lam:>8}{row['predictor']:>12}"
             f"{row['empirical_cr']:>10.4f}{row['cost_reduction']:>10.4f}"
         )
-    for key, message in result.manifest["errors"].items():
-        print(f"error [{key}]: {message}", file=sys.stderr)
+    failed = _report_errors(result.manifest["errors"])
     print(f"report: {result.report_path}")
-    return 1 if result.manifest["errors"] else 0
+    return 1 if failed else 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -118,8 +122,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.values:
         values = tuple(float(part) for part in args.values.split(","))
     result = run_sweep(config, axis=args.axis, values=values, write=True)
+    manifest = result.manifest
+    # the lambda axis runs one experiment over the whole grid; the others run one per value
+    tags = manifest["values"] if manifest["axis"] != "lambda" else [None]
+    failed = False
+    for tag, cell in zip(tags, manifest["cells"]):
+        prefix = "" if tag is None else f"{manifest['axis']}={tag} "
+        failed |= _report_errors(cell["errors"], prefix)
     print(f"{len(result.rows)} rows -> {result.report_path}")
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -7,6 +7,7 @@ intersection of their timestamps.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -48,6 +49,8 @@ def _read_series(path: str | Path, kind: str) -> dict[datetime, float]:
                 value = float(row[1])
             except ValueError as exc:
                 raise StructuralError(f"{path} line {lineno}: bad value {row[1]!r}") from exc
+            if not math.isfinite(value):
+                raise ValidationError(f"{path} line {lineno}: {kind} {value} is not finite")
             if kind == "price" and value <= 0:
                 raise ValidationError(f"{path} line {lineno}: price {value} must be > 0")
             if kind == "demand" and value < 0:

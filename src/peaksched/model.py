@@ -12,6 +12,7 @@ the package use the absolute tolerance :data:`MONEY_TOL`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,13 +106,14 @@ class BillingParams:
     ramp: float | None = None
 
     def __post_init__(self):
-        if self.p_g <= 0:
-            raise ValidationError(f"generation cost p_g must be > 0, got {self.p_g}")
-        if self.p_m <= 0:
-            raise ValidationError(f"peak price p_m must be > 0, got {self.p_m}")
-        if self.capacity < 1:
+        # comparisons written so that NaN fails them
+        if not 0 < self.p_g < math.inf:
+            raise ValidationError(f"generation cost p_g must be finite and > 0, got {self.p_g}")
+        if not 0 < self.p_m < math.inf:
+            raise ValidationError(f"peak price p_m must be finite and > 0, got {self.p_m}")
+        if not self.capacity >= 1:
             raise ValidationError(f"capacity must be >= 1, got {self.capacity}")
-        if self.ramp is not None and self.ramp < 0:
+        if self.ramp is not None and not self.ramp >= 0:
             raise ValidationError(f"ramp limit must be >= 0, got {self.ramp}")
 
 

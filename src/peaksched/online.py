@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .model import BillingParams, Schedule, Trace, beta as beta_of, check_pairing
+from .validators import check_beta
 
 #: Tolerance on the total mass of a switch-threshold distribution.
 MASS_TOL = 1e-12
@@ -181,18 +182,13 @@ def _spec(atoms: list[tuple[float, float]], coeff: float, lo: float, hi: float) 
     return DistributionSpec(atoms=kept, coeff=coeff, lo=lo, hi=hi)
 
 
-def _check_beta(beta: float) -> None:
-    if not 0 < beta <= 1:
-        raise DomainError(f"beta must lie in (0, 1], got {beta}")
-
-
 def red_distribution(beta: float) -> DistributionSpec:
     """Threshold distribution of the pure randomized algorithm.
 
     Density ``e^s / (e - 1 + beta)`` on [0, 1] plus a never-switch atom
     carrying the remaining ``beta`` mass.
     """
-    _check_beta(beta)
+    check_beta(beta)
     norm = math.e - 1 + beta
     return _spec([(math.inf, beta / norm)], coeff=1.0 / norm, lo=0.0, hi=1.0)
 
@@ -209,7 +205,7 @@ def lambda_red_distribution(sigma_hat: float, lam: float, beta: float) -> Distri
     """
     if not 0 <= lam <= 1:
         raise DomainError(f"lambda must lie in [0, 1], got {lam}")
-    _check_beta(beta)
+    check_beta(beta)
     norm = math.e - 1 + beta
     moved = (1 - lam) * (math.e - 1) + beta
     if sigma_hat > 1:
@@ -232,7 +228,7 @@ def naive_red_distribution(sigma_hat: float, lam: float, beta: float) -> Distrib
     """
     if not 0 < lam <= 1:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
-    _check_beta(beta)
+    check_beta(beta)
     hi = lam if sigma_hat > 1 else 1.0 / lam
     norm = math.exp(hi) - 1 + beta
     return _spec([(math.inf, beta / norm)], coeff=1.0 / norm, lo=0.0, hi=hi)

@@ -42,6 +42,12 @@ _WG: Sequence[float] = (
     0.417959183673469,
 )
 
+# The off-center abscissae in the order they are accumulated, each with its
+# Kronrod weight and its Gauss weight (None where the 7-point rule has no node).
+_NODES: Sequence[tuple[float, float, float | None]] = tuple(
+    (_XGK[j], _WGK[j], _WG[j // 2] if j % 2 else None) for j in range(7)
+)
+
 _MAX_DEPTH = 48
 
 
@@ -51,12 +57,11 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     fc = f(center)
     kronrod = _WGK[7] * fc
     gauss = _WG[3] * fc
-    for j in range(7):
-        lo = f(center - half * _XGK[j])
-        hi = f(center + half * _XGK[j])
-        kronrod += _WGK[j] * (lo + hi)
-        if j % 2 == 1:
-            gauss += _WG[j // 2] * (lo + hi)
+    for x, wk, wg in _NODES:
+        pair = f(center - half * x) + f(center + half * x)
+        kronrod += wk * pair
+        if wg is not None:
+            gauss += wg * pair
     kronrod *= half
     gauss *= half
     return kronrod, abs(kronrod - gauss)
@@ -66,6 +71,10 @@ def _adaptive(f, a, b, tol, depth) -> tuple[float, float]:
     value, err = _gk15(f, a, b)
     if err <= tol or depth >= _MAX_DEPTH:
         return value, err
+    if math.isnan(err):
+        # no bisection can shrink a NaN estimate; without this stop every
+        # panel would split down to _MAX_DEPTH, 2**48 of them
+        raise NumericError(f"integrand is not finite on [{a}, {b}]")
     mid = 0.5 * (a + b)
     left = _adaptive(f, a, mid, tol / 2, depth + 1)
     right = _adaptive(f, mid, b, tol / 2, depth + 1)

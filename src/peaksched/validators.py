@@ -1,0 +1,10 @@
+"""Domain checks shared by the online engine and the analysis formulas."""
+from __future__ import annotations
+
+from .errors import DomainError
+
+
+def check_beta(beta: float) -> None:
+    """Reject a hardness parameter outside (0, 1], NaN included."""
+    if not 0 < beta <= 1:
+        raise DomainError(f"beta must lie in (0, 1], got {beta}")

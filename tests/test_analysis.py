@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import peaksched as ps
+from peaksched import quadrature
 from peaksched.quadrature import integrate
 
 E = math.e
@@ -134,6 +135,40 @@ class TestQuadrature:
     def test_empty_interval(self):
         assert integrate(lambda x: x, 2, 2) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_integrand_fails_at_once(self, bad):
+        with pytest.raises(ps.NumericError, match="not finite"):
+            integrate(lambda x: bad if x > 0.5 else x, 0, 1)
+
+    def test_node_table_matches_the_indexed_rule_bit_for_bit(self, monkeypatch):
+        def indexed_gk15(f, a, b):
+            # the rule as first written: index the abscissae, test j for a Gauss node
+            center = 0.5 * (a + b)
+            half = 0.5 * (b - a)
+            fc = f(center)
+            kronrod = quadrature._WGK[7] * fc
+            gauss = quadrature._WG[3] * fc
+            for j in range(7):
+                lo = f(center - half * quadrature._XGK[j])
+                hi = f(center + half * quadrature._XGK[j])
+                kronrod += quadrature._WGK[j] * (lo + hi)
+                if j % 2 == 1:
+                    gauss += quadrature._WG[j // 2] * (lo + hi)
+            kronrod *= half
+            gauss *= half
+            return kronrod, abs(kronrod - gauss)
+
+        cases = [
+            (lambda x: abs(x - 0.3) * math.exp(x), 0.0, 1.0, (0.3,)),
+            (lambda x: 1.0 if x > 0.45 else 1.0 + (0.55 + x) * 0.7 / 0.45, 0.0, 1.0, (0.45,)),
+            (lambda x: math.sin(7 * x) + x**3, -1.0, 2.5, (0.0, 1.1)),
+            (lambda x: math.sqrt(abs(x)), -2.0, 3.0, (0.0,)),
+        ]
+        current = [integrate(f, a, b, abs_tol=1e-9, breakpoints=bp) for f, a, b, bp in cases]
+        monkeypatch.setattr(quadrature, "_gk15", indexed_gk15)
+        indexed = [integrate(f, a, b, abs_tol=1e-9, breakpoints=bp) for f, a, b, bp in cases]
+        assert current == indexed
+
 
 class TestExpectedRatio:
     def test_low_branch_constant_value(self):
@@ -159,6 +194,32 @@ class TestExpectedRatio:
                     quad = ps.expected_ratio(spec, sigma, beta)
                     closed = ps.expected_ratio_closed_form(True, sigma, lam, beta)
                     assert quad == pytest.approx(closed, abs=1e-6)
+
+    @pytest.mark.parametrize("beta", [0.0, -0.2, 1.5, math.nan])
+    def test_rejects_beta_outside_unit_interval(self, beta):
+        with pytest.raises(ps.DomainError, match="beta"):
+            ps.expected_ratio(ps.red_distribution(0.5), 0.7, beta)
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan])
+    def test_rejects_negative_mass(self, sigma):
+        with pytest.raises(ps.DomainError, match="premium mass"):
+            ps.expected_ratio(ps.red_distribution(0.5), sigma, 0.5)
+
+    def test_rejects_unnormalized_spec(self):
+        spec = ps.DistributionSpec(atoms=((math.inf, 0.5),), coeff=0.1, lo=0.0, hi=1.0)
+        with pytest.raises(ps.ValidationError, match="mass"):
+            ps.expected_ratio(spec, 0.7, 0.5)
+
+    def test_checks_hold_without_atoms(self):
+        # a pure density segment: no atom goes through cost_ratio's own checks
+        spec = ps.DistributionSpec(atoms=(), coeff=1.0 / (E - 1.0), lo=0.0, hi=1.0)
+        assert ps.expected_ratio(spec, 0.7, 0.5) > 1.0
+        with pytest.raises(ps.DomainError, match="beta"):
+            ps.expected_ratio(spec, 0.7, 0.0)
+        with pytest.raises(ps.DomainError, match="premium mass"):
+            ps.expected_ratio(spec, -1.0, 0.5)
+        with pytest.raises(ps.ValidationError, match="mass"):
+            ps.expected_ratio(ps.DistributionSpec(atoms=(), coeff=0.5, lo=0.0, hi=1.0), 0.7, 0.5)
 
     def test_pure_distribution_expected_ratio(self):
         # the pure randomized rule meets its competitive ratio at every mass

@@ -62,6 +62,21 @@ def test_sweep_writes_axis_column(tmp_path, capsys):
     assert header.endswith("axis,axis_value")
 
 
+def test_sweep_exits_nonzero_when_cells_fail(tmp_path, capsys):
+    # all-zero demand: every cell's offline optimum is 0, so no ratio exists
+    stamps = ["2018-04-01T00:00", "2018-04-01T01:00", "2018-04-01T02:00"]
+    (tmp_path / "p.csv").write_text("timestamp,value\n" + "".join(f"{t},{20 + i}\n" for i, t in enumerate(stamps)))
+    (tmp_path / "d.csv").write_text("timestamp,value\n" + "".join(f"{t},0\n" for t in stamps))
+    inputs = ["--price-csv", str(tmp_path / "p.csv"), "--demand-csv", str(tmp_path / "d.csv"), "--seed", "1"]
+    code = main(["sweep", "--axis", "capacity", "--values", "0.5,1.0", *inputs, "--out-dir", str(tmp_path / "sweep")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error [capacity=0.5 bed||perfect]: offline optimum must be > 0" in err
+    assert "error [capacity=1.0 bed||perfect]" in err
+    # compare on the same files agrees
+    assert main(["compare", *inputs, "--out-dir", str(tmp_path / "compare")]) == 1
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     config = tmp_path / "exp.conf"
     config.write_text("days = 2\nseed = 3\nalgorithms = bed\nlambdas = 0.5\n")

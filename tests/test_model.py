@@ -1,4 +1,6 @@
 """Trace, parameter, schedule, and cost-accounting behavior."""
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,22 @@ def test_trace_rejects_nonpositive_price_and_negative_demand():
         ps.Trace(prices=[1.0, 1.0], demands=[1, -1])
     with pytest.raises(ps.ValidationError):
         ps.Trace(prices=[], demands=[])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("p_g", math.nan), ("p_m", math.nan), ("capacity", math.nan), ("ramp", math.nan),
+     ("p_g", math.inf), ("p_m", math.inf)],
+)
+def test_billing_params_reject_nan_and_infinite_prices(field, value):
+    fields = {"p_g": 2.0, "p_m": 4.0, "capacity": 1, "ramp": 1.0, field: value}
+    with pytest.raises(ps.ValidationError, match=field):
+        ps.BillingParams(**fields)
+
+
+def test_billing_params_allow_unbounded_capacity_and_ramp():
+    params = ps.BillingParams(p_g=2.0, p_m=4.0, capacity=math.inf, ramp=math.inf)
+    assert params.capacity == params.ramp == math.inf
 
 
 def test_cost_reduction_identities():

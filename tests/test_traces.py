@@ -39,6 +39,19 @@ class TestParseTraceCsv:
         with pytest.raises(ps.ValidationError, match="line 3"):
             parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, value):
+        _write(tmp_path / "p.csv", [("2018-04-01T00:00", 20.0), ("2018-04-01T01:00", 21.0)])
+        _write(tmp_path / "d.csv", [("2018-04-01T00:00", 1), ("2018-04-01T01:00", value)])
+        with pytest.raises(ps.ValidationError, match=r"d\.csv line 3: demand .* is not finite"):
+            parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
+
+    def test_non_finite_price_rejected(self, tmp_path):
+        _write(tmp_path / "p.csv", [("2018-04-01T00:00", "nan")])
+        _write(tmp_path / "d.csv", [("2018-04-01T00:00", 1)])
+        with pytest.raises(ps.ValidationError, match=r"p\.csv line 2: price nan is not finite"):
+            parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
+
     def test_bad_row_names_line(self, tmp_path):
         (tmp_path / "p.csv").write_text("timestamp,value\n2018-04-01T00:00,20\nnot-a-time,5\n")
         _write(tmp_path / "d.csv", [("2018-04-01T00:00", 1)])
