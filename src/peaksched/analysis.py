@@ -16,7 +16,7 @@ from .errors import DomainError, UndefinedRatioError
 from .model import BillingParams, Trace
 from .online import DistributionSpec, SwitchPolicy
 from .quadrature import integrate
-from .validators import check_beta
+from .validators import check_beta, check_lambda
 
 _E = math.e
 
@@ -83,8 +83,7 @@ def deterministic_bounds(lam: float, beta: float) -> Bounds:
     Robust to ``1 + (1 - beta) / lambda`` under arbitrary prediction error
     and ``(1 + lambda)``-competitive under perfect prediction.
     """
-    if not 0 < lam <= 1:
-        raise DomainError(f"lambda must lie in (0, 1], got {lam}")
+    check_lambda(lam)
     check_beta(beta)
     return Bounds(1.0 + (1.0 - beta) / lam, 1.0 + lam)
 
@@ -95,8 +94,7 @@ def randomized_bounds(lam: float, beta: float) -> Bounds:
     ``lam = 1`` collapses both to ``e / (e - 1 + beta)``, the pure
     randomized competitive ratio; ``lam = 0`` drives consistency to 1.
     """
-    if not 0 <= lam <= 1:
-        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+    check_lambda(lam, allow_zero=True)
     check_beta(beta)
     phi = 1.0 / (_E - 1.0 + beta)
     robustness = phi * (_E + (1.0 - lam) * (1.0 - beta) * (_E - 1.0 + beta) / beta)
@@ -112,8 +110,7 @@ def naive_randomized_bounds(lam: float, beta: float) -> Bounds:
     Its consistency is stuck at ``1 / beta``, which is why the
     mass-shifting construction of :func:`randomized_bounds` exists.
     """
-    if not 0 < lam <= 1:
-        raise DomainError(f"lambda must lie in (0, 1], got {lam}")
+    check_lambda(lam)
     check_beta(beta)
     inv = 1.0 / lam
     stretched = math.exp(inv) / (math.exp(inv) - 1.0 + beta)
@@ -155,8 +152,7 @@ def expected_ratio_closed_form(predicted_high: bool, sigma: float, lam: float, b
     ``sigma -> inf`` envelope, which is what the robustness and consistency
     formulas of :func:`randomized_bounds` cap.
     """
-    if not 0 <= lam <= 1:
-        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+    check_lambda(lam, allow_zero=True)
     check_beta(beta)
     if not sigma > 0:
         raise DomainError("closed forms assume a positive premium mass")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import BillingParams, Schedule, Trace, sigma
+from .model import BillingParams, Schedule, Trace, _frozen, sigma
 from .online import Algorithm, RunRecord, run_algorithm
 from .prediction import Prediction
 
@@ -33,10 +33,11 @@ def decompose(trace: Trace) -> LayerStack:
     """Split integer demand into 0/1 layers that sum back to the original."""
     if not trace.has_integer_demands():
         raise DomainError("layer decomposition requires integer demands")
-    d = trace.demands.astype(int)
-    depth = int(d.max())
+    d = trace.demands
+    depth = int(trace.max_demand)
+    # the layers share the parent's frozen prices; only demands are new
     layers = tuple(
-        Trace(prices=trace.prices, demands=(d >= i).astype(float)) for i in range(1, depth + 1)
+        Trace(prices=trace.prices, demands=_frozen((d >= i).astype(float))) for i in range(1, depth + 1)
     )
     return LayerStack(layers=layers, depth=depth)
 
@@ -110,7 +111,7 @@ def run_layered(
         )
         u += record.schedule.u
         v += record.schedule.v
-    return Schedule(u=u, v=v)
+    return Schedule(u=_frozen(u), v=_frozen(v))
 
 
 def project_ramp(schedule: Schedule, trace: Trace, params: BillingParams) -> Schedule:
@@ -138,4 +139,4 @@ def project_ramp(schedule: Schedule, trace: Trace, params: BillingParams) -> Sch
         u[t] = max(lo, min(schedule.u[t], hi))
         prev = u[t]
     v = np.maximum(schedule.v, d - u)
-    return Schedule(u=u, v=v)
+    return Schedule(u=_frozen(u), v=_frozen(v))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,16 @@ MONEY_TOL = 1e-9
 
 
 def _readonly_vector(values, name: str) -> np.ndarray:
+    # A read-only float64 vector that owns its memory is kept as it is (see
+    # the sharing contract on Trace); anything else is copied and frozen.
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float64
+        and values.ndim == 1
+        and values.base is None
+        and not values.flags.writeable
+    ):
+        return values
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise StructuralError(f"{name} must be a one-dimensional sequence")
@@ -31,13 +42,39 @@ def _readonly_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Freeze an array built inside the package so traces and schedules keep it without a copy."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _checked_range(arr: np.ndarray, what: str, rule: str, positive: bool = False) -> tuple[float, float]:
+    """Min and max of a non-empty vector, rejecting non-finite values and
+    values below 0 (not above 0 when ``positive``) by the first offending
+    slot.  NaN fails every comparison, so it is rejected too."""
+    lo = np.minimum.reduce(arr)
+    hi = np.maximum.reduce(arr)
+    if not ((lo > 0 if positive else lo >= 0) and hi < math.inf):
+        ok = (arr > 0 if positive else arr >= 0) & (arr < math.inf)
+        t = int(np.flatnonzero(~ok)[0])
+        raise ValidationError(f"{what} at slot {t} is {arr[t]}; {rule}")
+    return float(lo), float(hi)
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
     """Per-slot grid prices and energy demands for one billing cycle.
 
-    Prices must be strictly positive; demands non-negative.  Both vectors
-    share the same length ``T >= 1``.  Instances are immutable and safe to
-    share across threads.
+    Prices must be finite and strictly positive; demands finite and
+    non-negative.  Both vectors share the same length ``T >= 1``.
+    Instances are immutable and safe to share across threads.
+
+    Inputs are copied into read-only float64 vectors, except that a
+    read-only, one-dimensional float64 array that owns its memory
+    (``base is None``) is kept as it is, not copied.  Such an array is
+    taken to be frozen for good: whoever built it must not make it
+    writable again or write to it through an older view.  The extremes
+    and the integer and binary tests are computed once per instance.
     """
 
     prices: np.ndarray
@@ -52,14 +89,13 @@ class Trace:
             )
         if len(prices) == 0:
             raise ValidationError("empty trace: the peak charge needs at least one slot")
-        bad = np.flatnonzero(prices <= 0)
-        if bad.size:
-            raise ValidationError(f"price at slot {bad[0]} is {prices[bad[0]]}; prices must be > 0")
-        bad = np.flatnonzero(demands < 0)
-        if bad.size:
-            raise ValidationError(f"demand at slot {bad[0]} is {demands[bad[0]]}; demands must be >= 0")
+        min_price, max_price = _checked_range(prices, "price", "prices must be finite and > 0", positive=True)
+        _, max_demand = _checked_range(demands, "demand", "demands must be finite and >= 0")
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "demands", demands)
+        object.__setattr__(self, "_min_price", min_price)
+        object.__setattr__(self, "_max_price", max_price)
+        object.__setattr__(self, "_max_demand", max_demand)
 
     def __len__(self) -> int:
         return len(self.prices)
@@ -70,21 +106,26 @@ class Trace:
 
     @property
     def min_price(self) -> float:
-        return float(self.prices.min())
+        return self._min_price
 
     @property
     def max_price(self) -> float:
-        return float(self.prices.max())
+        return self._max_price
 
     @property
     def max_demand(self) -> float:
-        return float(self.demands.max())
+        return self._max_demand
 
-    def has_integer_demands(self) -> bool:
+    @cached_property
+    def _integer_demands(self) -> bool:
         return bool(np.all(self.demands == np.rint(self.demands)))
 
+    def has_integer_demands(self) -> bool:
+        return self._integer_demands
+
     def has_binary_demands(self) -> bool:
-        return bool(np.all((self.demands == 0) | (self.demands == 1)))
+        # integer demands in [0, 1] are exactly the 0/1 demands
+        return self.max_demand <= 1 and self._integer_demands
 
 
 @dataclass(frozen=True)
@@ -130,9 +171,13 @@ def check_pairing(trace: Trace, params: BillingParams) -> None:
 class Schedule:
     """Per-slot generator output ``u`` and grid purchase ``v``.
 
-    Construction checks only non-negativity and shape; demand satisfaction,
-    capacity, and ramp feasibility depend on a trace and parameters and are
-    checked by :func:`validate_schedule` (invoked by :func:`cost_of`).
+    Construction checks only shape and that every entry is finite and
+    non-negative; demand satisfaction, capacity, and ramp feasibility
+    depend on a trace and parameters and are checked by
+    :func:`validate_schedule` (invoked by :func:`cost_of`).  Vectors are
+    copied and frozen as in :class:`Trace`: a read-only float64 vector
+    that owns its memory is kept, not copied.  The largest output and
+    purchase are computed once per instance.
     """
 
     u: np.ndarray
@@ -143,14 +188,15 @@ class Schedule:
         v = _readonly_vector(self.v, "v")
         if len(u) != len(v):
             raise StructuralError(f"u ({len(u)} slots) and v ({len(v)} slots) differ in length")
-        bad = np.flatnonzero(u < 0)
-        if bad.size:
-            raise ValidationError(f"generator output at slot {bad[0]} is {u[bad[0]]}; must be >= 0")
-        bad = np.flatnonzero(v < 0)
-        if bad.size:
-            raise ValidationError(f"grid purchase at slot {bad[0]} is {v[bad[0]]}; must be >= 0")
+        # an empty schedule matches no trace, so its maxima are never read
+        max_u = max_v = 0.0
+        if len(u):
+            _, max_u = _checked_range(u, "generator output", "must be finite and >= 0")
+            _, max_v = _checked_range(v, "grid purchase", "must be finite and >= 0")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "_max_u", max_u)
+        object.__setattr__(self, "_max_v", max_v)
 
     def __len__(self) -> int:
         return len(self.u)
@@ -173,9 +219,8 @@ def validate_schedule(schedule: Schedule, trace: Trace, params: BillingParams) -
         raise ValidationError(
             f"demand not met at slot {t}: u+v = {u[t] + v[t]} < d = {d[t]}"
         )
-    over = np.flatnonzero(u > params.capacity + MONEY_TOL)
-    if over.size:
-        t = over[0]
+    if schedule._max_u > params.capacity + MONEY_TOL:
+        t = int(np.flatnonzero(u > params.capacity + MONEY_TOL)[0])
         raise ValidationError(
             f"generator output {u[t]} at slot {t} exceeds capacity {params.capacity}"
         )
@@ -209,7 +254,7 @@ def cost_of(schedule: Schedule, trace: Trace, params: BillingParams) -> CostBrea
     """
     validate_schedule(schedule, trace, params)
     volume = float(trace.prices @ schedule.v)
-    peak = params.p_m * float(schedule.v.max())
+    peak = params.p_m * schedule._max_v
     local = params.p_g * float(schedule.u.sum())
     return CostBreakdown(volume=volume, peak=peak, local=local)
 

@@ -21,8 +21,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .model import BillingParams, Schedule, Trace, beta as beta_of, check_pairing
-from .validators import check_beta
+from .model import BillingParams, Schedule, Trace, _frozen, beta as beta_of, check_pairing
+from .validators import check_beta, check_lambda
 
 #: Tolerance on the total mass of a switch-threshold distribution.
 MASS_TOL = 1e-12
@@ -109,13 +109,11 @@ def run_threshold(trace: Trace, params: BillingParams, policy: SwitchPolicy) -> 
         # first crossing is a binary search away
         pos = int(np.searchsorted(cumulative, policy.s * params.p_m, side="left"))
         switch = pos if pos < len(d) else None
-    if switch is None:
-        u = d.copy()
-    else:
-        u = np.where(np.arange(len(d)) < switch, d, 0.0)
-    v = d - u
+    u = d.copy()
+    if switch is not None:
+        u[switch:] = 0.0
     return RunRecord(
-        schedule=Schedule(u=u, v=v),
+        schedule=Schedule(u=_frozen(u), v=_frozen(d - u)),
         switch_slot=switch,
         policy=policy,
         cumulative_premium=float(cumulative[-1]),
@@ -134,8 +132,7 @@ def lambda_bed_policy(sigma_hat: float, lam: float) -> SwitchPolicy:
     predicted premium mass exceeds 1 and very late otherwise; ``lam = 1``
     collapses both branches to the plain break-even rule.
     """
-    if not 0 < lam <= 1:
-        raise DomainError(f"lambda must lie in (0, 1], got {lam}")
+    check_lambda(lam)
     return SwitchPolicy.at(lam if sigma_hat > 1 else 1.0 / lam)
 
 
@@ -203,8 +200,7 @@ def lambda_red_distribution(sigma_hat: float, lam: float, beta: float) -> Distri
     entirely on never-switch.  ``lam = 1`` recovers the pure randomized
     distribution; ``lam = 0`` degenerates to a single atom.
     """
-    if not 0 <= lam <= 1:
-        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+    check_lambda(lam, allow_zero=True)
     check_beta(beta)
     norm = math.e - 1 + beta
     moved = (1 - lam) * (math.e - 1) + beta
@@ -226,8 +222,7 @@ def naive_red_distribution(sigma_hat: float, lam: float, beta: float) -> Distrib
     ``beta`` share of the mass.  Kept as a comparison point: its
     consistency degrades to ``1/beta``.
     """
-    if not 0 < lam <= 1:
-        raise DomainError(f"lambda must lie in (0, 1], got {lam}")
+    check_lambda(lam)
     check_beta(beta)
     hi = lam if sigma_hat > 1 else 1.0 / lam
     norm = math.exp(hi) - 1 + beta

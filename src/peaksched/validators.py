@@ -8,3 +8,13 @@ def check_beta(beta: float) -> None:
     """Reject a hardness parameter outside (0, 1], NaN included."""
     if not 0 < beta <= 1:
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
+
+
+def check_lambda(lam: float, allow_zero: bool = False) -> None:
+    """Reject a trust parameter outside (0, 1], or outside [0, 1] when
+    ``allow_zero`` is set, NaN included."""
+    if allow_zero:
+        if not 0 <= lam <= 1:
+            raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+    elif not 0 < lam <= 1:
+        raise DomainError(f"lambda must lie in (0, 1], got {lam}")

@@ -26,6 +26,14 @@ class TestDecompose:
         with pytest.raises(ps.DomainError):
             ps.decompose(ps.Trace(prices=[1], demands=[1.5]))
 
+    def test_layers_share_the_parent_prices(self, rng):
+        trace, _ = make_integer_instance(rng)
+        stack = ps.decompose(trace)
+        assert stack.depth > 0
+        for layer in stack.layers:
+            assert layer.prices is trace.prices
+            assert not layer.demands.flags.writeable
+
     def test_roundtrip(self, rng):
         for _ in range(100):
             trace, _ = make_integer_instance(rng)

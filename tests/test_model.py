@@ -166,3 +166,75 @@ def test_schedule_cost_helper_agrees_with_cost_of(rng):
         ours = ps.cost_of(ps.Schedule(u=u, v=v), trace, params).total
         theirs = schedule_cost(u, v, trace, params)
         assert ours == pytest.approx(theirs, abs=1e-9)
+
+
+def test_trace_copies_writable_input_and_readonly_view():
+    source = np.array([1.0, 2.0, 3.0])
+    owner = np.array([1.0, 1.0, 1.0])
+    view = owner[:]
+    view.setflags(write=False)
+    trace = ps.Trace(prices=source, demands=view)
+    assert trace.prices is not source and trace.demands is not view
+    source[0] = 9.0
+    owner[0] = 9.0
+    assert np.array_equal(trace.prices, [1, 2, 3])
+    assert np.array_equal(trace.demands, [1, 1, 1])
+
+
+def test_frozen_owned_vector_is_shared_and_stays_read_only():
+    prices = np.array([1.0, 2.0])
+    prices.setflags(write=False)
+    trace = ps.Trace(prices=prices, demands=[1, 0])
+    schedule = ps.Schedule(u=trace.demands, v=np.zeros(2))
+    assert trace.prices is prices
+    assert schedule.u is trace.demands
+    for arr in (trace.prices, trace.demands, schedule.u, schedule.v):
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+
+
+def test_frozen_vector_of_another_dtype_is_copied_as_float():
+    demands = np.array([1, 0, 2])
+    demands.setflags(write=False)
+    trace = ps.Trace(prices=[1, 1, 1], demands=demands)
+    assert trace.demands is not demands and trace.demands.dtype == np.float64
+
+
+def test_trace_facts_match_direct_reductions(rng):
+    for _ in range(30):
+        trace, _ = make_integer_instance(rng)
+        binary = ps.Trace(prices=trace.prices, demands=np.minimum(trace.demands, 1))
+        fractional = ps.Trace(prices=trace.prices, demands=trace.demands + 0.5)
+        assert trace.min_price == trace.prices.min() and trace.max_price == trace.prices.max()
+        assert trace.max_demand == trace.demands.max()
+        assert trace.has_integer_demands() and binary.has_binary_demands()
+        assert trace.has_binary_demands() == bool(np.all(trace.demands <= 1))
+        assert not fractional.has_integer_demands() and not fractional.has_binary_demands()
+
+
+@pytest.mark.parametrize(
+    "prices, demands, message",
+    [
+        ([1, 2, 3], [1, math.nan, 2], "demand at slot 1"),
+        ([1, 2, 3], [1, math.inf, 2], "demand at slot 1"),
+        ([1, 2, 3], [1, 0, -math.inf], "demand at slot 2"),
+        ([1, math.nan, 3], [1, 1, 1], "price at slot 1"),
+        ([1, 2, math.inf], [1, 1, 1], "price at slot 2"),
+    ],
+)
+def test_trace_rejects_non_finite_values(prices, demands, message):
+    with pytest.raises(ps.ValidationError, match=message):
+        ps.Trace(prices=prices, demands=demands)
+
+
+@pytest.mark.parametrize(
+    "u, v, message",
+    [
+        ([math.nan], [1], "generator output at slot 0"),
+        ([0, math.inf], [1, 0], "generator output at slot 1"),
+        ([1, 0], [0, math.nan], "grid purchase at slot 1"),
+        ([1, 0], [-math.inf, 1], "grid purchase at slot 0"),
+    ],
+)
+def test_schedule_rejects_non_finite_values(u, v, message):
+    with pytest.raises(ps.ValidationError, match=message):
+        ps.Schedule(u=u, v=v)

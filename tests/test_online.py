@@ -37,6 +37,24 @@ class TestRunThreshold:
         with pytest.raises(ps.DomainError):
             ps.run_threshold(trace, ps.BillingParams(p_g=2, p_m=2, capacity=2), ps.bed_policy())
 
+    @pytest.mark.parametrize("s, switch", [(-1.0, 0), (0.0, 0), (math.inf, None), ("last", 24)])
+    def test_split_equals_the_masked_formula_bit_for_bit(self, rng, s, switch):
+        trace, params = make_binary_instance(rng, horizon=25)
+        if s == "last":
+            # all-ones demand and a threshold between the premium paid
+            # before the last slot and the total: the switch lands on the last slot
+            trace = ps.Trace(prices=trace.prices, demands=np.ones(25))
+            premium = np.cumsum(params.p_g - trace.prices)
+            s = float(premium[-2] + premium[-1]) / 2 / params.p_m
+        record = ps.run_threshold(trace, params, ps.SwitchPolicy.at(s))
+        assert record.switch_slot == switch
+        d = trace.demands
+        k = len(d) if switch is None else switch
+        u = np.where(np.arange(len(d)) < k, d, 0.0)
+        assert record.schedule.u.tobytes() == u.tobytes()
+        assert record.schedule.v.tobytes() == (d - u).tobytes()
+        assert not record.schedule.u.flags.writeable and not record.schedule.v.flags.writeable
+
     def test_final_premium_is_sigma_times_peak_price(self, rng):
         for _ in range(40):
             trace, params = make_binary_instance(rng)
