@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from ..errors import PeakSchedError
@@ -23,10 +24,13 @@ from .experiment import (
     SWEEP_AXES,
     config_from_sources,
     parse_config_text,
+    parse_text,
     run_experiment,
     run_sweep,
+    sweep_errors,
+    synth_config_trace,
 )
-from .traces import synth_trace, write_trace_csv
+from .traces import write_trace_csv
 from .verify import (
     default_beta_grid,
     default_lambda_grid,
@@ -36,46 +40,25 @@ from .verify import (
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One text flag per ``ExperimentConfig`` field; the config converters parse them."""
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out-dir")
-    parser.add_argument("--price-csv")
-    parser.add_argument("--demand-csv")
-    parser.add_argument("--days", type=int, help="synthetic trace length in days")
-    parser.add_argument("--peak-level", type=float)
-    parser.add_argument("--base-level", type=float)
-    parser.add_argument("--noise", type=float)
-    parser.add_argument("--algorithms", help="comma-separated algorithm names")
-    parser.add_argument("--lambdas", help="comma-separated trust values in (0, 1]")
-    parser.add_argument("--predictors", help="comma-separated predictor names")
-    parser.add_argument("--sigma-hat", type=float, help="scalar predicted premium mass")
-    parser.add_argument("--sigma1", type=float, help="price noise std-dev for the gaussian predictor")
-    parser.add_argument("--sigma2", type=float, help="demand noise std-dev for the gaussian predictor")
-    parser.add_argument("--peak-multiplier", type=float)
-    parser.add_argument("--capacity-ratio", type=float)
-    parser.add_argument("--ramp-ratio", type=float)
-
-
-_CONFIG_KEYS = (
-    "seed", "out_dir", "price_csv", "demand_csv", "days", "peak_level", "base_level",
-    "noise", "algorithms", "lambdas", "predictors", "sigma_hat", "sigma1", "sigma2",
-    "peak_multiplier", "capacity_ratio", "ramp_ratio",
-)
+    for f in fields(ExperimentConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), help=f.metadata.get("help"))
 
 
 def _config_from_args(args: argparse.Namespace, **extra) -> ExperimentConfig:
     file_values = {}
     if args.config:
         file_values = parse_config_text(Path(args.config).read_text())
-    overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     overrides.update(extra)
     return config_from_sources(file_values, overrides)
 
 
-def _report_errors(errors: dict[str, str], prefix: str = "") -> bool:
-    """Print a manifest's per-cell errors on stderr; True when there were any."""
+def _report_errors(errors: dict[str, str]) -> bool:
+    """Print per-cell errors on stderr; True when there were any."""
     for key, message in errors.items():
-        print(f"error [{prefix}{key}]: {message}", file=sys.stderr)
+        print(f"error [{key}]: {message}", file=sys.stderr)
     return bool(errors)
 
 
@@ -118,30 +101,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    values = None
-    if args.values:
-        values = tuple(float(part) for part in args.values.split(","))
+    values = parse_text(args.values, float, "--values", many=True) if args.values else None
     result = run_sweep(config, axis=args.axis, values=values, write=True)
-    manifest = result.manifest
-    # the lambda axis runs one experiment over the whole grid; the others run one per value
-    tags = manifest["values"] if manifest["axis"] != "lambda" else [None]
-    failed = False
-    for tag, cell in zip(tags, manifest["cells"]):
-        prefix = "" if tag is None else f"{manifest['axis']}={tag} "
-        failed |= _report_errors(cell["errors"], prefix)
+    failed = _report_errors(sweep_errors(result.manifest))
     print(f"{len(result.rows)} rows -> {result.report_path}")
     return 1 if failed else 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    trace = synth_trace(
-        days=args.days if args.days is not None else 30,
-        seed=args.seed if args.seed is not None else 0,
-        peak_level=args.peak_level if args.peak_level is not None else 12.0,
-        base_level=args.base_level if args.base_level is not None else 2.0,
-        noise=args.noise if args.noise is not None else 1.0,
-    )
-    out_dir = Path(args.out_dir or "out")
+    config = _config_from_args(args)
+    trace = synth_config_trace(config)
+    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     price_file = out_dir / "prices.csv"
     demand_file = out_dir / "demands.csv"

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+import typing
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,23 +47,27 @@ REPORT_COLUMNS = (
 _PREDICTORS = ("perfect", "gaussian", "adversarial", "scalar")
 
 
+def _with_help(default, text: str):
+    return field(default=default, metadata={"help": text})
+
+
 @dataclass
 class ExperimentConfig:
-    """Flat experiment description; every field mirrors a kebab-case config
-    key and CLI flag (``capacity_ratio`` <-> ``capacity-ratio``)."""
+    """Flat experiment description and the only config schema: every field is
+    a kebab-case config key and CLI flag (``capacity_ratio`` <-> ``capacity-ratio``)."""
 
     price_csv: str | None = None
     demand_csv: str | None = None
-    days: int = 30
+    days: int = _with_help(30, "synthetic trace length in days")
     peak_level: float = 12.0
     base_level: float = 2.0
     noise: float = 1.0
-    algorithms: tuple[str, ...] = ("bed", "lambda-bed")
-    lambdas: tuple[float, ...] = (0.5,)
-    predictors: tuple[str, ...] = ("perfect",)
-    sigma_hat: float | None = None
-    sigma1: float | None = None
-    sigma2: float | None = None
+    algorithms: tuple[str, ...] = _with_help(("bed", "lambda-bed"), "comma-separated algorithm names")
+    lambdas: tuple[float, ...] = _with_help((0.5,), "comma-separated trust values in (0, 1]")
+    predictors: tuple[str, ...] = _with_help(("perfect",), "comma-separated predictor names")
+    sigma_hat: float | None = _with_help(None, "scalar predicted premium mass")
+    sigma1: float | None = _with_help(None, "price noise std-dev for the gaussian predictor")
+    sigma2: float | None = _with_help(None, "demand noise std-dev for the gaussian predictor")
     peak_multiplier: float = 100.0
     capacity_ratio: float = 0.6
     ramp_ratio: float | None = None
@@ -70,11 +75,21 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def validate(self) -> None:
+        for name, (kind, many) in _SCHEMA.items():
+            value = getattr(self, name)
+            if kind is float and not all(v is None or math.isfinite(v) for v in (value if many else (value,))):
+                raise ValidationError(f"{name.replace('_', '-')} must be finite, got {value}")
+        if not self.algorithms:
+            raise ValidationError("algorithms must name at least one algorithm")
+        if not self.predictors:
+            raise ValidationError("predictors must name at least one predictor")
         for name in self.algorithms:
             try:
                 Algorithm(name)
             except ValueError as exc:
                 raise ValidationError(f"unknown algorithm {name!r}") from exc
+        if not self.lambdas and any(Algorithm(name).uses_prediction for name in self.algorithms):
+            raise ValidationError("lambdas must hold at least one value for prediction-assisted algorithms")
         for lam in self.lambdas:
             if not 0 < lam <= 1:
                 raise ValidationError(f"lambda values must lie in (0, 1], got {lam}")
@@ -98,13 +113,23 @@ class ExperimentConfig:
             raise ValidationError("price-csv and demand-csv must be given together")
 
 
-_TUPLE_FIELDS = {"algorithms", "predictors"}
-_FLOAT_TUPLE_FIELDS = {"lambdas"}
-_INT_FIELDS = {"days", "seed"}
-_FLOAT_FIELDS = {
-    "peak_level", "base_level", "noise", "sigma_hat", "sigma1", "sigma2",
-    "peak_multiplier", "capacity_ratio", "ramp_ratio",
+# field name -> (element type X, whether the field is a comma-separated tuple);
+# the annotations are X, X | None and tuple[X, ...]
+_SCHEMA = {
+    name: ((typing.get_args(hint) or (hint,))[0], typing.get_origin(hint) is tuple)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
 }
+
+
+def parse_text(text: str, kind: type, key: str, many: bool = False):
+    """One ``kind`` value, or with ``many`` a tuple of comma-separated ones
+    (blank items skipped); a bad value raises ``ValidationError`` naming ``key``."""
+    try:
+        if many:
+            return tuple(kind(part.strip()) for part in text.split(",") if part.strip())
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"{key}: expected {kind.__name__}{'s' if many else ''}, got {text!r}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -122,29 +147,23 @@ def parse_config_text(text: str) -> dict:
 
 
 def config_from_sources(file_values: dict | None = None, overrides: dict | None = None) -> ExperimentConfig:
-    """Build a config from parsed file values and CLI overrides (which win)."""
+    """Build a config from parsed file values and CLI overrides (which win);
+    text values are parsed by their field's annotation, typed values kept."""
     merged: dict = {}
     for source in (file_values or {}), (overrides or {}):
         for key, value in source.items():
             if value is None:
                 continue
             merged[key.replace("-", "_")] = value
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    unknown = set(merged) - known
+    unknown = set(merged) - set(_SCHEMA)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     kwargs: dict = {}
     for key, value in merged.items():
+        kind, many = _SCHEMA[key]
         if isinstance(value, str):
-            if key in _TUPLE_FIELDS:
-                value = tuple(part.strip() for part in value.split(",") if part.strip())
-            elif key in _FLOAT_TUPLE_FIELDS:
-                value = tuple(float(part) for part in value.split(",") if part.strip())
-            elif key in _INT_FIELDS:
-                value = int(value)
-            elif key in _FLOAT_FIELDS:
-                value = float(value)
-        elif key in _TUPLE_FIELDS or key in _FLOAT_TUPLE_FIELDS:
+            value = parse_text(value, kind, key.replace("_", "-"), many)
+        elif many:
             value = tuple(value)
         kwargs[key] = value
     return ExperimentConfig(**kwargs)
@@ -158,6 +177,17 @@ class ExperimentResult:
     manifest_path: Path | None
 
 
+def synth_config_trace(config: ExperimentConfig) -> Trace:
+    """The synthetic trace a configuration describes (seed 0 when unset)."""
+    return synth_trace(
+        days=config.days,
+        seed=config.seed or 0,
+        peak_level=config.peak_level,
+        base_level=config.base_level,
+        noise=config.noise,
+    )
+
+
 def _build_trace(config: ExperimentConfig) -> tuple[Trace, dict]:
     provenance: dict = {}
     if config.price_csv is not None:
@@ -167,13 +197,7 @@ def _build_trace(config: ExperimentConfig) -> tuple[Trace, dict]:
         provenance["dropped_price_rows"] = loaded.dropped_price_rows
         provenance["dropped_demand_rows"] = loaded.dropped_demand_rows
     else:
-        trace = synth_trace(
-            days=config.days,
-            seed=config.seed or 0,
-            peak_level=config.peak_level,
-            base_level=config.base_level,
-            noise=config.noise,
-        )
+        trace = synth_config_trace(config)
         provenance["source"] = "synthetic"
     if not trace.has_integer_demands():
         # layering needs integer demand; record that we rounded
@@ -334,19 +358,22 @@ def write_report(rows: list[dict], path: Path, extra_columns: tuple[str, ...] = 
             fh.write(",".join(_format_value(row.get(col)) for col in columns) + "\n")
 
 
+_TENTHS = tuple(round(0.1 * i, 1) for i in range(1, 11))
+
+# axis -> (the config field it sets, its default values); the peak axis
+# scales the configured multiplier instead of replacing it
 SWEEP_AXES = {
-    "lambda": "lambda values for prediction-assisted algorithms",
-    "peak": "scale factors on the configured peak multiplier",
-    "ramp": "ramp-to-capacity ratios",
-    "capacity": "capacity-to-peak-demand ratios",
+    "lambda": ("lambdas", _TENTHS),
+    "peak": ("peak_multiplier", tuple(float(i) for i in range(1, 21))),
+    "ramp": ("ramp_ratio", _TENTHS),
+    "capacity": ("capacity_ratio", _TENTHS),
 }
 
-_DEFAULT_AXIS_VALUES = {
-    "lambda": tuple(round(0.1 * i, 1) for i in range(1, 11)),
-    "peak": tuple(float(i) for i in range(1, 21)),
-    "ramp": tuple(round(0.1 * i, 1) for i in range(1, 11)),
-    "capacity": tuple(round(0.1 * i, 1) for i in range(1, 11)),
-}
+
+def _sweep_tags(axis: str, values) -> list:
+    # the lambda axis is one experiment over the whole grid (tag None, rows
+    # carry their own lambda); the others run one experiment per value
+    return [None] if axis == "lambda" else list(values)
 
 
 def run_sweep(
@@ -362,25 +389,20 @@ def run_sweep(
     """
     if axis not in SWEEP_AXES:
         raise DomainError(f"unknown sweep axis {axis!r}; pick from {sorted(SWEEP_AXES)}")
+    field_name, defaults = SWEEP_AXES[axis]
     if values is None:
-        values = _DEFAULT_AXIS_VALUES[axis]
-    if axis == "lambda":
-        variants = [replace(config, lambdas=values, out_dir=config.out_dir)]
-        tags = [None]
-    else:
-        field_name = {"peak": "peak_multiplier", "ramp": "ramp_ratio", "capacity": "capacity_ratio"}[axis]
-        variants = []
-        for value in values:
-            if axis == "peak":
-                variants.append(replace(config, peak_multiplier=config.peak_multiplier * value))
-            else:
-                variants.append(replace(config, **{field_name: value}))
-        tags = list(values)
+        values = defaults
+    if len(values) == 0:
+        raise ValidationError(f"sweep axis {axis!r} needs at least one value")
 
     rows: list[dict] = []
     manifests = []
-    for variant, tag in zip(variants, tags):
-        result = run_experiment(variant, write=False)
+    for tag in _sweep_tags(axis, values):
+        if tag is None:
+            value = values
+        else:
+            value = config.peak_multiplier * tag if axis == "peak" else tag
+        result = run_experiment(replace(config, **{field_name: value}), write=False)
         for row in result.rows:
             tagged = dict(row)
             tagged["axis"] = axis
@@ -400,3 +422,10 @@ def run_sweep(
     return ExperimentResult(
         rows=tuple(rows), manifest=manifest, report_path=report_path, manifest_path=manifest_path
     )
+
+
+def sweep_errors(manifest: dict) -> dict[str, str]:
+    """A sweep manifest's failed cells, keyed ``axis=value cell`` (``cell`` on the lambda axis)."""
+    axis = manifest["axis"]
+    prefixes = ("" if tag is None else f"{axis}={tag} " for tag in _sweep_tags(axis, manifest["values"]))
+    return {pre + key: msg for pre, cell in zip(prefixes, manifest["cells"]) for key, msg in cell["errors"].items()}

@@ -11,25 +11,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError, ValidationError
-from .model import BillingParams, Trace, sigma as true_sigma
+from .model import BillingParams, Trace, _readonly_vector, sigma as true_sigma
 
 
 @dataclass(frozen=True, eq=False)
 class Prediction:
-    """Predicted per-slot prices and demands for a billing cycle."""
+    """Predicted per-slot prices and demands for a billing cycle.
+
+    Every entry must be finite and demands >= 0.  Prices may be negative:
+    an overpriced prediction pushes the predicted premium mass below 0.
+    """
 
     prices: np.ndarray
     demands: np.ndarray
 
     def __post_init__(self):
-        prices = np.array(self.prices, dtype=float)
-        demands = np.array(self.demands, dtype=float)
-        if prices.shape != demands.shape or prices.ndim != 1:
+        prices = _readonly_vector(self.prices, "predicted prices")
+        demands = _readonly_vector(self.demands, "predicted demands")
+        if len(prices) != len(demands):
             raise StructuralError("predicted prices and demands must be 1-d vectors of equal length")
-        if np.any(demands < 0):
-            raise ValidationError("predicted demands must be >= 0 (clamp before constructing)")
-        prices.setflags(write=False)
-        demands.setflags(write=False)
+        for what, arr, ok, rule in (
+            ("price", prices, np.isfinite(prices), "finite"),
+            ("demand", demands, np.isfinite(demands) & (demands >= 0), "finite and >= 0 (clamp first)"),
+        ):
+            if not ok.all():
+                t = int(np.flatnonzero(~ok)[0])
+                raise ValidationError(f"predicted {what} at slot {t} is {arr[t]}; must be {rule}")
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "demands", demands)
 

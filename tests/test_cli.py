@@ -1,7 +1,12 @@
 """Command-line interface and the verification report."""
+import argparse
 import json
+from dataclasses import fields
 
-from peaksched.harness.cli import main
+import pytest
+
+from peaksched.harness.cli import _config_from_args, build_parser, main
+from peaksched.harness.experiment import ExperimentConfig
 from peaksched.harness.verify import verify_theorems
 
 
@@ -119,3 +124,78 @@ def test_verify_report_structure():
     assert "ratio-curve-tightness" in names
     assert report.passed
     assert "PASS" in report.format()
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep", "synth"])
+def test_one_flag_per_config_field(command):
+    sub = _subparsers(build_parser())[command]
+    dests = [a.dest for a in sub._actions]
+    for f in fields(ExperimentConfig):
+        flags = [a for a in sub._actions if a.dest == f.name]
+        assert len(flags) == 1 and flags[0].option_strings == ["--" + f.name.replace("_", "-")]
+        assert flags[0].type is None and flags[0].default is None
+    own = {"run": {"algorithm", "lam", "predictor"}, "sweep": {"axis", "values"}, "synth": {"start"}}
+    assert set(dests) == {"help", "config"} | {f.name for f in fields(ExperimentConfig)} | own.get(command, set())
+
+
+def test_file_and_flags_build_equal_configs(tmp_path):
+    values = {
+        "price-csv": "p.csv", "demand-csv": "d.csv", "days": "5", "peak-level": "10.5",
+        "base-level": "1.5", "noise": "0.25", "algorithms": "bed,red", "lambdas": "0.3, 0.7",
+        "predictors": "perfect,scalar", "sigma-hat": "0.8", "sigma1": "2", "sigma2": "0.5",
+        "peak-multiplier": "80", "capacity-ratio": "0.9", "ramp-ratio": "0.4", "seed": "11",
+        "out-dir": "somewhere",
+    }
+    assert set(values) == {f.name.replace("_", "-") for f in fields(ExperimentConfig)}
+    conf = tmp_path / "exp.conf"
+    conf.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    parser = build_parser()
+    from_file = _config_from_args(parser.parse_args(["compare", "--config", str(conf)]))
+    from_flags = _config_from_args(
+        parser.parse_args(["compare", *[x for key, value in values.items() for x in ("--" + key, value)]])
+    )
+    assert from_file == from_flags
+    assert from_file.lambdas == (0.3, 0.7) and from_file.seed == 11 and from_file.sigma1 == 2.0
+
+
+def test_synth_reads_config(tmp_path, capsys):
+    conf = tmp_path / "synth.conf"
+    conf.write_text(f"days = 2\nseed = 4\nout-dir = {tmp_path / 'traces'}\n")
+    assert main(["synth", "--config", str(conf)]) == 0
+    assert capsys.readouterr().out.startswith("48 slots -> ")
+    assert len((tmp_path / "traces" / "prices.csv").read_text().splitlines()) == 49
+
+
+@pytest.mark.parametrize(
+    "config_text, argv, message",
+    [
+        ("days = abc", "compare", "days: expected int, got 'abc'"),
+        ("seed = 1.5", "compare --days 2", "seed: expected int, got '1.5'"),
+        (None, "compare --days 2.5", "days: expected int, got '2.5'"),
+        (None, "compare --days 2 --lambdas 0.5,x", "lambdas: expected floats, got '0.5,x'"),
+        ("ramp-ratio = half", "compare --days 2", "ramp-ratio: expected float, got 'half'"),
+        (None, "sweep --axis capacity --days 2 --values 0.5,abc", "--values: expected floats, got '0.5,abc'"),
+        (
+            None,
+            "compare --days 2 --seed 1 --predictors scalar --algorithms lambda-bed --sigma-hat nan",
+            "sigma-hat must be finite, got nan",
+        ),
+        (None, "compare --days 2 --seed 1 --predictors gaussian --sigma1 nan", "sigma1 must be finite, got nan"),
+        (None, "compare --days 2 --lambdas ,", "lambdas must hold at least one value"),
+        (None, "sweep --axis ramp --days 2 --values ,", "needs at least one value"),
+    ],
+)
+def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, config_text, argv, message):
+    args = [*argv.split(), "--out-dir", str(tmp_path / "out")]
+    if config_text is not None:
+        (tmp_path / "exp.conf").write_text(config_text + "\n")
+        args += ["--config", str(tmp_path / "exp.conf")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()

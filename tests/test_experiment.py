@@ -1,5 +1,6 @@
 """Experiment orchestration: cells, reports, manifests, sweeps, determinism."""
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -53,6 +54,37 @@ class TestConfig:
         config = small_config(predictors="scalar")
         with pytest.raises(ps.ValidationError, match="sigma-hat"):
             config.validate()
+
+    @pytest.mark.parametrize(
+        "key", ["sigma-hat", "sigma1", "sigma2", "peak-level", "noise", "peak-multiplier", "lambdas"]
+    )
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected_by_key(self, key, bad):
+        config = small_config(**{key.replace("-", "_"): bad})
+        with pytest.raises(ps.ValidationError, match=f"{key} must be finite"):
+            config.validate()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"lambdas": ","}, "lambdas must hold at least one value"),
+            ({"algorithms": ","}, "algorithms must name at least one"),
+            ({"predictors": ""}, "predictors must name at least one"),
+        ],
+    )
+    def test_empty_lists_rejected(self, overrides, message):
+        config = config_from_sources(parse_config_text("days = 2\n"), overrides)
+        with pytest.raises(ps.ValidationError, match=message):
+            config.validate()
+
+    def test_empty_lambdas_allowed_without_assisted_algorithms(self):
+        config = small_config(algorithms="bed", lambdas=",")
+        config.validate()
+        assert config.lambdas == ()
+
+    def test_typed_values_kept(self):
+        config = config_from_sources(overrides={"days": 3, "lambdas": [0.25], "seed": 4, "peak_multiplier": 50.0})
+        assert (config.days, config.lambdas, config.seed, config.peak_multiplier) == (3, (0.25,), 4, 50.0)
 
 
 class TestRunExperiment:
@@ -143,3 +175,33 @@ class TestRunSweep:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ps.DomainError):
             run_sweep(small_config(), "voltage", write=False)
+
+    def test_empty_values_rejected(self):
+        with pytest.raises(ps.ValidationError, match="at least one value"):
+            run_sweep(small_config(), "ramp", values=(), write=False)
+
+    @pytest.mark.parametrize(
+        "axis, defaults, field, expected",
+        [
+            ("lambda", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], "lambdas", None),
+            ("peak", [float(i) for i in range(1, 21)], "peak_multiplier", lambda v: 40.0 * v),
+            ("ramp", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], "ramp_ratio", lambda v: v),
+            ("capacity", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], "capacity_ratio", lambda v: v),
+        ],
+    )
+    def test_axis_variants_and_defaults(self, axis, defaults, field, expected):
+        config = small_config(days=1, algorithms="bed,lambda-bed", peak_multiplier=40.0)
+        result = run_sweep(config, axis, write=False)
+        manifest = result.manifest
+        assert manifest["values"] == defaults
+        echoed = [cell["config"] for cell in manifest["cells"]]
+        if expected is None:
+            # one experiment over the whole grid, rows tagged by their own lambda
+            assert len(echoed) == 1 and list(echoed[0]["lambdas"]) == defaults
+            assert {r["axis_value"] for r in result.rows if r["algorithm"] == "lambda-bed"} == set(defaults)
+        else:
+            assert [c[field] for c in echoed] == [expected(v) for v in defaults]
+            assert {r["axis_value"] for r in result.rows} <= set(defaults)
+        for cell in echoed:
+            others = {k: v for k, v in cell.items() if k != field}
+            assert others == {k: v for k, v in asdict(config).items() if k != field}

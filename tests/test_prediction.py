@@ -100,3 +100,29 @@ class TestAdversarialPredictor:
         total = ps.cost_of(record.schedule, trace, params).total
         opt = ps.optimal_basic(trace, params).total
         assert total / opt > ps.worst_case_ratio(1.0, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", ["prices", "demands"])
+def test_prediction_rejects_non_finite_entries(bad, slot):
+    vectors = {"prices": [1.0, 2.0, 3.0], "demands": [1.0, 1.0, 1.0]}
+    vectors[slot][1] = bad
+    what = slot[:-1]
+    with pytest.raises(ps.ValidationError, match=f"predicted {what} at slot 1 is"):
+        ps.Prediction(**vectors)
+
+
+def test_prediction_keeps_negative_prices_and_rejects_negative_demand():
+    prediction = ps.Prediction(prices=[-1.0, 2.0], demands=[1.0, 1.0])
+    assert prediction.prices[0] == -1.0
+    with pytest.raises(ps.ValidationError, match="predicted demand at slot 0 is -1.0"):
+        ps.Prediction(prices=[1.0, 2.0], demands=[-1.0, 1.0])
+
+
+def test_prediction_vectors_are_frozen_and_share_frozen_inputs():
+    trace = ps.Trace(prices=[1.0, 2.0], demands=[1.0, 0.0])
+    prediction = ps.perfect_prediction(trace)
+    assert prediction.prices is trace.prices and prediction.demands is trace.demands
+    writable = np.array([1.0, 2.0])
+    copied = ps.Prediction(prices=writable, demands=[0.0, 0.0])
+    assert copied.prices is not writable and not copied.prices.flags.writeable
