@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -76,9 +77,16 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for name, (kind, many) in _SCHEMA.items():
-            value = getattr(self, name)
-            if kind is float and not all(v is None or math.isfinite(v) for v in (value if many else (value,))):
-                raise ValidationError(f"{name.replace('_', '-')} must be finite, got {value}")
+            key, value = name.replace("_", "-"), getattr(self, name)
+            if value is None and name in _OPTIONAL:
+                continue
+            if many and not isinstance(value, (tuple, list)):
+                raise ValidationError(f"{key}: expected {kind.__name__}s, got {value!r}")
+            for item in value if many else (value,):
+                if isinstance(item, bool) or not isinstance(item, _KINDS[kind]):
+                    raise ValidationError(f"{key}: expected {kind.__name__}, got {item!r}")
+                if kind is float and not math.isfinite(item):
+                    raise ValidationError(f"{key} must be finite, got {value}")
         if not self.algorithms:
             raise ValidationError("algorithms must name at least one algorithm")
         if not self.predictors:
@@ -115,10 +123,14 @@ class ExperimentConfig:
 
 # field name -> (element type X, whether the field is a comma-separated tuple);
 # the annotations are X, X | None and tuple[X, ...]
+_HINTS = typing.get_type_hints(ExperimentConfig)
 _SCHEMA = {
     name: ((typing.get_args(hint) or (hint,))[0], typing.get_origin(hint) is tuple)
-    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+    for name, hint in _HINTS.items()
 }
+_OPTIONAL = frozenset(name for name, hint in _HINTS.items() if type(None) in typing.get_args(hint))
+# the typed values each element type admits; bools are rejected separately
+_KINDS = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
 def parse_text(text: str, kind: type, key: str, many: bool = False):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .model import BillingParams, Schedule, Trace, _frozen, beta as beta_of, check_pairing
-from .validators import check_beta, check_lambda
+from .validators import check_beta, check_lambda, check_sigma_hat
 
 #: Tolerance on the total mass of a switch-threshold distribution.
 MASS_TOL = 1e-12
@@ -133,6 +133,7 @@ def lambda_bed_policy(sigma_hat: float, lam: float) -> SwitchPolicy:
     collapses both branches to the plain break-even rule.
     """
     check_lambda(lam)
+    check_sigma_hat(sigma_hat)
     return SwitchPolicy.at(lam if sigma_hat > 1 else 1.0 / lam)
 
 
@@ -202,6 +203,7 @@ def lambda_red_distribution(sigma_hat: float, lam: float, beta: float) -> Distri
     """
     check_lambda(lam, allow_zero=True)
     check_beta(beta)
+    check_sigma_hat(sigma_hat)
     norm = math.e - 1 + beta
     moved = (1 - lam) * (math.e - 1) + beta
     if sigma_hat > 1:
@@ -224,6 +226,7 @@ def naive_red_distribution(sigma_hat: float, lam: float, beta: float) -> Distrib
     """
     check_lambda(lam)
     check_beta(beta)
+    check_sigma_hat(sigma_hat)
     hi = lam if sigma_hat > 1 else 1.0 / lam
     norm = math.exp(hi) - 1 + beta
     return _spec([(math.inf, beta / norm)], coeff=1.0 / norm, lo=0.0, hi=hi)

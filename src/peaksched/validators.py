@@ -1,6 +1,8 @@
 """Domain checks shared by the online engine and the analysis formulas."""
 from __future__ import annotations
 
+import math
+
 from .errors import DomainError
 
 
@@ -18,3 +20,10 @@ def check_lambda(lam: float, allow_zero: bool = False) -> None:
             raise DomainError(f"lambda must lie in [0, 1], got {lam}")
     elif not 0 < lam <= 1:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
+
+
+def check_sigma_hat(sigma_hat: float) -> None:
+    """Reject a NaN or infinite predicted premium mass, which would otherwise
+    pick a branch of ``sigma_hat > 1`` silently; negative values stay legal."""
+    if not math.isfinite(sigma_hat):
+        raise DomainError(f"sigma_hat must be finite, got {sigma_hat}")

@@ -86,6 +86,36 @@ class TestConfig:
         config = config_from_sources(overrides={"days": 3, "lambdas": [0.25], "seed": 4, "peak_multiplier": 50.0})
         assert (config.days, config.lambdas, config.seed, config.peak_multiplier) == (3, (0.25,), 4, 50.0)
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"days": 2.5}, "days"),
+            ({"days": True}, "days"),
+            ({"seed": 1.0}, "seed"),
+            ({"seed": False}, "seed"),
+            ({"peak_level": True}, "peak-level"),
+            ({"peak_multiplier": "50"}, "peak-multiplier"),
+            ({"sigma_hat": False}, "sigma-hat"),
+            ({"lambdas": (0.5, True)}, "lambdas"),
+            ({"algorithms": ("bed", 1)}, "algorithms"),
+            ({"algorithms": "bed"}, "algorithms"),
+            ({"out_dir": 3}, "out-dir"),
+            ({"days": None}, "days"),
+        ],
+    )
+    def test_typed_values_checked_by_key(self, overrides, key):
+        config = ExperimentConfig(**{"seed": 1, **overrides})
+        with pytest.raises(ps.ValidationError, match=f"^{key}: expected "):
+            config.validate()
+
+    def test_typed_float_fields_take_ints(self):
+        ExperimentConfig(peak_level=12, noise=0, lambdas=(1,), sigma_hat=2, seed=1).validate()
+
+    def test_typed_float_day_count_is_not_run(self):
+        config = config_from_sources(overrides={"days": 2.5, "seed": 1})
+        with pytest.raises(ps.ValidationError, match="days: expected int, got 2.5"):
+            run_experiment(config, write=False)
+
 
 class TestRunExperiment:
     def test_rows_and_columns(self, tmp_path):

@@ -1,9 +1,12 @@
 """Offline oracle correctness, including brute-force cross-checks."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import peaksched as ps
-from conftest import brute_force_optimum, make_binary_instance, make_integer_instance
+import peaksched.offline as offline
+from conftest import brute_force_optimum, make_binary_instance, make_integer_instance, reference_ramp_dp
 
 
 def test_basic_all_grid_above_threshold():
@@ -104,6 +107,15 @@ def test_ramp_valley_spike_instance():
     assert np.array_equal(result.schedule.u, [1, 2, 1])
 
 
+def test_ramp_cap_tie_goes_to_the_smaller_cap():
+    # the cap scan example of test_general_cap_scan_example under a slack
+    # ramp limit: caps 0 and 1 both cost 12
+    trace = ps.Trace(prices=[1, 1, 1], demands=[2, 1, 3])
+    result = ps.optimal_with_ramp(trace, ps.BillingParams(p_g=2, p_m=3, capacity=3, ramp=3))
+    assert result.total == 12
+    assert result.peak_level == 0
+
+
 def test_ramp_zero_demand():
     trace = ps.Trace(prices=[1, 1], demands=[0, 0])
     result = ps.optimal_with_ramp(trace, ps.BillingParams(p_g=2, p_m=3, capacity=2, ramp=1))
@@ -147,3 +159,126 @@ def test_binary_above_threshold_cost_identity(rng):
             continue
         expected = float(trace.prices @ trace.demands) + params.p_m
         assert ps.optimal_basic(trace, params).total == pytest.approx(expected, abs=1e-9)
+
+
+def _ramp_instance(rng, horizon, capacity, ramp, max_demand, sigma_target=None):
+    trace, params = make_integer_instance(
+        rng, max_demand=max_demand, horizon=horizon, capacity=float(capacity), sigma_target=sigma_target
+    )
+    return trace, ps.BillingParams(p_g=params.p_g, p_m=params.p_m, capacity=params.capacity, ramp=float(ramp))
+
+
+def _assert_same_oracle(result, reference):
+    assert result.total == reference.total
+    assert result.peak_level == reference.peak_level
+    assert np.array_equal(result.schedule.u, reference.schedule.u)
+    assert np.array_equal(result.schedule.v, reference.schedule.v)
+
+
+def _spy_blocks(monkeypatch) -> list[list[int]]:
+    """Record the peak caps of every block the ramp DP runs."""
+    blocks: list[list[int]] = []
+    real = offline._ramp_block
+
+    def spy(stage, d, ramp, caps, offset_dtype):
+        blocks.append(caps.tolist())
+        return real(stage, d, ramp, caps, offset_dtype)
+
+    monkeypatch.setattr(offline, "_ramp_block", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("capacity", range(1, 9))
+def test_ramp_dp_equals_reference_loop(capacity):
+    # instances past brute force: up to 60 slots, every ramp limit 1..C, and
+    # demand above the capacity so the lowest caps are forced up
+    rng = np.random.default_rng(1000 + capacity)
+    for ramp in range(1, capacity + 1):
+        horizon = int(rng.integers(20, 61))
+        max_demand = int(rng.integers(capacity, 2 * capacity + 1))
+        trace, params = _ramp_instance(rng, horizon, capacity, ramp, max_demand)
+        _assert_same_oracle(ps.optimal_with_ramp(trace, params), reference_ramp_dp(trace, params))
+
+
+def test_ramp_dp_equals_reference_with_an_over_wide_ramp(rng):
+    # a ramp limit above the capacity allows every step, as a limit of C does
+    trace, params = _ramp_instance(rng, 40, 5, 9, 8)
+    _assert_same_oracle(ps.optimal_with_ramp(trace, params), reference_ramp_dp(trace, params))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ramp_dp_ties_go_to_the_lowest_predecessor(seed):
+    # with p(t) = p_g every output up to the demand costs the same, so many
+    # predecessors tie exactly
+    rng = np.random.default_rng(seed)
+    demands = rng.integers(0, 7, 40).astype(float)
+    trace = ps.Trace(prices=np.ones(40), demands=demands)
+    for ramp in (1, 2, 4):
+        params = ps.BillingParams(p_g=1.0, p_m=float(rng.integers(1, 6)), capacity=4, ramp=ramp)
+        _assert_same_oracle(ps.optimal_with_ramp(trace, params), reference_ramp_dp(trace, params))
+
+
+def test_ramp_prune_stops_before_the_last_cap(monkeypatch, rng):
+    # the bound p_m m + sum p d rules out the highest caps: with blocks of a
+    # few caps they never run, and in one block they are never costed
+    trace, params = _ramp_instance(rng, 60, 8, 3, 14, sigma_target=0.3)
+    reference = reference_ramp_dp(trace, params)
+    costed = []
+    real_cost_of = offline.cost_of
+
+    def counting_cost_of(schedule, *args):
+        costed.append(schedule)
+        return real_cost_of(schedule, *args)
+
+    monkeypatch.setattr(offline, "cost_of", counting_cost_of)
+    _assert_same_oracle(ps.optimal_with_ramp(trace, params), reference)
+    assert len(costed) < params.capacity + 1  # the caps from the floor to max d
+
+    monkeypatch.setattr(offline, "RAMP_BLOCK_BYTES", 3000)
+    blocks = _spy_blocks(monkeypatch)
+    _assert_same_oracle(ps.optimal_with_ramp(trace, params), reference)
+    ran = sum(blocks, [])
+    assert ran[0] == trace.max_demand - params.capacity
+    assert max(ran) < trace.max_demand
+
+
+@pytest.mark.parametrize("budget", [1, 3000])
+def test_ramp_caps_run_in_several_blocks(monkeypatch, rng, budget):
+    # a cheap peak charge keeps high caps in play; a small budget splits them
+    trace, params = _ramp_instance(rng, 60, 8, 3, 14, sigma_target=20.0)
+    monkeypatch.setattr(offline, "RAMP_BLOCK_BYTES", budget)
+    blocks = _spy_blocks(monkeypatch)
+    _assert_same_oracle(ps.optimal_with_ramp(trace, params), reference_ramp_dp(trace, params))
+    assert len(blocks) >= 4
+    ran = sum(blocks, [])
+    assert ran == list(range(ran[0], ran[-1] + 1))
+
+
+def test_ramp_parent_table_stays_within_its_budget(monkeypatch):
+    # 1000 slots, capacity 40 (41 levels), ramp 20, and a cheap peak charge
+    # keeps every cap from 20 to 60 in play; all caps at once would hold
+    # 41 x 999 x 41 one-byte parent offsets plus 41 rebuilt float paths,
+    # 2.0 MB, over 4x the budget (measured: 2.6 MB traced in one block,
+    # 0.93 MB in blocks, against the 1.3 MB asserted)
+    rng = np.random.default_rng(5)
+    T, capacity, budget = 1000, 40, 450_000
+    demands = rng.integers(0, 61, T).astype(float)
+    demands[0] = 60.0
+    trace = ps.Trace(prices=rng.uniform(0.5, 1.0, T), demands=demands)
+    params = ps.BillingParams(p_g=1.0, p_m=0.01, capacity=capacity, ramp=20)
+    levels = capacity + 1
+    all_caps = levels * ((T - 1) * levels + 8 * T)
+    assert all_caps >= 4 * budget
+    monkeypatch.setattr(offline, "RAMP_BLOCK_BYTES", budget)
+    blocks = _spy_blocks(monkeypatch)
+    tracemalloc.start()
+    try:
+        ps.optimal_with_ramp(trace, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) > 2
+    # one block of parents and paths, the (T x levels) float stage costs, and
+    # 0.5 MB for the trace-length vectors and the schedules being costed
+    stage = 8 * T * levels
+    assert peak < budget + stage + (1 << 19)

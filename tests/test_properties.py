@@ -1,10 +1,12 @@
 """Property-based checks of the invariants the paper relies on: the offline
-oracle is never beaten, layered and projected schedules are feasible,
+oracles are never beaten, layered and projected schedules are feasible,
 projection is idempotent, and the threshold switch is the first crossing."""
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import peaksched as ps
+from conftest import brute_force_optimum
 
 # small, derandomized runs keep the suite fast and reproducible
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -49,6 +51,16 @@ def test_oracle_never_beaten_by_a_layered_schedule(instance, run):
     schedule = _layered(trace, params, run)
     online = ps.cost_of(schedule, trace, params).total
     assert ps.optimal_general(trace, params).total <= online + 1e-9
+
+
+@PROPERTY
+@given(integer_instances(max_slots=5, max_demand=3), st.integers(0, 3))
+def test_ramp_oracle_equals_brute_force(instance, ramp):
+    trace, params = instance
+    ramped = _with_ramp(params, float(ramp))
+    result = ps.optimal_with_ramp(trace, ramped)
+    ps.validate_schedule(result.schedule, trace, ramped)
+    assert result.total == pytest.approx(brute_force_optimum(trace, ramped, ramp=True), abs=1e-9)
 
 
 @PROPERTY

@@ -32,3 +32,37 @@ def test_closed_lambda_domain(fn, lam):
     with pytest.raises(ps.DomainError, match=r"lambda must lie in \[0, 1\]"):
         fn(lam)
 
+
+
+# each takes the predicted premium mass alone and branches on sigma_hat > 1
+SIGMA_HAT_USERS = [
+    lambda hat: ps.lambda_bed_policy(hat, 0.5),
+    lambda hat: ps.lambda_red_distribution(hat, 0.5, 0.4),
+    lambda hat: ps.naive_red_distribution(hat, 0.5, 0.4),
+    lambda hat: ps.policy_distribution(ps.Algorithm.LAMBDA_RED, 0.4, 0.5, hat),
+    lambda hat: ps.run_algorithm(
+        ps.Trace(prices=[1, 2, 3], demands=[1, 1, 1]), ps.BillingParams(p_g=3, p_m=10, capacity=2),
+        "lambda-bed", lam=0.5, sigma_hat=hat,
+    ),
+    lambda hat: ps.run_layered(
+        ps.Trace(prices=[1, 2, 3], demands=[1, 1, 1]), ps.BillingParams(p_g=3, p_m=10, capacity=2),
+        "lambda-bed", lam=0.5, sigma_hats=hat,
+    ),
+    lambda hat: ps.run_layered(
+        ps.Trace(prices=[1, 2, 3], demands=[2, 1, 1]), ps.BillingParams(p_g=3, p_m=10, capacity=2),
+        "naive-lambda-red", lam=0.5, sigma_hats=[2.0, hat], seed=3,
+    ),
+]
+
+
+@pytest.mark.parametrize("fn", SIGMA_HAT_USERS)
+@pytest.mark.parametrize("hat", [math.nan, math.inf, -math.inf])
+def test_non_finite_sigma_hat_rejected(fn, hat):
+    with pytest.raises(ps.DomainError, match="sigma_hat must be finite"):
+        fn(hat)
+
+
+@pytest.mark.parametrize("fn", SIGMA_HAT_USERS)
+@pytest.mark.parametrize("hat", [-0.5, 0.0, 1.0, 2.0])
+def test_finite_sigma_hat_accepted(fn, hat):
+    fn(hat)
