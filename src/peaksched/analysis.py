@@ -15,18 +15,27 @@ import numpy as np
 from .errors import DomainError, UndefinedRatioError
 from .model import BillingParams, Trace
 from .online import DistributionSpec, SwitchPolicy
-from .quadrature import integrate
+from .quadrature import _gk15, integrate
 from .validators import check_beta, check_lambda
 
 _E = math.e
 
-
-def _check_mass(sigma: float) -> None:
-    if not sigma >= 0:
-        raise DomainError(f"premium mass must be >= 0, got {sigma}")
+#: Absolute error target of each expected-ratio quadrature.
+_ABS_TOL = 1e-9
 
 
-def cost_ratio(policy: SwitchPolicy | float, sigma: float, beta: float) -> float:
+def _check_mass(sigma) -> None:
+    sigma = np.asarray(sigma, dtype=float)
+    bad = ~((sigma >= 0) & (sigma < math.inf))
+    if bad.any():
+        raise DomainError(f"premium mass must be finite and >= 0, got {sigma[bad][0]}")
+
+
+def _scalar_or_array(value: np.ndarray):
+    return float(value) if value.ndim == 0 else value
+
+
+def cost_ratio(policy: SwitchPolicy | float, sigma, beta: float):
     """Worst-case cost ratio of a fixed threshold policy on instances with
     premium mass ``sigma``.
 
@@ -38,27 +47,34 @@ def cost_ratio(policy: SwitchPolicy | float, sigma: float, beta: float) -> float
     ``sigma <= 1`` (yielding ``beta``), and is exactly optimal when
     ``sigma > 1`` since the optimum is itself all-grid.  ``sigma = 0``
     returns 1 by convention (no demand, both costs vanish).
+
+    ``policy`` (as multipliers ``s``) and ``sigma`` may be arrays, which
+    broadcast against each other; scalars give a ``float``.
     """
-    s = policy.s if isinstance(policy, SwitchPolicy) else float(policy)
+    s = policy.s if isinstance(policy, SwitchPolicy) else policy
     check_beta(beta)
     _check_mass(sigma)
     return _ratio(s, sigma, beta)
 
 
-def _ratio(s: float, sigma: float, beta: float) -> float:
-    """:func:`cost_ratio` of threshold ``s`` for arguments already checked."""
-    if sigma == 0:
-        return 1.0
-    if sigma <= 1:
-        if s > sigma:
-            return 1.0
-        return 1.0 + (1.0 - sigma + s) * (1.0 - beta) / sigma
-    if s == -1.0:
-        return 1.0
-    denom = (sigma - 1.0) * beta + 1.0
-    if s > sigma:
-        return 1.0 + (sigma - 1.0) * (1.0 - beta) / denom
-    return 1.0 + s * (1.0 - beta) / denom
+def _ratio(s, sigma, beta):
+    """:func:`cost_ratio` of thresholds ``s`` for arguments already checked.
+
+    One ``np.where`` per branch of the case analysis; each branch's float
+    expression runs elementwise in a fixed order, so a point gives the same
+    bits alone as inside any array."""
+    s = np.asarray(s, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below = np.where(s > sigma, 1.0, 1.0 + (1.0 - sigma + s) * (1.0 - beta) / sigma)
+        denom = (sigma - 1.0) * beta + 1.0
+        above = np.where(
+            s == -1.0,
+            1.0,
+            np.where(s > sigma, 1.0 + (sigma - 1.0) * (1.0 - beta) / denom, 1.0 + s * (1.0 - beta) / denom),
+        )
+        ratio = np.where(sigma == 0, 1.0, np.where(sigma <= 1, below, above))
+    return _scalar_or_array(ratio)
 
 
 def worst_case_ratio(s: float, beta: float) -> float:
@@ -120,55 +136,124 @@ def naive_randomized_bounds(lam: float, beta: float) -> Bounds:
 
 
 def expected_ratio(spec: DistributionSpec, sigma: float, beta: float) -> float:
-    """Expected worst-case cost ratio of a randomized threshold policy.
+    """Expected worst-case cost ratio of a randomized threshold policy: the
+    one-point case of :func:`expected_ratios`."""
+    return float(expected_ratios([spec], [beta], [sigma])[0, 0])
+
+
+def expected_ratios(specs, betas, sigmas) -> np.ndarray:
+    """Expected worst-case cost ratios of randomized threshold policies, one
+    row per spec (each with its own ``beta``) and one column per mass.
 
     Atom contributions are summed exactly; the exponential density segment
-    is integrated adaptively to absolute error 1e-9, split at the branch
-    point ``s = sigma`` where the ratio curve has a kink.
+    is integrated to absolute error 1e-9, split at the branch point
+    ``s = sigma`` where the ratio curve has a kink, as :func:`integrate`
+    splits it.  Every point's segments first take one GK15 panel together,
+    as arrays; only the points whose panel misses its share of the
+    tolerance go through :func:`integrate`'s adaptive bisection.  The
+    density's ``e^s`` is taken with ``math.exp`` on each distinct node
+    (``np.exp`` may differ in the last bit), so every value is bit for bit
+    the scalar quadrature of that point.
     """
-    check_beta(beta)
-    _check_mass(sigma)
-    spec.require_normalized()
-    total = sum(mass * _ratio(where, sigma, beta) for where, mass in spec.atoms)
-    if spec.coeff > 0 and spec.hi > spec.lo:
-        coeff = spec.coeff
-        value, _ = integrate(
-            lambda s: coeff * math.exp(s) * _ratio(s, sigma, beta),
-            spec.lo,
-            spec.hi,
-            abs_tol=1e-9,
-            breakpoints=(sigma,),
-        )
-        total += value
+    betas = [float(beta) for beta in betas]
+    if len(betas) != len(specs):
+        raise DomainError(f"need one beta per spec, got {len(betas)} for {len(specs)}")
+    for beta in betas:
+        check_beta(beta)
+    sigmas = np.asarray(sigmas, dtype=float).reshape(-1)
+    _check_mass(sigmas)
+    for spec in specs:
+        spec.require_normalized()
+    beta_col = np.array(betas).reshape(-1, 1)
+
+    width = max((len(spec.atoms) for spec in specs), default=0)
+    # absent atoms are padded as zero mass at inf, whose ratio is finite
+    where = np.full((len(specs), width), math.inf)
+    mass = np.zeros((len(specs), width))
+    for i, spec in enumerate(specs):
+        for k, (loc, m) in enumerate(spec.atoms):
+            where[i, k], mass[i, k] = loc, m
+    total = np.zeros((len(specs), len(sigmas)))
+    for k in range(width):
+        total += mass[:, k : k + 1] * _ratio(where[:, k : k + 1], sigmas, beta_col)
+
+    rows = [i for i, spec in enumerate(specs) if spec.coeff > 0 and spec.hi > spec.lo]
+    if rows:
+        total[rows] += _density_integrals([specs[i] for i in rows], beta_col[rows], sigmas)
     return total
 
 
-def expected_ratio_closed_form(predicted_high: bool, sigma: float, lam: float, beta: float) -> float:
+def _density_integrals(specs, beta_col: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """``integrate`` of ``coeff * e^s * ratio(s)`` over each spec's support
+    at each mass, one GK15 panel per segment for all points at once."""
+    coeff = np.array([spec.coeff for spec in specs]).reshape(-1, 1)
+    lo = np.array([spec.lo for spec in specs]).reshape(-1, 1)
+    hi = np.array([spec.hi for spec in specs]).reshape(-1, 1)
+    shape = (len(specs), len(sigmas))
+    coeff, lo, hi, beta, sigma = (np.broadcast_to(x, shape).ravel() for x in (coeff, lo, hi, beta_col, sigmas))
+    # every point's first segment ends at sigma where sigma splits its
+    # support; the split points' second segments follow them
+    split = (lo < sigma) & (sigma < hi)
+    owner = np.concatenate([np.arange(len(sigma)), np.flatnonzero(split)])
+    a = np.concatenate([lo, sigma[split]])
+    b = np.concatenate([np.where(split, sigma, hi), hi[split]])
+    c, sg, bt = coeff[owner], sigma[owner], beta[owner]
+    panels, err = _gk15(lambda x: c * _exp(x) * _ratio(x, sg, bt), a, b)
+    settled = err <= _ABS_TOL * (b - a) / (hi[owner] - lo[owner])
+    value, rest = panels[: len(sigma)], panels[len(sigma) :]
+    value[split] += rest
+    unsettled = ~settled[: len(sigma)]
+    unsettled[split] |= ~settled[len(sigma) :]
+    for i in np.flatnonzero(unsettled):
+        # the adaptive recursion, on this one point's scalar integrand
+        ci, si, bi = float(coeff[i]), float(sigma[i]), float(beta[i])
+        value[i], _ = integrate(
+            lambda s: ci * math.exp(s) * _ratio(s, si, bi),
+            float(lo[i]),
+            float(hi[i]),
+            abs_tol=_ABS_TOL,
+            breakpoints=(si,),
+        )
+    return value.reshape(shape)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """``math.exp`` of every element, computed once per distinct node."""
+    nodes, back = np.unique(x, return_inverse=True)
+    return np.array([math.exp(node) for node in nodes.tolist()])[back].reshape(x.shape)
+
+
+def expected_ratio_closed_form(predicted_high, sigma, lam: float, beta: float):
     """Closed form of :func:`expected_ratio` for the prediction-weighted
     randomized rule, by branch of the prediction and of the true mass.
 
     Requires ``sigma > 0``.  The two ``sigma <= 1`` branches are constant
     in ``sigma``; the two ``sigma > 1`` branches grow toward their
     ``sigma -> inf`` envelope, which is what the robustness and consistency
-    formulas of :func:`randomized_bounds` cap.
+    formulas of :func:`randomized_bounds` cap.  ``predicted_high`` and
+    ``sigma`` may be arrays, which broadcast; scalars give a ``float``.
     """
     check_lambda(lam, allow_zero=True)
     check_beta(beta)
-    if not sigma > 0:
+    _check_mass(sigma)
+    sigma = np.asarray(sigma, dtype=float)
+    if not (sigma > 0).all():
         raise DomainError("closed forms assume a positive premium mass")
+    high = np.asarray(predicted_high, dtype=bool)
     phi = 1.0 / (_E - 1.0 + beta)
     moved = (1.0 - lam) * (_E - 1.0) + beta
-    if sigma <= 1:
-        if predicted_high:
-            return phi * (_E - (1.0 - lam) * (1.0 - beta) * (1.0 + moved))
-        return phi * (_E - 1.0 + beta + lam * (1.0 - beta))
     denom = (sigma - 1.0) * beta + 1.0
-    if predicted_high:
-        return phi * (
-            _E - 1.0 + beta + lam * (1.0 - beta)
-            + lam * (1.0 - lam) * (1.0 - beta) * (sigma - 1.0) * (_E - 1.0) / denom
-        )
-    return phi * (_E + (1.0 - beta) * (1.0 - lam) * ((sigma - 1.0) * (_E - 1.0) - 1.0) / denom)
+    low_high = phi * (_E - (1.0 - lam) * (1.0 - beta) * (1.0 + moved))
+    low_low = phi * (_E - 1.0 + beta + lam * (1.0 - beta))
+    above_high = phi * (
+        _E - 1.0 + beta + lam * (1.0 - beta)
+        + lam * (1.0 - lam) * (1.0 - beta) * (sigma - 1.0) * (_E - 1.0) / denom
+    )
+    above_low = phi * (_E + (1.0 - beta) * (1.0 - lam) * ((sigma - 1.0) * (_E - 1.0) - 1.0) / denom)
+    closed = np.where(
+        sigma <= 1, np.where(high, low_high, low_low), np.where(high, above_high, above_low)
+    )
+    return _scalar_or_array(closed)
 
 
 def worst_case_instance(

@@ -8,18 +8,29 @@ at the trust extremes, the consistency failure of the support-stretching
 variant, the trade-off monotonicity of the deterministic rule, and the
 exact ratio curve against measured ratios on constructed worst-case
 instances.
+
+The sweeps run on arrays: the expected ratios one lambda row of the grid at
+a time through :func:`~peaksched.analysis.expected_ratios`, and the
+worst-case runs one premium cumsum per instance for all its thresholds
+through :func:`~peaksched.online.switch_slots`.  Each worst value is the
+first maximum in the grid's loop order, so reports name the same point a
+scalar sweep would.  A NaN that reaches a check is its worst value, and the
+check fails.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
 
+import numpy as np
+
 from ..analysis import (
     cost_ratio,
     deterministic_bounds,
     empirical_ratio,
-    expected_ratio,
+    expected_ratio,  # noqa: F401  looked up here by the benchmark's tracer
     expected_ratio_closed_form,
+    expected_ratios,
     naive_randomized_bounds,
     randomized_bounds,
     worst_case_instance,
@@ -28,7 +39,12 @@ from ..analysis import (
 from ..errors import DomainError
 from ..model import cost_of, sigma as sigma_of
 from ..offline import optimal_basic
-from ..online import SwitchPolicy, lambda_red_distribution, run_threshold
+from ..online import (
+    lambda_red_distribution,
+    run_threshold,  # noqa: F401  looked up here by the benchmark's tracer
+    switch_schedule,
+    switch_slots,
+)
 
 _E = math.e
 
@@ -85,37 +101,69 @@ def _branches(lam: float, beta: float):
     yield False, lambda_red_distribution(0.5, lam, beta)
 
 
+def _top(*values: float) -> float:
+    """The largest of ``values``, or NaN if any is NaN."""
+    return float(np.max(values))
+
+
+class _Worst:
+    """Running worst value of a sweep: the first maximum in loop order, or
+    the first NaN, which no later value displaces."""
+
+    def __init__(self, start: float):
+        self.value = start
+        self.at = ""
+
+    def offer(self, values: np.ndarray, name_point) -> None:
+        """Take the largest of ``values`` (row-major in loop order) if it
+        beats the worst so far; ``name_point(i)`` names the flat index ``i``."""
+        flat = np.ravel(values)
+        if math.isnan(self.value) or not flat.size:
+            return
+        i = int(np.argmax(flat))  # the first NaN if there is one, else the first maximum
+        if math.isnan(flat[i]) or flat[i] > self.value:
+            self.value = float(flat[i])
+            self.at = name_point(i)
+
+
 def check_expected_ratios(
     lambdas, betas, sigmas, closed_form_tol: float = 1e-6, envelope_tol: float = 1e-9
 ) -> tuple[CheckResult, CheckResult, CheckResult]:
     """One sweep over the grid, integrating each expected ratio once: the
     quadrature equals its four closed-form branches, never exceeds the
     robustness bound anywhere, and never exceeds the consistency bound on
-    the branches where the prediction is right."""
-    worst_gap = 0.0
-    worst_rob = -math.inf
-    worst_cons = -math.inf
-    gap_at = rob_at = cons_at = ""
+    the branches where the prediction is right.
+
+    Each lambda is one batch of (beta, prediction branch) rows by sigma
+    columns, the loop order of the points within it."""
+    betas, sigmas = tuple(betas), tuple(sigmas)
+    highs = (True, False)
+    mass = np.array(sigmas, dtype=float)
+    high = np.array(highs)[:, None]
+    right_branch = high == (mass > 1)
+    shape = (len(betas), len(highs), len(sigmas))
+    gap, rob, cons = _Worst(0.0), _Worst(-math.inf), _Worst(-math.inf)
     for lam in lambdas:
-        for beta in betas:
-            robustness, consistency = randomized_bounds(lam, beta)
-            for predicted_high, spec in _branches(lam, beta):
-                for sg in sigmas:
-                    value = expected_ratio(spec, sg, beta)
-                    gap = abs(value - expected_ratio_closed_form(predicted_high, sg, lam, beta))
-                    if gap > worst_gap:
-                        worst_gap = gap
-                        gap_at = f"lam={lam} beta={beta} sigma={sg} high={predicted_high}"
-                    if value - robustness > worst_rob:
-                        worst_rob = value - robustness
-                        rob_at = f"lam={lam} beta={beta} sigma={sg} high={predicted_high}"
-                    if predicted_high == (sg > 1) and value - consistency > worst_cons:
-                        worst_cons = value - consistency
-                        cons_at = f"lam={lam} beta={beta} sigma={sg}"
+        specs = [spec for beta in betas for _, spec in _branches(lam, beta)]
+        values = expected_ratios(specs, [beta for beta in betas for _ in highs], mass).reshape(shape)
+        closed = np.array([expected_ratio_closed_form(high, mass, lam, beta) for beta in betas])
+        bounds = np.array([randomized_bounds(lam, beta) for beta in betas])[:, :, None, None]
+
+        def point(i):
+            b, h, j = np.unravel_index(i, shape)
+            return f"lam={lam} beta={betas[b]} sigma={sigmas[j]} high={highs[h]}"
+
+        def right_point(i):
+            b, _, j = np.unravel_index(i, shape)
+            return f"lam={lam} beta={betas[b]} sigma={sigmas[j]}"
+
+        gap.offer(np.abs(values - closed), point)
+        rob.offer(values - bounds[:, 0], point)
+        cons.offer(np.where(right_branch, values - bounds[:, 1], -math.inf), right_point)
     return (
-        CheckResult("expected-ratio-closed-forms", closed_form_tol, worst_gap, gap_at),
-        CheckResult("randomized-robustness-envelope", envelope_tol, worst_rob, rob_at),
-        CheckResult("randomized-consistency-envelope", envelope_tol, worst_cons, cons_at),
+        CheckResult("expected-ratio-closed-forms", closed_form_tol, gap.value, gap.at),
+        CheckResult("randomized-robustness-envelope", envelope_tol, rob.value, rob.at),
+        CheckResult("randomized-consistency-envelope", envelope_tol, cons.value, cons.at),
     )
 
 
@@ -136,7 +184,7 @@ def check_trust_extremes(betas, tol: float = 1e-9) -> CheckResult:
     for beta in betas:
         pure = _E / (_E - 1 + beta)
         bounds_one = randomized_bounds(1.0, beta)
-        worst = max(
+        worst = _top(
             worst,
             abs(bounds_one.robustness - pure),
             abs(bounds_one.consistency - pure),
@@ -153,10 +201,10 @@ def check_naive_consistency_gap(lambdas, betas) -> CheckResult:
     for beta in [b for b in betas if b <= 0.2]:
         for lam in lam_points:
             gap = naive_randomized_bounds(lam, beta).consistency - randomized_bounds(lam, beta).consistency
-            worst = max(worst, -gap)
+            worst = _top(worst, -gap)
     for lam in lam_points:
         gap = naive_randomized_bounds(lam, 0.1).consistency - randomized_bounds(lam, 0.1).consistency
-        worst = max(worst, 1.0 - gap)
+        worst = _top(worst, 1.0 - gap)
     return CheckResult("naive-consistency-gap", 1e-9, worst)
 
 
@@ -168,8 +216,12 @@ def check_deterministic_tradeoff(lambdas, betas, tol: float = 1e-12) -> CheckRes
         for lo, hi in zip(ordered, ordered[1:]):
             b_lo = deterministic_bounds(lo, beta)
             b_hi = deterministic_bounds(hi, beta)
-            worst = max(worst, b_hi.robustness - b_lo.robustness, b_lo.consistency - b_hi.consistency)
+            worst = _top(worst, b_hi.robustness - b_lo.robustness, b_lo.consistency - b_hi.consistency)
     return CheckResult("deterministic-tradeoff-monotonicity", tol, worst)
+
+
+def _threshold_grid() -> list[float]:
+    return [round(0.1 * i, 1) for i in range(1, 21)]
 
 
 def check_ratio_curve_empirical(betas, slots: int = 4000) -> tuple[CheckResult, CheckResult]:
@@ -180,38 +232,39 @@ def check_ratio_curve_empirical(betas, slots: int = 4000) -> tuple[CheckResult, 
     final-slot crossing is not at the mercy of summation rounding; the
     discreteness gap it allows for is exactly one slot's premium relative
     to the optimum.
+
+    Each instance takes one premium cumsum for the whole threshold grid and
+    the nudged threshold, and one costing per distinct switch slot.
     """
-    s_grid = [round(0.1 * i, 1) for i in range(1, 21)]
-    worst_above = 0.0
+    s_grid = _threshold_grid()
+    s = np.array(s_grid)
+    above = _Worst(0.0)
     worst_gap = 0.0
-    above_at = ""
     for beta in betas:
         for sg in s_grid:
             trace, params = worst_case_instance(sg, beta, p_m=100.0, slots=slots)
             opt = optimal_basic(trace, params).total
             mass = sigma_of(trace, params)
-            for s in s_grid:
-                record = run_threshold(trace, params, SwitchPolicy.at(s))
-                measured = empirical_ratio(cost_of(record.schedule, trace, params).total, opt)
-                # the ratio curve drops discontinuously as s passes sigma;
-                # on the diagonal, rounding decides the side, so take the
-                # generous branch there
-                bound = cost_ratio(s, mass, beta)
-                if abs(s - mass) <= 1e-9:
-                    bound = max(bound, cost_ratio(s, s, beta))
-                if measured - bound > worst_above:
-                    worst_above = measured - bound
-                    above_at = f"s={s} sigma={sg} beta={beta}"
-            nudged = run_threshold(trace, params, SwitchPolicy.at(sg * (1.0 - 1e-9)))
-            measured = empirical_ratio(cost_of(nudged.schedule, trace, params).total, opt)
+            switch = switch_slots(trace, params, [*s_grid, sg * (1.0 - 1e-9)])
+            totals = {
+                slot: cost_of(switch_schedule(trace, slot), trace, params).total
+                for slot in set(switch.tolist())
+            }
+            measured = empirical_ratio(np.array([totals[slot] for slot in switch.tolist()]), opt)
+            # the ratio curve drops discontinuously as s passes sigma;
+            # on the diagonal, rounding decides the side, so take the
+            # generous branch there
+            bound = cost_ratio(s, mass, beta)
+            bound = np.where(np.abs(s - mass) <= 1e-9, np.maximum(bound, cost_ratio(s, s, beta)), bound)
+            above.offer(measured[:-1] - bound, lambda i: f"s={s_grid[i]} sigma={sg} beta={beta}")
             bound = cost_ratio(sg, max(mass, sg), beta)
             if sg > 1:
                 one_slot = (1.0 - beta) * sg / (slots * ((sg - 1.0) * beta + 1.0))
             else:
                 one_slot = (1.0 - beta) / slots
-            worst_gap = max(worst_gap, bound - measured - one_slot)
+            worst_gap = _top(worst_gap, bound - measured[-1] - one_slot)
     return (
-        CheckResult("ratio-curve-dominates-measured", 1e-6, worst_above, above_at),
+        CheckResult("ratio-curve-dominates-measured", 1e-6, above.value, above.at),
         CheckResult("ratio-curve-tightness", 1e-9, worst_gap, f"slots={slots}"),
     )
 
@@ -219,11 +272,14 @@ def check_ratio_curve_empirical(betas, slots: int = 4000) -> tuple[CheckResult, 
 def check_worst_case_is_envelope(betas, sigmas, tol: float = 1e-9) -> CheckResult:
     """The competitive-ratio formula equals the ratio curve's supremum."""
     worst = 0.0
-    s_grid = [round(0.1 * i, 1) for i in range(1, 21)]
+    s_grid = _threshold_grid()
+    s = np.array(s_grid)[:, None]
+    # each threshold's row of masses: the grid, then the threshold itself
+    masses = np.hstack([np.tile(np.array(sigmas, dtype=float), (len(s), 1)), s])
     for beta in betas:
-        for s in s_grid:
-            envelope = max(cost_ratio(s, sg, beta) for sg in (*sigmas, s))
-            worst = max(worst, abs(worst_case_ratio(s, beta) - envelope))
+        envelope = cost_ratio(s, masses, beta).max(axis=1)
+        formula = np.array([worst_case_ratio(x, beta) for x in s_grid])
+        worst = _top(worst, *np.abs(formula - envelope))
     return CheckResult("worst-case-ratio-is-envelope", tol, worst)
 
 

@@ -16,6 +16,7 @@ Three oracles, all hindsight-optimal for their stated instance class:
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -92,7 +93,7 @@ def optimal_general(trace: Trace, params: BillingParams) -> OracleResult:
 
 
 def _integer_valued(x: float) -> bool:
-    return x == int(x)
+    return math.isfinite(x) and x == int(x)
 
 
 #: Bytes of parent offsets and rebuilt paths that one block of peak caps may
@@ -138,8 +139,10 @@ def optimal_with_ramp(trace: Trace, params: BillingParams) -> OracleResult:
         raise DomainError("optimal_with_ramp requires a ramp limit; use optimal_general otherwise")
     if not trace.has_integer_demands():
         raise DomainError("optimal_with_ramp requires integer demands")
-    if not _integer_valued(params.capacity) or not _integer_valued(params.ramp):
-        raise DomainError("optimal_with_ramp requires integer capacity and ramp values")
+    for field in ("capacity", "ramp"):
+        value = getattr(params, field)
+        if not _integer_valued(value):
+            raise DomainError(f"optimal_with_ramp requires an integer {field}, got {value}")
     check_pairing(trace, params)
 
     d = trace.demands.astype(int)

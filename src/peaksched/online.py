@@ -88,36 +88,58 @@ class RunRecord:
 
 
 def run_threshold(trace: Trace, params: BillingParams, policy: SwitchPolicy) -> RunRecord:
-    """Execute a switch policy on a 0/1-demand trace.
+    """Execute a switch policy on a 0/1-demand trace: the one-threshold
+    case of :func:`switch_slots`.
 
     The slot that first satisfies ``S(t) >= s * p_m`` is itself served from
     the grid, so the premium actually paid stays strictly below
     ``s * p_m``.
     """
+    slot, premium = _crossings(trace, params, policy.s)
+    switch = int(slot)
+    if switch == len(trace):
+        switch = None
+    return RunRecord(
+        schedule=switch_schedule(trace, switch),
+        switch_slot=switch,
+        policy=policy,
+        cumulative_premium=premium,
+    )
+
+
+def switch_slots(trace: Trace, params: BillingParams, thresholds) -> np.ndarray:
+    """First grid-served slot of each threshold multiplier in ``thresholds``,
+    from one pass over the cumulative premium; ``len(trace)`` where the
+    policy never switches.  Slot for slot what :func:`run_threshold` gives
+    each threshold alone."""
+    slots, _ = _crossings(trace, params, np.asarray(thresholds, dtype=float))
+    return slots
+
+
+def _crossings(trace: Trace, params: BillingParams, s):
+    """Switch slots of the threshold multipliers ``s`` (a float or an
+    array), and the final cumulative premium ``S(T)``.
+
+    Premiums are non-negative, so the cumulative sum is sorted and each
+    first crossing is a binary search away.  The atoms need no cases of
+    their own: ``s = -1`` asks for ``-p_m``, which slot 0 already meets,
+    and ``s = inf`` for ``inf``, which no slot meets.
+    """
     if not trace.has_binary_demands():
         raise DomainError("threshold runs require 0/1 demands; decompose general demand into layers")
     check_pairing(trace, params)
+    cumulative = ((params.p_g - trace.prices) * trace.demands).cumsum()
+    return cumulative.searchsorted(s * params.p_m, side="left"), float(cumulative[-1])
+
+
+def switch_schedule(trace: Trace, switch: int | None) -> Schedule:
+    """Serve a 0/1-demand trace locally before slot ``switch`` and from the
+    grid from it on; None serves every slot locally."""
     d = trace.demands
-    premiums = (params.p_g - trace.prices) * d
-    cumulative = np.cumsum(premiums)
-    if policy.is_grid_from_start:
-        switch = 0
-    elif policy.is_never_switch:
-        switch = None
-    else:
-        # premiums are non-negative, so the cumulative sum is sorted and the
-        # first crossing is a binary search away
-        pos = int(np.searchsorted(cumulative, policy.s * params.p_m, side="left"))
-        switch = pos if pos < len(d) else None
     u = d.copy()
     if switch is not None:
         u[switch:] = 0.0
-    return RunRecord(
-        schedule=Schedule(u=_frozen(u), v=_frozen(d - u)),
-        switch_slot=switch,
-        policy=policy,
-        cumulative_premium=float(cumulative[-1]),
-    )
+    return Schedule(u=_frozen(u), v=_frozen(d - u))
 
 
 def bed_policy() -> SwitchPolicy:

@@ -5,6 +5,13 @@ this package.  Intervals are pre-split at caller-supplied breakpoints (kink
 locations), then each segment is bisected until its error estimate, the
 difference between the embedded 7-point Gauss and 15-point Kronrod rules,
 fits its share of the absolute tolerance.
+
+The panel rule :func:`_gk15` is written in plain arithmetic, so it also
+runs on arrays: given arrays ``a`` and ``b`` and an integrand that maps an
+array of nodes elementwise, it returns one panel value and error per
+interval, bit for bit what the scalar rule gives each one.  Batch callers
+run one panel per segment that way and hand only the segments it does not
+settle to :func:`integrate`.
 """
 from __future__ import annotations
 
@@ -50,6 +57,22 @@ _NODES: Sequence[tuple[float, float, float | None]] = tuple(
 
 _MAX_DEPTH = 48
 
+# Panels one ``integrate`` call may evaluate.  A segment whose share of the
+# tolerance is below rounding never converges, and its bisection would
+# otherwise grow as 2**depth up to _MAX_DEPTH.
+_MAX_PANELS = 1024
+
+
+class _Budget:
+    """Panels left to one ``integrate`` call, and whether any panel that
+    still needed splitting was refused one."""
+
+    __slots__ = ("left", "cut")
+
+    def __init__(self):
+        self.left = _MAX_PANELS
+        self.cut = False
+
 
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     center = 0.5 * (a + b)
@@ -67,17 +90,21 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return kronrod, abs(kronrod - gauss)
 
 
-def _adaptive(f, a, b, tol, depth) -> tuple[float, float]:
+def _adaptive(f, a, b, tol, depth, budget: _Budget) -> tuple[float, float]:
     value, err = _gk15(f, a, b)
+    budget.left -= 1
     if err <= tol or depth >= _MAX_DEPTH:
         return value, err
     if math.isnan(err):
         # no bisection can shrink a NaN estimate; without this stop every
         # panel would split down to _MAX_DEPTH, 2**48 of them
         raise NumericError(f"integrand is not finite on [{a}, {b}]")
+    if budget.left <= 0:
+        budget.cut = True
+        return value, err
     mid = 0.5 * (a + b)
-    left = _adaptive(f, a, mid, tol / 2, depth + 1)
-    right = _adaptive(f, mid, b, tol / 2, depth + 1)
+    left = _adaptive(f, a, mid, tol / 2, depth + 1, budget)
+    right = _adaptive(f, mid, b, tol / 2, depth + 1, budget)
     return left[0] + right[0], left[1] + right[1]
 
 
@@ -91,7 +118,8 @@ def integrate(
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``abs_tol``.
 
     Returns ``(value, error_estimate)``.  Raises :class:`NumericError`
-    with the achieved estimate if the tolerance cannot be met.
+    with the achieved estimate if the tolerance cannot be met, or if
+    meeting it would take more than ``_MAX_PANELS`` panels.
     """
     if b < a:
         raise NumericError(f"inverted interval [{a}, {b}]")
@@ -100,11 +128,17 @@ def integrate(
     cuts = sorted({a, b, *(x for x in breakpoints if a < x < b)})
     total = 0.0
     err = 0.0
+    budget = _Budget()
     for lo, hi in zip(cuts, cuts[1:]):
         seg_tol = abs_tol * (hi - lo) / (b - a)
-        value, seg_err = _adaptive(f, lo, hi, seg_tol, 0)
+        value, seg_err = _adaptive(f, lo, hi, seg_tol, 0, budget)
         total += value
         err += seg_err
+    if budget.cut:
+        raise NumericError(
+            f"quadrature used its {_MAX_PANELS} panels at error {err:.3e} (target {abs_tol:.3e})",
+            achieved=err,
+        )
     if err > abs_tol and not math.isclose(err, abs_tol):
         raise NumericError(
             f"quadrature stalled at error {err:.3e} (target {abs_tol:.3e})", achieved=err

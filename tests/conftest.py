@@ -2,12 +2,15 @@
 oracles used to cross-check the package's fast paths."""
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
 import pytest
 
 import peaksched as ps
+from peaksched.quadrature import integrate
+from peaksched.validators import check_beta
 
 
 def make_binary_instance(
@@ -154,6 +157,45 @@ def reference_ramp_dp(trace: ps.Trace, params: ps.BillingParams) -> ps.OracleRes
         raise ps.InfeasibleError("no ramp-feasible schedule exists at any peak cap")
     total, m, schedule = best
     return ps.OracleResult(schedule=schedule, total=total, peak_level=float(m))
+
+
+def reference_ratio(s: float, sigma: float, beta: float) -> float:
+    """The ratio curve as the scalar case analysis it was first written as,
+    kept as the check on the array formula behind :func:`peaksched.cost_ratio`."""
+    if sigma == 0:
+        return 1.0
+    if sigma <= 1:
+        if s > sigma:
+            return 1.0
+        return 1.0 + (1.0 - sigma + s) * (1.0 - beta) / sigma
+    if s == -1.0:
+        return 1.0
+    denom = (sigma - 1.0) * beta + 1.0
+    if s > sigma:
+        return 1.0 + (sigma - 1.0) * (1.0 - beta) / denom
+    return 1.0 + s * (1.0 - beta) / denom
+
+
+def reference_expected_ratio(spec: ps.DistributionSpec, sigma: float, beta: float) -> float:
+    """The expected ratio as one scalar quadrature per point, kept as the
+    check on :func:`peaksched.expected_ratios`: atoms summed exactly, the
+    density segment integrated adaptively to 1e-9, split at ``s = sigma``."""
+    check_beta(beta)
+    if not sigma >= 0:
+        raise ps.DomainError(f"premium mass must be >= 0, got {sigma}")
+    spec.require_normalized()
+    total = sum(mass * reference_ratio(where, sigma, beta) for where, mass in spec.atoms)
+    if spec.coeff > 0 and spec.hi > spec.lo:
+        coeff = spec.coeff
+        value, _ = integrate(
+            lambda s: coeff * math.exp(s) * reference_ratio(s, sigma, beta),
+            spec.lo,
+            spec.hi,
+            abs_tol=1e-9,
+            breakpoints=(sigma,),
+        )
+        total += value
+    return total
 
 
 @pytest.fixture

@@ -45,19 +45,20 @@ def binary_bank():
 
 @pytest.fixture(scope="module")
 def ratio_grid():
-    """Quadrature of the expected ratio over the full acceptance grids."""
+    """Quadrature of the expected ratio over the full acceptance grids, one
+    batch per lambda, as (lam, beta, predicted_high, sigmas, values) rows."""
     lambdas = [round(0.05 * i, 2) for i in range(1, 20)]
     betas = [round(0.05 * i, 2) for i in range(1, 20)]
-    sigmas = [round(0.1 * i, 1) for i in range(1, 10)] + [round(1.1 + 0.1 * i, 1) for i in range(90)]
-    entries = []
+    sigmas = np.array([round(0.1 * i, 1) for i in range(1, 10)] + [round(1.1 + 0.1 * i, 1) for i in range(90)])
+    branches = ((True, 2.0), (False, 0.5))
+    rows = []
     for lam in lambdas:
+        specs = [ps.lambda_red_distribution(sigma_hat, lam, beta) for beta in betas for _, sigma_hat in branches]
+        values = iter(ps.expected_ratios(specs, [beta for beta in betas for _ in branches], sigmas))
         for beta in betas:
-            for predicted_high, sigma_hat in ((True, 2.0), (False, 0.5)):
-                spec = ps.lambda_red_distribution(sigma_hat, lam, beta)
-                for sigma in sigmas:
-                    value = ps.expected_ratio(spec, sigma, beta)
-                    entries.append((lam, beta, sigma, predicted_high, value))
-    return entries
+            for predicted_high, _ in branches:
+                rows.append((lam, beta, predicted_high, sigmas, next(values)))
+    return rows
 
 
 # ---------------------------------------------------------------- criteria
@@ -134,21 +135,23 @@ def test_c04_break_even_tightness():
 
 
 def test_c05_expected_ratio_closed_forms(ratio_grid):
-    worst = 0.0
-    for lam, beta, sigma, predicted_high, value in ratio_grid:
-        closed = ps.expected_ratio_closed_form(predicted_high, sigma, lam, beta)
-        worst = max(worst, abs(value - closed))
+    # np.max, not max: a NaN gap must fail the gate, not be skipped
+    gaps = [
+        np.abs(values - ps.expected_ratio_closed_form(predicted_high, sigmas, lam, beta))
+        for lam, beta, predicted_high, sigmas, values in ratio_grid
+    ]
+    worst = float(np.max(gaps, initial=0.0))
     _criterion(5, "expected-ratio closed forms match quadrature", worst <= 1e-6, f"max gap {worst:.2e}")
 
 
 def test_c06_randomized_envelopes(ratio_grid):
-    worst_rob = -math.inf
-    worst_cons = -math.inf
-    for lam, beta, sigma, predicted_high, value in ratio_grid:
+    rob, cons = [], []
+    for lam, beta, predicted_high, sigmas, values in ratio_grid:
         robustness, consistency = ps.randomized_bounds(lam, beta)
-        worst_rob = max(worst_rob, value - robustness)
-        if predicted_high == (sigma > 1):
-            worst_cons = max(worst_cons, value - consistency)
+        rob.append(values - robustness)
+        cons.append(values[predicted_high == (sigmas > 1)] - consistency)
+    worst_rob = float(np.max(np.concatenate(rob), initial=-math.inf))
+    worst_cons = float(np.max(np.concatenate(cons), initial=-math.inf))
     worst_identity = 0.0
     for beta in [round(0.05 * i, 2) for i in range(1, 20)]:
         pure = E / (E - 1 + beta)

@@ -1,5 +1,6 @@
 """Ratio curves, guarantee formulas, quadrature, and instance construction."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -37,6 +38,21 @@ class TestCostRatio:
         assert ps.cost_ratio(math.inf, sigma, beta) == pytest.approx(expected)
 
 
+    def test_arrays_broadcast_and_scalars_stay_float(self):
+        s = np.array([-1.0, 0.5, 2.0, math.inf])[:, None]
+        sigma = np.array([0.0, 0.5, 1.5, 3.0])
+        grid = ps.cost_ratio(s, sigma, 0.25)
+        assert grid.shape == (4, 4)
+        assert grid[1, 1] == ps.cost_ratio(0.5, 0.5, 0.25) and type(ps.cost_ratio(0.5, 0.5, 0.25)) is float
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, -math.inf])
+    def test_rejects_a_mass_outside_the_domain(self, sigma):
+        with pytest.raises(ps.DomainError, match="premium mass"):
+            ps.cost_ratio(0.5, sigma, 0.5)
+        with pytest.raises(ps.DomainError, match="premium mass"):
+            ps.cost_ratio(0.5, np.array([0.5, sigma]), 0.5)
+
+
 class TestWorstCaseRatio:
     def test_break_even_value(self):
         assert ps.worst_case_ratio(1.0, 0.5) == pytest.approx(1.5)  # 2 - beta
@@ -48,7 +64,7 @@ class TestWorstCaseRatio:
         grid = np.linspace(0.01, 12, 4000)
         for s in (0.3, 0.5, 1.0, 1.7):
             for beta in (0.2, 0.5, 0.8):
-                envelope = max(ps.cost_ratio(float(s), float(x), beta) for x in (*grid, s))
+                envelope = ps.cost_ratio(s, np.append(grid, s), beta).max()
                 assert ps.worst_case_ratio(s, beta) == pytest.approx(envelope, abs=1e-9)
         assert ps.worst_case_ratio(0.5, 0.5) == pytest.approx(2.0)
 
@@ -140,6 +156,33 @@ class TestQuadrature:
         with pytest.raises(ps.NumericError, match="not finite"):
             integrate(lambda x: bad if x > 0.5 else x, 0, 1)
 
+    def test_panel_cap_stops_a_tolerance_below_rounding(self):
+        # the [0, 1e-7] segment's share of 1e-9 is 1e-16, under the rounding
+        # of its panels, so bisection alone would run to 2**48 panels
+        with pytest.raises(ps.NumericError, match="panels") as raised:
+            integrate(lambda x: (1.0 + (1.0 - 1e-7 + x) * 0.5 / 1e-7) * math.exp(x), 0.0, 1e-7, abs_tol=1e-16)
+        assert raised.value.achieved is not None and raised.value.achieved > 0
+
+    def test_panel_cap_leaves_a_result_that_fits_it(self, monkeypatch):
+        f = lambda x: math.sqrt(abs(x))
+        value = integrate(f, -2.0, 3.0, breakpoints=(0.0,))
+        used = []
+        original = quadrature._gk15
+
+        def counted(g, a, b):
+            used.append((a, b))
+            return original(g, a, b)
+
+        monkeypatch.setattr(quadrature, "_gk15", counted)
+        assert integrate(f, -2.0, 3.0, breakpoints=(0.0,)) == value
+        assert 100 < len(used) < quadrature._MAX_PANELS
+        # a cap of exactly the panels the result needs leaves it as it is
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", len(used))
+        assert integrate(f, -2.0, 3.0, breakpoints=(0.0,)) == value
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
+        with pytest.raises(ps.NumericError, match="panels"):
+            integrate(f, -2.0, 3.0, breakpoints=(0.0,))
+
     def test_node_table_matches_the_indexed_rule_bit_for_bit(self, monkeypatch):
         def indexed_gk15(f, a, b):
             # the rule as first written: index the abscissae, test j for a Gauss node
@@ -204,6 +247,52 @@ class TestExpectedRatio:
     def test_rejects_negative_mass(self, sigma):
         with pytest.raises(ps.DomainError, match="premium mass"):
             ps.expected_ratio(ps.red_distribution(0.5), sigma, 0.5)
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, -math.inf])
+    def test_every_entry_point_rejects_a_mass_outside_the_domain(self, sigma):
+        with pytest.raises(ps.DomainError, match="premium mass"):
+            ps.expected_ratio(ps.red_distribution(0.5), sigma, 0.5)
+        with pytest.raises(ps.DomainError, match="premium mass"):
+            ps.expected_ratio(ps.lambda_red_distribution(2.0, 0.5, 0.5), sigma, 0.5)
+        with pytest.raises(ps.DomainError, match="premium mass"):
+            ps.expected_ratio_closed_form(True, sigma, 0.5, 0.5)
+        with pytest.raises(ps.DomainError, match="premium mass"):
+            ps.expected_ratios([ps.red_distribution(0.5)], [0.5], [0.7, sigma])
+
+    @pytest.mark.parametrize("sigma", [1e-7, 1.8e-278])
+    def test_a_tolerance_below_rounding_raises_within_a_second(self, sigma):
+        from conftest import reference_expected_ratio
+
+        spec = ps.red_distribution(0.5)
+        start = time.perf_counter()
+        with pytest.raises(ps.NumericError, match="panels") as raised:
+            ps.expected_ratio(spec, sigma, 0.5)
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(ps.NumericError) as reference:
+            reference_expected_ratio(spec, sigma, 0.5)
+        assert raised.value.achieved == reference.value.achieved
+        # a little more mass leaves the segment a share above rounding
+        assert ps.expected_ratio(spec, 1e-5, 0.5) == reference_expected_ratio(spec, 1e-5, 0.5)
+
+    def test_batch_shape_and_one_beta_per_spec(self):
+        specs = [ps.red_distribution(0.3), ps.lambda_red_distribution(2.0, 0.4, 0.6)]
+        values = ps.expected_ratios(specs, [0.3, 0.6], [0.0, 0.5, 1.0, 4.0])
+        assert values.shape == (2, 4)
+        assert values[1, 3] == ps.expected_ratio(specs[1], 4.0, 0.6)
+        assert type(ps.expected_ratio(specs[1], 4.0, 0.6)) is float
+        assert ps.expected_ratios([], [], [0.5]).shape == (0, 1)
+        with pytest.raises(ps.DomainError, match="one beta per spec"):
+            ps.expected_ratios(specs, [0.3], [0.5])
+
+    def test_closed_form_on_arrays_equals_its_points(self):
+        high = np.array([[True], [False]])
+        sigma = np.array([0.1, 0.5, 1.0, 1.5, 8.0])
+        grid = ps.expected_ratio_closed_form(high, sigma, 0.3, 0.4)
+        assert grid.shape == (2, 5)
+        for i, h in enumerate((True, False)):
+            assert grid[i].tolist() == [ps.expected_ratio_closed_form(h, float(x), 0.3, 0.4) for x in sigma]
+        with pytest.raises(ps.DomainError, match="positive premium mass"):
+            ps.expected_ratio_closed_form(high, np.array([0.5, 0.0]), 0.3, 0.4)
 
     def test_rejects_unnormalized_spec(self):
         spec = ps.DistributionSpec(atoms=((math.inf, 0.5),), coeff=0.1, lo=0.0, hi=1.0)

@@ -1,4 +1,5 @@
 """Offline oracle correctness, including brute-force cross-checks."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,13 @@ def test_ramp_requires_ramp_and_integers():
             ps.Trace(prices=[1, 1], demands=[0.5, 1]),
             ps.BillingParams(p_g=2, p_m=3, capacity=2, ramp=1),
         )
+
+
+@pytest.mark.parametrize("field, capacity, ramp", [("ramp", 2, math.inf), ("capacity", math.inf, 1), ("ramp", 2, 1.5)])
+def test_ramp_oracle_names_a_non_integer_field(field, capacity, ramp):
+    params = ps.BillingParams(p_g=2, p_m=3, capacity=capacity, ramp=ramp)
+    with pytest.raises(ps.DomainError, match=f"integer {field}, got"):
+        ps.optimal_with_ramp(ps.Trace(prices=[1, 1], demands=[1, 1]), params)
 
 
 def test_general_rejects_ramp_params():

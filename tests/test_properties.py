@@ -1,12 +1,15 @@
 """Property-based checks of the invariants the paper relies on: the offline
 oracles are never beaten, layered and projected schedules are feasible,
-projection is idempotent, and the threshold switch is the first crossing."""
+projection is idempotent, the threshold switch is the first crossing, and
+the batched engines equal their scalar references bit for bit."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import peaksched as ps
-from conftest import brute_force_optimum
+from conftest import brute_force_optimum, reference_expected_ratio, reference_ratio
 
 # small, derandomized runs keep the suite fast and reproducible
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -100,3 +103,60 @@ def test_switch_slot_is_the_first_crossing(instance, s):
             expected = t
             break
     assert record.switch_slot == expected
+
+
+@PROPERTY
+@given(integer_instances(max_demand=1), st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8))
+def test_batched_switch_slots_equal_per_threshold_runs(instance, thresholds):
+    trace, params = instance
+    thresholds = [-1.0, *thresholds, math.inf]
+    slots = ps.switch_slots(trace, params, thresholds)
+    for s, slot in zip(thresholds, slots.tolist()):
+        policy = ps.SwitchPolicy.grid_from_start() if s == -1.0 else ps.SwitchPolicy.at(s)
+        record = ps.run_threshold(trace, params, policy)
+        assert slot == (len(trace) if record.switch_slot is None else record.switch_slot)
+
+
+# small trust values stretch the naive support to [0, 1/lambda], whose
+# panels miss their tolerance share and take the adaptive fallback; sigma
+# also lands on 0, on the kink at 1 and on the support ends.  Masses below
+# 1e-5 leave a segment a tolerance share under rounding, where both sides
+# raise at the panel cap (tests/test_analysis.py checks that).
+trusts = st.one_of(st.floats(0.01, 0.1), st.floats(0.1, 1.0))
+
+
+@st.composite
+def specs(draw):
+    """A red, lambda-red or naive lambda-red distribution and its beta."""
+    beta = draw(st.floats(0.01, 1.0))
+    kind = draw(st.sampled_from(["red", "lambda-red", "naive"]))
+    hat = draw(st.sampled_from([0.5, 2.0]))
+    if kind == "red":
+        return ps.red_distribution(beta), beta
+    if kind == "lambda-red":
+        return ps.lambda_red_distribution(hat, draw(trusts), beta), beta
+    return ps.naive_red_distribution(hat, draw(trusts), beta), beta
+
+
+@PROPERTY
+@given(st.lists(specs(), min_size=1, max_size=4), st.lists(st.floats(1e-5, 20.0), max_size=4))
+def test_expected_ratios_equal_the_scalar_quadrature_bit_for_bit(rows, drawn):
+    sigmas = [0.0, 1.0, *drawn]
+    for spec, _ in rows:
+        sigmas += [spec.lo, spec.hi]
+    values = ps.expected_ratios([spec for spec, _ in rows], [beta for _, beta in rows], sigmas)
+    assert values.shape == (len(rows), len(sigmas))
+    for (spec, beta), row in zip(rows, values.tolist()):
+        assert row == [reference_expected_ratio(spec, sg, beta) for sg in sigmas]
+
+
+@PROPERTY
+@given(
+    st.lists(st.one_of(st.just(-1.0), st.just(math.inf), st.floats(0.0, 12.0)), min_size=1, max_size=6),
+    st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 12.0)), min_size=1, max_size=6),
+    st.floats(0.01, 1.0),
+)
+def test_cost_ratio_on_arrays_equals_the_scalar_case_analysis(thresholds, sigmas, beta):
+    grid = ps.cost_ratio(np.array(thresholds)[:, None], np.array(sigmas), beta)
+    assert grid.tolist() == [[reference_ratio(s, sg, beta) for sg in sigmas] for s in thresholds]
+    assert all(type(ps.cost_ratio(s, sigmas[0], beta)) is float for s in thresholds)

@@ -1,7 +1,10 @@
-"""The one-sweep expected-ratio checks against per-check reference loops."""
+"""The batched verification checks against per-point reference loops."""
 import math
 
+import pytest
+
 import peaksched as ps
+from conftest import reference_expected_ratio
 from peaksched.harness import verify
 from peaksched.harness.verify import CheckResult
 
@@ -21,7 +24,8 @@ def _reference_closed_forms(lambdas, betas, sigmas, tol):
         for beta in betas:
             for high, spec in _branches(lam, beta):
                 for sg in sigmas:
-                    gap = abs(ps.expected_ratio(spec, sg, beta) - ps.expected_ratio_closed_form(high, sg, lam, beta))
+                    value = reference_expected_ratio(spec, sg, beta)
+                    gap = abs(value - ps.expected_ratio_closed_form(high, sg, lam, beta))
                     if gap > worst:
                         worst, where = gap, f"lam={lam} beta={beta} sigma={sg} high={high}"
     return CheckResult("expected-ratio-closed-forms", tol, worst, where)
@@ -35,7 +39,7 @@ def _reference_envelopes(lambdas, betas, sigmas, tol):
             robustness, consistency = ps.randomized_bounds(lam, beta)
             for high, spec in _branches(lam, beta):
                 for sg in sigmas:
-                    value = ps.expected_ratio(spec, sg, beta)
+                    value = reference_expected_ratio(spec, sg, beta)
                     if value - robustness > worst_rob:
                         worst_rob, rob_at = value - robustness, f"lam={lam} beta={beta} sigma={sg} high={high}"
                     if high == (sg > 1) and value - consistency > worst_cons:
@@ -63,17 +67,105 @@ def test_wrappers_pass_their_tolerance_through():
 
 
 def test_verify_theorems_integrates_each_point_once(monkeypatch):
-    calls = []
-    original = verify.expected_ratio
+    points = []
+    batches = []
+    original = verify.expected_ratios
 
-    def counted(spec, sigma, beta):
-        calls.append((spec, sigma, beta))
-        return original(spec, sigma, beta)
+    def counted(specs, betas, sigmas):
+        batches.append(len(specs))
+        points.extend((spec, beta, float(sg)) for spec, beta in zip(specs, betas) for sg in sigmas)
+        return original(specs, betas, sigmas)
 
-    monkeypatch.setattr(verify, "expected_ratio", counted)
+    monkeypatch.setattr(verify, "expected_ratios", counted)
     # below full trust the two prediction branches draw from different distributions
     lambdas = LAMBDAS[:-1] + (0.95,)
     report = verify.verify_theorems(lambdas, BETAS, SIGMAS, empirical_slots=300)
     assert report.passed
-    assert len(calls) == len(lambdas) * len(BETAS) * 2 * len(SIGMAS)
-    assert len(set(calls)) == len(calls)
+    assert batches == [2 * len(BETAS)] * len(lambdas)  # one batch per lambda row
+    assert len(points) == len(lambdas) * len(BETAS) * 2 * len(SIGMAS)
+    assert len(set(points)) == len(points)
+
+
+def _reference_ratio_curve(betas, slots):
+    """check_ratio_curve_empirical as its scalar loop: one run and one
+    costing per threshold, one scalar bound per run."""
+    s_grid = [round(0.1 * i, 1) for i in range(1, 21)]
+    worst_above, worst_gap, above_at = 0.0, 0.0, ""
+    for beta in betas:
+        for sg in s_grid:
+            trace, params = ps.worst_case_instance(sg, beta, p_m=100.0, slots=slots)
+            opt = ps.optimal_basic(trace, params).total
+            mass = ps.sigma(trace, params)
+            for s in s_grid:
+                record = ps.run_threshold(trace, params, ps.SwitchPolicy.at(s))
+                measured = ps.cost_of(record.schedule, trace, params).total / opt
+                bound = ps.cost_ratio(s, mass, beta)
+                if abs(s - mass) <= 1e-9:
+                    bound = max(bound, ps.cost_ratio(s, s, beta))
+                if measured - bound > worst_above:
+                    worst_above, above_at = measured - bound, f"s={s} sigma={sg} beta={beta}"
+            nudged = ps.run_threshold(trace, params, ps.SwitchPolicy.at(sg * (1.0 - 1e-9)))
+            measured = ps.cost_of(nudged.schedule, trace, params).total / opt
+            bound = ps.cost_ratio(sg, max(mass, sg), beta)
+            if sg > 1:
+                one_slot = (1.0 - beta) * sg / (slots * ((sg - 1.0) * beta + 1.0))
+            else:
+                one_slot = (1.0 - beta) / slots
+            worst_gap = max(worst_gap, bound - measured - one_slot)
+    return (
+        CheckResult("ratio-curve-dominates-measured", 1e-6, worst_above, above_at),
+        CheckResult("ratio-curve-tightness", 1e-9, worst_gap, f"slots={slots}"),
+    )
+
+
+def test_batched_ratio_curve_equals_per_threshold_runs():
+    for slots in (300, 4000):
+        assert verify.check_ratio_curve_empirical(BETAS, slots=slots) == _reference_ratio_curve(BETAS, slots)
+
+
+def test_worst_case_envelope_equals_scalar_maximum():
+    worst = 0.0
+    for beta in BETAS:
+        for s in [round(0.1 * i, 1) for i in range(1, 21)]:
+            envelope = max(ps.cost_ratio(s, sg, beta) for sg in (*SIGMAS, s))
+            worst = max(worst, abs(ps.worst_case_ratio(s, beta) - envelope))
+    expected = CheckResult("worst-case-ratio-is-envelope", 1e-9, worst)
+    assert verify.check_worst_case_is_envelope(BETAS, SIGMAS) == expected
+
+
+def test_a_nan_expected_ratio_fails_its_checks(monkeypatch):
+    original = verify.expected_ratios
+
+    def poisoned(specs, betas, sigmas):
+        values = original(specs, betas, sigmas)
+        values[3, 5] = math.nan  # beta = BETAS[1], predicted low, sigma = SIGMAS[5]
+        return values
+
+    monkeypatch.setattr(verify, "expected_ratios", poisoned)
+    gap, rob, cons = verify.check_expected_ratios(LAMBDAS, BETAS, SIGMAS)
+    for check in (gap, rob):
+        assert math.isnan(check.max_violation) and not check.passed
+        assert check.detail == f"lam={LAMBDAS[0]} beta={BETAS[1]} sigma={SIGMAS[5]} high=False"
+        assert check.format().startswith("FAIL ")
+    # the poisoned point is above 1 on the low branch: no consistency claim covers it
+    assert cons.passed
+    report = verify.verify_theorems(LAMBDAS, BETAS, SIGMAS, empirical_slots=300)
+    assert not report.passed and report.format().endswith("CHECK FAILURES PRESENT")
+
+
+def test_a_nan_ratio_bound_fails_its_checks(monkeypatch):
+    original = verify.cost_ratio
+
+    def poisoned(policy, sigma, beta):
+        return original(policy, sigma, beta) * math.nan
+
+    monkeypatch.setattr(verify, "cost_ratio", poisoned)
+    above, tight = verify.check_ratio_curve_empirical(BETAS, slots=300)
+    envelope = verify.check_worst_case_is_envelope(BETAS, SIGMAS)
+    for check in (above, tight, envelope):
+        assert math.isnan(check.max_violation) and not check.passed
+
+
+def test_infinite_sigma_is_rejected_not_skipped():
+    with pytest.raises(ps.DomainError, match="premium mass"):
+        verify.verify_theorems(LAMBDAS, BETAS, SIGMAS + (math.inf,), empirical_slots=300)
