@@ -16,7 +16,7 @@ from .errors import DomainError, UndefinedRatioError
 from .model import BillingParams, Trace
 from .online import DistributionSpec, SwitchPolicy
 from .quadrature import _gk15, integrate
-from .validators import check_beta, check_lambda
+from .validators import check_beta, check_lambda, check_stretched_lambda
 
 _E = math.e
 
@@ -128,6 +128,7 @@ def naive_randomized_bounds(lam: float, beta: float) -> Bounds:
     """
     check_lambda(lam)
     check_beta(beta)
+    check_stretched_lambda(lam)
     inv = 1.0 / lam
     stretched = math.exp(inv) / (math.exp(inv) - 1.0 + beta)
     shrunk = math.exp(lam) / (math.exp(lam) - 1.0 + beta)

@@ -30,6 +30,7 @@ from ..offline import optimal_general, optimal_with_ramp
 from ..online import Algorithm
 from ..analysis import empirical_ratio
 from ..prediction import gaussian_predictor, sigma_hat as sigma_hat_of
+from ..validators import NAIVE_LAMBDA_FLOOR
 from .traces import parse_trace_csv, synth_trace
 
 REPORT_COLUMNS = (
@@ -101,6 +102,11 @@ class ExperimentConfig:
         for lam in self.lambdas:
             if not 0 < lam <= 1:
                 raise ValidationError(f"lambda values must lie in (0, 1], got {lam}")
+            if Algorithm.NAIVE_LAMBDA_RED.value in self.algorithms and lam < NAIVE_LAMBDA_FLOOR:
+                raise ValidationError(
+                    f"lambdas: naive-lambda-red needs values of at least {NAIVE_LAMBDA_FLOOR!r} "
+                    f"(below it e^(1/lambda) overflows), got {lam}"
+                )
         for pred in self.predictors:
             if pred not in _PREDICTORS:
                 raise ValidationError(f"unknown predictor {pred!r}; pick from {_PREDICTORS}")

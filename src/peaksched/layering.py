@@ -131,12 +131,13 @@ def project_ramp(schedule: Schedule, trace: Trace, params: BillingParams) -> Sch
     ramp = params.ramp
     cap = params.capacity
     d = trace.demands
-    u = np.empty(len(trace))
+    out = []
     prev = 0.0
-    for t in range(len(trace)):
+    for want, demand in zip(schedule.u.tolist(), d.tolist()):
         lo = max(0.0, prev - ramp)
-        hi = min(cap, d[t], prev + ramp)
-        u[t] = max(lo, min(schedule.u[t], hi))
-        prev = u[t]
+        hi = min(cap, demand, prev + ramp)
+        prev = max(lo, min(want, hi))
+        out.append(prev)
+    u = np.array(out, dtype=float)
     v = np.maximum(schedule.v, d - u)
     return Schedule(u=_frozen(u), v=_frozen(v))

@@ -7,11 +7,11 @@ Three oracles, all hindsight-optimal for their stated instance class:
   otherwise.
 * :func:`optimal_general` -- integer (or fractional) demand with a capacity
   limit, by enumerating the peak cap over the demand-value breakpoints.
-* :func:`optimal_with_ramp` -- integer demand under a ramp limit, by an
-  exact dynamic program over integer generator output levels for every peak
-  cap.  The caps run together as one numpy array, in ascending blocks whose
-  parent table stays within :data:`RAMP_BLOCK_BYTES`, and the scan stops at
-  the first cap whose peak charge alone rules it out.
+* :func:`optimal_with_ramp` -- integer demand under a ramp limit.  For each
+  peak cap the lowest ramp-feasible output path is optimal, and it is an
+  envelope of two running maxima over the slots, so each cap costs
+  ``O(T)`` time and memory.  The caps are scanned in ascending order, and
+  the scan stops at the first cap whose peak charge alone rules it out.
 """
 from __future__ import annotations
 
@@ -96,10 +96,6 @@ def _integer_valued(x: float) -> bool:
     return math.isfinite(x) and x == int(x)
 
 
-#: Bytes of parent offsets and rebuilt paths that one block of peak caps may
-#: hold in :func:`optimal_with_ramp`; further caps run in further blocks.
-RAMP_BLOCK_BYTES = 4 << 20
-
 # Relative slack on the peak-cap prune, far above the rounding of a cost sum,
 # so a cap is only skipped when it cannot even tie the best total.
 _PRUNE_SLACK = 1e-9
@@ -108,32 +104,48 @@ _PRUNE_SLACK = 1e-9
 def optimal_with_ramp(trace: Trace, params: BillingParams) -> OracleResult:
     """Offline optimum over integer schedules under a ramp limit.
 
-    For each integer peak cap ``m`` a dynamic program scans integer output
-    levels ``u(t)`` in ``[max(0, d(t) - m), C]`` with transitions bounded by
-    the ramp limit ``R`` and a pre-cycle level of 0.  Output above the slot
+    For each integer peak cap ``m`` the generator must cover ``L(t) = max(0,
+    d(t) - m)``, stay within ``[0, C]``, start within ``R`` of a pre-cycle
+    level of 0 and move at most ``R`` per slot.  Output above the slot
     demand is allowed: wasting generation in a valley can be the only way to
     reach a high output in time for the next spike, and is sometimes
     strictly cheaper than buying the spike from the grid.
 
-    The caps run together as one (caps x levels) cost array.  A slot's
-    transition is an argmin over a sliding window of width ``2R + 1`` on the
-    previous costs, padded with ``R`` infinities on each side, plus the
-    stage cost ``p(t) max(0, d(t) - u) + p_g u``; the first minimum wins, so
-    ties go to the lowest predecessor.  Parents are stored as window offsets
-    in the narrowest unsigned dtype (one byte while ``2R + 1 <= 256``).  The
-    caps run in ascending blocks whose parent offsets and rebuilt paths stay
-    within :data:`RAMP_BLOCK_BYTES`; the feasibility floor runs alone first.
-    Memory is one block plus the (T x levels) stage costs; time is
-    ``#caps x T x (C + 1) x (2R + 1)`` element steps in ``T`` numpy passes
-    per block.
+    Because ``p(t) <= p_g``, a slot's cost ``p(t) max(0, d(t) - u) + p_g u``
+    never decreases as ``u`` grows, and the pointwise minimum of two
+    ramp-feasible paths is again ramp-feasible.  So each cap has a lowest
+    feasible path, and it is optimal for that cap.  That path is the
+    smallest ``R``-Lipschitz majorant of ``L``, ``F(t) = max_tau (L(tau) -
+    R |t - tau|)``, built in two running maxima: ``B(t) = max_{tau >= t}
+    (L(tau) - R tau) + R t`` meets every later need, ``F(t) = max_{tau <= t}
+    (B(tau) + R tau) - R t`` every earlier one.  The cap is feasible iff
+    ``F(0) <= R``; ``max F = max L <= C`` from the feasibility floor ``m =
+    max d - C`` up.  Each cap takes ``O(T)`` integer steps and memory.
 
-    Each cap's schedule is rebuilt and re-costed in ascending order, which
-    settles its peak charge, and the best (total, cap) pair wins.  Any
-    schedule with peak ``m`` costs at least ``p_m m + sum_t p(t) d(t)``
-    because ``p(t) <= p_g``, and a schedule below its cap is no cheaper than
-    the smaller cap's optimum, so the scan stops at the first cap whose
-    bound exceeds the best total.  Results, ties included, are those of the
-    scalar loop over caps, slots, levels and predecessors.
+    This is also the schedule of the exact dynamic program over output
+    levels that keeps the lowest of equally cheap predecessors and ends at
+    the lowest of equally cheap levels, price ties at ``p_g`` included.
+    Where ``p(t) = p_g`` the slot's cost is flat up to ``d(t)`` and other
+    paths tie with ``F``, but the program's cheapest cost of reaching a
+    level is non-decreasing in the level (lower a path to the pointwise
+    minimum; a sum rounds no higher when its terms are no higher), so the
+    lowest reachable predecessor in each window is among the cheapest and
+    is the one kept.  The path it walks back is feasible, hence no lower
+    than ``F``, and no higher: it ends at the lowest feasible last level,
+    ``F``'s, and each step back keeps the lowest candidate, among which is
+    ``F``'s own level.  The argument needs the rounded slot costs to be
+    non-decreasing as well.  At a tie they are when ``p_g`` times a level
+    is exact, as for an integer ``p_g``; with ``p_g = 0.1`` they are not:
+    ``0.1*5 + 0.1*2`` rounds below ``0.1*6 + 0.1*1``, the program may climb
+    on that rounding, and its total may differ from this one in the last
+    bits while this schedule stays the lowest optimal one.
+
+    Each cap's schedule is re-costed in ascending order, which settles its
+    peak charge, and the best (total, cap) pair wins.  Any schedule with
+    peak ``m`` costs at least ``p_m m + sum_t p(t) d(t)`` because ``p(t) <=
+    p_g``, and a schedule below its cap is no cheaper than the smaller
+    cap's optimum, so the scan stops at the first cap whose bound exceeds
+    the best total.
     """
     if params.ramp is None:
         raise DomainError("optimal_with_ramp requires a ramp limit; use optimal_general otherwise")
@@ -146,79 +158,30 @@ def optimal_with_ramp(trace: Trace, params: BillingParams) -> OracleResult:
     check_pairing(trace, params)
 
     d = trace.demands.astype(int)
-    p = trace.prices
-    T = len(d)
     cap_max = int(params.capacity)
-    # a step never needs to exceed the capacity, so the window is clamped
-    ramp = min(int(params.ramp), cap_max)
     max_d = int(d.max())
-    floor = max(0, max_d - cap_max)
-    levels = np.arange(cap_max + 1)
-    stage = p[:, None] * np.maximum(0, d[:, None] - levels) + params.p_g * levels
-    grid_volume = float(p @ trace.demands)
-    offset_dtype = np.min_scalar_type(2 * ramp)
-
-    # per cap: its parent table plus its rebuilt float path
-    per_block = max(1, RAMP_BLOCK_BYTES // ((T - 1) * levels.size * offset_dtype.itemsize + 8 * T))
+    # no path needs a step above C or max d, and R t then stays within int64
+    ramp = min(int(params.ramp), cap_max, max_d)
+    grid_volume = float(trace.prices @ trace.demands)
+    slope = ramp * np.arange(len(d))
 
     best: tuple[float, int, Schedule] | None = None
-
-    def beaten(cap) -> bool:
-        return best is not None and params.p_m * cap + grid_volume > best[0] * (1 + _PRUNE_SLACK)
-
-    m = floor
-    while m <= max_d and not beaten(m):
-        # the floor cap runs alone first: its total usually prunes most others
-        size = 1 if m == floor else per_block
-        caps = np.array([c for c in range(m, min(max_d + 1, m + size)) if not beaten(c)])
-        for cap, u in zip(caps, _ramp_block(stage, d, ramp, caps, offset_dtype)):
-            if beaten(cap):
-                break
-            if u is None:
-                continue  # no ramp-feasible path under this cap
-            schedule = Schedule(u=u, v=np.maximum(0.0, d - u))
-            total = cost_of(schedule, trace, params).total
-            if best is None or (total, cap) < (best[0], best[1]):
-                best = (total, int(cap), schedule)
-        m = int(caps[-1]) + 1
+    for m in range(max(0, max_d - cap_max), max_d + 1):
+        if best is not None and params.p_m * m + grid_volume > best[0] * (1 + _PRUNE_SLACK):
+            break
+        need = np.maximum(0, d - m) - slope
+        later = np.maximum.accumulate(need[::-1])[::-1] + 2 * slope
+        u = np.maximum.accumulate(later) - slope
+        if u[0] > ramp:
+            continue  # no ramp-feasible path under this cap
+        u = u.astype(float)
+        schedule = Schedule(u=u, v=np.maximum(0.0, d - u))
+        total = cost_of(schedule, trace, params).total
+        if best is None or (total, m) < (best[0], best[1]):
+            best = (total, m, schedule)
     if best is None:
         # Unreachable in practice: the all-zero output path is feasible at
         # the cap m = max d.  Kept as a guard for future state-space edits.
         raise InfeasibleError("no ramp-feasible schedule exists at any peak cap")
     total, m, schedule = best
     return OracleResult(schedule=schedule, total=total, peak_level=float(m))
-
-
-def _ramp_block(stage, d, ramp, caps, offset_dtype):
-    """Optimal output paths, one per cap in ``caps``, as float arrays (None
-    where the cap admits no ramp-feasible path); ``stage[t, u]`` is slot
-    ``t``'s volume and local cost at output ``u``."""
-    T, n_levels = stage.shape
-    levels = np.arange(n_levels)
-    # cap + level < d(t) means the grid would have to exceed the cap
-    reach = caps[:, None] + levels
-    padded = np.full((caps.size, n_levels + 2 * ramp), np.inf)
-    cost = padded[:, ramp:ramp + n_levels]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * ramp + 1, axis=1)
-    # flat index of each window's first entry, so a window offset gathers its cost
-    starts = (np.arange(caps.size) * padded.shape[1])[:, None] + levels
-    flat = padded.reshape(-1)
-    parents = np.empty((T - 1, caps.size, n_levels), dtype=offset_dtype)
-
-    cost[...] = stage[0]
-    cost[:, ramp + 1:] = np.inf  # the pre-cycle level is 0
-    np.copyto(cost, np.inf, where=reach < d[0])
-    for t in range(1, T):
-        offsets = windows.argmin(axis=2)
-        parents[t - 1] = offsets
-        np.add(flat[starts + offsets], stage[t], out=cost)
-        np.copyto(cost, np.inf, where=reach < d[t])
-
-    ends = cost.argmin(axis=1)
-    rows = np.flatnonzero(np.isfinite(cost[np.arange(caps.size), ends]))
-    paths = np.empty((rows.size, T))
-    u = paths[:, T - 1] = ends[rows]
-    for t in range(T - 2, -1, -1):
-        u = paths[:, t] = u + parents[t, rows, u] - ramp
-    found = dict(zip(rows.tolist(), paths))
-    return [found.get(i) for i in range(caps.size)]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .model import BillingParams, Schedule, Trace, _frozen, beta as beta_of, check_pairing
-from .validators import check_beta, check_lambda, check_sigma_hat
+from .validators import check_beta, check_lambda, check_sigma_hat, check_stretched_lambda
 
 #: Tolerance on the total mass of a switch-threshold distribution.
 MASS_TOL = 1e-12
@@ -249,6 +249,8 @@ def naive_red_distribution(sigma_hat: float, lam: float, beta: float) -> Distrib
     check_lambda(lam)
     check_beta(beta)
     check_sigma_hat(sigma_hat)
+    if sigma_hat <= 1:
+        check_stretched_lambda(lam)
     hi = lam if sigma_hat > 1 else 1.0 / lam
     norm = math.exp(hi) - 1 + beta
     return _spec([(math.inf, beta / norm)], coeff=1.0 / norm, lo=0.0, hi=hi)

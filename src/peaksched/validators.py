@@ -2,8 +2,15 @@
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError
+
+_LOG_MAX = math.log(sys.float_info.max)
+
+#: Smallest trust parameter whose stretched support ``[0, 1/lambda]`` keeps
+#: ``e^(1/lambda)`` a finite float: 1/709.78.
+NAIVE_LAMBDA_FLOOR = 1.0 / _LOG_MAX
 
 
 def check_beta(beta: float) -> None:
@@ -20,6 +27,16 @@ def check_lambda(lam: float, allow_zero: bool = False) -> None:
             raise DomainError(f"lambda must lie in [0, 1], got {lam}")
     elif not 0 < lam <= 1:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
+
+
+def check_stretched_lambda(lam: float) -> None:
+    """Reject a trust parameter in (0, 1] below :data:`NAIVE_LAMBDA_FLOOR`,
+    where ``math.exp(1/lambda)`` would overflow."""
+    if lam < NAIVE_LAMBDA_FLOOR:
+        raise DomainError(
+            f"lambda must be at least {NAIVE_LAMBDA_FLOOR!r} (1/{_LOG_MAX:.2f}) where the support "
+            f"stretches to 1/lambda, got {lam}"
+        )
 
 
 def check_sigma_hat(sigma_hat: float) -> None:

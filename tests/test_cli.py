@@ -188,6 +188,11 @@ def test_synth_reads_config(tmp_path, capsys):
         (None, "compare --days 2 --seed 1 --predictors gaussian --sigma1 nan", "sigma1 must be finite, got nan"),
         (None, "compare --days 2 --lambdas ,", "lambdas must hold at least one value"),
         (None, "sweep --axis ramp --days 2 --values ,", "needs at least one value"),
+        (
+            None,
+            "compare --days 2 --seed 1 --algorithms naive-lambda-red --lambdas 0.001 --predictors perfect",
+            "lambdas: naive-lambda-red needs values of at least 0.0014088818758681283",
+        ),
     ],
 )
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, config_text, argv, message):

@@ -7,6 +7,7 @@ import pytest
 
 import peaksched as ps
 import peaksched.offline as offline
+from peaksched.harness import synth_trace
 from conftest import brute_force_optimum, make_binary_instance, make_integer_instance, reference_ramp_dp
 
 
@@ -183,19 +184,6 @@ def _assert_same_oracle(result, reference):
     assert np.array_equal(result.schedule.v, reference.schedule.v)
 
 
-def _spy_blocks(monkeypatch) -> list[list[int]]:
-    """Record the peak caps of every block the ramp DP runs."""
-    blocks: list[list[int]] = []
-    real = offline._ramp_block
-
-    def spy(stage, d, ramp, caps, offset_dtype):
-        blocks.append(caps.tolist())
-        return real(stage, d, ramp, caps, offset_dtype)
-
-    monkeypatch.setattr(offline, "_ramp_block", spy)
-    return blocks
-
-
 @pytest.mark.parametrize("capacity", range(1, 9))
 def test_ramp_dp_equals_reference_loop(capacity):
     # instances past brute force: up to 60 slots, every ramp limit 1..C, and
@@ -206,6 +194,15 @@ def test_ramp_dp_equals_reference_loop(capacity):
         max_demand = int(rng.integers(capacity, 2 * capacity + 1))
         trace, params = _ramp_instance(rng, horizon, capacity, ramp, max_demand)
         _assert_same_oracle(ps.optimal_with_ramp(trace, params), reference_ramp_dp(trace, params))
+
+
+def test_ramp_oracle_with_a_huge_capacity_and_ramp(rng):
+    # R t would pass 2^63 at C = R = 1e16 and 1000 slots; a level table would
+    # not fit in memory at all
+    trace, params = make_integer_instance(rng, max_demand=9, horizon=1000, capacity=1e16)
+    ramped = ps.BillingParams(p_g=params.p_g, p_m=params.p_m, capacity=1e16, ramp=1e16)
+    result = ps.optimal_with_ramp(trace, ramped)
+    assert result.total == pytest.approx(ps.optimal_general(trace, params).total, rel=1e-12)
 
 
 def test_ramp_dp_equals_reference_with_an_over_wide_ramp(rng):
@@ -227,8 +224,7 @@ def test_ramp_dp_ties_go_to_the_lowest_predecessor(seed):
 
 
 def test_ramp_prune_stops_before_the_last_cap(monkeypatch, rng):
-    # the bound p_m m + sum p d rules out the highest caps: with blocks of a
-    # few caps they never run, and in one block they are never costed
+    # the bound p_m m + sum p d rules out the highest caps before they are costed
     trace, params = _ramp_instance(rng, 60, 8, 3, 14, sigma_target=0.3)
     reference = reference_ramp_dp(trace, params)
     costed = []
@@ -242,51 +238,61 @@ def test_ramp_prune_stops_before_the_last_cap(monkeypatch, rng):
     _assert_same_oracle(ps.optimal_with_ramp(trace, params), reference)
     assert len(costed) < params.capacity + 1  # the caps from the floor to max d
 
-    monkeypatch.setattr(offline, "RAMP_BLOCK_BYTES", 3000)
-    blocks = _spy_blocks(monkeypatch)
-    _assert_same_oracle(ps.optimal_with_ramp(trace, params), reference)
-    ran = sum(blocks, [])
-    assert ran[0] == trace.max_demand - params.capacity
-    assert max(ran) < trace.max_demand
+
+@pytest.mark.parametrize("p_g", [0.1, 0.7, 3.3])
+def test_ramp_ties_at_an_inexact_grid_price_keep_the_lowest_path(p_g):
+    # at p(t) = p_g = 0.1 a slot's rounded cost can dip as the output rises
+    # (0.1*5 + 0.1*2 < 0.1*6 + 0.1*1), and the reference program may climb on
+    # that rounding; the envelope keeps the lowest optimal path, and the
+    # totals agree to rounding
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        T = int(rng.integers(10, 30))
+        prices = np.where(rng.random(T) < 0.5, p_g, rng.uniform(0.05, 1.0, T) * p_g)
+        trace = ps.Trace(prices=prices, demands=rng.integers(0, 9, T).astype(float))
+        params = ps.BillingParams(p_g=p_g, p_m=float(rng.uniform(0.1, 5.0)), capacity=5, ramp=int(rng.integers(1, 4)))
+        result, reference = ps.optimal_with_ramp(trace, params), reference_ramp_dp(trace, params)
+        assert result.peak_level == reference.peak_level
+        assert result.total == pytest.approx(reference.total, rel=1e-14)
+        assert np.all(result.schedule.u <= reference.schedule.u)
 
 
-@pytest.mark.parametrize("budget", [1, 3000])
-def test_ramp_caps_run_in_several_blocks(monkeypatch, rng, budget):
-    # a cheap peak charge keeps high caps in play; a small budget splits them
-    trace, params = _ramp_instance(rng, 60, 8, 3, 14, sigma_target=20.0)
-    monkeypatch.setattr(offline, "RAMP_BLOCK_BYTES", budget)
-    blocks = _spy_blocks(monkeypatch)
-    _assert_same_oracle(ps.optimal_with_ramp(trace, params), reference_ramp_dp(trace, params))
-    assert len(blocks) >= 4
-    ran = sum(blocks, [])
-    assert ran == list(range(ran[0], ran[-1] + 1))
-
-
-def test_ramp_parent_table_stays_within_its_budget(monkeypatch):
-    # 1000 slots, capacity 40 (41 levels), ramp 20, and a cheap peak charge
-    # keeps every cap from 20 to 60 in play; all caps at once would hold
-    # 41 x 999 x 41 one-byte parent offsets plus 41 rebuilt float paths,
-    # 2.0 MB, over 4x the budget (measured: 2.6 MB traced in one block,
-    # 0.93 MB in blocks, against the 1.3 MB asserted)
+@pytest.mark.parametrize("capacity", [40, 400])
+def test_ramp_oracle_memory_is_linear_in_the_horizon(capacity):
+    # 1000 slots and a cheap peak charge that keeps every cap in play; the
+    # envelope holds a few trace-length vectors whatever the capacity, where
+    # a table over output levels holds (C + 1) x T entries (measured: 11.3 x
+    # 8T bytes at both capacities; the level table took 325 x 8T at C=40 and
+    # 1100 x 8T at C=400)
     rng = np.random.default_rng(5)
-    T, capacity, budget = 1000, 40, 450_000
+    T = 1000
     demands = rng.integers(0, 61, T).astype(float)
     demands[0] = 60.0
     trace = ps.Trace(prices=rng.uniform(0.5, 1.0, T), demands=demands)
     params = ps.BillingParams(p_g=1.0, p_m=0.01, capacity=capacity, ramp=20)
-    levels = capacity + 1
-    all_caps = levels * ((T - 1) * levels + 8 * T)
-    assert all_caps >= 4 * budget
-    monkeypatch.setattr(offline, "RAMP_BLOCK_BYTES", budget)
-    blocks = _spy_blocks(monkeypatch)
     tracemalloc.start()
     try:
         ps.optimal_with_ramp(trace, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(blocks) > 2
-    # one block of parents and paths, the (T x levels) float stage costs, and
-    # 0.5 MB for the trace-length vectors and the schedules being costed
-    stage = 8 * T * levels
-    assert peak < budget + stage + (1 << 19)
+    assert peak < 16 * 8 * T
+
+
+def test_ramp_oracle_on_a_year_long_trace():
+    # 365 hourly days, max demand 77, capacity 47, ramp 24: the scale at which a
+    # dynamic program over output levels took seconds
+    base = synth_trace(days=365, seed=0, peak_level=60.0, base_level=10.0, noise=5.0)
+    demands = np.minimum(base.demands, 77.0)
+    demands[int(np.argmax(demands))] = 77.0
+    trace = ps.Trace(prices=base.prices, demands=demands)
+    free = ps.BillingParams(p_g=trace.max_price, p_m=100 * trace.max_price, capacity=47)
+    params = ps.BillingParams(p_g=free.p_g, p_m=free.p_m, capacity=47, ramp=24)
+    result = ps.optimal_with_ramp(trace, params)
+    u = result.schedule.u
+    assert len(u) == 8760
+    assert u[0] <= 24
+    assert np.abs(np.diff(u)).max() <= 24
+    assert u.max() <= 47
+    ps.validate_schedule(result.schedule, trace, params)
+    assert result.total >= ps.optimal_general(trace, free).total

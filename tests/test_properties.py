@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import peaksched as ps
-from conftest import brute_force_optimum, reference_expected_ratio, reference_ratio
+from conftest import brute_force_optimum, reference_expected_ratio, reference_ramp_dp, reference_ratio
 
 # small, derandomized runs keep the suite fast and reproducible
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -64,6 +64,35 @@ def test_ramp_oracle_equals_brute_force(instance, ramp):
     result = ps.optimal_with_ramp(trace, ramped)
     ps.validate_schedule(result.schedule, trace, ramped)
     assert result.total == pytest.approx(brute_force_optimum(trace, ramped, ramp=True), abs=1e-9)
+
+
+@st.composite
+def ramp_instances(draw, max_slots=30, max_capacity=6):
+    """A ramp-limited instance past brute force: integer demand up to twice
+    the capacity, a forced subset of slots priced exactly at ``p_g = 1``
+    (where outputs up to the demand cost the same), and ramp limits from 0
+    to ``C + 2``."""
+    T = draw(st.integers(1, max_slots))
+    capacity = draw(st.integers(1, max_capacity))
+    demands = draw(st.lists(st.integers(0, 2 * capacity), min_size=T, max_size=T))
+    prices = draw(st.lists(st.floats(0.05, 1.0), min_size=T, max_size=T))
+    for t in draw(st.sets(st.integers(0, T - 1), min_size=1)):
+        prices[t] = 1.0
+    params = ps.BillingParams(
+        p_g=1.0, p_m=draw(st.floats(0.1, 50.0)), capacity=capacity, ramp=draw(st.integers(0, capacity + 2))
+    )
+    return ps.Trace(prices=prices, demands=demands), params
+
+
+@PROPERTY
+@given(ramp_instances())
+def test_ramp_oracle_equals_the_reference_program_bit_for_bit(instance):
+    trace, params = instance
+    result, reference = ps.optimal_with_ramp(trace, params), reference_ramp_dp(trace, params)
+    assert result.total == reference.total
+    assert result.peak_level == reference.peak_level
+    assert np.array_equal(result.schedule.u, reference.schedule.u)
+    assert np.array_equal(result.schedule.v, reference.schedule.v)
 
 
 @PROPERTY

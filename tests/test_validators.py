@@ -4,6 +4,7 @@ import math
 import pytest
 
 import peaksched as ps
+from peaksched.validators import NAIVE_LAMBDA_FLOOR
 
 # each takes lambda alone: the first list checks (0, 1], the second [0, 1]
 OPEN_AT_ZERO = [
@@ -32,6 +33,32 @@ def test_closed_lambda_domain(fn, lam):
     with pytest.raises(ps.DomainError, match=r"lambda must lie in \[0, 1\]"):
         fn(lam)
 
+
+# the naive variant takes e^(1/lambda), which overflows below 1/709.78
+STRETCHED = [
+    lambda lam: ps.naive_red_distribution(0.5, lam, 0.4),
+    lambda lam: ps.naive_randomized_bounds(lam, 0.4),
+]
+
+
+@pytest.mark.parametrize("fn", STRETCHED)
+@pytest.mark.parametrize("lam", [1e-3, 0.0014, math.nextafter(NAIVE_LAMBDA_FLOOR, 0.0), 5e-324])
+def test_stretched_lambda_below_the_floor_is_rejected(fn, lam):
+    with pytest.raises(ps.DomainError, match=rf"lambda must be at least {NAIVE_LAMBDA_FLOOR!r} \(1/709.78\)"):
+        fn(lam)
+
+
+@pytest.mark.parametrize("fn", STRETCHED)
+@pytest.mark.parametrize("lam", [NAIVE_LAMBDA_FLOOR, 0.0015, 0.5])
+def test_stretched_lambda_from_the_floor_up_is_accepted(fn, lam):
+    fn(lam)
+
+
+def test_naive_high_branch_ignores_the_floor():
+    # a predicted mass above 1 shrinks the support to [0, lambda]: no overflow
+    spec = ps.naive_red_distribution(2.0, 1e-3, 0.4)
+    assert spec.hi == 1e-3
+    spec.require_normalized()
 
 
 # each takes the predicted premium mass alone and branches on sigma_hat > 1
