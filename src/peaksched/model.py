@@ -75,6 +75,15 @@ class Trace:
     taken to be frozen for good: whoever built it must not make it
     writable again or write to it through an older view.  The extremes
     and the integer and binary tests are computed once per instance.
+
+    The freeze cannot be enforced: a writable view made before the array
+    was frozen still writes through it.  After ``a = np.zeros(3); b = a[:];
+    a.setflags(write=False); t = Trace(prices=[1, 1, 1], demands=a)``, the
+    write ``b[0] = 5`` changes ``t.demands`` but leaves stale what was
+    computed from it: ``t.max_demand`` stays 0, the integer and binary
+    tests keep their answers, and a premium prefix that the online engine
+    memoised for ``t`` keeps the old sums.  The package's own arrays keep
+    no such view.
     """
 
     prices: np.ndarray
@@ -213,9 +222,9 @@ def validate_schedule(schedule: Schedule, trace: Trace, params: BillingParams) -
             f"schedule has {len(schedule)} slots but trace has {len(trace)}"
         )
     u, v, d = schedule.u, schedule.v, trace.demands
-    short = np.flatnonzero(u + v < d - MONEY_TOL)
-    if short.size:
-        t = short[0]
+    short = u + v < d - MONEY_TOL
+    if short.any():
+        t = int(np.flatnonzero(short)[0])
         raise ValidationError(
             f"demand not met at slot {t}: u+v = {u[t] + v[t]} < d = {d[t]}"
         )
@@ -226,9 +235,9 @@ def validate_schedule(schedule: Schedule, trace: Trace, params: BillingParams) -
         )
     if params.ramp is not None:
         steps = np.abs(np.diff(np.concatenate(([0.0], u))))
-        bad = np.flatnonzero(steps > params.ramp + MONEY_TOL)
-        if bad.size:
-            t = bad[0]
+        bad = steps > params.ramp + MONEY_TOL
+        if bad.any():
+            t = int(np.flatnonzero(bad)[0])
             raise ValidationError(
                 f"ramp violation at slot {t}: output change {steps[t]} exceeds limit {params.ramp}"
             )

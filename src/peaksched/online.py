@@ -15,8 +15,10 @@ distribution with an exponential density segment and up to two atoms.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,8 +130,34 @@ def _crossings(trace: Trace, params: BillingParams, s):
     if not trace.has_binary_demands():
         raise DomainError("threshold runs require 0/1 demands; decompose general demand into layers")
     check_pairing(trace, params)
-    cumulative = ((params.p_g - trace.prices) * trace.demands).cumsum()
+    cumulative = _premium_prefix(trace, params.p_g)
     return cumulative.searchsorted(s * params.p_m, side="left"), float(cumulative[-1])
+
+
+# The last (trace, p_g) whose premium prefix was asked for: a weak reference
+# to the trace, p_g, and the frozen prefix once the same pair has come twice
+# in a row (None before).  One immutable tuple, read once and replaced whole,
+# so a thread sees either the old entry or the new one, never a mix; and a
+# dead weak reference matches no trace, even one rebuilt at the same id.
+_last_prefix: tuple | None = None
+
+
+def _premium_prefix(trace: Trace, p_g: float) -> np.ndarray:
+    """``((p_g - p) * d).cumsum()`` of a trace, memoised for the last trace.
+
+    Repeated runs on one trace (Monte Carlo, parameter sweeps) store the
+    prefix on their second call and read it from the third on; a sequence
+    of fresh traces, such as one layered run's layers, stores none, so the
+    memo holds at most the one prefix that is being reused.
+    """
+    global _last_prefix
+    last = _last_prefix
+    repeat = last is not None and last[0]() is trace and last[1] == p_g
+    if repeat and last[2] is not None:
+        return last[2]
+    cumulative = _frozen(((p_g - trace.prices) * trace.demands).cumsum())
+    _last_prefix = (last[0], p_g, cumulative) if repeat else (weakref.ref(trace), p_g, None)
+    return cumulative
 
 
 def switch_schedule(trace: Trace, switch: int | None) -> Schedule:
@@ -178,21 +206,32 @@ class DistributionSpec:
             raise ValidationError(f"density coefficient must be >= 0, got {self.coeff}")
         if self.hi < self.lo:
             raise ValidationError(f"empty density support [{self.lo}, {self.hi}]")
+        # the masses and e^lo that every sample reads, computed once
+        start = atoms = 0
         for where, mass in self.atoms:
             if mass < 0:
                 raise ValidationError(f"atom at {where} has negative mass {mass}")
+            atoms += mass
+            if where == _GRID_FROM_START:
+                start += mass
+        exp_lo = math.exp(self.lo)
+        continuous = self.coeff * (math.exp(self.hi) - exp_lo)
+        object.__setattr__(self, "_exp_lo", exp_lo)
+        object.__setattr__(self, "_continuous", continuous)
+        object.__setattr__(self, "_total", continuous + atoms)
+        object.__setattr__(self, "_start_mass", start)
 
     def atom_mass(self, where: float) -> float:
         return sum(mass for loc, mass in self.atoms if loc == where)
 
     def continuous_mass(self) -> float:
-        return self.coeff * (math.exp(self.hi) - math.exp(self.lo))
+        return self._continuous
 
     def total_mass(self) -> float:
-        return self.continuous_mass() + sum(mass for _, mass in self.atoms)
+        return self._total
 
     def require_normalized(self) -> None:
-        total = self.total_mass()
+        total = self._total
         if abs(total - 1.0) > MASS_TOL:
             raise ValidationError(f"distribution mass is {total}, not 1 within {MASS_TOL}")
 
@@ -266,13 +305,12 @@ def sample(spec: DistributionSpec, uniform: float) -> SwitchPolicy:
     if not 0 <= uniform < 1:
         raise DomainError(f"uniform draw must lie in [0, 1), got {uniform}")
     spec.require_normalized()
-    start_mass = spec.atom_mass(_GRID_FROM_START)
+    start_mass = spec._start_mass
     if uniform < start_mass:
         return SwitchPolicy.grid_from_start()
-    cont = spec.continuous_mass()
-    if uniform < start_mass + cont:
+    if uniform < start_mass + spec._continuous:
         residual = uniform - start_mass
-        s = math.log(math.exp(spec.lo) + residual / spec.coeff)
+        s = math.log(spec._exp_lo + residual / spec.coeff)
         return SwitchPolicy.at(min(max(s, spec.lo), spec.hi))
     return SwitchPolicy.never_switch()
 
@@ -295,10 +333,16 @@ class Algorithm(str, Enum):
         return self in (Algorithm.LAMBDA_BED, Algorithm.LAMBDA_RED, Algorithm.NAIVE_LAMBDA_RED)
 
 
+@lru_cache(maxsize=64, typed=True)
 def policy_distribution(
     algorithm: Algorithm, beta: float, lam: float | None, sigma_hat: float | None
 ) -> DistributionSpec:
-    """The threshold distribution a randomized algorithm draws from."""
+    """The threshold distribution a randomized algorithm draws from.
+
+    Memoised: specs are frozen, so repeated runs with the same arguments
+    share one.  Invalid arguments raise on every call (a raised call is
+    not cached).
+    """
     if algorithm is Algorithm.RED:
         return red_distribution(beta)
     if sigma_hat is None:

@@ -4,7 +4,9 @@ Small, dependency-free integrator for the smooth-by-segments integrands in
 this package.  Intervals are pre-split at caller-supplied breakpoints (kink
 locations), then each segment is bisected until its error estimate, the
 difference between the embedded 7-point Gauss and 15-point Kronrod rules,
-fits its share of the absolute tolerance.
+fits its share of the absolute tolerance.  Shares go by length, and each
+segment's share is floored at the rounding of its first panel's value, so a
+short segment is not asked for an error no panel can reach.
 
 The panel rule :func:`_gk15` is written in plain arithmetic, so it also
 runs on arrays: given arrays ``a`` and ``b`` and an integrand that maps an
@@ -16,6 +18,7 @@ settle to :func:`integrate`.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Iterable, Sequence
 
 from .errors import NumericError
@@ -57,6 +60,12 @@ _NODES: Sequence[tuple[float, float, float | None]] = tuple(
 
 _MAX_DEPTH = 48
 
+# A panel's error estimate cannot fall below the rounding of its value,
+# about 16 ulp of it on this package's integrands.  A segment's share of the
+# tolerance is floored at 50 ulp of its first panel's value, but never above
+# the whole tolerance, which bisection could not meet either.
+_ROUNDING_FLOOR = 50 * sys.float_info.epsilon
+
 # Panels one ``integrate`` call may evaluate.  A segment whose share of the
 # tolerance is below rounding never converges, and its bisection would
 # otherwise grow as 2**depth up to _MAX_DEPTH.
@@ -90,9 +99,12 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return kronrod, abs(kronrod - gauss)
 
 
-def _adaptive(f, a, b, tol, depth, budget: _Budget) -> tuple[float, float]:
+def _adaptive(f, a, b, tol, depth, budget: _Budget, ceiling: float = 0.0) -> tuple[float, float]:
     value, err = _gk15(f, a, b)
     budget.left -= 1
+    # a segment's first panel passes the whole tolerance as ``ceiling``;
+    # its halves inherit the floored share
+    tol = max(tol, min(ceiling, _ROUNDING_FLOOR * abs(value)))
     if err <= tol or depth >= _MAX_DEPTH:
         return value, err
     if math.isnan(err):
@@ -131,7 +143,7 @@ def integrate(
     budget = _Budget()
     for lo, hi in zip(cuts, cuts[1:]):
         seg_tol = abs_tol * (hi - lo) / (b - a)
-        value, seg_err = _adaptive(f, lo, hi, seg_tol, 0, budget)
+        value, seg_err = _adaptive(f, lo, hi, seg_tol, 0, budget, abs_tol)
         total += value
         err += seg_err
     if budget.cut:

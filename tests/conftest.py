@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import peaksched as ps
+from peaksched.online import MASS_TOL
 from peaksched.quadrature import integrate
 from peaksched.validators import check_beta
 
@@ -196,6 +197,45 @@ def reference_expected_ratio(spec: ps.DistributionSpec, sigma: float, beta: floa
         )
         total += value
     return total
+
+
+def reference_run_threshold(
+    trace: ps.Trace, params: ps.BillingParams, s: float
+) -> tuple[int | None, np.ndarray, np.ndarray, float]:
+    """A threshold run written out as a scalar loop with no memo, kept as the
+    check on :func:`peaksched.run_threshold` and :func:`peaksched.switch_slots`:
+    the premium is summed slot by slot in the order a cumsum adds it, the
+    first slot where it reaches ``s * p_m`` switches.  Returns the switch
+    slot (None when the policy never switches), ``u``, ``v`` and ``S(T)``."""
+    target = s * params.p_m
+    premium = 0.0
+    switch = None
+    for t, (p, d) in enumerate(zip(trace.prices.tolist(), trace.demands.tolist())):
+        premium += (params.p_g - p) * d
+        if switch is None and premium >= target:
+            switch = t
+    d = trace.demands
+    u = np.array([x if switch is None or t < switch else 0.0 for t, x in enumerate(d.tolist())])
+    return switch, u, d - u, premium
+
+
+def reference_sample(spec: ps.DistributionSpec, uniform: float) -> float:
+    """Inverse-CDF sampling with every mass recomputed from its formula on
+    each call, kept as the check on :func:`peaksched.sample`, which reads
+    them from the spec: the grid-from-start atom first, then the density
+    ``coeff * e^s`` on ``[lo, hi]``, then the never-switch atom.  Returns
+    the threshold multiplier."""
+    start = sum(mass for where, mass in spec.atoms if where == -1.0)
+    continuous = spec.coeff * (math.exp(spec.hi) - math.exp(spec.lo))
+    total = continuous + sum(mass for _, mass in spec.atoms)
+    if abs(total - 1.0) > MASS_TOL:
+        raise ps.ValidationError(f"distribution mass is {total}")
+    if uniform < start:
+        return -1.0
+    if uniform < start + continuous:
+        s = math.log(math.exp(spec.lo) + (uniform - start) / spec.coeff)
+        return min(max(s, spec.lo), spec.hi)
+    return math.inf
 
 
 @pytest.fixture

@@ -157,8 +157,9 @@ class TestQuadrature:
             integrate(lambda x: bad if x > 0.5 else x, 0, 1)
 
     def test_panel_cap_stops_a_tolerance_below_rounding(self):
-        # the [0, 1e-7] segment's share of 1e-9 is 1e-16, under the rounding
-        # of its panels, so bisection alone would run to 2**48 panels
+        # a whole tolerance of 1e-16 is under the rounding of the [0, 1e-7]
+        # panels (about 8e-16), and no share is floored above the whole
+        # tolerance, so bisection alone would run to 2**48 panels
         with pytest.raises(ps.NumericError, match="panels") as raised:
             integrate(lambda x: (1.0 + (1.0 - 1e-7 + x) * 0.5 / 1e-7) * math.exp(x), 0.0, 1e-7, abs_tol=1e-16)
         assert raised.value.achieved is not None and raised.value.achieved > 0
@@ -260,19 +261,30 @@ class TestExpectedRatio:
             ps.expected_ratios([ps.red_distribution(0.5)], [0.5], [0.7, sigma])
 
     @pytest.mark.parametrize("sigma", [1e-7, 1.8e-278])
-    def test_a_tolerance_below_rounding_raises_within_a_second(self, sigma):
+    def test_a_tiny_mass_meets_the_closed_form_within_a_second(self, sigma):
+        # the [0, sigma] segment's length share of 1e-9 is below the rounding
+        # of its panels; floored at that rounding, the segment converges
         from conftest import reference_expected_ratio
 
         spec = ps.red_distribution(0.5)
         start = time.perf_counter()
-        with pytest.raises(ps.NumericError, match="panels") as raised:
-            ps.expected_ratio(spec, sigma, 0.5)
+        value = ps.expected_ratio(spec, sigma, 0.5)
         assert time.perf_counter() - start < 1.0
-        with pytest.raises(ps.NumericError) as reference:
-            reference_expected_ratio(spec, sigma, 0.5)
-        assert raised.value.achieved == reference.value.achieved
+        assert value == reference_expected_ratio(spec, sigma, 0.5)
+        assert abs(value - ps.expected_ratio_closed_form(True, sigma, 1.0, 0.5)) <= 1e-9
         # a little more mass leaves the segment a share above rounding
         assert ps.expected_ratio(spec, 1e-5, 0.5) == reference_expected_ratio(spec, 1e-5, 0.5)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    def test_masses_down_to_1e_12_meet_the_closed_form(self, lam, beta):
+        # the low-prediction branch: its only atom is never-switch, whose
+        # ratio is exactly 1, so the density segments carry all the error
+        sigmas = [1e-12, 1e-9, 1e-7, 1e-6]
+        spec = ps.lambda_red_distribution(0.5, lam, beta)
+        values = ps.expected_ratios([spec], [beta], sigmas)[0]
+        closed = ps.expected_ratio_closed_form(False, np.array(sigmas), lam, beta)
+        assert np.abs(values - closed).max() <= 1e-9
 
     def test_batch_shape_and_one_beta_per_spec(self):
         specs = [ps.red_distribution(0.3), ps.lambda_red_distribution(2.0, 0.4, 0.6)]

@@ -1,12 +1,15 @@
 """Threshold runs, policy construction, threshold distributions, sampling."""
 import math
 import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import peaksched as ps
-from conftest import make_binary_instance
+from peaksched import online
+from conftest import make_binary_instance, reference_run_threshold, reference_sample
 
 E = math.e
 
@@ -100,6 +103,79 @@ class TestRunThreshold:
         record = ps.run_threshold(trace, ps.BillingParams(p_g=2, p_m=2, capacity=1), ps.bed_policy())
         assert record.switch_slot is None
         assert ps.cost_of(record.schedule, trace, ps.BillingParams(p_g=2, p_m=2, capacity=1)).total == 0
+
+
+class TestPremiumPrefixMemo:
+    def _check(self, trace, params, s):
+        record = ps.run_threshold(trace, params, ps.SwitchPolicy.at(s))
+        switch, u, v, premium = reference_run_threshold(trace, params, s)
+        assert record.switch_slot == switch
+        assert record.schedule.u.tobytes() == u.tobytes()
+        assert record.schedule.v.tobytes() == v.tobytes()
+        assert record.cumulative_premium == premium
+
+    def test_a_trace_rebuilt_at_a_dropped_traces_id_gets_its_own_prefix(self, rng):
+        params = ps.BillingParams(p_g=1.0, p_m=1.0, capacity=1)
+        for _ in range(50):
+            old = ps.Trace(prices=rng.uniform(0.1, 1.0, 30), demands=np.ones(30))
+            for _ in range(3):  # the second call stores the prefix, the third reads it
+                self._check(old, params, 4.0)
+            old_id = id(old)
+            del old
+            new = ps.Trace(prices=rng.uniform(0.1, 1.0, 30), demands=np.ones(30))
+            if id(new) == old_id:
+                self._check(new, params, 4.0)
+                self._check(new, params, 4.0)
+                return
+        pytest.skip("the interpreter never reused a dropped trace's id")
+
+    def test_a_new_p_g_gets_a_new_prefix(self):
+        trace = ps.Trace(prices=[0.5, 0.25, 0.75, 1.0], demands=[1, 1, 0, 1])
+        for p_g in (1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 3.0, 3.0, 3.0):
+            self._check(trace, ps.BillingParams(p_g=p_g, p_m=1.0, capacity=1), 0.6)
+
+    def test_the_stored_prefix_is_read_only(self):
+        trace = ps.Trace(prices=[0.5, 0.5], demands=[1, 1])
+        params = ps.BillingParams(p_g=1.0, p_m=1.0, capacity=1)
+        for _ in range(3):
+            ps.run_threshold(trace, params, ps.bed_policy())
+        stored = online._last_prefix[2]
+        assert stored is not None and not stored.flags.writeable
+
+    def test_threads_sharing_two_traces_never_read_the_other_prefix(self, rng):
+        traces = [
+            ps.Trace(prices=rng.uniform(0.1, 1.0, 400), demands=(rng.random(400) < 0.7).astype(float))
+            for _ in range(2)
+        ]
+        params = ps.BillingParams(p_g=1.0, p_m=10.0, capacity=1)
+        thresholds = [0.5, 1.5, 4.0, 9.0]
+        expected = {
+            (k, s): reference_run_threshold(traces[k], params, s)[0] for k in range(2) for s in thresholds
+        }
+
+        def worker(w):
+            mismatches = 0
+            for i in range(600):
+                # runs of four calls on one trace let the memo store and reuse
+                k = (w + i // 4) % 2
+                s = thresholds[i % len(thresholds)]
+                record = ps.run_threshold(traces[k], params, ps.SwitchPolicy.at(s))
+                mismatches += record.switch_slot != expected[k, s]
+                slots = ps.switch_slots(traces[1 - k], params, thresholds)
+                mismatches += slots.tolist() != [
+                    len(traces[1 - k]) if expected[1 - k, t] is None else expected[1 - k, t] for t in thresholds
+                ]
+            return mismatches
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(worker, w) for w in range(4)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [0, 0, 0, 0]
 
 
 class TestPolicies:
@@ -240,6 +316,30 @@ class TestSampling:
         bad = ps.DistributionSpec(atoms=((math.inf, 0.3),), coeff=0.1, lo=0.0, hi=1.0)
         with pytest.raises(ps.ValidationError):
             ps.sample(bad, 0.5)
+        # the check runs on every draw, not once per spec
+        with pytest.raises(ps.ValidationError):
+            ps.sample(bad, 0.5)
+
+    def test_samples_equal_a_sampler_that_recomputes_the_masses(self):
+        specs = [
+            ps.DistributionSpec(atoms=((-1.0, 0.2), (math.inf, 0.3)), coeff=0.5 / (E - 1), lo=0.0, hi=1.0),
+            ps.DistributionSpec(atoms=(), coeff=1.0 / (math.exp(2.0) - math.exp(0.5)), lo=0.5, hi=2.0),
+            ps.DistributionSpec(atoms=((-1.0, 1.0),), coeff=0.0, lo=0.0, hi=1.0),
+        ]
+        for beta in (0.05, 0.4, 1.0):
+            specs.append(ps.red_distribution(beta))
+            for lam in (0.0, 0.01, 0.3, 1.0):
+                for hat in (0.5, 2.0):
+                    specs.append(ps.lambda_red_distribution(hat, lam, beta))
+                    if lam > 0:
+                        specs.append(ps.naive_red_distribution(hat, lam, beta))
+        grid = np.linspace(0.0, 1.0, 257)[:-1].tolist()
+        for spec in specs:
+            start = sum(mass for where, mass in spec.atoms if where == -1.0)
+            edges = [start, start + spec.coeff * (math.exp(spec.hi) - math.exp(spec.lo))]
+            near = [x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0)) if 0 <= x < 1]
+            for u in grid + near:
+                assert ps.sample(spec, u).s.hex() == reference_sample(spec, u).hex(), (spec, u)
 
 
 class TestRunAlgorithm:
@@ -253,6 +353,26 @@ class TestRunAlgorithm:
             a = ps.cost_of(bed.schedule, trace, params).total
             b = ps.cost_of(assisted.schedule, trace, params).total
             assert a == b
+
+    def test_policy_distribution_is_shared_and_equals_its_constructor(self):
+        first = ps.policy_distribution(ps.Algorithm.LAMBDA_RED, 0.4, 0.5, 2.0)
+        assert ps.policy_distribution(ps.Algorithm.LAMBDA_RED, 0.4, 0.5, 2.0) is first
+        assert first == ps.lambda_red_distribution(2.0, 0.5, 0.4)
+        assert ps.policy_distribution(ps.Algorithm.NAIVE_LAMBDA_RED, 0.4, 0.5, 2.0) == ps.naive_red_distribution(
+            2.0, 0.5, 0.4
+        )
+        assert ps.policy_distribution(ps.Algorithm.RED, 0.4, None, None) == ps.red_distribution(0.4)
+
+    @pytest.mark.parametrize("algorithm", [ps.Algorithm.LAMBDA_RED, ps.Algorithm.NAIVE_LAMBDA_RED])
+    @pytest.mark.parametrize("hat", [math.nan, math.inf, -math.inf])
+    def test_policy_distribution_rejects_a_non_finite_hat_on_every_call(self, algorithm, hat):
+        ps.policy_distribution(algorithm, 0.4, 0.5, 2.0)
+        for _ in range(3):
+            with pytest.raises(ps.DomainError, match="sigma_hat must be finite"):
+                ps.policy_distribution(algorithm, 0.4, 0.5, hat)
+        for _ in range(3):
+            with pytest.raises(ps.DomainError, match="lambda"):
+                ps.policy_distribution(algorithm, 0.4, math.nan, 2.0)
 
     def test_full_trust_randomized_distribution_equals_pure(self):
         beta = 0.45

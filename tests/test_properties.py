@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import peaksched as ps
-from conftest import brute_force_optimum, reference_expected_ratio, reference_ramp_dp, reference_ratio
+from conftest import (
+    brute_force_optimum,
+    reference_expected_ratio,
+    reference_ramp_dp,
+    reference_ratio,
+    reference_run_threshold,
+)
 
 # small, derandomized runs keep the suite fast and reproducible
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -146,11 +152,64 @@ def test_batched_switch_slots_equal_per_threshold_runs(instance, thresholds):
         assert slot == (len(trace) if record.switch_slot is None else record.switch_slot)
 
 
+binary_traces = st.integers(1, 8).flatmap(
+    lambda T: st.tuples(
+        st.lists(st.floats(0.05, 1.0), min_size=T, max_size=T),
+        st.lists(st.integers(0, 1), min_size=T, max_size=T),
+    )
+)
+# two trace slots and two p_g values, each call repeated up to three times,
+# so that the memo often stores a prefix and the next step often reads it
+memo_steps = st.one_of(
+    st.tuples(st.just("run"), st.integers(0, 1), st.sampled_from([1.0, 3.0]), st.integers(1, 3), st.floats(0.0, 5.0)),
+    st.tuples(
+        st.just("batch"), st.integers(0, 1), st.sampled_from([1.0, 3.0]), st.integers(1, 3),
+        st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4),
+    ),
+    st.tuples(st.just("rebuild"), st.integers(0, 1), binary_traces),
+)
+
+
+@PROPERTY
+@given(st.lists(binary_traces, min_size=2, max_size=2), st.lists(memo_steps, min_size=1, max_size=30))
+def test_premium_prefix_memo_equals_uncached_runs(initial, steps):
+    # runs on two traces at two p_g values, interleaved and repeated; a
+    # rebuilt trace is made right after its predecessor is dropped, so it
+    # usually gets the dropped trace's id
+    traces = [ps.Trace(prices=p, demands=d) for p, d in initial]
+    for kind, k, *rest in steps:
+        if kind == "rebuild":
+            prices, demands = rest[0]
+            traces[k] = None
+            traces[k] = ps.Trace(prices=prices, demands=demands)
+            continue
+        p_g, times, thresholds = rest
+        for _ in range(times):
+            _check_threshold_runs(traces[k], ps.BillingParams(p_g=p_g, p_m=1.0, capacity=1), kind, thresholds)
+
+
+def _check_threshold_runs(trace, params, kind, thresholds):
+    # a helper, so that no local of the property keeps a dropped trace alive
+    if kind == "run":
+        record = ps.run_threshold(trace, params, ps.SwitchPolicy.at(thresholds))
+        switch, u, v, premium = reference_run_threshold(trace, params, thresholds)
+        assert record.switch_slot == switch
+        assert record.schedule.u.tobytes() == u.tobytes()
+        assert record.schedule.v.tobytes() == v.tobytes()
+        assert record.cumulative_premium.hex() == premium.hex()
+    else:
+        expected = []
+        for s in thresholds:
+            switch = reference_run_threshold(trace, params, s)[0]
+            expected.append(len(trace) if switch is None else switch)
+        assert ps.switch_slots(trace, params, thresholds).tolist() == expected
+
+
 # small trust values stretch the naive support to [0, 1/lambda], whose
 # panels miss their tolerance share and take the adaptive fallback; sigma
 # also lands on 0, on the kink at 1 and on the support ends.  Masses below
-# 1e-5 leave a segment a tolerance share under rounding, where both sides
-# raise at the panel cap (tests/test_analysis.py checks that).
+# 1e-5 leave the [0, sigma] segment a length share under rounding, which
+# both sides floor at the rounding of its panels.
 trusts = st.one_of(st.floats(0.01, 0.1), st.floats(0.1, 1.0))
 
 
@@ -168,7 +227,7 @@ def specs(draw):
 
 
 @PROPERTY
-@given(st.lists(specs(), min_size=1, max_size=4), st.lists(st.floats(1e-5, 20.0), max_size=4))
+@given(st.lists(specs(), min_size=1, max_size=4), st.lists(st.floats(1e-9, 20.0), max_size=4))
 def test_expected_ratios_equal_the_scalar_quadrature_bit_for_bit(rows, drawn):
     sigmas = [0.0, 1.0, *drawn]
     for spec, _ in rows:
