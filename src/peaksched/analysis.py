@@ -31,6 +31,15 @@ def _check_mass(sigma) -> None:
         raise DomainError(f"premium mass must be finite and >= 0, got {sigma[bad][0]}")
 
 
+def _check_hardness(beta) -> None:
+    """:func:`check_beta` on every element of ``beta``, naming the first
+    offending value."""
+    beta = np.asarray(beta, dtype=float)
+    bad = ~((beta > 0) & (beta <= 1))
+    if bad.any():
+        check_beta(float(beta[bad][0]))
+
+
 def _scalar_or_array(value: np.ndarray):
     return float(value) if value.ndim == 0 else value
 
@@ -48,11 +57,11 @@ def cost_ratio(policy: SwitchPolicy | float, sigma, beta: float):
     ``sigma > 1`` since the optimum is itself all-grid.  ``sigma = 0``
     returns 1 by convention (no demand, both costs vanish).
 
-    ``policy`` (as multipliers ``s``) and ``sigma`` may be arrays, which
-    broadcast against each other; scalars give a ``float``.
+    ``policy`` (as multipliers ``s``), ``sigma`` and ``beta`` may be
+    arrays, which broadcast against each other; scalars give a ``float``.
     """
     s = policy.s if isinstance(policy, SwitchPolicy) else policy
-    check_beta(beta)
+    _check_hardness(beta)
     _check_mass(sigma)
     return _ratio(s, sigma, beta)
 
@@ -65,7 +74,8 @@ def _ratio(s, sigma, beta):
     bits alone as inside any array."""
     s = np.asarray(s, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal sigma overflows a quotient on a branch np.where discards
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         below = np.where(s > sigma, 1.0, 1.0 + (1.0 - sigma + s) * (1.0 - beta) / sigma)
         denom = (sigma - 1.0) * beta + 1.0
         above = np.where(
@@ -199,7 +209,18 @@ def _density_integrals(specs, beta_col: np.ndarray, sigmas: np.ndarray) -> np.nd
     a = np.concatenate([lo, sigma[split]])
     b = np.concatenate([np.where(split, sigma, hi), hi[split]])
     c, sg, bt = coeff[owner], sigma[owner], beta[owner]
-    panels, err = _gk15(lambda x: c * _exp(x) * _ratio(x, sg, bt), a, b)
+    # segments that share their ends share every node: e^s is taken once
+    # per distinct segment, on its first row, and scattered back
+    _, first, back = np.unique(np.stack([a, b], axis=1), axis=0, return_index=True, return_inverse=True)
+    back = back.reshape(-1)
+
+    def exp(x: np.ndarray) -> np.ndarray:
+        return np.array([math.exp(node) for node in x[first].tolist()])[back]
+
+    # a non-finite integrand (a subnormal sigma) leaves its panel's error
+    # NaN, unsettled, for the scalar fallback to raise on, as it would alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        panels, err = _gk15(lambda x: c * exp(x) * _ratio(x, sg, bt), a, b)
     settled = err <= _ABS_TOL * (b - a) / (hi[owner] - lo[owner])
     value, rest = panels[: len(sigma)], panels[len(sigma) :]
     value[split] += rest
@@ -216,12 +237,6 @@ def _density_integrals(specs, beta_col: np.ndarray, sigmas: np.ndarray) -> np.nd
             breakpoints=(si,),
         )
     return value.reshape(shape)
-
-
-def _exp(x: np.ndarray) -> np.ndarray:
-    """``math.exp`` of every element, computed once per distinct node."""
-    nodes, back = np.unique(x, return_inverse=True)
-    return np.array([math.exp(node) for node in nodes.tolist()])[back].reshape(x.shape)
 
 
 def expected_ratio_closed_form(predicted_high, sigma, lam: float, beta: float):

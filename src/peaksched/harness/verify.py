@@ -12,7 +12,8 @@ instances.
 The sweeps run on arrays: the expected ratios one lambda row of the grid at
 a time through :func:`~peaksched.analysis.expected_ratios`, and the
 worst-case runs one premium cumsum per instance for all its thresholds
-through :func:`~peaksched.online.switch_slots`.  Each worst value is the
+through :func:`~peaksched.online.switch_slots`, priced per distinct switch
+slot by :func:`~peaksched.online.switch_costs`.  Each worst value is the
 first maximum in the grid's loop order, so reports name the same point a
 scalar sweep would.  A NaN that reaches a check is its worst value, and the
 check fails.
@@ -37,12 +38,12 @@ from ..analysis import (
     worst_case_ratio,
 )
 from ..errors import DomainError
-from ..model import cost_of, sigma as sigma_of
+from ..model import cost_of, sigma as sigma_of  # noqa: F401  cost_of looked up here by the benchmark's tracer
 from ..offline import optimal_basic
 from ..online import (
     lambda_red_distribution,
     run_threshold,  # noqa: F401  looked up here by the benchmark's tracer
-    switch_schedule,
+    switch_costs,
     switch_slots,
 )
 
@@ -234,35 +235,39 @@ def check_ratio_curve_empirical(betas, slots: int = 4000) -> tuple[CheckResult, 
     to the optimum.
 
     Each instance takes one premium cumsum for the whole threshold grid and
-    the nudged threshold, and one costing per distinct switch slot.
+    the nudged threshold, and one costing per distinct switch slot; the
+    bounds are then one ratio-curve evaluation over all instances.
     """
     s_grid = _threshold_grid()
+    cases = [(beta, sg) for beta in betas for sg in s_grid]
+    measured = np.empty((len(cases), len(s_grid) + 1))
+    masses = np.empty(len(cases))
+    for k, (beta, sg) in enumerate(cases):
+        trace, params = worst_case_instance(sg, beta, p_m=100.0, slots=slots)
+        opt = optimal_basic(trace, params).total
+        masses[k] = sigma_of(trace, params)
+        switch = switch_slots(trace, params, [*s_grid, sg * (1.0 - 1e-9)])
+        measured[k] = empirical_ratio(switch_costs(trace, params, switch), opt)
     s = np.array(s_grid)
+    beta = np.array([beta for beta, _ in cases])[:, None]
+    sg = np.array([sg for _, sg in cases])[:, None]
+    mass = masses[:, None]
+    # the ratio curve drops discontinuously as s passes sigma; on the
+    # diagonal, rounding decides the side, so take the generous branch there
+    bound = cost_ratio(s, mass, beta)
+    bound = np.where(np.abs(s - mass) <= 1e-9, np.maximum(bound, cost_ratio(s, s, beta)), bound)
     above = _Worst(0.0)
-    worst_gap = 0.0
-    for beta in betas:
-        for sg in s_grid:
-            trace, params = worst_case_instance(sg, beta, p_m=100.0, slots=slots)
-            opt = optimal_basic(trace, params).total
-            mass = sigma_of(trace, params)
-            switch = switch_slots(trace, params, [*s_grid, sg * (1.0 - 1e-9)])
-            totals = {
-                slot: cost_of(switch_schedule(trace, slot), trace, params).total
-                for slot in set(switch.tolist())
-            }
-            measured = empirical_ratio(np.array([totals[slot] for slot in switch.tolist()]), opt)
-            # the ratio curve drops discontinuously as s passes sigma;
-            # on the diagonal, rounding decides the side, so take the
-            # generous branch there
-            bound = cost_ratio(s, mass, beta)
-            bound = np.where(np.abs(s - mass) <= 1e-9, np.maximum(bound, cost_ratio(s, s, beta)), bound)
-            above.offer(measured[:-1] - bound, lambda i: f"s={s_grid[i]} sigma={sg} beta={beta}")
-            bound = cost_ratio(sg, max(mass, sg), beta)
-            if sg > 1:
-                one_slot = (1.0 - beta) * sg / (slots * ((sg - 1.0) * beta + 1.0))
-            else:
-                one_slot = (1.0 - beta) / slots
-            worst_gap = _top(worst_gap, bound - measured[-1] - one_slot)
+
+    def point(i):
+        k, j = divmod(i, len(s_grid))
+        return f"s={s_grid[j]} sigma={cases[k][1]} beta={cases[k][0]}"
+
+    above.offer(measured[:, :-1] - bound, point)
+    tight = cost_ratio(sg, np.maximum(mass, sg), beta)
+    one_slot = np.where(
+        sg > 1, (1.0 - beta) * sg / (slots * ((sg - 1.0) * beta + 1.0)), (1.0 - beta) / slots
+    )
+    worst_gap = _top(0.0, *(tight - measured[:, -1:] - one_slot).ravel())
     return (
         CheckResult("ratio-curve-dominates-measured", 1e-6, above.value, above.at),
         CheckResult("ratio-curve-tightness", 1e-9, worst_gap, f"slots={slots}"),

@@ -23,7 +23,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .model import BillingParams, Schedule, Trace, _frozen, beta as beta_of, check_pairing
+from .model import (
+    BillingParams,
+    Schedule,
+    Trace,
+    _frozen,
+    beta as beta_of,
+    check_pairing,
+    validate_schedule,
+)
 from .validators import check_beta, check_lambda, check_sigma_hat, check_stretched_lambda
 
 #: Tolerance on the total mass of a switch-threshold distribution.
@@ -116,6 +124,49 @@ def switch_slots(trace: Trace, params: BillingParams, thresholds) -> np.ndarray:
     each threshold alone."""
     slots, _ = _crossings(trace, params, np.asarray(thresholds, dtype=float))
     return slots
+
+
+def switch_costs(trace: Trace, params: BillingParams, slots) -> np.ndarray:
+    """Total cost of the switch schedule at each slot in ``slots``
+    (``len(trace)`` never switches): bit for bit what
+    ``cost_of(switch_schedule(trace, slot), trace, params).total`` gives
+    each slot, with each distinct slot costed once and no schedule built.
+
+    On 0/1 demand a switch at slot ``k`` pays ``p_g`` times the number of
+    demand slots before ``k``, exact in floats, and ``p_m`` times the
+    largest demand from ``k`` on.  The volume is the full-length dot
+    product of the prices with the grid purchase, on one buffer whose head
+    is zeroed as the slots ascend: a sliced dot product would group
+    BLAS's partial sums differently and change the last bits.
+    """
+    if not trace.has_binary_demands():
+        raise DomainError("threshold runs require 0/1 demands; decompose general demand into layers")
+    check_pairing(trace, params)
+    slots = np.asarray(slots)
+    horizon = len(trace)
+    if slots.size and slots.dtype.kind not in "iu":
+        raise DomainError(f"switch slots must be integers, got {slots.dtype}")
+    outside = (slots < 0) | (slots > horizon)
+    if outside.any():
+        raise DomainError(f"switch slot {slots[outside][0]} lies outside [0, {horizon}]")
+    distinct, back = np.unique(slots.astype(np.intp), return_inverse=True)
+    if params.ramp is not None and distinct.size:
+        # a 0/1 output steps by 1 where it first turns on, and the latest
+        # switch's schedule turns on wherever an earlier one does: it raises
+        # cost_of's ramp error if any slot's schedule would
+        validate_schedule(switch_schedule(trace, int(distinct[-1])), trace, params)
+    d = trace.demands
+    local = np.concatenate(([0.0], d.cumsum()))[distinct]
+    peak = np.concatenate((np.maximum.accumulate(d[::-1])[::-1], [0.0]))[distinct]
+    volume = np.empty(distinct.size)
+    grid = d.copy()
+    done = 0
+    for i, slot in enumerate(distinct.tolist()):
+        grid[done:slot] = 0.0
+        done = slot
+        volume[i] = trace.prices @ grid
+    totals = volume + params.p_m * peak + params.p_g * local
+    return totals[back].reshape(slots.shape)
 
 
 def _crossings(trace: Trace, params: BillingParams, s):
@@ -356,6 +407,34 @@ def policy_distribution(
     raise DomainError(f"{algorithm.value} is deterministic; it has no threshold distribution")
 
 
+def select_policy(
+    trace: Trace,
+    params: BillingParams,
+    algorithm: Algorithm | str,
+    lam: float | None = None,
+    sigma_hat: float | None = None,
+    seed: int | None = None,
+) -> SwitchPolicy:
+    """The switch policy an algorithm runs with on a trace.
+
+    Randomized algorithms require ``seed`` and draw one threshold from
+    ``default_rng(seed)``; identical seeds yield identical policies.
+    """
+    algorithm = Algorithm(algorithm)
+    if algorithm is Algorithm.BED:
+        return bed_policy()
+    if algorithm is Algorithm.LAMBDA_BED:
+        if sigma_hat is None:
+            raise DomainError("lambda-bed needs a predicted premium mass (sigma_hat)")
+        if lam is None:
+            raise DomainError("lambda-bed needs the trust parameter lambda")
+        return lambda_bed_policy(sigma_hat, lam)
+    if seed is None:
+        raise DomainError(f"{algorithm.value} is randomized and requires a seed")
+    spec = policy_distribution(algorithm, beta_of(trace, params), lam, sigma_hat)
+    return sample(spec, float(np.random.default_rng(seed).random()))
+
+
 def run_algorithm(
     trace: Trace,
     params: BillingParams,
@@ -364,23 +443,6 @@ def run_algorithm(
     sigma_hat: float | None = None,
     seed: int | None = None,
 ) -> RunRecord:
-    """Select the policy for an algorithm and execute it.
-
-    Randomized algorithms require ``seed`` and draw one threshold per run;
-    identical seeds yield identical records.
-    """
-    algorithm = Algorithm(algorithm)
-    if algorithm is Algorithm.BED:
-        policy = bed_policy()
-    elif algorithm is Algorithm.LAMBDA_BED:
-        if sigma_hat is None:
-            raise DomainError("lambda-bed needs a predicted premium mass (sigma_hat)")
-        if lam is None:
-            raise DomainError("lambda-bed needs the trust parameter lambda")
-        policy = lambda_bed_policy(sigma_hat, lam)
-    else:
-        if seed is None:
-            raise DomainError(f"{algorithm.value} is randomized and requires a seed")
-        spec = policy_distribution(algorithm, beta_of(trace, params), lam, sigma_hat)
-        policy = sample(spec, float(np.random.default_rng(seed).random()))
-    return run_threshold(trace, params, policy)
+    """Select the policy for an algorithm (:func:`select_policy`) and
+    execute it; identical seeds yield identical records."""
+    return run_threshold(trace, params, select_policy(trace, params, algorithm, lam, sigma_hat, seed))

@@ -52,6 +52,25 @@ class TestCostRatio:
         with pytest.raises(ps.DomainError, match="premium mass"):
             ps.cost_ratio(0.5, np.array([0.5, sigma]), 0.5)
 
+    def test_a_subnormal_mass_is_not_an_overflow_warning(self):
+        # the low-mass branch's quotient overflows, but s > sigma discards it
+        # (the suite turns a RuntimeWarning into an error)
+        assert ps.cost_ratio(0.5, 5e-324, 0.5) == 1.0
+        assert ps.cost_ratio(np.array([0.5, 2.0]), 5e-324, 0.5).tolist() == [1.0, 1.0]
+
+    def test_beta_broadcasts_like_its_points(self):
+        beta = np.array([0.2, 0.5, 1.0])[:, None]
+        s = np.array([-1.0, 0.4, 1.5, math.inf])
+        grid = ps.cost_ratio(s, 1.2, beta)
+        assert grid.tolist() == [[ps.cost_ratio(x, 1.2, float(b)) for x in s] for b in beta[:, 0]]
+
+    @pytest.mark.parametrize("beta", [0.0, 1.5, math.nan])
+    def test_rejects_a_beta_outside_the_unit_interval(self, beta):
+        with pytest.raises(ps.DomainError, match=f"beta must lie in \\(0, 1\\], got {beta}"):
+            ps.cost_ratio(0.5, 0.5, beta)
+        with pytest.raises(ps.DomainError, match=f"beta must lie in \\(0, 1\\], got {beta}"):
+            ps.cost_ratio(0.5, 0.5, np.array([0.5, beta]))
+
 
 class TestWorstCaseRatio:
     def test_break_even_value(self):
@@ -274,6 +293,12 @@ class TestExpectedRatio:
         assert abs(value - ps.expected_ratio_closed_form(True, sigma, 1.0, 0.5)) <= 1e-9
         # a little more mass leaves the segment a share above rounding
         assert ps.expected_ratio(spec, 1e-5, 0.5) == reference_expected_ratio(spec, 1e-5, 0.5)
+
+    def test_a_subnormal_mass_fails_as_a_non_finite_integrand(self):
+        # the [0, sigma] segment's integrand is infinite: the quadrature must
+        # say so, not leak an overflow warning from the array panel
+        with pytest.raises(ps.NumericError, match="integrand is not finite"):
+            ps.expected_ratio(ps.red_distribution(0.5), 5e-324, 0.5)
 
     @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])

@@ -105,6 +105,52 @@ class TestRunThreshold:
         assert ps.cost_of(record.schedule, trace, ps.BillingParams(p_g=2, p_m=2, capacity=1)).total == 0
 
 
+class TestSwitchCosts:
+    def test_totals_equal_costing_each_switch_schedule(self):
+        trace = ps.Trace(prices=[0.5, 1.0, 0.25, 0.75], demands=[1, 0, 1, 1])
+        params = ps.BillingParams(p_g=1.0, p_m=3.0, capacity=1)
+        slots = np.array([[4, 0], [2, 2]])
+        totals = ps.switch_costs(trace, params, slots)
+        assert totals.shape == (2, 2)
+        for slot, total in zip(slots.ravel().tolist(), totals.ravel().tolist()):
+            assert total == ps.cost_of(ps.switch_schedule(trace, slot), trace, params).total
+        assert ps.switch_costs(trace, params, []).shape == (0,)
+
+    def test_rejects_non_binary_demand(self):
+        trace = ps.Trace(prices=[1, 1], demands=[1, 2])
+        with pytest.raises(ps.DomainError, match="0/1 demands"):
+            ps.switch_costs(trace, ps.BillingParams(p_g=2, p_m=1, capacity=2), [0])
+
+    @pytest.mark.parametrize("slot", [-1, 4, 100])
+    def test_rejects_a_slot_outside_the_horizon(self, slot):
+        trace = ps.Trace(prices=[1, 1, 1], demands=[1, 0, 1])
+        params = ps.BillingParams(p_g=2, p_m=1, capacity=1)
+        with pytest.raises(ps.DomainError, match=f"switch slot {slot} lies outside \\[0, 3\\]"):
+            ps.switch_costs(trace, params, [0, 3, slot])
+
+    def test_rejects_slots_that_are_not_integers(self):
+        trace = ps.Trace(prices=[1, 1], demands=[1, 1])
+        with pytest.raises(ps.DomainError, match="integers"):
+            ps.switch_costs(trace, ps.BillingParams(p_g=2, p_m=1, capacity=1), [0.5])
+
+    def test_rejects_a_failed_pairing(self):
+        trace = ps.Trace(prices=[1, 3], demands=[1, 1])
+        with pytest.raises(ps.ValidationError, match="exceeds generation cost"):
+            ps.switch_costs(trace, ps.BillingParams(p_g=2, p_m=1, capacity=1), [1])
+
+    def test_a_ramp_below_one_raises_what_cost_of_raises(self):
+        trace = ps.Trace(prices=[1, 1, 1, 1], demands=[0, 0, 1, 1])
+        params = ps.BillingParams(p_g=2, p_m=1, capacity=1, ramp=0.5)
+        with pytest.raises(ps.ValidationError) as scalar:
+            ps.cost_of(ps.switch_schedule(trace, 3), trace, params)
+        with pytest.raises(ps.ValidationError) as batch:
+            ps.switch_costs(trace, params, [0, 3, 1])
+        assert str(batch.value) == str(scalar.value) == "ramp violation at slot 2: output change 1.0 exceeds limit 0.5"
+        # switches at or before the first demand never turn the generator on
+        expected = [ps.cost_of(ps.switch_schedule(trace, k), trace, params).total for k in (0, 2, 1)]
+        assert ps.switch_costs(trace, params, [0, 2, 1]).tolist() == expected
+
+
 class TestPremiumPrefixMemo:
     def _check(self, trace, params, s):
         record = ps.run_threshold(trace, params, ps.SwitchPolicy.at(s))
@@ -396,6 +442,23 @@ class TestRunAlgorithm:
         b = ps.run_algorithm(trace, params, "lambda-red", lam=0.5, sigma_hat=2.0, seed=1234)
         assert a.policy == b.policy
         assert np.array_equal(a.schedule.u, b.schedule.u)
+
+    @pytest.mark.parametrize(
+        "algorithm, kwargs",
+        [
+            ("bed", {}),
+            ("lambda-bed", {"lam": 0.3, "sigma_hat": 2.0}),
+            ("red", {"seed": 7}),
+            ("lambda-red", {"lam": 0.5, "sigma_hat": 0.5, "seed": 11}),
+            ("naive-lambda-red", {"lam": 0.5, "sigma_hat": 2.0, "seed": 13}),
+        ],
+    )
+    def test_runs_the_policy_that_select_policy_chooses(self, rng, algorithm, kwargs):
+        trace, params = make_binary_instance(rng)
+        policy = ps.select_policy(trace, params, algorithm, **kwargs)
+        record = ps.run_algorithm(trace, params, algorithm, **kwargs)
+        assert record.policy == policy
+        assert record.schedule.u.tobytes() == ps.run_threshold(trace, params, policy).schedule.u.tobytes()
 
     def test_randomized_requires_seed(self, rng):
         trace, params = make_binary_instance(rng)

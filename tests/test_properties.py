@@ -152,6 +152,35 @@ def test_batched_switch_slots_equal_per_threshold_runs(instance, thresholds):
         assert slot == (len(trace) if record.switch_slot is None else record.switch_slot)
 
 
+@st.composite
+def switch_costing_cases(draw):
+    """A 0/1 trace of 1 to 5000 slots, some prices tied with ``p_g``, and
+    switch slots with repeats that always include 0 and ``T``."""
+    T = draw(st.one_of(st.integers(1, 16), st.integers(17, 5000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_g = draw(st.sampled_from([1.0, 2.5]))
+    demands = (rng.random(T) < draw(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]))).astype(float)
+    prices = rng.uniform(0.05, 1.0, T) * p_g
+    prices[rng.random(T) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = p_g
+    params = ps.BillingParams(
+        p_g=p_g,
+        p_m=draw(st.floats(0.01, 100.0)),
+        capacity=draw(st.sampled_from([1, 4])),
+        ramp=draw(st.sampled_from([None, 1.0, 3.0])),
+    )
+    drawn = draw(st.lists(st.integers(0, T), max_size=10))
+    return ps.Trace(prices=prices, demands=demands), params, [0, T, *drawn, *drawn[:3], 0]
+
+
+@PROPERTY
+@given(switch_costing_cases())
+def test_switch_costs_equal_costing_each_switch_schedule_bit_for_bit(case):
+    trace, params, slots = case
+    totals = ps.switch_costs(trace, params, slots)
+    expected = [ps.cost_of(ps.switch_schedule(trace, slot), trace, params).total for slot in slots]
+    assert [total.hex() for total in totals.tolist()] == [total.hex() for total in expected]
+
+
 binary_traces = st.integers(1, 8).flatmap(
     lambda T: st.tuples(
         st.lists(st.floats(0.05, 1.0), min_size=T, max_size=T),
@@ -226,8 +255,27 @@ def specs(draw):
     return ps.naive_red_distribution(hat, draw(trusts), beta), beta
 
 
+@st.composite
+def mixed_supports(draw):
+    """Specs on [0, 1], [0, lambda] and [0, 1/lambda] in one batch, one of
+    them twice: the batch's segments are partly shared, partly distinct.
+    Trust stays at 0.2 or more so the stretched support is short; ``specs``
+    draws the small trusts."""
+    beta, lam = draw(st.floats(0.01, 1.0)), draw(st.floats(0.2, 1.0))
+    rows = [
+        (ps.red_distribution(beta), beta),
+        (ps.lambda_red_distribution(2.0, lam, beta), beta),
+        (ps.naive_red_distribution(2.0, lam, beta), beta),
+        (ps.naive_red_distribution(0.5, lam, beta), beta),
+    ]
+    return rows + [rows[draw(st.integers(0, 3))]]
+
+
 @PROPERTY
-@given(st.lists(specs(), min_size=1, max_size=4), st.lists(st.floats(1e-9, 20.0), max_size=4))
+@given(
+    st.one_of(st.lists(specs(), min_size=1, max_size=4), mixed_supports()),
+    st.lists(st.floats(1e-9, 20.0), max_size=4),
+)
 def test_expected_ratios_equal_the_scalar_quadrature_bit_for_bit(rows, drawn):
     sigmas = [0.0, 1.0, *drawn]
     for spec, _ in rows:

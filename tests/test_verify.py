@@ -1,5 +1,6 @@
 """The batched verification checks against per-point reference loops."""
 import math
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,9 @@ from peaksched.harness.verify import CheckResult
 LAMBDAS = (0.05, 0.3, 0.55, 0.8, 1.0)
 BETAS = (0.05, 0.25, 0.5, 0.75, 1.0)
 SIGMAS = (0.1, 0.4, 0.8, 1.0, 1.1, 1.5, 2.0, 3.3, 5.0, 7.5, 9.9, 10.0)
+
+# the report of `peaksched verify --full` as the per-point scalar sweeps wrote it
+GOLDEN_REPORT = Path(__file__).parent / "data" / "verification.txt"
 
 
 def _branches(lam, beta):
@@ -169,3 +173,9 @@ def test_a_nan_ratio_bound_fails_its_checks(monkeypatch):
 def test_infinite_sigma_is_rejected_not_skipped():
     with pytest.raises(ps.DomainError, match="premium mass"):
         verify.verify_theorems(LAMBDAS, BETAS, SIGMAS + (math.inf,), empirical_slots=300)
+
+
+def test_the_full_report_equals_the_golden_file_byte_for_byte():
+    # `verify --full` writes report.format() plus a newline; every number,
+    # every named worst point and the pass line must stay as they were
+    assert (verify.verify_theorems().format() + "\n").encode() == GOLDEN_REPORT.read_bytes()
