@@ -123,6 +123,8 @@ class ExperimentConfig:
         )
         if needs_seed and self.seed is None:
             raise ValidationError("a seed is required for randomized algorithms or noisy predictors")
+        if self.seed is not None and self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if (self.price_csv is None) != (self.demand_csv is None):
             raise ValidationError("price-csv and demand-csv must be given together")
 

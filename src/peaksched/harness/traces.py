@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import StructuralError, ValidationError
 from ..model import Trace
+from ..validators import check_seed
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,7 @@ def synth_trace(
         raise ValidationError("need peak_level >= base_level >= 0")
     if noise < 0:
         raise ValidationError(f"noise must be >= 0, got {noise}")
+    check_seed(seed)
     hours = np.arange(24 * days) % 24
     rng = np.random.default_rng(seed)
     demand = base_level + (peak_level - base_level) * _diurnal(hours, peak_hour=16.0)

@@ -11,7 +11,9 @@ by a forward clamp that walks the cycle once.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .errors import DomainError
 from .model import BillingParams, Schedule, Trace, _frozen, sigma
 from .online import Algorithm, RunRecord, run_algorithm
 from .prediction import Prediction
+from .validators import check_seed, is_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,8 +32,23 @@ class LayerStack:
     depth: int
 
 
+# Each live trace's layer stack, keyed weakly by the trace (``Trace`` hashes
+# by identity).  The layers share only the parent's price array, never the
+# parent itself, so an entry dies with its trace.
+_stacks: weakref.WeakKeyDictionary[Trace, LayerStack] = weakref.WeakKeyDictionary()
+
+
 def decompose(trace: Trace) -> LayerStack:
-    """Split integer demand into 0/1 layers that sum back to the original."""
+    """Split integer demand into 0/1 layers that sum back to the original.
+
+    Memoised per trace: the first call builds the stack and every later
+    call on the same trace object returns that same stack, for as long as
+    the trace lives.  Threads racing on a new trace may each build one, but
+    all of them get the one stored first.
+    """
+    stack = _stacks.get(trace)
+    if stack is not None:
+        return stack
     if not trace.has_integer_demands():
         raise DomainError("layer decomposition requires integer demands")
     d = trace.demands
@@ -39,24 +57,35 @@ def decompose(trace: Trace) -> LayerStack:
     layers = tuple(
         Trace(prices=trace.prices, demands=_frozen((d >= i).astype(float))) for i in range(1, depth + 1)
     )
-    return LayerStack(layers=layers, depth=depth)
+    return _stacks.setdefault(trace, LayerStack(layers=layers, depth=depth))
 
 
+@lru_cache(maxsize=1024)
 def _layer_seed(seed: int, layer_index: int) -> int:
     # Layer 1 keeps the root seed so a single-layer run reproduces a plain
     # run_algorithm call; higher layers get independent derived streams.
+    check_seed(seed)
     if layer_index == 1:
         return seed
     return int(np.random.SeedSequence([seed, layer_index]).generate_state(1)[0])
 
 
 def _layer_sigma_hats(sigma_hats, depth: int) -> list[float | None]:
-    if sigma_hats is None or isinstance(sigma_hats, (int, float)):
-        return [sigma_hats] * depth
-    values = list(sigma_hats)
+    if sigma_hats is None:
+        return [None] * depth
+    if is_real(sigma_hats):
+        return [float(sigma_hats)] * depth
+    values = None
+    if not isinstance(sigma_hats, (str, bytes)):
+        try:
+            values = list(sigma_hats)
+        except TypeError:  # not iterable
+            pass
+    if values is None or not all(is_real(value) for value in values):
+        raise DomainError(f"sigma_hats must be a real number or one per layer, got {sigma_hats!r}")
     if len(values) != depth:
         raise DomainError(f"got {len(values)} per-layer sigma_hat values for {depth} layers")
-    return values
+    return [float(value) for value in values]
 
 
 def true_layer_sigma_hats(trace: Trace, params: BillingParams) -> list[float]:
@@ -91,21 +120,26 @@ def run_layered(
 ) -> Schedule:
     """Run a binary algorithm on every capacity-eligible layer and sum.
 
-    ``sigma_hats`` is a scalar applied to all layers or a sequence with one
-    value per layer.  Layers indexed above the capacity buy from the grid
-    outright.  Per-layer randomness uses seeds derived from ``(seed,
-    layer index)`` so runs are reproducible and layers independent.
+    ``sigma_hats`` is a real scalar applied to all layers or a sequence with
+    one real value per layer.  Layers indexed above the capacity buy from
+    the grid outright.  Randomized algorithms draw each layer's threshold
+    with a seed derived from ``(seed, layer index)``, so runs are
+    reproducible and layers independent; a seed, where given, must be a
+    non-negative integer.
     """
     algorithm = Algorithm(algorithm)
+    if seed is not None:
+        check_seed(seed)
     stack = decompose(trace)
     hats = _layer_sigma_hats(sigma_hats, stack.depth)
+    seeded = seed is not None and algorithm.is_randomized
     u = np.zeros(len(trace))
     v = np.zeros(len(trace))
     for i, (layer, hat) in enumerate(zip(stack.layers, hats), start=1):
         if i > params.capacity:
             v += layer.demands
             continue
-        layer_seed = None if seed is None else _layer_seed(seed, i)
+        layer_seed = _layer_seed(seed, i) if seeded else None
         record: RunRecord = run_algorithm(
             layer, params, algorithm, lam=lam, sigma_hat=hat, seed=layer_seed
         )

@@ -32,7 +32,7 @@ from .model import (
     check_pairing,
     validate_schedule,
 )
-from .validators import check_beta, check_lambda, check_sigma_hat, check_stretched_lambda
+from .validators import check_beta, check_lambda, check_seed, check_sigma_hat, check_stretched_lambda
 
 #: Tolerance on the total mass of a switch-threshold distribution.
 MASS_TOL = 1e-12
@@ -198,8 +198,8 @@ def _premium_prefix(trace: Trace, p_g: float) -> np.ndarray:
 
     Repeated runs on one trace (Monte Carlo, parameter sweeps) store the
     prefix on their second call and read it from the third on; a sequence
-    of fresh traces, such as one layered run's layers, stores none, so the
-    memo holds at most the one prefix that is being reused.
+    of different traces, such as one layered run's layers, stores none, so
+    the memo holds at most the one prefix that is being reused.
     """
     global _last_prefix
     last = _last_prefix
@@ -418,9 +418,12 @@ def select_policy(
     """The switch policy an algorithm runs with on a trace.
 
     Randomized algorithms require ``seed`` and draw one threshold from
-    ``default_rng(seed)``; identical seeds yield identical policies.
+    ``default_rng(seed)``; identical seeds yield identical policies.  A
+    seed, where given, must be a non-negative integer.
     """
     algorithm = Algorithm(algorithm)
+    if seed is not None:
+        check_seed(seed)
     if algorithm is Algorithm.BED:
         return bed_policy()
     if algorithm is Algorithm.LAMBDA_BED:

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import StructuralError, ValidationError
 from .model import BillingParams, Trace, _readonly_vector, sigma as true_sigma
+from .validators import check_seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +78,7 @@ def gaussian_predictor(
         sigma2 = trace.max_demand / 2
     if sigma1 < 0 or sigma2 < 0:
         raise ValidationError("noise standard deviations must be >= 0")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     eps1 = rng.normal(0.0, sigma1, len(trace)) if sigma1 > 0 else np.zeros(len(trace))
     eps2 = rng.normal(0.0, sigma2, len(trace)) if sigma2 > 0 else np.zeros(len(trace))

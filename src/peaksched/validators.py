@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import sys
 
 from .errors import DomainError
@@ -44,3 +46,22 @@ def check_sigma_hat(sigma_hat: float) -> None:
     pick a branch of ``sigma_hat > 1`` silently; negative values stay legal."""
     if not math.isfinite(sigma_hat):
         raise DomainError(f"sigma_hat must be finite, got {sigma_hat}")
+
+
+def is_real(value) -> bool:
+    """A real number that is not a bool: what a float parameter admits,
+    numpy scalars included."""
+    # a plain float first: the ABC check costs about 0.6 us a value
+    return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def check_seed(seed) -> None:
+    """Reject a seed that is not a non-negative integer, the only seeds
+    numpy's ``SeedSequence`` takes; a bool is not a seed."""
+    try:
+        # every integer type has __index__; an ABC check would cost 0.8 us a draw
+        ok = operator.index(seed) >= 0 and not isinstance(seed, bool)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")

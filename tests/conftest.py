@@ -219,6 +219,40 @@ def reference_run_threshold(
     return switch, u, d - u, premium
 
 
+def reference_run_layered(
+    trace: ps.Trace,
+    params: ps.BillingParams,
+    algorithm: str,
+    lam: float | None = None,
+    sigma_hats=None,
+    seed: int | None = None,
+) -> ps.Schedule:
+    """A layered run with its layers built fresh on every call, kept as the
+    check on :func:`peaksched.run_layered`, which reads them from the
+    memoised :func:`peaksched.decompose`: layer ``i`` demands one unit where
+    ``d >= i``, layers above the capacity buy from the grid, and the others
+    run ``algorithm`` with ``sigma_hats`` (a scalar or a list, one per
+    layer) and with seed ``seed`` on layer 1 and the first word of
+    ``SeedSequence([seed, i])`` above it."""
+    d = trace.demands
+    u = np.zeros(len(d))
+    v = np.zeros(len(d))
+    for i in range(1, int(d.max()) + 1):
+        demands = (d >= i).astype(float)
+        if i > params.capacity:
+            v += demands
+            continue
+        layer = ps.Trace(prices=np.array(trace.prices), demands=demands)
+        layer_seed = seed
+        if seed is not None and i > 1:
+            layer_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
+        hat = sigma_hats[i - 1] if isinstance(sigma_hats, list) else sigma_hats
+        record = ps.run_algorithm(layer, params, algorithm, lam=lam, sigma_hat=hat, seed=layer_seed)
+        u += record.schedule.u
+        v += record.schedule.v
+    return ps.Schedule(u=u, v=v)
+
+
 def reference_sample(spec: ps.DistributionSpec, uniform: float) -> float:
     """Inverse-CDF sampling with every mass recomputed from its formula on
     each call, kept as the check on :func:`peaksched.sample`, which reads

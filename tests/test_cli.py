@@ -187,6 +187,9 @@ def test_synth_reads_config(tmp_path, capsys):
         ),
         (None, "compare --days 2 --seed 1 --predictors gaussian --sigma1 nan", "sigma1 must be finite, got nan"),
         (None, "compare --days 2 --lambdas ,", "lambdas must hold at least one value"),
+        (None, "compare --days 2 --seed -1", "seed must be >= 0, got -1"),
+        ("seed = -3", "sweep --axis ramp --days 2 --values 0.5", "seed must be >= 0, got -3"),
+        (None, "synth --days 2 --seed -1", "seed must be a non-negative integer, got -1"),
         (None, "sweep --axis ramp --days 2 --values ,", "needs at least one value"),
         (
             None,

@@ -50,6 +50,11 @@ class TestConfig:
         with pytest.raises(ps.ValidationError, match="seed"):
             config.validate()
 
+    @pytest.mark.parametrize("algorithms", ["bed", "red"])
+    def test_negative_seed_rejected(self, algorithms):
+        with pytest.raises(ps.ValidationError, match="seed must be >= 0, got -1"):
+            small_config(algorithms=algorithms, seed=-1).validate()
+
     def test_scalar_predictor_needs_value(self):
         config = small_config(predictors="scalar")
         with pytest.raises(ps.ValidationError, match="sigma-hat"):
@@ -158,6 +163,19 @@ class TestRunExperiment:
         mb = json.loads(rb.manifest_path.read_text())
         ma["config"]["out_dir"] = mb["config"]["out_dir"] = ""
         assert ma == mb
+
+    def test_every_algorithm_and_predictor_reruns_byte_identical_in_one_process(self, tmp_path):
+        # the second run builds its own trace, so it decomposes and seeds its layers anew
+        overrides = dict(
+            algorithms=",".join(a.value for a in ps.Algorithm),
+            predictors="perfect,gaussian,adversarial,scalar",
+            sigma_hat="1.5",
+            capacity_ratio="0.6",
+        )
+        first = run_experiment(small_config(out_dir=str(tmp_path / "a"), **overrides))
+        second = run_experiment(small_config(out_dir=str(tmp_path / "b"), **overrides))
+        assert first.manifest["errors"] == {} and len(first.rows) == 32
+        assert first.report_path.read_bytes() == second.report_path.read_bytes()
 
     def test_ramp_configuration_uses_ramp_oracle(self):
         result = run_experiment(small_config(ramp_ratio=0.4), write=False)

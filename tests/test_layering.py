@@ -1,9 +1,15 @@
 """Layer decomposition, layered execution, and ramp projection."""
+import gc
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import peaksched as ps
 from conftest import make_binary_instance, make_integer_instance
+from peaksched import layering
 
 
 class TestDecompose:
@@ -40,6 +46,65 @@ class TestDecompose:
             stack = ps.decompose(trace)
             rebuilt = sum((layer.demands for layer in stack.layers), np.zeros(len(trace)))
             assert np.array_equal(rebuilt, trace.demands)
+
+
+class TestDecomposeMemo:
+    def test_the_same_trace_gets_the_same_stack(self, rng):
+        trace, _ = make_integer_instance(rng)
+        assert ps.decompose(trace) is ps.decompose(trace)
+
+    def test_an_equal_rebuilt_trace_gets_a_fresh_stack(self, rng):
+        trace, _ = make_integer_instance(rng)
+        rebuilt = ps.Trace(prices=np.array(trace.prices), demands=np.array(trace.demands))
+        first, second = ps.decompose(trace), ps.decompose(rebuilt)
+        assert second is not first
+        assert second.depth == first.depth
+        for a, b in zip(first.layers, second.layers):
+            assert a is not b and b.prices is rebuilt.prices
+            assert a.demands.tobytes() == b.demands.tobytes()
+
+    def test_the_stack_is_freed_with_its_trace(self, rng):
+        trace, _ = make_integer_instance(rng)
+        stack = weakref.ref(ps.decompose(trace))
+        layer = weakref.ref(ps.decompose(trace).layers[0])
+        gc.collect()  # earlier tests' garbage must not leave during the count below
+        entries = len(layering._stacks)
+        del trace
+        gc.collect()
+        assert stack() is None and layer() is None
+        assert len(layering._stacks) == entries - 1
+
+    def test_a_rejected_trace_is_not_stored(self):
+        trace = ps.Trace(prices=[1, 1], demands=[1.5, 2])
+        for _ in range(2):
+            with pytest.raises(ps.DomainError):
+                ps.decompose(trace)
+        assert trace not in layering._stacks
+
+    def test_threads_decomposing_one_trace_get_equal_stacks(self, rng):
+        traces = [make_integer_instance(rng, max_demand=12, horizon=300)[0] for _ in range(20)]
+        expected = [
+            [layer.demands.tobytes() for layer in ps.decompose(ps.Trace(prices=t.prices, demands=t.demands)).layers]
+            for t in traces
+        ]
+
+        def worker():
+            # every worker asks for each trace's stack, racing the others on its first call
+            return [ps.decompose(trace) for trace in traces]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(worker) for _ in range(6)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, trace in enumerate(traces):
+            stacks = [result[k] for result in results]
+            assert all(stack is stacks[0] for stack in stacks)
+            assert [layer.demands.tobytes() for layer in stacks[0].layers] == expected[k]
+            assert stacks[0] is ps.decompose(trace)
 
 
 class TestRunLayered:
@@ -107,6 +172,45 @@ class TestRunLayered:
                 schedule = ps.run_layered(trace, params, "lambda-bed", lam=lam, sigma_hats=hats)
                 ratio = ps.cost_of(schedule, trace, params).total / opt
                 assert ratio <= 1 + lam + 1e-9
+
+    @pytest.mark.parametrize("hat", [np.float32(0.5), np.int64(1), np.float64(2.0), 3])
+    def test_any_real_scalar_hat_applies_to_every_layer(self, rng, hat):
+        trace, params = make_integer_instance(rng)
+        depth = ps.decompose(trace).depth
+        for algorithm in ("lambda-bed", "lambda-red"):
+            scalar = ps.run_layered(trace, params, algorithm, lam=0.5, sigma_hats=hat, seed=9)
+            listed = ps.run_layered(trace, params, algorithm, lam=0.5, sigma_hats=[float(hat)] * depth, seed=9)
+            assert scalar.u.tobytes() == listed.u.tobytes()
+            assert scalar.v.tobytes() == listed.v.tobytes()
+
+    @pytest.mark.parametrize("hats", ["0.5", b"0.5", True, object(), np.array(0.5), [1.0, "2"], [1.0, None]])
+    def test_non_numeric_hats_are_rejected_by_name(self, hats):
+        trace = ps.Trace(prices=[1, 1], demands=[2, 2])
+        params = ps.BillingParams(p_g=2, p_m=10, capacity=2)
+        with pytest.raises(ps.DomainError, match="sigma_hats"):
+            ps.run_layered(trace, params, "lambda-bed", lam=0.5, sigma_hats=hats)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, np.float64(2.0)])
+    @pytest.mark.parametrize("algorithm", ["bed", "red"])
+    def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(self, seed, algorithm):
+        trace = ps.Trace(prices=[1, 1], demands=[2, 2])
+        params = ps.BillingParams(p_g=2, p_m=10, capacity=2)
+        with pytest.raises(ps.DomainError, match="seed must be a non-negative integer"):
+            ps.run_layered(trace, params, algorithm, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_layer_seeds_reject_a_bad_root_seed(self, seed):
+        for i in (1, 2):
+            with pytest.raises(ps.DomainError, match="seed"):
+                layering._layer_seed(seed, i)
+
+    def test_numpy_integer_seeds_keep_their_bits(self, rng):
+        trace, params = make_integer_instance(rng)
+        for algorithm in ("red", "naive-lambda-red"):
+            plain = ps.run_layered(trace, params, algorithm, lam=0.5, sigma_hats=0.7, seed=2**40 + 3)
+            layering._layer_seed.cache_clear()  # derive the numpy seed's layer seeds afresh
+            numpy = ps.run_layered(trace, params, algorithm, lam=0.5, sigma_hats=0.7, seed=np.uint64(2**40 + 3))
+            assert plain.u.tobytes() == numpy.u.tobytes()
 
     def test_per_layer_sigma_hat_list_length_checked(self):
         trace = ps.Trace(prices=[1, 1], demands=[2, 2])

@@ -464,3 +464,17 @@ class TestRunAlgorithm:
         trace, params = make_binary_instance(rng)
         with pytest.raises(ps.DomainError):
             ps.run_algorithm(trace, params, "red")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+    @pytest.mark.parametrize("algorithm", ["bed", "red", "lambda-red"])
+    def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(self, rng, algorithm, seed):
+        trace, params = make_binary_instance(rng)
+        with pytest.raises(ps.DomainError, match="seed must be a non-negative integer"):
+            ps.select_policy(trace, params, algorithm, lam=0.5, sigma_hat=2.0, seed=seed)
+
+    def test_numpy_integer_seeds_draw_what_python_ints_draw(self, rng):
+        trace, params = make_binary_instance(rng)
+        for seed in (0, 5, 2**63 + 1):
+            assert ps.select_policy(trace, params, "red", seed=np.uint64(seed)) == ps.select_policy(
+                trace, params, "red", seed=seed
+            )

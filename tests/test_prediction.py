@@ -47,6 +47,12 @@ class TestGaussianPredictor:
         c = ps.gaussian_predictor(trace, seed=12)
         assert not np.array_equal(a.prices, c.prices)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(self, rng, seed):
+        trace, _ = make_integer_instance(rng)
+        with pytest.raises(ps.DomainError, match="seed"):
+            ps.gaussian_predictor(trace, seed=seed)
+
     def test_noise_scale_matches_request(self):
         # price noise is unclamped, so its sample std tracks sigma1
         trace = ps.Trace(prices=np.full(100_000, 30.0), demands=np.ones(100_000))

@@ -14,6 +14,7 @@ from conftest import (
     reference_expected_ratio,
     reference_ramp_dp,
     reference_ratio,
+    reference_run_layered,
     reference_run_threshold,
 )
 
@@ -109,6 +110,21 @@ def test_layered_and_projected_schedules_are_feasible(instance, run, ramp):
     ps.validate_schedule(schedule, trace, params)
     ramped = _with_ramp(params, float(ramp))
     ps.validate_schedule(ps.project_ramp(schedule, trace, ramped), trace, ramped)
+
+
+@PROPERTY
+@given(integer_instances(max_demand=5), runs, st.integers(1, 7), st.booleans())
+def test_layered_runs_through_the_memo_equal_fresh_layers_bit_for_bit(instance, run, capacity, per_layer):
+    trace, params = instance
+    params = ps.BillingParams(p_g=params.p_g, p_m=params.p_m, capacity=capacity)
+    algorithm, lam, hat, seed = run
+    # per-layer hats build the memoised stack before the runs, as an experiment's predictor does
+    hats = ps.true_layer_sigma_hats(trace, params) if per_layer else hat
+    expected = reference_run_layered(trace, params, algorithm, lam=lam, sigma_hats=hats, seed=seed)
+    for _ in range(2):  # the second run reads the stack the first one read
+        schedule = ps.run_layered(trace, params, algorithm, lam=lam, sigma_hats=hats, seed=seed)
+        assert schedule.u.tobytes() == expected.u.tobytes()
+        assert schedule.v.tobytes() == expected.v.tobytes()
 
 
 @PROPERTY

@@ -91,6 +91,11 @@ class TestSynthTrace:
         assert np.array_equal(a.demands, b.demands)
         assert not np.array_equal(a.demands, synth_trace(days=4, seed=14).demands)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(self, seed):
+        with pytest.raises(ps.DomainError, match="seed"):
+            synth_trace(days=1, seed=seed)
+
     def test_monthly_cycle_length(self):
         assert len(synth_trace(days=30, seed=0)) == 720
 
