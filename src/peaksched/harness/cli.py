@@ -16,13 +16,13 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from ..errors import PeakSchedError
 from .experiment import (
     ExperimentConfig,
     SWEEP_AXES,
     config_from_sources,
+    make_out_dir,
     parse_config_text,
     parse_text,
     run_experiment,
@@ -30,7 +30,7 @@ from .experiment import (
     sweep_errors,
     synth_config_trace,
 )
-from .traces import write_trace_csv
+from .traces import read_text, write_trace_csv
 from .verify import (
     default_beta_grid,
     default_lambda_grid,
@@ -49,7 +49,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(args: argparse.Namespace, **extra) -> ExperimentConfig:
     file_values = {}
     if args.config:
-        file_values = parse_config_text(Path(args.config).read_text())
+        file_values = parse_config_text(read_text(args.config))
     overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     overrides.update(extra)
     return config_from_sources(file_values, overrides)
@@ -111,8 +111,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     trace = synth_config_trace(config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(config.out_dir)
     price_file = out_dir / "prices.csv"
     demand_file = out_dir / "demands.csv"
     write_trace_csv(trace, price_file, demand_file, start=args.start)
@@ -143,8 +142,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     print(report.format())
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = make_out_dir(args.out_dir)
         (out_dir / "verification.txt").write_text(report.format() + "\n")
     return 0 if report.passed else 1
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DomainError, PeakSchedError, ValidationError
+from ..errors import DomainError, PeakSchedError, StructuralError, ValidationError
 from ..layering import (
     flipped_layer_sigma_hats,
     predicted_layer_sigma_hats,
@@ -359,8 +359,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
 
     report_path = manifest_path = None
     if write:
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = make_out_dir(config.out_dir)
         report_path = out_dir / "report.csv"
         manifest_path = out_dir / "manifest.json"
         write_report(rows, report_path)
@@ -368,6 +367,19 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     return ExperimentResult(
         rows=tuple(rows), manifest=manifest, report_path=report_path, manifest_path=manifest_path
     )
+
+
+def make_out_dir(out_dir: str | Path) -> Path:
+    """Create an output directory and its parents where missing; a path that
+    names a file, or cannot be created, raises ``StructuralError`` naming it."""
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise StructuralError(f"out-dir {out_dir}: exists and is not a directory") from None
+    except OSError as exc:
+        raise StructuralError(f"out-dir {out_dir}: cannot create it: {exc.strerror or exc}") from None
+    return out_dir
 
 
 def write_report(rows: list[dict], path: Path, extra_columns: tuple[str, ...] = ()) -> None:
@@ -433,8 +445,7 @@ def run_sweep(
     manifest = {"axis": axis, "values": list(values), "cells": manifests}
     report_path = manifest_path = None
     if write:
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = make_out_dir(config.out_dir)
         report_path = out_dir / f"sweep_{axis}.csv"
         manifest_path = out_dir / f"sweep_{axis}_manifest.json"
         write_report(rows, report_path, extra_columns=("axis", "axis_value"))

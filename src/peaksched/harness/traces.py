@@ -7,6 +7,7 @@ intersection of their timestamps.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -28,10 +29,26 @@ class LoadedTrace:
     dropped_demand_rows: int
 
 
+def read_text(path: str | Path) -> str:
+    """The contents of a UTF-8 text file.  A file that cannot be read (a
+    missing path, a directory) or that is not UTF-8 raises
+    ``StructuralError`` naming the path, and for a bad byte also its line."""
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise StructuralError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise StructuralError(f"{path} line {line}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_series(path: str | Path, kind: str) -> dict[datetime, float]:
     path = Path(path)
     series: dict[datetime, float] = {}
-    with path.open(newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if lineno == 1:

@@ -134,18 +134,16 @@ def run_layered(
     hats = _layer_sigma_hats(sigma_hats, stack.depth)
     seeded = seed is not None and algorithm.is_randomized
     u = np.zeros(len(trace))
-    v = np.zeros(len(trace))
     for i, (layer, hat) in enumerate(zip(stack.layers, hats), start=1):
         if i > params.capacity:
-            v += layer.demands
-            continue
+            break  # this layer and all above it buy from the grid: v covers them
         layer_seed = _layer_seed(seed, i) if seeded else None
         record: RunRecord = run_algorithm(
             layer, params, algorithm, lam=lam, sigma_hat=hat, seed=layer_seed
         )
         u += record.schedule.u
-        v += record.schedule.v
-    return Schedule(u=_frozen(u), v=_frozen(v))
+    # u counts whole units, so d - u is exactly the sum of the layers' grid purchases
+    return Schedule(u=_frozen(u), v=_frozen(trace.demands - u))
 
 
 def project_ramp(schedule: Schedule, trace: Trace, params: BillingParams) -> Schedule:

@@ -81,10 +81,11 @@ class Trace:
     a.setflags(write=False); t = Trace(prices=[1, 1, 1], demands=a)``, the
     write ``b[0] = 5`` changes ``t.demands`` but leaves stale what was
     computed from it: ``t.max_demand`` stays 0, the integer and binary
-    tests keep their answers, a premium prefix that the online engine
-    memoised for ``t`` keeps the old sums, and the layer stack that
-    ``decompose`` memoised for ``t`` keeps the old layers.  The package's
-    own arrays keep no such view.
+    tests keep their answers, the premium prefix that the online engine
+    stores for ``t`` (for as long as ``t`` lives) keeps the old sums, and
+    the layer stack that ``decompose`` memoised for ``t`` keeps the old
+    layers and their stored prefixes.  The package's own arrays keep no
+    such view.
     """
 
     prices: np.ndarray

@@ -185,29 +185,29 @@ def _crossings(trace: Trace, params: BillingParams, s):
     return cumulative.searchsorted(s * params.p_m, side="left"), float(cumulative[-1])
 
 
-# The last (trace, p_g) whose premium prefix was asked for: a weak reference
-# to the trace, p_g, and the frozen prefix once the same pair has come twice
-# in a row (None before).  One immutable tuple, read once and replaced whole,
-# so a thread sees either the old entry or the new one, never a mix; and a
-# dead weak reference matches no trace, even one rebuilt at the same id.
-_last_prefix: tuple | None = None
+# Each live trace's premium prefix, keyed weakly by the trace (``Trace``
+# hashes by identity): one immutable tuple ``(p_g, frozen prefix or None)``
+# per trace, read once and replaced whole, so a thread sees either the old
+# entry or the new one, never a mix.  An entry dies with its trace.
+_prefixes: weakref.WeakKeyDictionary[Trace, tuple] = weakref.WeakKeyDictionary()
 
 
 def _premium_prefix(trace: Trace, p_g: float) -> np.ndarray:
-    """``((p_g - p) * d).cumsum()`` of a trace, memoised for the last trace.
+    """``((p_g - p) * d).cumsum()`` of a trace, memoised per trace.
 
-    Repeated runs on one trace (Monte Carlo, parameter sweeps) store the
-    prefix on their second call and read it from the third on; a sequence
-    of different traces, such as one layered run's layers, stores none, so
-    the memo holds at most the one prefix that is being reused.
+    The first request for a ``(trace, p_g)`` pair stores no prefix, the
+    second stores it, and the third and every later one read it for as long
+    as the trace lives; a new ``p_g`` for the trace starts the count again.  So repeated runs on
+    one trace (Monte Carlo, parameter sweeps) and the cells of one layered
+    experiment, which visit the same layers in turn, share one cumsum per
+    layer, while a trace that is run only once keeps no prefix.
     """
-    global _last_prefix
-    last = _last_prefix
-    repeat = last is not None and last[0]() is trace and last[1] == p_g
-    if repeat and last[2] is not None:
-        return last[2]
+    entry = _prefixes.get(trace)
+    repeat = entry is not None and entry[0] == p_g
+    if repeat and entry[1] is not None:
+        return entry[1]
     cumulative = _frozen(((p_g - trace.prices) * trace.demands).cumsum())
-    _last_prefix = (last[0], p_g, cumulative) if repeat else (weakref.ref(trace), p_g, None)
+    _prefixes[trace] = (p_g, cumulative if repeat else None)
     return cumulative
 
 

@@ -207,3 +207,32 @@ def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, config_text, argv, m
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("compare --price-csv {tmp}/nope.csv --demand-csv {tmp}/good/demands.csv", "nope.csv: cannot read"),
+        ("compare --price-csv {tmp}/folder.csv --demand-csv {tmp}/good/demands.csv", "folder.csv: cannot read"),
+        ("compare --price-csv {tmp}/latin1.csv --demand-csv {tmp}/good/demands.csv", "latin1.csv line 5: not UTF-8"),
+        ("compare --days 2 --config {tmp}/none.cfg", "none.cfg: cannot read"),
+        ("compare --days 2 --seed 1 --out-dir {tmp}/a-file", "a-file: exists and is not a directory"),
+        ("synth --days 2 --out-dir {tmp}/a-file", "a-file: exists and is not a directory"),
+    ],
+)
+def test_unreadable_files_exit_2_naming_the_path(tmp_path, capsys, argv, message):
+    good = tmp_path / "good"
+    assert main(["synth", "--days", "2", "--seed", "1", "--out-dir", str(good)]) == 0
+    (tmp_path / "folder.csv").mkdir()
+    lines = (good / "prices.csv").read_bytes().split(b"\n")
+    lines[4] = lines[4].replace(b",", b",\xff")  # a Latin-1 byte on line 5
+    (tmp_path / "latin1.csv").write_bytes(b"\n".join(lines))
+    (tmp_path / "a-file").write_text("not a directory\n")
+    args = argv.format(tmp=tmp_path).split()
+    if "--out-dir" not in args:
+        args += ["--out-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()

@@ -1,7 +1,9 @@
 """Threshold runs, policy construction, threshold distributions, sampling."""
+import gc
 import math
 import pickle
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -160,6 +162,10 @@ class TestPremiumPrefixMemo:
         assert record.schedule.v.tobytes() == v.tobytes()
         assert record.cumulative_premium == premium
 
+    @staticmethod
+    def _fresh(trace, p_g):
+        return ((p_g - trace.prices) * trace.demands).cumsum()
+
     def test_a_trace_rebuilt_at_a_dropped_traces_id_gets_its_own_prefix(self, rng):
         params = ps.BillingParams(p_g=1.0, p_m=1.0, capacity=1)
         for _ in range(50):
@@ -185,8 +191,49 @@ class TestPremiumPrefixMemo:
         params = ps.BillingParams(p_g=1.0, p_m=1.0, capacity=1)
         for _ in range(3):
             ps.run_threshold(trace, params, ps.bed_policy())
-        stored = online._last_prefix[2]
-        assert stored is not None and not stored.flags.writeable
+        p_g, stored = online._prefixes[trace]
+        assert p_g == 1.0 and stored is not None and not stored.flags.writeable
+        assert online._premium_prefix(trace, 1.0) is stored
+
+    def test_a_trace_run_once_stores_nothing(self):
+        trace = ps.Trace(prices=[0.5, 0.25, 0.75], demands=[1, 0, 1])
+        ps.run_threshold(trace, ps.BillingParams(p_g=1.0, p_m=1.0, capacity=1), ps.bed_policy())
+        assert online._prefixes[trace] == (1.0, None)
+
+    def test_interleaved_traces_read_their_stored_prefix_from_the_third_visit(self, rng):
+        # the visiting order of a layered experiment: every cell runs layer A, then layer B
+        traces = [ps.Trace(prices=rng.uniform(0.1, 1.0, 50), demands=np.ones(50)) for _ in range(2)]
+        seen = [[], []]
+        for _ in range(3):
+            for k, trace in enumerate(traces):
+                seen[k].append(online._premium_prefix(trace, 1.0))
+        for trace, (first, second, third) in zip(traces, seen):
+            assert first is not second  # the second visit computes the prefix it stores
+            assert third is second is online._prefixes[trace][1]
+            for prefix in (first, second):
+                assert prefix.tobytes() == self._fresh(trace, 1.0).tobytes()
+
+    def test_a_dropped_trace_takes_its_entry_and_prefix_along(self):
+        trace = ps.Trace(prices=[0.5, 0.25, 0.75], demands=[1, 1, 1])
+        for _ in range(2):
+            online._premium_prefix(trace, 1.0)
+        prefix = weakref.ref(online._prefixes[trace][1])
+        gc.collect()  # earlier tests' garbage must not leave during the count below
+        entries = len(online._prefixes)
+        del trace
+        gc.collect()
+        assert prefix() is None
+        assert len(online._prefixes) == entries - 1
+
+    def test_a_new_p_g_recomputes_the_prefix(self):
+        trace = ps.Trace(prices=[0.5, 0.25, 0.75, 1.0], demands=[1, 1, 0, 1])
+        for _ in range(3):
+            stored = online._premium_prefix(trace, 1.0)
+        changed = online._premium_prefix(trace, 2.0)
+        assert changed is not stored
+        assert changed.tobytes() == self._fresh(trace, 2.0).tobytes()
+        assert online._prefixes[trace] == (2.0, None)  # the count starts again for the new p_g
+        assert online._premium_prefix(trace, 1.0).tobytes() == stored.tobytes()
 
     def test_threads_sharing_two_traces_never_read_the_other_prefix(self, rng):
         traces = [

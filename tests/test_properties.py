@@ -121,7 +121,7 @@ def test_layered_runs_through_the_memo_equal_fresh_layers_bit_for_bit(instance, 
     # per-layer hats build the memoised stack before the runs, as an experiment's predictor does
     hats = ps.true_layer_sigma_hats(trace, params) if per_layer else hat
     expected = reference_run_layered(trace, params, algorithm, lam=lam, sigma_hats=hats, seed=seed)
-    for _ in range(2):  # the second run reads the stack the first one read
+    for _ in range(3):  # the second run reads the stack the first one built, the third the stored prefixes
         schedule = ps.run_layered(trace, params, algorithm, lam=lam, sigma_hats=hats, seed=seed)
         assert schedule.u.tobytes() == expected.u.tobytes()
         assert schedule.v.tobytes() == expected.v.tobytes()
