@@ -30,7 +30,7 @@ from .experiment import (
     sweep_errors,
     synth_config_trace,
 )
-from .traces import read_text, write_trace_csv
+from .traces import read_text, write_text, write_trace_csv
 from .verify import (
     default_beta_grid,
     default_lambda_grid,
@@ -143,7 +143,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(report.format())
     if args.out_dir:
         out_dir = make_out_dir(args.out_dir)
-        (out_dir / "verification.txt").write_text(report.format() + "\n")
+        write_text(out_dir / "verification.txt", report.format() + "\n")
     return 0 if report.passed else 1
 
 

@@ -31,7 +31,7 @@ from ..online import Algorithm
 from ..analysis import empirical_ratio
 from ..prediction import gaussian_predictor, sigma_hat as sigma_hat_of
 from ..validators import NAIVE_LAMBDA_FLOOR
-from .traces import parse_trace_csv, synth_trace
+from .traces import parse_trace_csv, synth_trace, write_text
 
 REPORT_COLUMNS = (
     "algorithm",
@@ -363,7 +363,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
         report_path = out_dir / "report.csv"
         manifest_path = out_dir / "manifest.json"
         write_report(rows, report_path)
-        manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        write_text(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return ExperimentResult(
         rows=tuple(rows), manifest=manifest, report_path=report_path, manifest_path=manifest_path
     )
@@ -384,10 +384,9 @@ def make_out_dir(out_dir: str | Path) -> Path:
 
 def write_report(rows: list[dict], path: Path, extra_columns: tuple[str, ...] = ()) -> None:
     columns = REPORT_COLUMNS + extra_columns
-    with Path(path).open("w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(row.get(col)) for col in columns) + "\n")
+    lines = [",".join(columns)]
+    lines += (",".join(_format_value(row.get(col)) for col in columns) for row in rows)
+    write_text(path, "\n".join(lines) + "\n")
 
 
 _TENTHS = tuple(round(0.1 * i, 1) for i in range(1, 11))
@@ -449,7 +448,7 @@ def run_sweep(
         report_path = out_dir / f"sweep_{axis}.csv"
         manifest_path = out_dir / f"sweep_{axis}_manifest.json"
         write_report(rows, report_path, extra_columns=("axis", "axis_value"))
-        manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        write_text(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return ExperimentResult(
         rows=tuple(rows), manifest=manifest, report_path=report_path, manifest_path=manifest_path
     )

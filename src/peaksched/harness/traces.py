@@ -45,6 +45,21 @@ def read_text(path: str | Path) -> str:
         raise StructuralError(f"{path} line {line}: not UTF-8 text ({exc.reason})") from None
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with LF line endings, unlinking
+    an existing file first: on some disks truncating a file that was just
+    written waits for its old data to be flushed, while a new file does
+    not wait.  A path that cannot be written (a directory in its place, a
+    read-only directory) raises ``StructuralError`` naming the path."""
+    path = Path(path)
+    try:
+        path.unlink(missing_ok=True)
+        with path.open("w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise StructuralError(f"{path}: cannot write: {exc.strerror or exc}") from None
+
+
 def _read_series(path: str | Path, kind: str) -> dict[datetime, float]:
     path = Path(path)
     series: dict[datetime, float] = {}
@@ -149,9 +164,7 @@ def write_trace_csv(
 ) -> None:
     """Write a trace as two hourly `timestamp,value` CSVs (LF endings)."""
     stamp0 = datetime.fromisoformat(start)
-    stamps = [stamp0 + timedelta(hours=i) for i in range(len(trace))]
+    stamps = [(stamp0 + timedelta(hours=i)).isoformat(timespec="minutes") for i in range(len(trace))]
     for path, values in ((price_file, trace.prices), (demand_file, trace.demands)):
-        with Path(path).open("w", newline="\n") as fh:
-            fh.write("timestamp,value\n")
-            for stamp, value in zip(stamps, values):
-                fh.write(f"{stamp.isoformat(timespec='minutes')},{float(value)!r}\n")
+        rows = "".join(f"{stamp},{value!r}\n" for stamp, value in zip(stamps, values.tolist()))
+        write_text(path, "timestamp,value\n" + rows)

@@ -141,7 +141,10 @@ def run_layered(
         record: RunRecord = run_algorithm(
             layer, params, algorithm, lam=lam, sigma_hat=hat, seed=layer_seed
         )
-        u += record.schedule.u
+        # the layer serves its demand locally before its switch slot, so no
+        # per-layer schedule is built
+        slot = len(trace) if record.switch_slot is None else record.switch_slot
+        u[:slot] += layer.demands[:slot]
     # u counts whole units, so d - u is exactly the sum of the layers' grid purchases
     return Schedule(u=_frozen(u), v=_frozen(trace.demands - u))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -83,18 +83,29 @@ class SwitchPolicy:
 
 @dataclass(frozen=True, eq=False)
 class RunRecord:
-    """Outcome of one threshold run.
+    """Outcome of one threshold run on ``trace``.
 
     ``switch_slot`` is the 0-based index of the first grid-served slot, or
     None when the policy never switched.  ``cumulative_premium`` is the
     final ``S(T)``, accumulated over every slot regardless of which source
-    served it, so ``S(T) = sigma * p_m`` is an identity.
+    served it, so ``S(T) = sigma * p_m`` is an identity.  The ``schedule``
+    is ``switch_schedule(trace, switch_slot)``, built on its first read
+    and kept: a caller that needs only the switch slot builds none.
     """
 
-    schedule: Schedule
+    trace: Trace = field(repr=False)
     switch_slot: int | None
     policy: SwitchPolicy
     cumulative_premium: float
+    _schedule: Schedule | None = field(default=None, init=False, repr=False)
+
+    @property
+    def schedule(self) -> Schedule:
+        # not functools.cached_property, which takes a lock on every first
+        # read before Python 3.12; Monte Carlo runs read one per record
+        if self._schedule is None:
+            object.__setattr__(self, "_schedule", switch_schedule(self.trace, self.switch_slot))
+        return self._schedule
 
 
 def run_threshold(trace: Trace, params: BillingParams, policy: SwitchPolicy) -> RunRecord:
@@ -110,7 +121,7 @@ def run_threshold(trace: Trace, params: BillingParams, policy: SwitchPolicy) -> 
     if switch == len(trace):
         switch = None
     return RunRecord(
-        schedule=switch_schedule(trace, switch),
+        trace=trace,
         switch_slot=switch,
         policy=policy,
         cumulative_premium=premium,
@@ -213,7 +224,16 @@ def _premium_prefix(trace: Trace, p_g: float) -> np.ndarray:
 
 def switch_schedule(trace: Trace, switch: int | None) -> Schedule:
     """Serve a 0/1-demand trace locally before slot ``switch`` and from the
-    grid from it on; None serves every slot locally."""
+    grid from it on; None (or ``len(trace)``) serves every slot locally.
+    A slot that is not an integer in ``[0, len(trace)]`` raises
+    ``DomainError`` naming it."""
+    horizon = len(trace.demands)
+    if switch is not None and not (type(switch) is int and 0 <= switch <= horizon):
+        # off the fast path: a numpy integer, or a slot to reject
+        if isinstance(switch, bool) or not isinstance(switch, (int, np.integer)):
+            raise DomainError(f"switch slot {switch!r} must be an integer or None")
+        if not 0 <= switch <= horizon:
+            raise DomainError(f"switch slot {switch} lies outside [0, {horizon}]")
     d = trace.demands
     u = d.copy()
     if switch is not None:
@@ -384,22 +404,35 @@ class Algorithm(str, Enum):
         return self in (Algorithm.LAMBDA_BED, Algorithm.LAMBDA_RED, Algorithm.NAIVE_LAMBDA_RED)
 
 
-@lru_cache(maxsize=64, typed=True)
 def policy_distribution(
-    algorithm: Algorithm, beta: float, lam: float | None, sigma_hat: float | None
+    algorithm: Algorithm | str, beta: float, lam: float | None, sigma_hat: float | None
 ) -> DistributionSpec:
     """The threshold distribution a randomized algorithm draws from.
 
-    Memoised: specs are frozen, so repeated runs with the same arguments
-    share one.  Invalid arguments raise on every call (a raised call is
-    not cached).
+    Memoised: specs are frozen, and the specs read ``sigma_hat`` only
+    through ``sigma_hat > 1``, so every call with the same algorithm,
+    ``beta``, ``lam`` and side of 1 shares one spec (``red`` reads neither
+    ``lam`` nor ``sigma_hat``).  Invalid arguments raise on every call (a
+    raised call is not cached).
     """
+    if not isinstance(algorithm, Algorithm):
+        algorithm = Algorithm(algorithm)
     if algorithm is Algorithm.RED:
-        return red_distribution(beta)
+        return _distribution(algorithm, beta, None, None)
     if sigma_hat is None:
         raise DomainError(f"{algorithm.value} needs a predicted premium mass (sigma_hat)")
     if lam is None:
         raise DomainError(f"{algorithm.value} needs the trust parameter lambda")
+    check_sigma_hat(sigma_hat)
+    return _distribution(algorithm, beta, lam, bool(sigma_hat > 1))
+
+
+@lru_cache(maxsize=64, typed=True)
+def _distribution(algorithm: Algorithm, beta: float, lam: float | None, above: bool | None) -> DistributionSpec:
+    if algorithm is Algorithm.RED:
+        return red_distribution(beta)
+    # any mass on the same side of 1 gives the same spec
+    sigma_hat = 2.0 if above else 0.0
     if algorithm is Algorithm.LAMBDA_RED:
         return lambda_red_distribution(sigma_hat, lam, beta)
     if algorithm is Algorithm.NAIVE_LAMBDA_RED:

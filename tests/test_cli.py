@@ -1,6 +1,7 @@
 """Command-line interface and the verification report."""
 import argparse
 import json
+import os
 from dataclasses import fields
 
 import pytest
@@ -236,3 +237,39 @@ def test_unreadable_files_exit_2_naming_the_path(tmp_path, capsys, argv, message
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+# each writing command, and the files it writes into its --out-dir
+WRITERS = {
+    "compare": ("compare --days 2 --seed 1 --algorithms bed,red", ("report.csv", "manifest.json")),
+    "sweep": (
+        "sweep --axis capacity --values 0.5,1.0 --days 2 --seed 1",
+        ("sweep_capacity.csv", "sweep_capacity_manifest.json"),
+    ),
+    "synth": ("synth --days 2 --seed 1", ("prices.csv", "demands.csv")),
+    "verify": ("verify --grid-resolution 5 --slots 600", ("verification.txt",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_a_rerun_into_the_same_out_dir_writes_new_identical_files(tmp_path, capsys, command):
+    argv, names = WRITERS[command]
+    args = [*argv.split(), "--out-dir", str(tmp_path / "out")]
+    assert main(args) == 0
+    first = {name: (tmp_path / "out" / name).read_bytes() for name in names}
+    for name in names:  # a second name for each old file: it must stay as it was
+        os.link(tmp_path / "out" / name, tmp_path / f"old-{name}")
+    assert main(args) == 0
+    for name in names:
+        assert (tmp_path / "out" / name).read_bytes() == first[name]
+        # the old file was unlinked, not truncated and rewritten in place
+        assert not os.path.samefile(tmp_path / "out" / name, tmp_path / f"old-{name}")
+        assert (tmp_path / f"old-{name}").read_bytes() == first[name]
+
+
+@pytest.mark.parametrize("command, name", [(c, n) for c, (_, names) in sorted(WRITERS.items()) for n in names])
+def test_an_unwritable_output_exits_2_naming_it(tmp_path, capsys, command, name):
+    (tmp_path / "out" / name).mkdir(parents=True)
+    assert main([*WRITERS[command][0].split(), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{tmp_path / 'out' / name}: cannot write" in err

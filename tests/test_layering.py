@@ -142,6 +142,19 @@ class TestRunLayered:
                 assert np.all(schedule.u <= params.capacity + 1e-12)
                 assert np.all(schedule.u + schedule.v >= trace.demands - 1e-12)
 
+    @pytest.mark.parametrize("algorithm", ["bed", "lambda-bed", "red", "lambda-red", "naive-lambda-red"])
+    @pytest.mark.parametrize("capacity", [2.0, 9.0])
+    def test_one_schedule_is_built_per_call(self, rng, monkeypatch, algorithm, capacity):
+        # depth 5: the capacity lies below and above it
+        trace, params = make_integer_instance(rng, max_demand=5, capacity=capacity)
+        assert ps.decompose(trace).depth == 5
+        built = []
+        post_init = ps.Schedule.__post_init__
+        monkeypatch.setattr(ps.Schedule, "__post_init__", lambda self: (built.append(1), post_init(self))[1])
+        for seed in range(3):
+            ps.run_layered(trace, params, algorithm, lam=0.5, sigma_hats=[0.5, 2.0, 0.7, 3.0, 0.1], seed=seed)
+        assert len(built) == 3
+
     def test_combined_cost_within_sum_of_layer_costs(self, rng):
         for _ in range(20):
             trace, params = make_integer_instance(rng)

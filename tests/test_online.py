@@ -2,6 +2,7 @@
 import gc
 import math
 import pickle
+import re
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -105,6 +106,54 @@ class TestRunThreshold:
         record = ps.run_threshold(trace, ps.BillingParams(p_g=2, p_m=2, capacity=1), ps.bed_policy())
         assert record.switch_slot is None
         assert ps.cost_of(record.schedule, trace, ps.BillingParams(p_g=2, p_m=2, capacity=1)).total == 0
+
+
+class TestLazySchedule:
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.3, 1.0, math.inf])
+    def test_the_schedule_is_the_switch_schedule_byte_for_byte(self, rng, s):
+        for _ in range(10):
+            trace, params = make_binary_instance(rng)
+            record = ps.run_threshold(trace, params, ps.SwitchPolicy.at(s))
+            expected = ps.switch_schedule(trace, record.switch_slot)
+            got = record.schedule
+            assert got.u.tobytes() == expected.u.tobytes()
+            assert got.v.tobytes() == expected.v.tobytes()
+            assert (got._max_u, got._max_v) == (expected._max_u, expected._max_v)
+
+    def test_the_schedule_is_read_only_and_built_once_on_first_read(self, rng, monkeypatch):
+        trace, params = make_binary_instance(rng)
+        built = []
+        post_init = ps.Schedule.__post_init__
+        monkeypatch.setattr(ps.Schedule, "__post_init__", lambda self: (built.append(1), post_init(self))[1])
+        record = ps.run_algorithm(trace, params, "lambda-red", lam=0.5, sigma_hat=2.0, seed=4)
+        assert built == []
+        first = record.schedule
+        assert record.schedule is first and len(built) == 1
+        assert not first.u.flags.writeable and not first.v.flags.writeable
+        with pytest.raises(AttributeError):
+            record.schedule = ps.switch_schedule(trace, None)
+        assert record.schedule is first
+        assert "trace" not in repr(record)
+
+
+class TestSwitchSchedule:
+    @pytest.mark.parametrize("slot", [-1, -3, 4, 100])
+    def test_rejects_a_slot_outside_the_horizon(self, slot):
+        trace = ps.Trace(prices=[1, 1, 1], demands=[1, 0, 1])
+        with pytest.raises(ps.DomainError, match=f"switch slot {slot} lies outside \\[0, 3\\]"):
+            ps.switch_schedule(trace, slot)
+
+    @pytest.mark.parametrize("slot", [1.5, 1.0, True, "1", np.float64(2.0)])
+    def test_rejects_a_slot_that_is_not_an_integer(self, slot):
+        trace = ps.Trace(prices=[1, 1, 1], demands=[1, 0, 1])
+        with pytest.raises(ps.DomainError, match=re.escape(f"switch slot {slot!r} must be an integer")):
+            ps.switch_schedule(trace, slot)
+
+    def test_the_horizon_and_numpy_integers_are_slots(self):
+        trace = ps.Trace(prices=[1, 1, 1], demands=[1, 0, 1])
+        never = ps.switch_schedule(trace, None)
+        assert ps.switch_schedule(trace, 3).u.tobytes() == never.u.tobytes() == trace.demands.tobytes()
+        assert ps.switch_schedule(trace, np.int64(0)).v.tobytes() == trace.demands.tobytes()
 
 
 class TestSwitchCosts:
@@ -466,6 +515,32 @@ class TestRunAlgorithm:
         for _ in range(3):
             with pytest.raises(ps.DomainError, match="lambda"):
                 ps.policy_distribution(algorithm, 0.4, math.nan, 2.0)
+
+    def test_policy_distribution_takes_algorithm_names(self):
+        assert ps.policy_distribution("red", 0.4, None, None) is ps.policy_distribution(ps.Algorithm.RED, 0.4, None, None)
+        assert ps.policy_distribution("lambda-red", 0.4, 0.5, 2.0) == ps.lambda_red_distribution(2.0, 0.5, 0.4)
+        with pytest.raises(ValueError):
+            ps.policy_distribution("blue", 0.4, None, None)
+        with pytest.raises(ps.DomainError, match="deterministic"):
+            ps.policy_distribution("lambda-bed", 0.4, 0.5, 2.0)
+
+    @pytest.mark.parametrize("algorithm, build", [
+        (ps.Algorithm.LAMBDA_RED, ps.lambda_red_distribution),
+        (ps.Algorithm.NAIVE_LAMBDA_RED, ps.naive_red_distribution),
+    ])
+    @pytest.mark.parametrize("hats", [(1.5, 7.0, 1.0000001), (0.2, 1.0, -3.0)])
+    def test_hats_on_the_same_side_of_one_share_one_spec(self, algorithm, build, hats):
+        specs = [ps.policy_distribution(algorithm, 0.4, 0.5, hat) for hat in hats]
+        assert all(spec is specs[0] for spec in specs)
+        for hat in hats:
+            assert specs[0] == build(hat, 0.5, 0.4)
+        other = ps.policy_distribution(algorithm, 0.4, 0.5, 0.5 if hats[0] > 1 else 2.0)
+        assert other != specs[0]
+
+    def test_red_shares_one_spec_whatever_lam_and_hat(self):
+        spec = ps.policy_distribution(ps.Algorithm.RED, 0.4, None, None)
+        assert ps.policy_distribution(ps.Algorithm.RED, 0.4, 0.3, 5.0) is spec
+        assert ps.policy_distribution(ps.Algorithm.RED, 0.4, 1.0, 0.1) is spec
 
     def test_full_trust_randomized_distribution_equals_pure(self):
         beta = 0.45
