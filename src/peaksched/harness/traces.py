@@ -162,9 +162,20 @@ def write_trace_csv(
     demand_file: str | Path,
     start: str = "2018-04-01T00:00",
 ) -> None:
-    """Write a trace as two hourly `timestamp,value` CSVs (LF endings)."""
+    """Write a trace as two hourly `timestamp,value` CSVs (LF endings).
+
+    Row ``i`` is stamped ``(start + i hours).isoformat(timespec="minutes")``;
+    the stamps come from one numpy minute range, not per-row datetimes.
+    """
     stamp0 = datetime.fromisoformat(start)
-    stamps = [(stamp0 + timedelta(hours=i)).isoformat(timespec="minutes") for i in range(len(trace))]
+    # the last stamp raises OverflowError past year 9999, as datetime arithmetic does
+    stamp0 + timedelta(hours=len(trace) - 1)
+    # an aware start has a fixed offset, so every stamp carries its suffix;
+    # numpy floors the wall-clock time to the minute, as isoformat truncates it
+    naive = stamp0.replace(tzinfo=None)
+    offset = stamp0.isoformat(timespec="minutes")[len(naive.isoformat(timespec="minutes")) :]
+    hours = np.arange(len(trace)) * np.timedelta64(1, "h")
+    stamps = np.datetime_as_string(np.datetime64(naive, "m") + hours, unit="m").tolist()
     for path, values in ((price_file, trace.prices), (demand_file, trace.demands)):
-        rows = "".join(f"{stamp},{value!r}\n" for stamp, value in zip(stamps, values.tolist()))
+        rows = "".join(f"{stamp}{offset},{value!r}\n" for stamp, value in zip(stamps, values.tolist()))
         write_text(path, "timestamp,value\n" + rows)

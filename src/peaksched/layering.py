@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import BillingParams, Schedule, Trace, _frozen, sigma
-from .online import Algorithm, RunRecord, run_algorithm
+from .online import Algorithm, RunRecord, _as_algorithm, run_algorithm
 from .prediction import Prediction
 from .validators import check_seed, is_real
 
@@ -127,7 +127,7 @@ def run_layered(
     reproducible and layers independent; a seed, where given, must be a
     non-negative integer.
     """
-    algorithm = Algorithm(algorithm)
+    algorithm = _as_algorithm(algorithm)
     if seed is not None:
         check_seed(seed)
     stack = decompose(trace)

@@ -15,6 +15,7 @@ distribution with an exponential density segment and up to two atoms.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
@@ -404,6 +405,18 @@ class Algorithm(str, Enum):
         return self in (Algorithm.LAMBDA_BED, Algorithm.LAMBDA_RED, Algorithm.NAIVE_LAMBDA_RED)
 
 
+def _as_algorithm(algorithm: Algorithm | str) -> Algorithm:
+    """An ``Algorithm`` member as it is, or the member a name stands for;
+    anything else raises ``DomainError`` naming the choices."""
+    if isinstance(algorithm, Algorithm):
+        return algorithm
+    try:
+        return Algorithm(algorithm)
+    except ValueError:
+        choices = ", ".join(member.value for member in Algorithm)
+        raise DomainError(f"unknown algorithm {algorithm!r}; choose one of {choices}") from None
+
+
 def policy_distribution(
     algorithm: Algorithm | str, beta: float, lam: float | None, sigma_hat: float | None
 ) -> DistributionSpec:
@@ -415,8 +428,7 @@ def policy_distribution(
     ``lam`` nor ``sigma_hat``).  Invalid arguments raise on every call (a
     raised call is not cached).
     """
-    if not isinstance(algorithm, Algorithm):
-        algorithm = Algorithm(algorithm)
+    algorithm = _as_algorithm(algorithm)
     if algorithm is Algorithm.RED:
         return _distribution(algorithm, beta, None, None)
     if sigma_hat is None:
@@ -451,10 +463,11 @@ def select_policy(
     """The switch policy an algorithm runs with on a trace.
 
     Randomized algorithms require ``seed`` and draw one threshold from
-    ``default_rng(seed)``; identical seeds yield identical policies.  A
-    seed, where given, must be a non-negative integer.
+    ``default_rng(seed)`` (through :func:`_seeded_uniform`); identical
+    seeds yield identical policies.  A seed, where given, must be a
+    non-negative integer.
     """
-    algorithm = Algorithm(algorithm)
+    algorithm = _as_algorithm(algorithm)
     if seed is not None:
         check_seed(seed)
     if algorithm is Algorithm.BED:
@@ -468,7 +481,22 @@ def select_policy(
     if seed is None:
         raise DomainError(f"{algorithm.value} is randomized and requires a seed")
     spec = policy_distribution(algorithm, beta_of(trace, params), lam, sigma_hat)
-    return sample(spec, float(np.random.default_rng(seed).random()))
+    return sample(spec, _seeded_uniform(operator.index(seed)))
+
+
+@lru_cache(maxsize=1024)
+def _seeded_uniform(seed: int) -> float:
+    """The first uniform of ``default_rng(seed)``, memoised per integer seed.
+
+    A layered run's layer seeds are a pure function of ``(seed, layer
+    index)``, so every cell of an experiment draws the same uniforms; the
+    bound matches ``layering._layer_seed``'s, so both memos hold the same
+    layers.  Callers pass ``operator.index(seed)``, so a numpy integer
+    shares the entry of the equal int.  Where every seed is new (Monte
+    Carlo) or a run cycles through more layer seeds than the bound, each
+    call misses and pays only the lookup on top of the draw.
+    """
+    return float(np.random.default_rng(seed).random())
 
 
 def run_algorithm(

@@ -177,6 +177,19 @@ class TestRunExperiment:
         assert first.manifest["errors"] == {} and len(first.rows) == 32
         assert first.report_path.read_bytes() == second.report_path.read_bytes()
 
+    def test_memoised_draws_do_not_leak_across_experiments(self, tmp_path):
+        # seed 4 in between refills the per-seed memos; seed 3 must read as it did
+        overrides = dict(
+            algorithms=",".join(a.value for a in ps.Algorithm),
+            predictors="perfect,gaussian,adversarial",
+        )
+        reports = [
+            run_experiment(small_config(out_dir=str(tmp_path / f"{run}"), seed=seed, **overrides)).report_path
+            for run, seed in enumerate((3, 4, 3))
+        ]
+        assert reports[0].read_bytes() == reports[2].read_bytes()
+        assert reports[0].read_bytes() != reports[1].read_bytes()
+
     def test_ramp_configuration_uses_ramp_oracle(self):
         result = run_experiment(small_config(ramp_ratio=0.4), write=False)
         assert result.manifest["params"]["ramp"] is not None

@@ -9,7 +9,7 @@ import pytest
 
 import peaksched as ps
 from conftest import make_binary_instance, make_integer_instance
-from peaksched import layering
+from peaksched import layering, online
 
 
 class TestDecompose:
@@ -155,6 +155,28 @@ class TestRunLayered:
             ps.run_layered(trace, params, algorithm, lam=0.5, sigma_hats=[0.5, 2.0, 0.7, 3.0, 0.1], seed=seed)
         assert len(built) == 3
 
+    @pytest.mark.parametrize("algorithm", ["red", "lambda-red", "naive-lambda-red"])
+    @pytest.mark.parametrize("capacity", [2.0, 9.0])
+    def test_one_generator_is_built_per_layer_seed(self, rng, monkeypatch, algorithm, capacity):
+        # depth 5: the capacity lies below and above it; later calls reuse the draws
+        trace, params = make_integer_instance(rng, max_demand=5, capacity=capacity)
+        built = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(online.np.random, "default_rng", lambda seed: (built.append(seed), default_rng(seed))[1])
+        online._seeded_uniform.cache_clear()
+        hats = [0.5, 2.0, 0.7, 3.0, 0.1]
+        outputs = {
+            ps.run_layered(trace, params, algorithm, lam=0.5, sigma_hats=hats, seed=11).u.tobytes() for _ in range(3)
+        }
+        assert len(outputs) == 1
+        assert len(built) == min(int(capacity), 5)
+
+    def test_an_unknown_algorithm_name_is_a_domain_error(self):
+        trace = ps.Trace(prices=[1, 1], demands=[2, 2])
+        params = ps.BillingParams(p_g=2, p_m=10, capacity=2)
+        with pytest.raises(ps.PeakSchedError, match="unknown algorithm 'blue'; choose one of bed"):
+            ps.run_layered(trace, params, "blue")
+
     def test_combined_cost_within_sum_of_layer_costs(self, rng):
         for _ in range(20):
             trace, params = make_integer_instance(rng)
@@ -221,7 +243,9 @@ class TestRunLayered:
         trace, params = make_integer_instance(rng)
         for algorithm in ("red", "naive-lambda-red"):
             plain = ps.run_layered(trace, params, algorithm, lam=0.5, sigma_hats=0.7, seed=2**40 + 3)
-            layering._layer_seed.cache_clear()  # derive the numpy seed's layer seeds afresh
+            # derive the numpy seed's layer seeds and draw their uniforms afresh
+            layering._layer_seed.cache_clear()
+            online._seeded_uniform.cache_clear()
             numpy = ps.run_layered(trace, params, algorithm, lam=0.5, sigma_hats=0.7, seed=np.uint64(2**40 + 3))
             assert plain.u.tobytes() == numpy.u.tobytes()
 

@@ -594,9 +594,51 @@ class TestRunAlgorithm:
         with pytest.raises(ps.DomainError, match="seed must be a non-negative integer"):
             ps.select_policy(trace, params, algorithm, lam=0.5, sigma_hat=2.0, seed=seed)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda trace, params: ps.select_policy(trace, params, "blue", seed=1),
+            lambda trace, params: ps.run_algorithm(trace, params, "blue", seed=1),
+            lambda trace, params: ps.policy_distribution("blue", 0.4, 0.5, 2.0),
+        ],
+        ids=["select_policy", "run_algorithm", "policy_distribution"],
+    )
+    def test_an_unknown_algorithm_name_is_a_domain_error_naming_the_choices(self, rng, call):
+        trace, params = make_binary_instance(rng)
+        with pytest.raises(ps.PeakSchedError, match="unknown algorithm 'blue'; choose one of bed, lambda-bed"):
+            call(trace, params)
+
     def test_numpy_integer_seeds_draw_what_python_ints_draw(self, rng):
         trace, params = make_binary_instance(rng)
         for seed in (0, 5, 2**63 + 1):
             assert ps.select_policy(trace, params, "red", seed=np.uint64(seed)) == ps.select_policy(
                 trace, params, "red", seed=seed
             )
+
+
+class TestSeededUniform:
+    def test_equals_the_first_draw_of_default_rng(self):
+        online._seeded_uniform.cache_clear()
+        seeds = [*range(10_000), 2**32 - 1, 2**32, 2**64 + 5]
+        for seed in seeds:
+            assert online._seeded_uniform(seed) == np.random.default_rng(seed).random()
+        for seed in (np.uint32(7), np.int64(2**40 + 3), np.uint64(2**64 - 1)):
+            online._seeded_uniform.cache_clear()
+            assert online._seeded_uniform(seed) == np.random.default_rng(int(seed)).random()
+
+    def test_numpy_and_python_seeds_share_one_entry(self, rng):
+        trace, params = make_binary_instance(rng)
+        online._seeded_uniform.cache_clear()
+        seeds = (5, np.uint32(5), np.uint64(5))
+        policies = {ps.select_policy(trace, params, "red", seed=seed) for seed in seeds}
+        assert len(policies) == 1
+        info = online._seeded_uniform.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+
+    def test_a_bad_seed_raises_before_the_lookup(self, rng):
+        trace, params = make_binary_instance(rng)
+        online._seeded_uniform.cache_clear()
+        for seed in (-1, 1.5, True):
+            with pytest.raises(ps.DomainError, match="seed"):
+                ps.select_policy(trace, params, "red", seed=seed)
+        assert online._seeded_uniform.cache_info().misses == 0

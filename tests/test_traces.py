@@ -1,4 +1,6 @@
 """CSV ingestion and synthetic trace generation."""
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,33 @@ class TestParseTraceCsv:
         loaded = parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
         assert np.array_equal(loaded.trace.prices, trace.prices)
         assert np.array_equal(loaded.trace.demands, trace.demands)
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            "2018-04-01T00:00",
+            "2018-04-01T00:00+02:00",
+            "2020-02-28T20:00-05:30",
+            "2018-03-25T00:17:42",
+            "1969-12-31T23:30:30.500000",
+            "0999-12-31T01:59:59+01:00:30",
+        ],
+    )
+    def test_writer_stamps_match_per_row_datetimes(self, tmp_path, start):
+        # the per-row formula the writer's stamps must equal byte for byte
+        trace = synth_trace(days=3, seed=9)
+        stamp0 = datetime.fromisoformat(start)
+        stamps = [(stamp0 + timedelta(hours=i)).isoformat(timespec="minutes") for i in range(len(trace))]
+        write_trace_csv(trace, tmp_path / "p.csv", tmp_path / "d.csv", start=start)
+        for name, values in (("p.csv", trace.prices), ("d.csv", trace.demands)):
+            rows = "".join(f"{stamp},{value!r}\n" for stamp, value in zip(stamps, values.tolist()))
+            assert (tmp_path / name).read_bytes() == ("timestamp,value\n" + rows).encode()
+
+    def test_writer_rejects_stamps_past_year_9999(self, tmp_path):
+        # the per-row formula raised here too: the 24th stamp is in year 10000
+        trace = synth_trace(days=1, seed=9)
+        with pytest.raises(OverflowError):
+            write_trace_csv(trace, tmp_path / "p.csv", tmp_path / "d.csv", start="9999-12-31T01:00")
 
 
 class TestSynthTrace:
