@@ -4,6 +4,11 @@ Offline oracles, online threshold algorithms (pure and prediction-
 assisted, deterministic and randomized), layering for integer demand,
 ramp projection, and a numerical verification harness for the
 robustness / consistency guarantees.
+
+``import peaksched`` loads the scheduling core only.  The experiment
+harness (trace CSVs, sweeps, theorem verification and the command line)
+is the ``harness`` subpackage, imported the first time
+``peaksched.harness`` is read.
 """
 
 from .analysis import (
@@ -77,7 +82,6 @@ from .prediction import (
     perfect_prediction,
     sigma_hat,
 )
-from . import harness
 
 __all__ = [
     "Algorithm",
@@ -146,3 +150,17 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names the module does not hold, so after the
+    # first read ``harness`` is a plain attribute, set by the import system
+    if name == "harness":
+        import importlib
+
+        return importlib.import_module(".harness", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "harness"})

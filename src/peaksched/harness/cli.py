@@ -16,8 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from datetime import datetime, timedelta
 
-from ..errors import PeakSchedError
+from ..errors import PeakSchedError, ValidationError
 from .experiment import (
     ExperimentConfig,
     SWEEP_AXES,
@@ -108,9 +109,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _check_start(start: str, slots: int) -> None:
+    """``synth --start`` must parse and stamp ``slots`` hours within year 9999."""
+    try:
+        datetime.fromisoformat(start) + timedelta(hours=slots - 1)
+    except ValueError as exc:
+        raise ValidationError(f"--start: bad timestamp {start!r}: {exc}") from None
+    except OverflowError:
+        raise ValidationError(f"--start: {slots} hourly stamps from {start!r} run past year 9999") from None
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     trace = synth_config_trace(config)
+    _check_start(args.start, len(trace))
     out_dir = make_out_dir(config.out_dir)
     price_file = out_dir / "prices.csv"
     demand_file = out_dir / "demands.csv"

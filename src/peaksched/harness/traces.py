@@ -61,8 +61,11 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def _read_series(path: str | Path, kind: str) -> dict[datetime, float]:
+    """One file's ``{timestamp: value}`` rows.  Its stamps must all carry a
+    UTC offset or all lack one: Python cannot order the two kinds."""
     path = Path(path)
     series: dict[datetime, float] = {}
+    naive = None  # the kind of the first data row's stamp
     with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -78,6 +81,13 @@ def _read_series(path: str | Path, kind: str) -> dict[datetime, float]:
                 stamp = datetime.fromisoformat(row[0].strip())
             except ValueError as exc:
                 raise StructuralError(f"{path} line {lineno}: bad timestamp {row[0]!r}: {exc}") from exc
+            if naive is None:
+                naive, first = stamp.tzinfo is None, lineno
+            elif (stamp.tzinfo is None) is not naive:
+                raise StructuralError(
+                    f"{path} line {lineno}: timestamp {row[0]!r} {'has a' if naive else 'has no'} UTC offset, "
+                    f"unlike line {first}'s"
+                )
             try:
                 value = float(row[1])
             except ValueError as exc:

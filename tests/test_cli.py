@@ -191,6 +191,8 @@ def test_synth_reads_config(tmp_path, capsys):
         (None, "compare --days 2 --seed -1", "seed must be >= 0, got -1"),
         ("seed = -3", "sweep --axis ramp --days 2 --values 0.5", "seed must be >= 0, got -3"),
         (None, "synth --days 2 --seed -1", "seed must be a non-negative integer, got -1"),
+        (None, "synth --days 1 --start garbage", "--start: bad timestamp 'garbage'"),
+        (None, "synth --days 1 --start 9999-12-31T01:00", "--start: 24 hourly stamps from '9999-12-31T01:00' run past"),
         (None, "sweep --axis ramp --days 2 --values ,", "needs at least one value"),
         (
             None,
@@ -236,6 +238,17 @@ def test_unreadable_files_exit_2_naming_the_path(tmp_path, capsys, argv, message
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_trace_csvs_mixing_offset_and_naive_stamps_exit_2_naming_the_line(tmp_path, capsys):
+    rows = "timestamp,value\n2018-04-01T00:00,20\n2018-04-01T01:00+00:00,21\n"
+    for name in ("p.csv", "d.csv"):
+        (tmp_path / name).write_text(rows)
+    inputs = ["--price-csv", str(tmp_path / "p.csv"), "--demand-csv", str(tmp_path / "d.csv")]
+    assert main(["compare", *inputs, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{tmp_path / 'p.csv'} line 3: timestamp" in err
     assert not (tmp_path / "out").exists()
 
 

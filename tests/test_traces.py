@@ -60,6 +60,17 @@ class TestParseTraceCsv:
         with pytest.raises(ps.StructuralError, match="line 3"):
             parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
 
+    @pytest.mark.parametrize(
+        "first, other", [("2018-04-01T00:00", "2018-04-01T02:00+00:00"), ("2018-04-01T00:00+02:00", "2018-04-01T02:00")]
+    )
+    def test_stamps_with_and_without_offset_in_one_file_name_the_line(self, tmp_path, first, other):
+        # Python cannot order the two kinds, so a mix would fail in the alignment sort
+        rows = [(first, 20.0), (first.replace("T00", "T01"), 21.0), (other, 22.0)]
+        for name in ("p.csv", "d.csv"):
+            _write(tmp_path / name, rows)
+        with pytest.raises(ps.StructuralError, match=r"p\.csv line 4: timestamp .* UTC offset, unlike line 2's"):
+            parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
+
     def test_duplicate_timestamp_rejected(self, tmp_path):
         _write(tmp_path / "p.csv", [("2018-04-01T00:00", 20.0), ("2018-04-01T00:00", 21.0)])
         _write(tmp_path / "d.csv", [("2018-04-01T00:00", 1)])
