@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, UndefinedRatioError
 from .model import BillingParams, Trace
-from .online import DistributionSpec, SwitchPolicy
+from .online import DistributionSpec, SwitchPolicy, _check_thresholds
 from .quadrature import _gk15, integrate
 from .validators import check_beta, check_lambda, check_stretched_lambda
 
@@ -59,8 +59,9 @@ def cost_ratio(policy: SwitchPolicy | float, sigma, beta: float):
 
     ``policy`` (as multipliers ``s``), ``sigma`` and ``beta`` may be
     arrays, which broadcast against each other; scalars give a ``float``.
+    A multiplier that :class:`SwitchPolicy` rejects raises ``DomainError``.
     """
-    s = policy.s if isinstance(policy, SwitchPolicy) else policy
+    s = _check_thresholds(policy.s if isinstance(policy, SwitchPolicy) else policy)
     _check_hardness(beta)
     _check_mass(sigma)
     return _ratio(s, sigma, beta)

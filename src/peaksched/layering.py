@@ -11,7 +11,6 @@ by a forward clamp that walks the cycle once.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,21 +31,15 @@ class LayerStack:
     depth: int
 
 
-# Each live trace's layer stack, keyed weakly by the trace (``Trace`` hashes
-# by identity).  The layers share only the parent's price array, never the
-# parent itself, so an entry dies with its trace.
-_stacks: weakref.WeakKeyDictionary[Trace, LayerStack] = weakref.WeakKeyDictionary()
-
-
 def decompose(trace: Trace) -> LayerStack:
     """Split integer demand into 0/1 layers that sum back to the original.
 
-    Memoised per trace: the first call builds the stack and every later
-    call on the same trace object returns that same stack, for as long as
-    the trace lives.  Threads racing on a new trace may each build one, but
-    all of them get the one stored first.
+    Kept on the trace: the first call builds the stack and every later
+    call on the same trace object returns that same stack.  Threads racing
+    on a new trace may each build one, but all of them get the one stored
+    first.
     """
-    stack = _stacks.get(trace)
+    stack = trace.__dict__.get("_layer_stack")
     if stack is not None:
         return stack
     if not trace.has_integer_demands():
@@ -57,7 +50,7 @@ def decompose(trace: Trace) -> LayerStack:
     layers = tuple(
         Trace(prices=trace.prices, demands=_frozen((d >= i).astype(float))) for i in range(1, depth + 1)
     )
-    return _stacks.setdefault(trace, LayerStack(layers=layers, depth=depth))
+    return trace.__dict__.setdefault("_layer_stack", LayerStack(layers=layers, depth=depth))
 
 
 @lru_cache(maxsize=1024)

@@ -73,19 +73,20 @@ class Trace:
     read-only, one-dimensional float64 array that owns its memory
     (``base is None``) is kept as it is, not copied.  Such an array is
     taken to be frozen for good: whoever built it must not make it
-    writable again or write to it through an older view.  The extremes
-    and the integer and binary tests are computed once per instance.
+    writable again or write to it through an older view.
+
+    What is derived from the arrays is kept on the instance: the extremes,
+    the integer and binary tests, :func:`peaksched.decompose`'s
+    ``_layer_stack``, and the online engine's ``_premium_prefix`` at the
+    last ``p_g`` it ran.  A pickled or copied trace is rebuilt from
+    ``prices`` and ``demands`` alone.
 
     The freeze cannot be enforced: a writable view made before the array
     was frozen still writes through it.  After ``a = np.zeros(3); b = a[:];
     a.setflags(write=False); t = Trace(prices=[1, 1, 1], demands=a)``, the
-    write ``b[0] = 5`` changes ``t.demands`` but leaves stale what was
-    computed from it: ``t.max_demand`` stays 0, the integer and binary
-    tests keep their answers, the premium prefix that the online engine
-    stores for ``t`` (for as long as ``t`` lives) keeps the old sums, and
-    the layer stack that ``decompose`` memoised for ``t`` keeps the old
-    layers and their stored prefixes.  The package's own arrays keep no
-    such view.
+    write ``b[0] = 5`` changes ``t.demands`` but leaves all of that stale:
+    ``t.max_demand`` stays 0, and the tests, the stack and the prefix keep
+    their old answers.  The package's own arrays keep no such view.
     """
 
     prices: np.ndarray
@@ -107,6 +108,9 @@ class Trace:
         object.__setattr__(self, "_min_price", min_price)
         object.__setattr__(self, "_max_price", max_price)
         object.__setattr__(self, "_max_demand", max_demand)
+
+    def __reduce__(self):
+        return (type(self), (self.prices, self.demands))
 
     def __len__(self) -> int:
         return len(self.prices)

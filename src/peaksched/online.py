@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -52,9 +51,8 @@ class SwitchPolicy:
     s: float
 
     def __post_init__(self):
-        if self.s == _GRID_FROM_START or self.s == math.inf:
-            return
-        if not (self.s >= 0 and math.isfinite(self.s)):
+        # the rule of _check_thresholds on one value; NaN fails it
+        if not (self.s == _GRID_FROM_START or self.s >= 0):
             raise DomainError(f"threshold multiplier must be -1, >= 0, or inf; got {self.s}")
 
     @classmethod
@@ -80,6 +78,16 @@ class SwitchPolicy:
     @property
     def is_finite(self) -> bool:
         return not (self.is_grid_from_start or self.is_never_switch)
+
+
+def _check_thresholds(s) -> np.ndarray:
+    """``s`` as a float array whose every element passes :class:`SwitchPolicy`'s
+    rule, or ``DomainError`` naming the first that does not."""
+    s = np.asarray(s, dtype=float)
+    bad = ~((s == _GRID_FROM_START) | (s >= 0))
+    if bad.any():
+        raise DomainError(f"threshold multiplier must be -1, >= 0, or inf; got {s[bad][0]}")
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +141,9 @@ def switch_slots(trace: Trace, params: BillingParams, thresholds) -> np.ndarray:
     """First grid-served slot of each threshold multiplier in ``thresholds``,
     from one pass over the cumulative premium; ``len(trace)`` where the
     policy never switches.  Slot for slot what :func:`run_threshold` gives
-    each threshold alone."""
-    slots, _ = _crossings(trace, params, np.asarray(thresholds, dtype=float))
+    each threshold alone; a threshold that :class:`SwitchPolicy` would
+    reject raises ``DomainError`` naming it."""
+    slots, _ = _crossings(trace, params, _check_thresholds(thresholds))
     return slots
 
 
@@ -197,29 +206,20 @@ def _crossings(trace: Trace, params: BillingParams, s):
     return cumulative.searchsorted(s * params.p_m, side="left"), float(cumulative[-1])
 
 
-# Each live trace's premium prefix, keyed weakly by the trace (``Trace``
-# hashes by identity): one immutable tuple ``(p_g, frozen prefix or None)``
-# per trace, read once and replaced whole, so a thread sees either the old
-# entry or the new one, never a mix.  An entry dies with its trace.
-_prefixes: weakref.WeakKeyDictionary[Trace, tuple] = weakref.WeakKeyDictionary()
-
-
 def _premium_prefix(trace: Trace, p_g: float) -> np.ndarray:
-    """``((p_g - p) * d).cumsum()`` of a trace, memoised per trace.
+    """``((p_g - p) * d).cumsum()`` of a trace, kept on the trace.
 
-    The first request for a ``(trace, p_g)`` pair stores no prefix, the
-    second stores it, and the third and every later one read it for as long
-    as the trace lives; a new ``p_g`` for the trace starts the count again.  So repeated runs on
-    one trace (Monte Carlo, parameter sweeps) and the cells of one layered
-    experiment, which visit the same layers in turn, share one cumsum per
-    layer, while a trace that is run only once keeps no prefix.
+    The first run at a ``p_g`` stores one ``(p_g, frozen prefix)`` tuple,
+    which later runs at that ``p_g`` read and a new ``p_g`` replaces whole,
+    so a thread never sees one ``p_g`` with another's prefix.  Repeated
+    runs on one trace and an experiment's cells, which run the same layers
+    in turn, share one cumsum per layer.
     """
-    entry = _prefixes.get(trace)
-    repeat = entry is not None and entry[0] == p_g
-    if repeat and entry[1] is not None:
+    entry = trace.__dict__.get("_premium_prefix")
+    if entry is not None and entry[0] == p_g:
         return entry[1]
     cumulative = _frozen(((p_g - trace.prices) * trace.demands).cumsum())
-    _prefixes[trace] = (p_g, cumulative if repeat else None)
+    trace.__dict__["_premium_prefix"] = (p_g, cumulative)
     return cumulative
 
 

@@ -1,5 +1,6 @@
 """Ratio curves, guarantee formulas, quadrature, and instance construction."""
 import math
+import re
 import time
 
 import numpy as np
@@ -51,6 +52,14 @@ class TestCostRatio:
             ps.cost_ratio(0.5, sigma, 0.5)
         with pytest.raises(ps.DomainError, match="premium mass"):
             ps.cost_ratio(0.5, np.array([0.5, sigma]), 0.5)
+
+    @pytest.mark.parametrize("s", [math.nan, -math.inf, -0.5])
+    def test_rejects_a_multiplier_outside_the_policy_rule_naming_it(self, s):
+        message = re.escape(f"threshold multiplier must be -1, >= 0, or inf; got {s}")
+        with pytest.raises(ps.DomainError, match=message):
+            ps.cost_ratio(s, 3.0, 0.5)
+        with pytest.raises(ps.DomainError, match=message):
+            ps.cost_ratio(np.array([-1.0, s, 0.5]), 3.0, 0.5)
 
     def test_a_subnormal_mass_is_not_an_overflow_warning(self):
         # the low-mass branch's quotient overflows, but s > sigma discards it

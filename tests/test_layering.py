@@ -1,5 +1,7 @@
 """Layer decomposition, layered execution, and ramp projection."""
+import copy
 import gc
+import pickle
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -67,19 +69,32 @@ class TestDecomposeMemo:
         trace, _ = make_integer_instance(rng)
         stack = weakref.ref(ps.decompose(trace))
         layer = weakref.ref(ps.decompose(trace).layers[0])
-        gc.collect()  # earlier tests' garbage must not leave during the count below
-        entries = len(layering._stacks)
+        assert vars(trace)["_layer_stack"] is stack()
         del trace
         gc.collect()
         assert stack() is None and layer() is None
-        assert len(layering._stacks) == entries - 1
 
     def test_a_rejected_trace_is_not_stored(self):
         trace = ps.Trace(prices=[1, 1], demands=[1.5, 2])
         for _ in range(2):
             with pytest.raises(ps.DomainError):
                 ps.decompose(trace)
-        assert trace not in layering._stacks
+        assert "_layer_stack" not in vars(trace)
+
+    def test_copies_and_pickles_leave_the_derived_state_behind(self, rng):
+        trace, params = make_integer_instance(rng, max_demand=6, horizon=200)
+        for _ in range(2):
+            ps.run_layered(trace, params, "red", seed=5)
+        stack = ps.decompose(trace)
+        assert "_premium_prefix" in vars(stack.layers[0])
+        for derived in (trace, stack.layers[0]):
+            fresh = ps.Trace(prices=np.array(derived.prices), demands=np.array(derived.demands))
+            assert len(pickle.dumps(derived)) == len(pickle.dumps(fresh))
+            loaded = pickle.loads(pickle.dumps(derived))
+            for got, want in ((loaded.prices, derived.prices), (loaded.demands, derived.demands)):
+                assert got.tobytes() == want.tobytes() and not got.flags.writeable
+            for twin in (copy.copy(derived), copy.deepcopy(derived), loaded):
+                assert "_layer_stack" not in vars(twin) and "_premium_prefix" not in vars(twin)
 
     def test_threads_decomposing_one_trace_get_equal_stacks(self, rng):
         traces = [make_integer_instance(rng, max_demand=12, horizon=300)[0] for _ in range(20)]

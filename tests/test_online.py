@@ -156,6 +156,20 @@ class TestSwitchSchedule:
         assert ps.switch_schedule(trace, np.int64(0)).v.tobytes() == trace.demands.tobytes()
 
 
+class TestSwitchSlots:
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, -0.5])
+    def test_rejects_what_switch_policy_rejects_naming_the_value(self, bad):
+        trace = ps.Trace(prices=[0.5, 0.5, 0.5], demands=[1, 1, 1])
+        params = ps.BillingParams(p_g=1.0, p_m=1.0, capacity=1)
+        message = re.escape(f"threshold multiplier must be -1, >= 0, or inf; got {bad}")
+        with pytest.raises(ps.DomainError, match=message):
+            ps.SwitchPolicy.at(bad)
+        with pytest.raises(ps.DomainError, match=message):
+            ps.switch_slots(trace, params, [0.5, bad, math.nan])
+        with pytest.raises(ps.DomainError, match=message):
+            ps.switch_slots(trace, params, bad)
+
+
 class TestSwitchCosts:
     def test_totals_equal_costing_each_switch_schedule(self):
         trace = ps.Trace(prices=[0.5, 1.0, 0.25, 0.75], demands=[1, 0, 1, 1])
@@ -219,7 +233,7 @@ class TestPremiumPrefixMemo:
         params = ps.BillingParams(p_g=1.0, p_m=1.0, capacity=1)
         for _ in range(50):
             old = ps.Trace(prices=rng.uniform(0.1, 1.0, 30), demands=np.ones(30))
-            for _ in range(3):  # the second call stores the prefix, the third reads it
+            for _ in range(3):  # the first run stores the prefix, the later ones read it
                 self._check(old, params, 4.0)
             old_id = id(old)
             del old
@@ -237,19 +251,12 @@ class TestPremiumPrefixMemo:
 
     def test_the_stored_prefix_is_read_only(self):
         trace = ps.Trace(prices=[0.5, 0.5], demands=[1, 1])
-        params = ps.BillingParams(p_g=1.0, p_m=1.0, capacity=1)
-        for _ in range(3):
-            ps.run_threshold(trace, params, ps.bed_policy())
-        p_g, stored = online._prefixes[trace]
-        assert p_g == 1.0 and stored is not None and not stored.flags.writeable
+        ps.run_threshold(trace, ps.BillingParams(p_g=1.0, p_m=1.0, capacity=1), ps.bed_policy())
+        p_g, stored = vars(trace)["_premium_prefix"]
+        assert p_g == 1.0 and not stored.flags.writeable
         assert online._premium_prefix(trace, 1.0) is stored
 
-    def test_a_trace_run_once_stores_nothing(self):
-        trace = ps.Trace(prices=[0.5, 0.25, 0.75], demands=[1, 0, 1])
-        ps.run_threshold(trace, ps.BillingParams(p_g=1.0, p_m=1.0, capacity=1), ps.bed_policy())
-        assert online._prefixes[trace] == (1.0, None)
-
-    def test_interleaved_traces_read_their_stored_prefix_from_the_third_visit(self, rng):
+    def test_the_second_run_reads_the_prefix_the_first_stored(self, rng):
         # the visiting order of a layered experiment: every cell runs layer A, then layer B
         traces = [ps.Trace(prices=rng.uniform(0.1, 1.0, 50), demands=np.ones(50)) for _ in range(2)]
         seen = [[], []]
@@ -257,32 +264,31 @@ class TestPremiumPrefixMemo:
             for k, trace in enumerate(traces):
                 seen[k].append(online._premium_prefix(trace, 1.0))
         for trace, (first, second, third) in zip(traces, seen):
-            assert first is not second  # the second visit computes the prefix it stores
-            assert third is second is online._prefixes[trace][1]
-            for prefix in (first, second):
-                assert prefix.tobytes() == self._fresh(trace, 1.0).tobytes()
+            assert first is second is third is vars(trace)["_premium_prefix"][1]
+            assert first.tobytes() == self._fresh(trace, 1.0).tobytes()
+            replaced = online._premium_prefix(trace, 3.0)
+            assert replaced is not first and replaced.tobytes() == self._fresh(trace, 3.0).tobytes()
+            assert vars(trace)["_premium_prefix"][1] is replaced
+            assert online._premium_prefix(trace, 3.0) is replaced
 
-    def test_a_dropped_trace_takes_its_entry_and_prefix_along(self):
+    def test_a_dropped_trace_takes_its_prefix_along(self):
         trace = ps.Trace(prices=[0.5, 0.25, 0.75], demands=[1, 1, 1])
-        for _ in range(2):
-            online._premium_prefix(trace, 1.0)
-        prefix = weakref.ref(online._prefixes[trace][1])
-        gc.collect()  # earlier tests' garbage must not leave during the count below
-        entries = len(online._prefixes)
+        prefix = weakref.ref(online._premium_prefix(trace, 1.0))
+        assert prefix() is vars(trace)["_premium_prefix"][1]
         del trace
         gc.collect()
         assert prefix() is None
-        assert len(online._prefixes) == entries - 1
 
     def test_a_new_p_g_recomputes_the_prefix(self):
         trace = ps.Trace(prices=[0.5, 0.25, 0.75, 1.0], demands=[1, 1, 0, 1])
-        for _ in range(3):
-            stored = online._premium_prefix(trace, 1.0)
+        stored = online._premium_prefix(trace, 1.0)
         changed = online._premium_prefix(trace, 2.0)
         assert changed is not stored
         assert changed.tobytes() == self._fresh(trace, 2.0).tobytes()
-        assert online._prefixes[trace] == (2.0, None)  # the count starts again for the new p_g
-        assert online._premium_prefix(trace, 1.0).tobytes() == stored.tobytes()
+        p_g, kept = vars(trace)["_premium_prefix"]
+        assert p_g == 2.0 and kept is changed
+        again = online._premium_prefix(trace, 1.0)
+        assert again is not stored and again.tobytes() == stored.tobytes()
 
     def test_threads_sharing_two_traces_never_read_the_other_prefix(self, rng):
         traces = [
