@@ -102,7 +102,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    values = parse_text(args.values, float, "--values", many=True) if args.values else None
+    values = None if args.values is None else parse_text(args.values, float, "--values", many=True)
     result = run_sweep(config, axis=args.axis, values=values, write=True)
     failed = _report_errors(sweep_errors(result.manifest))
     print(f"{len(result.rows)} rows -> {result.report_path}")

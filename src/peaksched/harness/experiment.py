@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 import typing
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -21,16 +22,17 @@ from ..errors import DomainError, PeakSchedError, StructuralError, ValidationErr
 from ..layering import (
     flipped_layer_sigma_hats,
     predicted_layer_sigma_hats,
+    project_ramp,  # noqa: F401  looked up here by the benchmark's tracer
+    project_ramp_block,
     run_layered,
-    project_ramp,
     true_layer_sigma_hats,
 )
-from ..model import BillingParams, Trace, beta as beta_of, cost_of, cost_reduction, sigma as sigma_of
-from ..offline import optimal_general, optimal_with_ramp
+from ..model import BillingParams, Schedule, Trace, beta as beta_of, cost_of, cost_reduction, sigma as sigma_of
+from ..offline import OracleResult, optimal_general, optimal_with_ramp
 from ..online import Algorithm
 from ..analysis import empirical_ratio
 from ..prediction import gaussian_predictor, sigma_hat as sigma_hat_of
-from ..validators import NAIVE_LAMBDA_FLOOR
+from ..validators import NAIVE_LAMBDA_FLOOR, is_real
 from .traces import parse_trace_csv, synth_trace, write_text
 
 REPORT_COLUMNS = (
@@ -275,88 +277,178 @@ def _format_value(value) -> str:
     return str(value)
 
 
+@dataclass
+class _Cell:
+    """One (algorithm, lambda, predictor) cell of one configuration, with its
+    outcome: the layered schedule while it waits for the ramp projection,
+    then the total cost, or the message of the error that stopped it."""
+
+    algorithm: str
+    lam: float | None
+    predictor: str
+    global_hat: float | None
+    outcome: Schedule | float | str
+
+
+@dataclass
+class _Run:
+    """One configuration of a shared run: its parameters, oracle and cells."""
+
+    config: ExperimentConfig
+    params: BillingParams
+    oracle: OracleResult
+    instance: dict
+    entries: list = field(default_factory=list)  # (cell key, _Cell or a failed predictor's message)
+    global_hats: dict = field(default_factory=dict)
+
+
+def _total(schedule: Schedule, trace: Trace, params: BillingParams) -> float | str:
+    try:
+        return cost_of(schedule, trace, params).total
+    except PeakSchedError as exc:
+        return str(exc)
+
+
+def _run_configs(configs: list[ExperimentConfig]) -> list[tuple[list[dict], dict]]:
+    """The rows and manifest of each configuration, for configurations that
+    differ only in fields no trace is built from (the sweep axes).
+
+    Every configuration is validated before any work.  The trace is built
+    once, and each predictor's hats are computed once per ``(p_g, p_m)``.
+    Configurations with the same ``(capacity, p_g, p_m)``, all that
+    ``run_layered`` reads, share each cell's layered run: a cell without a
+    ramp is costed at once, and every ramped cell of every configuration is
+    projected in one block at the end.
+    """
+    for config in configs:
+        config.validate()
+    trace, provenance = _build_trace(configs[0])
+    runs = []
+    for config in configs:
+        params = _build_params(trace, config)
+        oracle = optimal_with_ramp(trace, params) if params.ramp is not None else optimal_general(trace, params)
+        runs.append(_Run(config, params, oracle, {"sigma": sigma_of(trace, params), "beta": beta_of(trace, params)}))
+    groups: dict[tuple, list[_Run]] = {}
+    for run in runs:
+        groups.setdefault((run.params.capacity, run.params.p_g, run.params.p_m), []).append(run)
+
+    hats: dict = {}
+    ramped: list[tuple[_Cell, BillingParams]] = []
+    for group in groups.values():
+        config, params = group[0].config, group[0].params
+        for predictor in config.predictors:
+            hat_key = (predictor, params.p_g, params.p_m)
+            if hat_key not in hats:
+                try:
+                    hats[hat_key] = _predictor_hats(predictor, trace, params, config)
+                except PeakSchedError as exc:
+                    hats[hat_key] = str(exc)
+            if isinstance(hats[hat_key], str):
+                for run in group:
+                    run.entries.append((f"predictor:{predictor}", hats[hat_key]))
+                continue
+            layer_hats, global_hat = hats[hat_key]
+            for run in group:
+                run.global_hats[predictor] = global_hat
+            for name in config.algorithms:
+                algorithm = Algorithm(name)
+                lambda_grid: tuple[float | None, ...] = (
+                    tuple(config.lambdas) if algorithm.uses_prediction else (None,)
+                )
+                for lam in lambda_grid:
+                    key = f"{algorithm.value}|{'' if lam is None else lam}|{predictor}"
+                    try:
+                        schedule = run_layered(
+                            trace,
+                            params,
+                            algorithm,
+                            lam=lam,
+                            sigma_hats=layer_hats if algorithm.uses_prediction else None,
+                            seed=config.seed,
+                        )
+                    except PeakSchedError as exc:
+                        schedule = str(exc)
+                    for run in group:
+                        cell = _Cell(algorithm.value, lam, predictor, global_hat, schedule)
+                        run.entries.append((key, cell))
+                        if isinstance(schedule, Schedule):
+                            if run.params.ramp is None:
+                                cell.outcome = _total(schedule, trace, run.params)
+                            else:
+                                ramped.append((cell, run.params))
+
+    if ramped:
+        projected = project_ramp_block(
+            [cell.outcome.u for cell, _ in ramped],
+            [cell.outcome.v for cell, _ in ramped],
+            trace.demands,
+            [params.capacity for _, params in ramped],
+            [params.ramp for _, params in ramped],
+        )
+        for (cell, params), (u, v) in zip(ramped, projected):
+            cell.outcome = _total(Schedule(u=u, v=v), trace, params)
+
+    results = []
+    for run in runs:
+        rows: list[dict] = []
+        errors: dict[str, str] = {}
+        for key, cell in run.entries:
+            total = cell if isinstance(cell, str) else cell.outcome
+            if isinstance(total, str):
+                errors[key] = total
+                continue
+            try:
+                rows.append(
+                    {
+                        "algorithm": cell.algorithm,
+                        "lambda": cell.lam,
+                        "predictor": cell.predictor,
+                        "sigma": run.instance["sigma"],
+                        "sigma_hat": cell.global_hat,
+                        "beta": run.instance["beta"],
+                        "total_cost": total,
+                        "opt_cost": run.oracle.total,
+                        "empirical_cr": empirical_ratio(total, run.oracle.total),
+                        "cost_reduction": cost_reduction(total, trace, run.params),
+                    }
+                )
+            except PeakSchedError as exc:
+                errors[key] = str(exc)
+        rows.sort(key=lambda r: (r["algorithm"], r["lambda"] if r["lambda"] is not None else -1.0, r["predictor"]))
+        params = run.params
+        manifest = {
+            "config": asdict(run.config),
+            "seed": run.config.seed,
+            "trace": {
+                "horizon": len(trace),
+                "max_demand": trace.max_demand,
+                "max_price": trace.max_price,
+                **provenance,
+            },
+            "params": {
+                "p_g": params.p_g,
+                "p_m": params.p_m,
+                "capacity": params.capacity,
+                "ramp": params.ramp,
+            },
+            "instance": run.instance,
+            "predictor_sigma_hat": run.global_hats,
+            "oracle": {"total": run.oracle.total, "peak_level": run.oracle.peak_level},
+            "errors": errors,
+        }
+        results.append((rows, manifest))
+    return results
+
+
 def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentResult:
     """Run every (algorithm, lambda, predictor) cell of a configuration.
 
     Cell failures are recorded in the manifest and do not abort the other
     cells.  Rows come out sorted by cell key; with ``write`` the report CSV
-    and manifest JSON land in ``config.out_dir``.
+    and manifest JSON land in ``config.out_dir``.  This is the one-value
+    case of a sweep.
     """
-    config.validate()
-    trace, provenance = _build_trace(config)
-    params = _build_params(trace, config)
-    oracle = optimal_with_ramp(trace, params) if params.ramp is not None else optimal_general(trace, params)
-    instance_sigma = sigma_of(trace, params)
-    instance_beta = beta_of(trace, params)
-
-    rows: list[dict] = []
-    errors: dict[str, str] = {}
-    predictor_global_hats: dict[str, float | None] = {}
-    for predictor in config.predictors:
-        try:
-            layer_hats, global_hat = _predictor_hats(predictor, trace, params, config)
-        except PeakSchedError as exc:
-            errors[f"predictor:{predictor}"] = str(exc)
-            continue
-        predictor_global_hats[predictor] = global_hat
-        for name in config.algorithms:
-            algorithm = Algorithm(name)
-            lambda_grid: tuple[float | None, ...] = (
-                tuple(config.lambdas) if algorithm.uses_prediction else (None,)
-            )
-            for lam in lambda_grid:
-                key = f"{algorithm.value}|{'' if lam is None else lam}|{predictor}"
-                try:
-                    schedule = run_layered(
-                        trace,
-                        params,
-                        algorithm,
-                        lam=lam,
-                        sigma_hats=layer_hats if algorithm.uses_prediction else None,
-                        seed=config.seed,
-                    )
-                    if params.ramp is not None:
-                        schedule = project_ramp(schedule, trace, params)
-                    total = cost_of(schedule, trace, params).total
-                    rows.append(
-                        {
-                            "algorithm": algorithm.value,
-                            "lambda": lam,
-                            "predictor": predictor,
-                            "sigma": instance_sigma,
-                            "sigma_hat": global_hat,
-                            "beta": instance_beta,
-                            "total_cost": total,
-                            "opt_cost": oracle.total,
-                            "empirical_cr": empirical_ratio(total, oracle.total),
-                            "cost_reduction": cost_reduction(total, trace, params),
-                        }
-                    )
-                except PeakSchedError as exc:
-                    errors[key] = str(exc)
-    rows.sort(key=lambda r: (r["algorithm"], r["lambda"] if r["lambda"] is not None else -1.0, r["predictor"]))
-
-    manifest = {
-        "config": asdict(config),
-        "seed": config.seed,
-        "trace": {
-            "horizon": len(trace),
-            "max_demand": trace.max_demand,
-            "max_price": trace.max_price,
-            **provenance,
-        },
-        "params": {
-            "p_g": params.p_g,
-            "p_m": params.p_m,
-            "capacity": params.capacity,
-            "ramp": params.ramp,
-        },
-        "instance": {"sigma": instance_sigma, "beta": instance_beta},
-        "predictor_sigma_hat": predictor_global_hats,
-        "oracle": {"total": oracle.total, "peak_level": oracle.peak_level},
-        "errors": errors,
-    }
-
+    [(rows, manifest)] = _run_configs([config])
     report_path = manifest_path = None
     if write:
         out_dir = make_out_dir(config.out_dir)
@@ -407,6 +499,21 @@ def _sweep_tags(axis: str, values) -> list:
     return [None] if axis == "lambda" else list(values)
 
 
+def _sweep_values(axis: str, values) -> tuple[float, ...]:
+    """A sweep's values as Python floats: a non-empty sequence (a 1-D array
+    included) of real numbers that are not bools."""
+    if isinstance(values, (str, bytes)) or not (
+        isinstance(values, Sequence) or (isinstance(values, np.ndarray) and values.ndim == 1)
+    ):
+        raise ValidationError(f"sweep axis {axis!r}: values must be a sequence of numbers, got {values!r}")
+    if len(values) == 0:
+        raise ValidationError(f"sweep axis {axis!r} needs at least one value")
+    for value in values:
+        if not is_real(value):
+            raise ValidationError(f"sweep axis {axis!r}: expected numbers, got {value!r}")
+    return tuple(float(value) for value in values)
+
+
 def run_sweep(
     config: ExperimentConfig,
     axis: str,
@@ -416,32 +523,32 @@ def run_sweep(
     """Repeat an experiment along one axis and tag rows with the axis value.
 
     ``lambda`` replaces the lambda grid wholesale; the other axes derive a
-    fresh configuration per value.
+    configuration per value.  Values are checked and every derived
+    configuration validated before any cell runs; the values then share
+    one trace, and their cells share each predictor's hats and each
+    layered run wherever ``(capacity, p_m)`` agree (see ``_run_configs``).
     """
     if axis not in SWEEP_AXES:
         raise DomainError(f"unknown sweep axis {axis!r}; pick from {sorted(SWEEP_AXES)}")
     field_name, defaults = SWEEP_AXES[axis]
-    if values is None:
-        values = defaults
-    if len(values) == 0:
-        raise ValidationError(f"sweep axis {axis!r} needs at least one value")
+    values = _sweep_values(axis, defaults if values is None else values)
 
-    rows: list[dict] = []
-    manifests = []
-    for tag in _sweep_tags(axis, values):
+    tags = _sweep_tags(axis, values)
+    configs = []
+    for tag in tags:
         if tag is None:
             value = values
         else:
             value = config.peak_multiplier * tag if axis == "peak" else tag
-        result = run_experiment(replace(config, **{field_name: value}), write=False)
-        for row in result.rows:
-            tagged = dict(row)
-            tagged["axis"] = axis
-            tagged["axis_value"] = tag if tag is not None else row["lambda"]
-            rows.append(tagged)
-        manifests.append(result.manifest)
+        configs.append(replace(config, **{field_name: value}))
+    results = _run_configs(configs)
 
-    manifest = {"axis": axis, "values": list(values), "cells": manifests}
+    rows = [
+        {**row, "axis": axis, "axis_value": tag if tag is not None else row["lambda"]}
+        for tag, (value_rows, _) in zip(tags, results)
+        for row in value_rows
+    ]
+    manifest = {"axis": axis, "values": list(values), "cells": [manifest for _, manifest in results]}
     report_path = manifest_path = None
     if write:
         out_dir = make_out_dir(config.out_dir)

@@ -11,6 +11,7 @@ by a forward clamp that walks the cycle once.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -142,6 +143,44 @@ def run_layered(
     return Schedule(u=_frozen(u), v=_frozen(trace.demands - u))
 
 
+def project_ramp_block(u, v, demands, capacity, ramp) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Project many schedules on one trace onto the ramp-feasible set, in one
+    forward pass over the slots.
+
+    ``u`` and ``v`` hold each schedule's outputs and grid purchases, one row
+    per schedule (a 2-D array or a list of vectors); ``capacity`` and
+    ``ramp`` are a value for every row or one for all rows; ``demands`` is
+    the trace's, and every input is non-negative.  Every row gets
+    :func:`project_ramp`'s rule, element-wise: ``max(lo, min(want, hi))``
+    with ``lo = max(0, prev - R)`` and ``hi = min(C, d(t), prev + R)``.
+    ``maximum`` and ``minimum`` pick one of their inputs and ``prev +/- R``
+    is the same float sum, so each row is bit for bit what a scalar loop
+    over that row gives.  Once the slots are done, yields each row's
+    projected outputs and purchases in turn, as new read-only vectors that a
+    ``Schedule`` keeps without a copy.
+    """
+    rows = len(u)
+    ramp = np.broadcast_to(np.asarray(ramp, dtype=float), (rows,))
+    # min(want, C, d(t)), slot-major so that each step reads and writes one
+    # contiguous row of ``rows``; the steps overwrite it with the outputs
+    level = np.minimum(np.broadcast_to(np.asarray(capacity, dtype=float), (rows,)), demands[:, None])
+    for column, want in zip(level.T, u):
+        np.minimum(want, column, out=column)
+    lo = np.empty(rows)
+    hi = np.empty(rows)
+    prev = np.zeros(rows)
+    for step in level:
+        # the floor at 0 is left out of lo: min(want, C, d(t), prev + R) >= 0 already
+        np.subtract(prev, ramp, out=lo)
+        np.minimum(step, np.add(prev, ramp, out=hi), out=hi)
+        prev = np.maximum(lo, hi, out=step)
+    for column, grid in zip(level.T, v):
+        # a tie of 0.0 and -0.0 may resolve either way; the scalar rule's
+        # zeros are all +0.0 (a zero output is its floor), and adding 0.0 gives that
+        out = _frozen(column + 0.0)
+        yield out, _frozen(np.maximum(grid, demands - out))
+
+
 def project_ramp(schedule: Schedule, trace: Trace, params: BillingParams) -> Schedule:
     """Project a schedule onto the ramp-feasible set by one forward pass.
 
@@ -150,22 +189,12 @@ def project_ramp(schedule: Schedule, trace: Trace, params: BillingParams) -> Sch
     than the generator may ramp down, that interval is empty and the output
     is pinned to its ramp-feasible minimum (briefly over-generating), which
     keeps the projection feasible and idempotent.  Grid purchases are then
-    raised wherever the clamped output leaves demand uncovered.
+    raised wherever the clamped output leaves demand uncovered.  This is
+    the one-row case of :func:`project_ramp_block`.
     """
     if params.ramp is None:
         raise DomainError("project_ramp needs a ramp limit in the billing parameters")
     if len(schedule) != len(trace):
         raise DomainError("schedule and trace lengths differ")
-    ramp = params.ramp
-    cap = params.capacity
-    d = trace.demands
-    out = []
-    prev = 0.0
-    for want, demand in zip(schedule.u.tolist(), d.tolist()):
-        lo = max(0.0, prev - ramp)
-        hi = min(cap, demand, prev + ramp)
-        prev = max(lo, min(want, hi))
-        out.append(prev)
-    u = np.array(out, dtype=float)
-    v = np.maximum(schedule.v, d - u)
-    return Schedule(u=_frozen(u), v=_frozen(v))
+    [(u, v)] = project_ramp_block([schedule.u], [schedule.v], trace.demands, params.capacity, params.ramp)
+    return Schedule(u=u, v=v)

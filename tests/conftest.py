@@ -253,6 +253,27 @@ def reference_run_layered(
     return ps.Schedule(u=u, v=v)
 
 
+def reference_project_ramp(schedule: ps.Schedule, trace: ps.Trace, params: ps.BillingParams) -> ps.Schedule:
+    """The ramp projection as the scalar loop it was first written as, kept
+    as the check on :func:`peaksched.layering.project_ramp_block`: each
+    output is clamped into ``[max(0, prev - R), min(C, d(t), prev + R)]``
+    from a pre-cycle level of 0, the floor winning where that interval is
+    empty, and grid purchases are raised to cover what the output leaves."""
+    ramp = params.ramp
+    cap = params.capacity
+    d = trace.demands
+    out = []
+    prev = 0.0
+    for want, demand in zip(schedule.u.tolist(), d.tolist()):
+        lo = max(0.0, prev - ramp)
+        hi = min(cap, demand, prev + ramp)
+        prev = max(lo, min(want, hi))
+        out.append(prev)
+    u = np.array(out, dtype=float)
+    v = np.maximum(schedule.v, d - u)
+    return ps.Schedule(u=u, v=v)
+
+
 def reference_sample(spec: ps.DistributionSpec, uniform: float) -> float:
     """Inverse-CDF sampling with every mass recomputed from its formula on
     each call, kept as the check on :func:`peaksched.sample`, which reads

@@ -212,6 +212,17 @@ def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, config_text, argv, m
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_with_empty_values_exits_2_like_a_lone_comma(tmp_path, capsys):
+    messages = []
+    for values in ("", ","):
+        out = tmp_path / f"out{len(messages)}"
+        argv = ["sweep", "--axis", "ramp", "--values", values, "--days", "2", "--seed", "1", "--out-dir", str(out)]
+        assert main(argv) == 2
+        messages.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert messages[0] == messages[1] == "error: sweep axis 'ramp' needs at least one value\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -1,10 +1,13 @@
 """Experiment orchestration: cells, reports, manifests, sweeps, determinism."""
 import json
-from dataclasses import asdict
+from collections import Counter
+from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 import peaksched as ps
+from peaksched.harness import experiment
 from peaksched.harness.experiment import (
     ExperimentConfig,
     config_from_sources,
@@ -266,3 +269,127 @@ class TestRunSweep:
         for cell in echoed:
             others = {k: v for k, v in cell.items() if k != field}
             assert others == {k: v for k, v in asdict(config).items() if k != field}
+
+
+class TestSweepValues:
+    """A sweep checks its values once, before any cell runs."""
+
+    @pytest.fixture
+    def layered_calls(self, monkeypatch):
+        calls = []
+        original = experiment.run_layered
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_layered", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([0.5, 1.0], dtype=np.float32), (1, 2), np.array([1, 2]), [np.float64(0.5), 1]],
+    )
+    def test_numpy_and_int_values_are_written_as_floats(self, tmp_path, values):
+        result = run_sweep(small_config(out_dir=str(tmp_path)), "peak", values=values)
+        floats = [float(v) for v in values]
+        assert result.manifest["values"] == floats
+        assert all(type(v) is float for v in json.loads(result.manifest_path.read_text())["values"])
+        tags = [line.rsplit(",", 1)[1] for line in result.report_path.read_text().splitlines()[1:]]
+        assert sorted(set(tags)) == sorted({repr(v) for v in floats})
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((v for v in (0.5, 1.0)), "values must be a sequence of numbers"),
+            ((0.5, True), "expected numbers, got True"),
+            ("0.5", "values must be a sequence of numbers"),
+            (("0.5",), "expected numbers, got '0.5'"),
+            ((), "needs at least one value"),
+            (np.array([]), "needs at least one value"),
+            (np.array(0.5), "values must be a sequence of numbers"),
+        ],
+    )
+    def test_bad_values_are_rejected_naming_the_axis_before_any_cell(self, layered_calls, values, message):
+        with pytest.raises(ps.ValidationError, match=f"^sweep axis 'capacity'.*{message}"):
+            run_sweep(small_config(), "capacity", values=values, write=False)
+        assert layered_calls == []
+
+    def test_every_derived_config_is_validated_before_any_cell(self, layered_calls):
+        with pytest.raises(ps.ValidationError, match="ramp-ratio must lie in"):
+            run_sweep(small_config(), "ramp", values=(0.5, 1.5), write=False)
+        assert layered_calls == []
+
+
+class TestSharedSweep:
+    """A sweep shares its trace, hats and layered runs across values, and
+    writes what per-value experiments write, byte for byte."""
+
+    AXES = [
+        ("ramp", "ramp_ratio", (0.1, 0.25, 1.0)),
+        ("capacity", "capacity_ratio", (0.25, 0.3, 1.0)),  # capacities 4, 4 and 13
+        ("peak", "peak_multiplier", (0.5, 2.0)),
+    ]
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        calls = {"parse": 0, "layered": []}
+        parse, layered = experiment.parse_trace_csv, experiment.run_layered
+
+        def counting_parse(*args, **kwargs):
+            calls["parse"] += 1
+            return parse(*args, **kwargs)
+
+        def failing_layered(trace, params, algorithm, **kwargs):
+            calls["layered"].append((algorithm.value, kwargs["lam"], params.capacity, params.p_m))
+            if algorithm is ps.Algorithm.RED:
+                raise ps.DomainError("red cells fail here")
+            return layered(trace, params, algorithm, **kwargs)
+
+        monkeypatch.setattr(experiment, "parse_trace_csv", counting_parse)
+        monkeypatch.setattr(experiment, "run_layered", failing_layered)
+        return calls
+
+    def _config(self, tmp_path, **overrides):
+        trace = synth_trace(days=3, seed=5)
+        write_trace_csv(trace, tmp_path / "p.csv", tmp_path / "d.csv")
+        return small_config(
+            price_csv=str(tmp_path / "p.csv"),
+            demand_csv=str(tmp_path / "d.csv"),
+            algorithms="bed,lambda-bed,red,lambda-red",
+            predictors="perfect,gaussian,adversarial",
+            sigma1="-1",  # the gaussian predictor fails under every value
+            **overrides,
+        )
+
+    @pytest.mark.parametrize("axis, field, values", AXES)
+    def test_sweep_equals_per_value_experiments_byte_for_byte(self, tmp_path, counters, axis, field, values):
+        config = self._config(tmp_path, ramp_ratio="0.5", out_dir=str(tmp_path / "out"))
+        sweep = run_sweep(config, axis, values=values)
+        assert counters["parse"] == 1
+        header, *sweep_rows = sweep.report_path.read_text().splitlines()
+        assert header.endswith(",axis,axis_value")
+        expected_rows = []
+        for i, value in enumerate(values):
+            setting = config.peak_multiplier * value if axis == "peak" else value
+            # into the sweep's out-dir, so the manifests echo the same config
+            single = run_experiment(replace(config, **{field: setting}))
+            expected_rows += [f"{row},{axis},{value!r}" for row in single.report_path.read_text().splitlines()[1:]]
+            cell = json.dumps(sweep.manifest["cells"][i], sort_keys=True, indent=2) + "\n"
+            assert cell == single.manifest_path.read_text()
+            errors = single.manifest["errors"]
+            assert errors["predictor:gaussian"] == "noise standard deviations must be >= 0"
+            assert errors["red||perfect"] == errors["red||adversarial"] == "red cells fail here"
+            assert len(single.rows) == 2 * 5  # bed, and lambda-bed and lambda-red at two lambdas, per predictor
+        assert sweep_rows == expected_rows
+
+    @pytest.mark.parametrize("axis, field, values", AXES)
+    def test_each_layered_run_happens_once_per_capacity_and_peak_price(self, tmp_path, counters, axis, field, values):
+        sweep = run_sweep(self._config(tmp_path, ramp_ratio="0.5"), axis, values=values, write=False)
+        keys = {(cell["params"]["capacity"], cell["params"]["p_m"]) for cell in sweep.manifest["cells"]}
+        # bed, red and two lambdas of lambda-bed and lambda-red, each run once
+        # for perfect and once for adversarial at every (capacity, p_m)
+        runs = Counter(counters["layered"])
+        assert set(runs.values()) == {2}
+        assert len(runs) == 6 * len(keys)
+        assert len(keys) == {"ramp": 1, "capacity": 2, "peak": 2}[axis]

@@ -6,12 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import peaksched as ps
+from peaksched.layering import project_ramp_block
 from conftest import (
     brute_force_optimum,
     reference_expected_ratio,
+    reference_project_ramp,
     reference_ramp_dp,
     reference_ratio,
     reference_run_layered,
@@ -139,6 +141,52 @@ def test_projection_is_idempotent(instance, data, ramp):
     once = ps.project_ramp(ps.Schedule(u=u, v=v), trace, ramped)
     twice = ps.project_ramp(once, trace, ramped)
     assert np.array_equal(once.u, twice.u) and np.array_equal(once.v, twice.v)
+
+
+@st.composite
+def projection_blocks(draw, max_rows=5, max_slots=12, max_demand=6):
+    """A block of schedules to project on one trace: each row has its own
+    output (whole or fractional, up to above the demand), grid purchase,
+    capacity (down to below the peak demand) and ramp limit (0 included,
+    so demand often falls faster than the ramp allows)."""
+    rows = draw(st.integers(1, max_rows))
+    T = draw(st.integers(1, max_slots))
+    demands = np.array(draw(st.lists(st.integers(0, max_demand), min_size=T, max_size=T)), dtype=float)
+    trace = ps.Trace(prices=np.ones(T), demands=demands)
+    level = st.one_of(st.integers(0, max_demand + 1).map(float), st.floats(0.0, max_demand + 1.0))
+    u = np.array(draw(st.lists(st.lists(level, min_size=T, max_size=T), min_size=rows, max_size=rows)))
+    v = np.maximum(0.0, demands - u)
+    capacities = draw(st.lists(st.integers(1, max_demand), min_size=rows, max_size=rows))
+    ramps = draw(st.lists(st.integers(0, max_demand), min_size=rows, max_size=rows))
+    return trace, u, v, capacities, ramps
+
+
+@PROPERTY
+@given(projection_blocks())
+# one row, one slot
+@example((ps.Trace(prices=[1.0], demands=[3.0]), np.array([[2.0]]), np.array([[1.0]]), [1], [0]))
+# capacity below the demand, and demand falling faster than ramps of 0 and 1
+@example((
+    ps.Trace(prices=[1.0] * 4, demands=[5.0, 5.0, 0.0, 4.0]),
+    np.array([[5.0, 5.0, 0.0, 4.0], [2.0, 3.0, 0.0, 1.5], [0.0, 0.0, 0.0, 0.0]]),
+    np.array([[0.0] * 4, [3.0, 2.0, 0.0, 2.5], [5.0, 5.0, 0.0, 4.0]]),
+    [3, 5, 2],
+    [1, 2, 0],
+))
+# a demand of -0.0 (a CSV may read "-0"), whose zero output the scalar rule writes as +0.0
+@example((ps.Trace(prices=[1.0] * 3, demands=[2.0, -0.0, 1.0]), np.array([[1.0, 1.0, 1.0]] * 2),
+          np.array([[1.0, 0.0, 0.0]] * 2), [2, 1], [1, 0]))
+def test_block_projection_equals_the_scalar_reference_row_by_row(block):
+    trace, u, v, capacities, ramps = block
+    projected = list(project_ramp_block(u, v, trace.demands, capacities, ramps))
+    assert len(projected) == len(u)
+    for row, ((out_u, out_v), cap, ramp) in enumerate(zip(projected, capacities, ramps)):
+        params = ps.BillingParams(p_g=1.0, p_m=1.0, capacity=cap, ramp=ramp)
+        expected = reference_project_ramp(ps.Schedule(u=u[row], v=v[row]), trace, params)
+        assert out_u.tobytes() == expected.u.tobytes()
+        assert out_v.tobytes() == expected.v.tobytes()
+        single = ps.project_ramp(ps.Schedule(u=u[row], v=v[row]), trace, params)
+        assert single.u.tobytes() == expected.u.tobytes() and single.v.tobytes() == expected.v.tobytes()
 
 
 @PROPERTY
