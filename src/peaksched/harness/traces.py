@@ -1,17 +1,21 @@
 """Trace ingestion from CSV files and synthetic trace generation.
 
-Trace files carry one ``timestamp,value`` row per hour with a header line;
-prices and demands live in separate files and are aligned on the
-intersection of their timestamps.
+A trace file is UTF-8 text with LF, CRLF or CR line breaks; a leading BOM
+is ignored.  Its first line is a header of at least two fields that does
+not itself read as a data row.  Each later line is one ``timestamp,value``
+row; blank and whitespace-only lines are skipped, and a field may be wholly
+in double quotes.  Prices and demands live in separate files and are
+aligned on the intersection of their timestamps.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import compress
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,50 +64,189 @@ def write_text(path: str | Path, text: str) -> None:
         raise StructuralError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
-def _read_series(path: str | Path, kind: str) -> dict[datetime, float]:
-    """One file's ``{timestamp: value}`` rows.  Its stamps must all carry a
-    UTC offset or all lack one: Python cannot order the two kinds."""
+class _Series(NamedTuple):
+    """One file's data rows in file order: their stamps as a list and as a
+    set, the stable order that sorts the stamps, and the values."""
+
+    stamps: list[datetime]
+    unique: set[datetime]
+    order: np.ndarray
+    values: np.ndarray
+
+
+def _unquote(line: str) -> str | None:
+    """``line`` with each field that is wholly in double quotes unquoted, as
+    ``csv`` reads it; None when a quote sits anywhere else."""
+    fields = line.split(",")
+    for k, field in enumerate(fields):
+        if '"' in field:
+            if len(field) < 2 or field[0] != '"' or field[-1] != '"' or '"' in field[1:-1]:
+                return None
+            fields[k] = field[1:-1]
+    return ",".join(fields)
+
+
+def _is_data_row(fields: list[str]) -> bool:
+    """Whether a first line's fields read as a ``timestamp,value`` row."""
+    if len(fields) != 2:
+        return False
+    try:
+        datetime.fromisoformat(fields[0].strip())
+        float(fields[1])
+    except ValueError:
+        return False
+    return True
+
+
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _comma_counts(body: str, lines: int) -> np.ndarray:
+    """The number of commas on each of the ``lines`` LF-separated lines of
+    ``body``.  In UTF-8, ',' and LF are single bytes that occur inside no
+    other character, so the encoded text less every other byte is the
+    sequence of separators."""
+    seps = np.frombuffer(body.encode().translate(None, _NOT_SEPARATORS), np.uint8)
+    line_of = np.cumsum(seps == ord("\n"))
+    return np.bincount(line_of[seps == ord(",")], minlength=lines)
+
+
+def _parse_column(parse, strs: list[str], collect=list):
+    """``collect(map(parse, strs))`` up to the first string ``parse``
+    rejects, and that string's index and ``ValueError`` (None when it
+    accepts all of them)."""
+    try:
+        return collect(map(parse, strs)), None
+    except ValueError:
+        for i, s in enumerate(strs):
+            try:
+                parse(s)
+            except ValueError as exc:
+                return collect(map(parse, strs[:i])), (i, exc)
+        raise
+
+
+def _read_series(path: str | Path, kind: str) -> _Series:
+    """One file's rows, parsed as columns.
+
+    Each check runs over the whole column at once and cuts the rows before
+    the first row it rejects, so the checks after it see only the rows
+    before that one.  The checks run in the order a row is read: quoting,
+    field count, timestamp, offset kind, value, finiteness, range,
+    duplicate.  So
+    the error raised is the one of the file's first bad row, and for that
+    row the one of its first failing check.  A file's stamps must all carry
+    a UTC offset or all lack one: Python cannot order the two kinds."""
     path = Path(path)
-    series: dict[datetime, float] = {}
-    naive = None  # the kind of the first data row's stamp
-    with io.StringIO(read_text(path), newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1:
-                if len(row) < 2:
-                    raise StructuralError(f"{path}: header must be 'timestamp,value'")
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise StructuralError(f"{path} line {lineno}: expected 'timestamp,value', got {row!r}")
-            try:
-                stamp = datetime.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise StructuralError(f"{path} line {lineno}: bad timestamp {row[0]!r}: {exc}") from exc
-            if naive is None:
-                naive, first = stamp.tzinfo is None, lineno
-            elif (stamp.tzinfo is None) is not naive:
-                raise StructuralError(
-                    f"{path} line {lineno}: timestamp {row[0]!r} {'has a' if naive else 'has no'} UTC offset, "
-                    f"unlike line {first}'s"
-                )
-            try:
-                value = float(row[1])
-            except ValueError as exc:
-                raise StructuralError(f"{path} line {lineno}: bad value {row[1]!r}") from exc
-            if not math.isfinite(value):
-                raise ValidationError(f"{path} line {lineno}: {kind} {value} is not finite")
-            if kind == "price" and value <= 0:
-                raise ValidationError(f"{path} line {lineno}: price {value} must be > 0")
-            if kind == "demand" and value < 0:
-                raise ValidationError(f"{path} line {lineno}: demand {value} must be >= 0")
-            if stamp in series:
-                raise ValidationError(f"{path} line {lineno}: duplicate timestamp {row[0]}")
-            series[stamp] = value
-    if not series:
+    text = read_text(path)
+    if not text:
         raise StructuralError(f"{path}: no data rows")
-    return series
+    text = text.removeprefix("\ufeff")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    error = None  # the first bad row's error; the rows are cut before that row
+    if '"' in text:
+        lines = text.split("\n")
+        for i, line in enumerate(lines):
+            if '"' not in line:
+                continue
+            unquoted = _unquote(line)
+            if unquoted is None:
+                error = StructuralError(
+                    f"{path} line {i + 1}: a quote must enclose a whole field with no quote or comma inside, "
+                    f"got {line!r}"
+                )
+                if i == 0:
+                    raise error
+                del lines[i:]
+                break
+            lines[i] = unquoted
+        text = "\n".join(lines)
+    # The whole text, the token list and the value strings are each let go
+    # as soon as they are used: at a year's size each is 0.1-0.6 MB.
+    header, _, body = text.partition("\n")
+    del text
+    fields = header.split(",")
+    if len(fields) < 2:
+        raise StructuralError(f"{path}: header must be 'timestamp,value'")
+    if _is_data_row(fields):
+        raise StructuralError(f"{path} line 1: header missing: the first line {header!r} is a data row")
+    body = body.removesuffix("\n")
+    if not body:
+        raise error or StructuralError(f"{path}: no data rows")
+
+    n = body.count("\n") + 1
+    lineno = np.arange(2, n + 2)
+    counts = _comma_counts(body, n)
+    if not (counts == 1).all():
+        rows = body.split("\n")
+        keep = counts == 1
+        for i in np.flatnonzero(~keep):
+            if counts[i] or rows[i].strip():
+                error = StructuralError(
+                    f"{path} line {lineno[i]}: expected 'timestamp,value', got {rows[i].split(',')!r}"
+                )
+                keep[i:] = False
+                break
+        lineno = lineno[keep]
+        body = "\n".join(compress(rows, keep))
+        if not body:
+            raise error or StructuralError(f"{path}: no data rows")
+
+    tokens = body.replace("\n", ",").split(",")
+    stamp_strs, value_strs = tokens[0::2], tokens[1::2]
+    del tokens
+    stamps, bad = _parse_column(datetime.fromisoformat, list(map(str.strip, stamp_strs)))
+    if bad:
+        i, exc = bad
+        error = StructuralError(f"{path} line {lineno[i]}: bad timestamp {stamp_strs[i]!r}: {exc}")
+        value_strs = value_strs[:i]
+
+    tzinfos = list(map(attrgetter("tzinfo"), stamps))
+    if 0 < tzinfos.count(None) < len(tzinfos):
+        naive = tzinfos[0] is None
+        i = next(i for i, tz in enumerate(tzinfos) if (tz is None) is not naive)
+        error = StructuralError(
+            f"{path} line {lineno[i]}: timestamp {stamp_strs[i]!r} {'has a' if naive else 'has no'} UTC offset, "
+            f"unlike line {lineno[0]}'s"
+        )
+        value_strs = value_strs[:i]
+
+    values, bad = _parse_column(float, value_strs, collect=lambda floats: np.fromiter(floats, float))
+    if bad:
+        i = bad[0]
+        error = StructuralError(f"{path} line {lineno[i]}: bad value {value_strs[i]!r}")
+    del value_strs
+
+    out_of_range = ~np.isfinite(values) | (values <= 0 if kind == "price" else values < 0)
+    if out_of_range.any():
+        i = int(out_of_range.argmax())
+        value = float(values[i])
+        if not math.isfinite(value):
+            reason = "is not finite"
+        else:
+            reason = "must be > 0" if kind == "price" else "must be >= 0"
+        error = ValidationError(f"{path} line {lineno[i]}: {kind} {value} {reason}")
+        values = values[:i]
+
+    stamps = stamps[: len(values)]
+    unique = set(stamps)
+    order = sorted(range(len(stamps)), key=stamps.__getitem__)
+    if len(unique) < len(stamps):
+        # a stable sort puts equal stamps next to each other in file order,
+        # so each repeat is the later of an adjacent equal pair
+        i = min(b for a, b in zip(order, order[1:]) if stamps[a] == stamps[b])
+        error = ValidationError(f"{path} line {lineno[i]}: duplicate timestamp {stamp_strs[i]}")
+    if error:
+        raise error
+    return _Series(stamps, unique, np.array(order, dtype=np.intp), values)
+
+
+def _common_values(series: _Series, other: _Series) -> np.ndarray:
+    """``series``' values at the stamps it shares with ``other``, sorted by
+    stamp."""
+    shared = np.fromiter(map(other.unique.__contains__, series.stamps), bool, len(series.stamps))
+    return series.values[series.order[shared[series.order]]]
 
 
 def parse_trace_csv(price_file: str | Path, demand_file: str | Path) -> LoadedTrace:
@@ -114,19 +257,16 @@ def parse_trace_csv(price_file: str | Path, demand_file: str | Path) -> LoadedTr
     """
     prices = _read_series(price_file, "price")
     demands = _read_series(demand_file, "demand")
-    common = sorted(prices.keys() & demands.keys())
-    if not common:
+    trace_prices = _common_values(prices, demands)
+    if not trace_prices.size:
         raise StructuralError(
             f"no common timestamps between {price_file} and {demand_file}"
         )
-    trace = Trace(
-        prices=np.array([prices[t] for t in common]),
-        demands=np.array([demands[t] for t in common]),
-    )
+    trace = Trace(prices=trace_prices, demands=_common_values(demands, prices))
     return LoadedTrace(
         trace=trace,
-        dropped_price_rows=len(prices) - len(common),
-        dropped_demand_rows=len(demands) - len(common),
+        dropped_price_rows=len(prices.stamps) - len(trace),
+        dropped_demand_rows=len(demands.stamps) - len(trace),
     )
 
 

@@ -2,13 +2,18 @@
 oracles used to cross-check the package's fast paths."""
 from __future__ import annotations
 
+import csv
+import io
 import math
+from datetime import datetime
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import peaksched as ps
+from peaksched.harness.traces import LoadedTrace, read_text
 from peaksched.online import MASS_TOL
 from peaksched.quadrature import integrate
 from peaksched.validators import check_beta
@@ -291,6 +296,77 @@ def reference_sample(spec: ps.DistributionSpec, uniform: float) -> float:
         s = math.log(math.exp(spec.lo) + (uniform - start) / spec.coeff)
         return min(max(s, spec.lo), spec.hi)
     return math.inf
+
+
+def _reference_read_series(path: str | Path, kind: str) -> dict[datetime, float]:
+    """One file's ``{timestamp: value}`` rows.  Its stamps must all carry a
+    UTC offset or all lack one: Python cannot order the two kinds."""
+    path = Path(path)
+    series: dict[datetime, float] = {}
+    naive = None  # the kind of the first data row's stamp
+    with io.StringIO(read_text(path), newline="") as fh:
+        reader = csv.reader(fh)
+        for lineno, row in enumerate(reader, start=1):
+            if lineno == 1:
+                if len(row) < 2:
+                    raise ps.StructuralError(f"{path}: header must be 'timestamp,value'")
+                continue
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise ps.StructuralError(f"{path} line {lineno}: expected 'timestamp,value', got {row!r}")
+            try:
+                stamp = datetime.fromisoformat(row[0].strip())
+            except ValueError as exc:
+                raise ps.StructuralError(f"{path} line {lineno}: bad timestamp {row[0]!r}: {exc}") from exc
+            if naive is None:
+                naive, first = stamp.tzinfo is None, lineno
+            elif (stamp.tzinfo is None) is not naive:
+                raise ps.StructuralError(
+                    f"{path} line {lineno}: timestamp {row[0]!r} {'has a' if naive else 'has no'} UTC offset, "
+                    f"unlike line {first}'s"
+                )
+            try:
+                value = float(row[1])
+            except ValueError as exc:
+                raise ps.StructuralError(f"{path} line {lineno}: bad value {row[1]!r}") from exc
+            if not math.isfinite(value):
+                raise ps.ValidationError(f"{path} line {lineno}: {kind} {value} is not finite")
+            if kind == "price" and value <= 0:
+                raise ps.ValidationError(f"{path} line {lineno}: price {value} must be > 0")
+            if kind == "demand" and value < 0:
+                raise ps.ValidationError(f"{path} line {lineno}: demand {value} must be >= 0")
+            if stamp in series:
+                raise ps.ValidationError(f"{path} line {lineno}: duplicate timestamp {row[0]}")
+            series[stamp] = value
+    if not series:
+        raise ps.StructuralError(f"{path}: no data rows")
+    return series
+
+
+def reference_parse_trace_csv(price_file: str | Path, demand_file: str | Path) -> LoadedTrace:
+    """The CSV reader as the per-row loop it was first written as, kept as
+    the check on :func:`peaksched.harness.parse_trace_csv`: ``csv.reader``
+    tokenises each file, each row is parsed, checked and stored in a
+    ``{timestamp: value}`` dict, and the two dicts are aligned on the sorted
+    intersection of their keys.  It accepts a file without a header, whose
+    first data row it drops, and quoted fields of any shape."""
+    prices = _reference_read_series(price_file, "price")
+    demands = _reference_read_series(demand_file, "demand")
+    common = sorted(prices.keys() & demands.keys())
+    if not common:
+        raise ps.StructuralError(
+            f"no common timestamps between {price_file} and {demand_file}"
+        )
+    trace = ps.Trace(
+        prices=np.array([prices[t] for t in common]),
+        demands=np.array([demands[t] for t in common]),
+    )
+    return LoadedTrace(
+        trace=trace,
+        dropped_price_rows=len(prices) - len(common),
+        dropped_demand_rows=len(demands) - len(common),
+    )
 
 
 @pytest.fixture

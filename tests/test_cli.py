@@ -252,6 +252,24 @@ def test_unreadable_files_exit_2_naming_the_path(tmp_path, capsys, argv, message
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "price_text, message",
+    [
+        # no header: the first row used to be skipped as one
+        ("2018-04-01T00:00,20\n2018-04-01T01:00,21\n", "p.csv line 1: header missing"),
+        ('timestamp,value\n2018-04-01T00:00,20\n2018-04-01T01:00,"2,1"\n', "p.csv line 3: a quote must enclose"),
+    ],
+)
+def test_a_headerless_or_oddly_quoted_trace_csv_exits_2_naming_the_line(tmp_path, capsys, price_text, message):
+    (tmp_path / "p.csv").write_text(price_text)
+    (tmp_path / "d.csv").write_text("timestamp,value\n2018-04-01T00:00,1\n2018-04-01T01:00,2\n")
+    inputs = ["--price-csv", str(tmp_path / "p.csv"), "--demand-csv", str(tmp_path / "d.csv")]
+    assert main(["compare", *inputs, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{tmp_path}/{message}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_trace_csvs_mixing_offset_and_naive_stamps_exit_2_naming_the_line(tmp_path, capsys):
     rows = "timestamp,value\n2018-04-01T00:00,20\n2018-04-01T01:00+00:00,21\n"
     for name in ("p.csv", "d.csv"):

@@ -1,18 +1,22 @@
 """Property-based checks of the invariants the paper relies on: the offline
 oracles are never beaten, layered and projected schedules are feasible,
 projection is idempotent, the threshold switch is the first crossing, and
-the batched engines equal their scalar references bit for bit."""
+the batched engines equal their scalar references bit for bit, and the bulk
+CSV reader answers every file as the per-row reader did."""
 import math
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import peaksched as ps
+from peaksched.harness import parse_trace_csv
 from peaksched.layering import project_ramp_block
 from conftest import (
     brute_force_optimum,
     reference_expected_ratio,
+    reference_parse_trace_csv,
     reference_project_ramp,
     reference_ramp_dp,
     reference_ratio,
@@ -360,3 +364,122 @@ def test_cost_ratio_on_arrays_equals_the_scalar_case_analysis(thresholds, sigmas
     grid = ps.cost_ratio(np.array(thresholds)[:, None], np.array(sigmas), beta)
     assert grid.tolist() == [[reference_ratio(s, sg, beta) for sg in sigmas] for s in thresholds]
     assert all(type(ps.cost_ratio(s, sigmas[0], beta)) is float for s in thresholds)
+
+
+# A trace CSV pair drawn valid, then mutated line by line and as a whole.
+# The header line is never turned into a data row, and no quote is put
+# anywhere but around a whole field: there the bulk reader rejects on
+# purpose what the per-row reader took (tests/test_traces.py).
+STAMP0 = datetime(2018, 4, 1)
+OFFSETS = ["", "+00:00", "+02:00"]
+HEADERS = ["timestamp,value", '"timestamp","value"', "timestamp,value,unit", " time , value "]
+ODD_VALUES = ["nan", "NaN", "inf", "-inf", "infinity", "0", "-0", "0.0", "-1.5", "abc", "", " ", "1e400", "2_2", "\u0661\u0662"]
+ODD_STAMPS = ["", "2018-13-01T00:00", "2018-04-01", "2018-04-01 03:00", "not-a-time", "2018-04-01T05:00+00:00", "2018-04-01T05:00"]
+GARBAGE_TEXT = st.text(st.sampled_from("abc019:-. \tT+\u00e9"), max_size=8)
+GARBAGE = st.one_of(GARBAGE_TEXT, st.tuples(GARBAGE_TEXT, GARBAGE_TEXT).map(",".join))
+
+line_edits = st.one_of(
+    st.tuples(st.just("replace"), st.integers(0, 20), GARBAGE),
+    st.tuples(st.just("insert"), st.integers(0, 20), st.sampled_from(["", " ", "\t", "  \t "])),
+    st.tuples(st.just("value"), st.integers(0, 20), st.sampled_from(ODD_VALUES)),
+    st.tuples(st.just("stamp"), st.integers(0, 20), st.sampled_from(ODD_STAMPS)),
+    st.tuples(st.just("fields"), st.integers(0, 20), st.sampled_from([",", ",x", ",1,2"])),
+    st.tuples(st.just("duplicate"), st.integers(0, 20), st.integers(0, 20)),
+    st.tuples(st.just("same instant"), st.integers(0, 20), st.just(None)),
+    st.tuples(st.just("pad"), st.integers(0, 20), st.sampled_from([" ", "\t", " \u00a0"])),
+    st.tuples(st.just("swap"), st.integers(0, 20), st.integers(0, 20)),
+)
+
+
+def _edit_line(lines, edit):
+    kind, i, arg = edit
+    i %= len(lines)
+    stamp, _, value = lines[i].partition(",")
+    if kind == "replace":
+        lines[i] = arg
+    elif kind == "insert":
+        lines.insert(i, arg)
+    elif kind == "value":
+        lines[i] = f"{stamp},{arg}"
+    elif kind == "stamp":
+        lines[i] = f"{arg},{value}"
+    elif kind == "fields":
+        lines[i] = lines[i].replace(",", "", 1) if arg == "," else lines[i] + arg
+    elif kind == "duplicate":
+        lines[i] = f"{lines[arg % len(lines)].partition(',')[0]},{value}"
+    elif kind == "same instant":
+        # the same instant written at another offset compares equal, so it
+        # still aligns with the other file's stamp for that hour
+        try:
+            instant = datetime.fromisoformat(stamp)
+        except ValueError:
+            return
+        if instant.tzinfo is not None:
+            moved = instant.astimezone(timezone(timedelta(hours=5)))
+            lines[i] = f"{moved.isoformat(timespec='minutes')},{value}"
+    elif kind == "pad":
+        lines[i] = f"{arg}{stamp}{arg},{arg}{value}{arg}" if "," in lines[i] else lines[i]
+    else:
+        j = arg % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+
+
+@st.composite
+def trace_csv_files(draw, kind, offset, hours):
+    hours = sorted({*hours, *draw(st.lists(st.integers(0, 15), max_size=3))})
+    if kind == "price":
+        values = draw(st.lists(st.floats(0.01, 100.0).map(repr), min_size=len(hours), max_size=len(hours)))
+    else:
+        values = draw(st.lists(st.integers(0, 9).map(str), min_size=len(hours), max_size=len(hours)))
+    lines = [
+        f"{(STAMP0 + timedelta(hours=h)).isoformat(timespec='minutes')}{offset},{v}" for h, v in zip(hours, values)
+    ]
+    for edit in draw(st.lists(line_edits, max_size=4)):
+        _edit_line(lines, edit)
+    # quotes go last, so that no later edit splits or pads a quoted field
+    for i, k in draw(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 1)), max_size=3)):
+        fields = lines[i % len(lines)].split(",")
+        if k < len(fields) and '"' not in fields[k]:
+            fields[k] = f'"{fields[k]}"'
+        lines[i % len(lines)] = ",".join(fields)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join([draw(st.sampled_from(HEADERS)), *lines]) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text
+
+
+@st.composite
+def trace_csv_pairs(draw):
+    # the two files share most hours, and their stamps are mostly of one
+    # kind: else no stamp is common
+    hours = draw(st.lists(st.integers(0, 11), min_size=1, max_size=8))
+    offset = draw(st.sampled_from(OFFSETS))
+    other = draw(st.sampled_from([offset, offset, offset, *OFFSETS]))
+    return draw(trace_csv_files("price", offset, hours)), draw(trace_csv_files("demand", other, hours))
+
+
+def _outcome(parse, price_file, demand_file):
+    try:
+        loaded = parse(price_file, demand_file)
+    except Exception as exc:
+        return type(exc), str(exc)
+    trace = loaded.trace
+    return trace.prices.dtype, trace.prices.tobytes(), trace.demands.tobytes(), loaded.dropped_price_rows, loaded.dropped_demand_rows
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(PROPERTY, max_examples=200)
+@given(trace_csv_pairs())
+def test_bulk_csv_reader_answers_as_the_per_row_reader(csv_dir, texts):
+    # the same arrays, bit for bit, and drop counts; or the same exception
+    # class with the same message, which names the file's first bad line
+    price_file, demand_file = csv_dir / "p.csv", csv_dir / "d.csv"
+    price_file.write_bytes(texts[0].encode())
+    demand_file.write_bytes(texts[1].encode())
+    expected = _outcome(reference_parse_trace_csv, price_file, demand_file)
+    assert _outcome(parse_trace_csv, price_file, demand_file) == expected

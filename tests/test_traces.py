@@ -6,6 +6,7 @@ import pytest
 
 import peaksched as ps
 from peaksched.harness import parse_trace_csv, synth_trace, write_trace_csv
+from conftest import reference_parse_trace_csv
 
 
 def _write(path, rows):
@@ -52,6 +53,22 @@ class TestParseTraceCsv:
         _write(tmp_path / "p.csv", [("2018-04-01T00:00", "nan")])
         _write(tmp_path / "d.csv", [("2018-04-01T00:00", 1)])
         with pytest.raises(ps.ValidationError, match=r"p\.csv line 2: price nan is not finite"):
+            parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
+
+    @pytest.mark.parametrize("value", ["0", "-0", "0.0", "-2.5"])
+    def test_price_not_above_zero_names_file_and_line(self, tmp_path, value):
+        _write(tmp_path / "p.csv", [("2018-04-01T00:00", 20.0), ("2018-04-01T01:00", value)])
+        _write(tmp_path / "d.csv", [("2018-04-01T00:00", 1), ("2018-04-01T01:00", 1)])
+        with pytest.raises(ps.ValidationError, match=rf"p\.csv line 3: price {float(value)} must be > 0"):
+            parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    def test_a_file_without_a_header_names_line_1(self, tmp_path, bom):
+        # the first line used to be skipped as the header, dropping its row
+        rows = "".join(f"2018-04-01T0{h}:00,{20 + h}\n" for h in range(3))
+        (tmp_path / "p.csv").write_text(bom + rows)
+        _write(tmp_path / "d.csv", [(f"2018-04-01T0{h}:00", 1) for h in range(3)])
+        with pytest.raises(ps.StructuralError, match=r"p\.csv line 1: header missing: the first line .* is a data row"):
             parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
 
     def test_bad_row_names_line(self, tmp_path):
@@ -116,6 +133,139 @@ class TestParseTraceCsv:
         trace = synth_trace(days=1, seed=9)
         with pytest.raises(OverflowError):
             write_trace_csv(trace, tmp_path / "p.csv", tmp_path / "d.csv", start="9999-12-31T01:00")
+
+
+
+HOURS = ("2018-04-01T00:00", "2018-04-01T01:00", "2018-04-01T02:00")
+
+
+class TestAcceptedFormat:
+    """What the reader takes beyond plain ``timestamp,value`` LF rows.  Each
+    file loads as the plain file with the same rows would."""
+
+    def _load(self, tmp_path, price_text, demand_rows=((HOURS[0], 1), (HOURS[1], 2), (HOURS[2], 3))):
+        (tmp_path / "p.csv").write_bytes(price_text.encode())
+        _write(tmp_path / "d.csv", demand_rows)
+        return parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
+
+    def _plain(self, tmp_path, prices=(20.0, 21.0, 22.0)):
+        return self._load(tmp_path, "timestamp,value\n" + "".join(f"{t},{v}\n" for t, v in zip(HOURS, prices)))
+
+    def _same(self, loaded, plain):
+        assert loaded.trace.prices.tobytes() == plain.trace.prices.tobytes()
+        assert loaded.trace.demands.tobytes() == plain.trace.demands.tobytes()
+        assert (loaded.dropped_price_rows, loaded.dropped_demand_rows) == (plain.dropped_price_rows, plain.dropped_demand_rows)
+
+    def test_whole_fields_in_double_quotes(self, tmp_path):
+        text = '"timestamp","value"\n' + "".join(f'"{t}","{v}"\n' for t, v in zip(HOURS, (20, 21, 22)))
+        self._same(self._load(tmp_path, text), self._plain(tmp_path))
+
+    def test_blank_and_whitespace_only_lines_are_skipped(self, tmp_path):
+        text = f"timestamp,value\n\n{HOURS[0]},20\n   \n\t\n{HOURS[1]},21\n\n{HOURS[2]},22\n\n\n"
+        self._same(self._load(tmp_path, text), self._plain(tmp_path))
+
+    def test_whitespace_around_fields(self, tmp_path):
+        text = "timestamp,value\n" + "".join(f" {t}\t, {v} \n" for t, v in zip(HOURS, (20, 21, 22)))
+        self._same(self._load(tmp_path, text), self._plain(tmp_path))
+
+    def test_utf8_byte_order_mark(self, tmp_path):
+        text = "\ufefftimestamp,value\n" + "".join(f"{t},{v}\n" for t, v in zip(HOURS, (20, 21, 22)))
+        self._same(self._load(tmp_path, text), self._plain(tmp_path))
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_breaks(self, tmp_path, newline):
+        text = newline.join(["timestamp,value", *(f"{t},{v}" for t, v in zip(HOURS, (20, 21, 22)))]) + newline
+        self._same(self._load(tmp_path, text), self._plain(tmp_path))
+
+    def test_header_with_more_than_two_columns(self, tmp_path):
+        text = "timestamp,value,unit,source\n" + "".join(f"{t},{v}\n" for t, v in zip(HOURS, (20, 21, 22)))
+        self._same(self._load(tmp_path, text), self._plain(tmp_path))
+
+    def test_values_follow_float_grammar(self, tmp_path):
+        # underscores between digits and non-ASCII digits parse as float() parses them
+        text = f"timestamp,value\n{HOURS[0]},2_2\n{HOURS[1]},\u0661\u0662\n{HOURS[2]},+.5e1\n"
+        self._same(self._load(tmp_path, text), self._plain(tmp_path, prices=(22.0, 12.0, 5.0)))
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            '2018-04-01T02:00,"22,5"',  # a comma inside quotes
+            '2018-04-01T02:00,"2""2"',  # a doubled quote inside quotes
+            '2018-04-01T02:00,"22"0',  # text after the closing quote
+            '2018-04-01T02:00, "22"',  # text before the opening quote
+            '2018-04-01T02:00,22"',  # a quote inside an unquoted field
+            '"2018-04-01T02:00,22',  # a quote left open
+        ],
+    )
+    def test_any_other_quoting_names_file_and_line(self, tmp_path, row):
+        # csv read these; the bulk reader takes only whole quoted fields
+        text = f"timestamp,value\n{HOURS[0]},20\n{HOURS[1]},21\n{row}\n"
+        with pytest.raises(ps.StructuralError, match=r"p\.csv line 4: a quote must enclose a whole field"):
+            self._load(tmp_path, text)
+
+    def test_a_quote_around_the_whole_header_names_line_1(self, tmp_path):
+        # csv read it as one field, so it failed as a short header
+        text = f'"timestamp,value"\n{HOURS[0]},20\n'
+        with pytest.raises(ps.StructuralError, match=r"p\.csv line 1: a quote must enclose a whole field"):
+            self._load(tmp_path, text)
+
+    def test_infinity_spelled_out_is_a_non_finite_value(self, tmp_path):
+        text = f"timestamp,value\n{HOURS[0]},20\n{HOURS[1]},infinity\n"
+        with pytest.raises(ps.ValidationError, match=r"p\.csv line 3: price inf is not finite"):
+            self._load(tmp_path, text)
+
+    def test_hexadecimal_and_doubled_underscores_are_bad_values(self, tmp_path):
+        for value in ("0x10", "1__2"):
+            text = f"timestamp,value\n{HOURS[0]},20\n{HOURS[1]},{value}\n"
+            with pytest.raises(ps.StructuralError, match=rf"p\.csv line 3: bad value '{value}'"):
+                self._load(tmp_path, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\ufeff", "\n", "\ufeff\n", "timestamp", "timestamp,value", "timestamp,value\n", "timestamp,value\n\n \n\t",
+     "timestamp,value\r\n\r\n", "timestamp;value\n2018-04-01T00:00;20\n"],
+)
+def test_files_without_data_rows_fail_as_the_per_row_reader_failed(tmp_path, text):
+    (tmp_path / "p.csv").write_text(text, newline="")
+    _write(tmp_path / "d.csv", [("2018-04-01T00:00", 1)])
+    with pytest.raises(ps.StructuralError) as expected:
+        reference_parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
+    with pytest.raises(ps.StructuralError) as got:
+        parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
+    assert str(got.value) == str(expected.value)
+
+
+# one fault per entry, as the text of a data row at hour 9 (the other rows
+# are hours 0 to 5); "same stamp" repeats the stamp of the row before it
+FAULTS = {
+    "field count": "2018-04-01T09:00,20,1",
+    "bad timestamp": "2018-04-31T09:00,20",
+    "offset kind": "2018-04-01T09:00+01:00,20",
+    "bad value": "2018-04-01T09:00,2O",
+    "not finite": "2018-04-01T09:00,nan",
+    "out of range": "2018-04-01T09:00,-3",
+    "same stamp": None,
+}
+
+
+@pytest.mark.parametrize("kind", ["price", "demand"])
+@pytest.mark.parametrize("first, second", [(a, b) for a in FAULTS for b in FAULTS if a != b])
+def test_of_two_faults_the_earlier_line_is_named(tmp_path, kind, first, second):
+    # faults at lines 3 and 6 of one file: the error is line 3's, with the
+    # message the per-row reader gave
+    lines = [f"2018-04-01T0{h}:00,{20 + h}" for h in range(6)]
+    for at, fault in ((1, first), (4, second)):
+        lines[at] = FAULTS[fault] or f"2018-04-01T0{at - 1}:00,20"
+    bad, good = ("p.csv", "d.csv") if kind == "price" else ("d.csv", "p.csv")
+    (tmp_path / bad).write_text("timestamp,value\n" + "\n".join(lines) + "\n")
+    _write(tmp_path / good, [(f"2018-04-01T0{h}:00", 1) for h in range(6)])
+    with pytest.raises(ps.PeakSchedError) as expected:
+        reference_parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
+    assert f"{bad} line 3: " in str(expected.value)
+    with pytest.raises(type(expected.value)) as got:
+        parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
+    assert str(got.value) == str(expected.value)
 
 
 class TestSynthTrace:
