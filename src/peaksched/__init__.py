@@ -8,7 +8,9 @@ robustness / consistency guarantees.
 ``import peaksched`` loads the scheduling core only.  The experiment
 harness (trace CSVs, sweeps, theorem verification and the command line)
 is the ``harness`` subpackage, imported the first time
-``peaksched.harness`` is read.
+``peaksched.harness`` is read; the instance-bank engine
+(``peaksched.bank``) is imported the first time ``TraceBank`` is read or a
+bank is built.
 """
 
 from .analysis import (
@@ -21,6 +23,7 @@ from .analysis import (
     expected_ratios,
     naive_randomized_bounds,
     randomized_bounds,
+    worst_case_bank,
     worst_case_instance,
     worst_case_ratio,
 )
@@ -102,6 +105,7 @@ __all__ = [
     "StructuralError",
     "SwitchPolicy",
     "Trace",
+    "TraceBank",
     "UndefinedRatioError",
     "ValidationError",
     "adversarial_predictor",
@@ -145,6 +149,7 @@ __all__ = [
     "switch_slots",
     "true_layer_sigma_hats",
     "validate_schedule",
+    "worst_case_bank",
     "worst_case_instance",
     "worst_case_ratio",
 ]
@@ -159,8 +164,12 @@ def __getattr__(name: str):
         import importlib
 
         return importlib.import_module(".harness", __name__)
+    if name == "TraceBank":
+        from .bank import TraceBank
+
+        return TraceBank
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), "harness"})
+    return sorted({*globals(), "harness", "TraceBank"})

@@ -8,15 +8,18 @@ parameter ``beta`` (minimum grid price over generation cost).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, UndefinedRatioError
-from .model import BillingParams, Trace
+from .model import BillingParams, Trace, _frozen
 from .online import DistributionSpec, SwitchPolicy, _check_thresholds
 from .quadrature import _gk15, integrate
 from .validators import check_beta, check_lambda, check_stretched_lambda
+
+if TYPE_CHECKING:
+    from .bank import TraceBank
 
 _E = math.e
 
@@ -273,10 +276,29 @@ def expected_ratio_closed_form(predicted_high, sigma, lam: float, beta: float):
     return _scalar_or_array(closed)
 
 
-def worst_case_instance(
-    s: float, beta: float, p_m: float = 100.0, slots: int = 1000
-) -> tuple[Trace, BillingParams]:
-    """Build the adversarial instance for the threshold policy ``s``.
+def _worst_case_rows(s, beta, p_m: float, slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frozen (n, slots) prices and demands and the (n,) ``p_g`` of
+    :func:`worst_case_bank`'s rows, after its argument checks."""
+    s, beta = (np.ravel(x) for x in np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(beta, dtype=float)))
+    bad = ~(s > 0)
+    if bad.any():
+        raise DomainError(f"threshold multiplier must be > 0, got {s[bad][0]}")
+    _check_hardness(beta)
+    if p_m <= 0:
+        raise DomainError(f"peak price must be > 0, got {p_m}")
+    if slots < 1:
+        raise DomainError(f"need at least one slot, got {slots}")
+    # with beta = 1 there is no premium to tune
+    p_g = np.divide(s * p_m, (1.0 - beta) * slots, out=np.ones(len(s)), where=beta != 1.0)
+    prices = np.empty((len(s), slots))
+    prices[:] = (beta * p_g)[:, None]
+    return _frozen(prices), _frozen(np.ones((len(s), slots))), p_g
+
+
+def worst_case_bank(s, beta, p_m: float = 100.0, slots: int = 1000) -> TraceBank:
+    """The adversarial instances of the threshold policies ``s`` at hardness
+    ``beta`` (which broadcast against each other), as the rows of one
+    :class:`~peaksched.bank.TraceBank` in row-major order.
 
     Constant prices at ``beta * p_g`` and unit demand on every slot, with
     the generation cost tuned so the premium mass equals ``s`` exactly:
@@ -285,20 +307,20 @@ def worst_case_instance(
     at rate ``(1 - beta) / slots``.  With ``beta = 1`` there is no premium
     to tune, the mass is 0, and every policy is optimal.
     """
-    if not s > 0:
-        raise DomainError(f"threshold multiplier must be > 0, got {s}")
-    check_beta(beta)
-    if p_m <= 0:
-        raise DomainError(f"peak price must be > 0, got {p_m}")
-    if slots < 1:
-        raise DomainError(f"need at least one slot, got {slots}")
-    if beta == 1.0:
-        p_g = 1.0
-    else:
-        p_g = s * p_m / ((1.0 - beta) * slots)
-    trace = Trace(prices=np.full(slots, beta * p_g), demands=np.ones(slots))
-    params = BillingParams(p_g=p_g, p_m=p_m, capacity=1)
-    return trace, params
+    from .bank import TraceBank  # the bank module loads on first use
+
+    prices, demands, p_g = _worst_case_rows(s, beta, p_m, slots)
+    return TraceBank(prices=prices, demands=demands, p_g=p_g, p_m=p_m)
+
+
+def worst_case_instance(
+    s: float, beta: float, p_m: float = 100.0, slots: int = 1000
+) -> tuple[Trace, BillingParams]:
+    """Build the adversarial instance for the threshold policy ``s``: the
+    one-row case of :func:`worst_case_bank`, with capacity 1."""
+    prices, demands, p_g = _worst_case_rows(s, beta, p_m, slots)
+    trace = Trace(prices=prices[0], demands=demands[0])
+    return trace, BillingParams(p_g=float(p_g[0]), p_m=p_m, capacity=1)
 
 
 def empirical_ratio(alg_total: float, opt_total: float) -> float:

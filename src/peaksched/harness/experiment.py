@@ -155,9 +155,10 @@ def parse_text(text: str, kind: type, key: str, many: bool = False):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
+    """Parse flat ``key = value`` lines; '#' starts a comment and a leading
+    BOM is ignored, as the trace reader ignores one."""
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

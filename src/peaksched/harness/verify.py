@@ -11,12 +11,12 @@ instances.
 
 The sweeps run on arrays: the expected ratios one lambda row of the grid at
 a time through :func:`~peaksched.analysis.expected_ratios`, and the
-worst-case runs one premium cumsum per instance for all its thresholds
-through :func:`~peaksched.online.switch_slots`, priced per distinct switch
-slot by :func:`~peaksched.online.switch_costs`.  Each worst value is the
-first maximum in the grid's loop order, so reports name the same point a
-scalar sweep would.  A NaN that reaches a check is its worst value, and the
-check fails.
+worst-case instances a block of rows at a time as one
+:class:`~peaksched.online.TraceBank`, whose switch slots for every
+threshold and whose oracle slots are priced together, once per distinct
+slot of each row.  Each worst value is the first maximum in the grid's
+loop order, so reports name the same point a scalar sweep would.  A NaN
+that reaches a check is its worst value, and the check fails.
 """
 from __future__ import annotations
 
@@ -34,17 +34,16 @@ from ..analysis import (
     expected_ratios,
     naive_randomized_bounds,
     randomized_bounds,
-    worst_case_instance,
+    worst_case_bank,
+    worst_case_instance,  # noqa: F401  looked up here by the benchmark's tracer
     worst_case_ratio,
 )
 from ..errors import DomainError
-from ..model import cost_of, sigma as sigma_of  # noqa: F401  cost_of looked up here by the benchmark's tracer
-from ..offline import optimal_basic
+from ..model import cost_of  # noqa: F401  looked up here by the benchmark's tracer
+from ..offline import optimal_basic  # noqa: F401  looked up here by the benchmark's tracer
 from ..online import (
     lambda_red_distribution,
     run_threshold,  # noqa: F401  looked up here by the benchmark's tracer
-    switch_costs,
-    switch_slots,
 )
 
 _E = math.e
@@ -225,6 +224,14 @@ def _threshold_grid() -> list[float]:
     return [round(0.1 * i, 1) for i in range(1, 21)]
 
 
+#: Slots of worst-case instances built, run and priced together: at 4,000
+#: slots a block is 4 rows, and the check's memory peak stays below the
+#: expected-ratio sweep's whatever the slot count.  Blocks of 8 rows ran
+#: slower: their arrays were large enough for the allocator to hand the
+#: memory back after each block and fault it in again.
+_BLOCK_SLOTS = 16_000
+
+
 def check_ratio_curve_empirical(betas, slots: int = 4000) -> tuple[CheckResult, CheckResult]:
     """Measured ratios on constructed instances stay below the ratio curve,
     and meet it at the adversarial mass as the slot count grows.
@@ -234,24 +241,25 @@ def check_ratio_curve_empirical(betas, slots: int = 4000) -> tuple[CheckResult, 
     discreteness gap it allows for is exactly one slot's premium relative
     to the optimum.
 
-    Each instance takes one premium cumsum for the whole threshold grid and
-    the nudged threshold, and one costing per distinct switch slot; the
-    bounds are then one ratio-curve evaluation over all instances.
+    The instances are built in blocks of rows of one
+    :func:`~peaksched.analysis.worst_case_bank`, whose premium prefixes give
+    every row's switch slots for the whole threshold grid and the nudged
+    threshold at once; those slots and each row's oracle slot are priced
+    in one call.  The bounds are then one ratio-curve evaluation over all
+    instances.
     """
     s_grid = _threshold_grid()
     cases = [(beta, sg) for beta in betas for sg in s_grid]
+    case_beta = np.array([beta for beta, _ in cases])
+    case_s = np.array([sg for _, sg in cases])
     measured = np.empty((len(cases), len(s_grid) + 1))
     masses = np.empty(len(cases))
-    for k, (beta, sg) in enumerate(cases):
-        trace, params = worst_case_instance(sg, beta, p_m=100.0, slots=slots)
-        opt = optimal_basic(trace, params).total
-        masses[k] = sigma_of(trace, params)
-        switch = switch_slots(trace, params, [*s_grid, sg * (1.0 - 1e-9)])
-        measured[k] = empirical_ratio(switch_costs(trace, params, switch), opt)
+    rows = max(1, _BLOCK_SLOTS // slots)
+    for start in range(0, len(cases), rows):
+        block = slice(start, start + rows)
+        masses[block], measured[block] = _measured_ratios(case_s[block], case_beta[block], s_grid, slots)
     s = np.array(s_grid)
-    beta = np.array([beta for beta, _ in cases])[:, None]
-    sg = np.array([sg for _, sg in cases])[:, None]
-    mass = masses[:, None]
+    beta, sg, mass = case_beta[:, None], case_s[:, None], masses[:, None]
     # the ratio curve drops discontinuously as s passes sigma; on the
     # diagonal, rounding decides the side, so take the generous branch there
     bound = cost_ratio(s, mass, beta)
@@ -272,6 +280,18 @@ def check_ratio_curve_empirical(betas, slots: int = 4000) -> tuple[CheckResult, 
         CheckResult("ratio-curve-dominates-measured", 1e-6, above.value, above.at),
         CheckResult("ratio-curve-tightness", 1e-9, worst_gap, f"slots={slots}"),
     )
+
+
+def _measured_ratios(s, beta, s_grid, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Premium masses of the worst-case instances of ``s`` at ``beta``, and
+    each one's measured ratios at every threshold of ``s_grid`` and at its
+    own ``s`` nudged down; the block's arrays are freed on return."""
+    bank = worst_case_bank(s, beta, p_m=100.0, slots=slots)
+    thresholds = np.empty((len(bank), len(s_grid) + 1))
+    thresholds[:, :-1] = s_grid
+    thresholds[:, -1] = s * (1.0 - 1e-9)
+    costs = bank.switch_costs(np.hstack([bank.switch_slots(thresholds), bank.oracle_slots()[:, None]]))
+    return bank.sigmas, np.array([empirical_ratio(row[:-1], row[-1]) for row in costs])
 
 
 def check_worst_case_is_envelope(betas, sigmas, tol: float = 1e-9) -> CheckResult:

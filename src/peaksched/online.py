@@ -118,8 +118,9 @@ class RunRecord:
 
 
 def run_threshold(trace: Trace, params: BillingParams, policy: SwitchPolicy) -> RunRecord:
-    """Execute a switch policy on a 0/1-demand trace: the one-threshold
-    case of :func:`switch_slots`.
+    """Execute a switch policy on a 0/1-demand trace: the slot that
+    :func:`switch_slots` gives its threshold, found on the premium prefix
+    stored on the trace, so that repeated runs share one cumsum.
 
     The slot that first satisfies ``S(t) >= s * p_m`` is itself served from
     the grid, so the premium actually paid stays strictly below
@@ -142,9 +143,12 @@ def switch_slots(trace: Trace, params: BillingParams, thresholds) -> np.ndarray:
     from one pass over the cumulative premium; ``len(trace)`` where the
     policy never switches.  Slot for slot what :func:`run_threshold` gives
     each threshold alone; a threshold that :class:`SwitchPolicy` would
-    reject raises ``DomainError`` naming it."""
-    slots, _ = _crossings(trace, params, _check_thresholds(thresholds))
-    return slots
+    reject raises ``DomainError`` naming it.  The one-trace case of
+    :meth:`peaksched.bank.TraceBank.switch_slots`."""
+    from .bank import TraceBank  # the bank module loads on first use
+
+    s = _check_thresholds(thresholds)
+    return TraceBank._of_trace(trace, params)._slots(s.reshape(1, -1)).reshape(s.shape)[()]
 
 
 def switch_costs(trace: Trace, params: BillingParams, slots) -> np.ndarray:
@@ -152,58 +156,40 @@ def switch_costs(trace: Trace, params: BillingParams, slots) -> np.ndarray:
     (``len(trace)`` never switches): bit for bit what
     ``cost_of(switch_schedule(trace, slot), trace, params).total`` gives
     each slot, with each distinct slot costed once and no schedule built.
-
-    On 0/1 demand a switch at slot ``k`` pays ``p_g`` times the number of
-    demand slots before ``k``, exact in floats, and ``p_m`` times the
-    largest demand from ``k`` on.  The volume is the full-length dot
-    product of the prices with the grid purchase, on one buffer whose head
-    is zeroed as the slots ascend: a sliced dot product would group
-    BLAS's partial sums differently and change the last bits.
+    The one-trace case of :meth:`peaksched.bank.TraceBank.switch_costs`; a
+    ramp limit raises what ``cost_of`` raises on the latest switch's
+    schedule.
     """
-    if not trace.has_binary_demands():
-        raise DomainError("threshold runs require 0/1 demands; decompose general demand into layers")
-    check_pairing(trace, params)
+    from .bank import TraceBank
+
+    bank = TraceBank._of_trace(trace, params)
     slots = np.asarray(slots)
-    horizon = len(trace)
-    if slots.size and slots.dtype.kind not in "iu":
-        raise DomainError(f"switch slots must be integers, got {slots.dtype}")
-    outside = (slots < 0) | (slots > horizon)
-    if outside.any():
-        raise DomainError(f"switch slot {slots[outside][0]} lies outside [0, {horizon}]")
-    distinct, back = np.unique(slots.astype(np.intp), return_inverse=True)
-    if params.ramp is not None and distinct.size:
+    checked = bank._check_slots(slots.reshape(1, -1))
+    if params.ramp is not None and checked.size:
         # a 0/1 output steps by 1 where it first turns on, and the latest
         # switch's schedule turns on wherever an earlier one does: it raises
         # cost_of's ramp error if any slot's schedule would
-        validate_schedule(switch_schedule(trace, int(distinct[-1])), trace, params)
-    d = trace.demands
-    local = np.concatenate(([0.0], d.cumsum()))[distinct]
-    peak = np.concatenate((np.maximum.accumulate(d[::-1])[::-1], [0.0]))[distinct]
-    volume = np.empty(distinct.size)
-    grid = d.copy()
-    done = 0
-    for i, slot in enumerate(distinct.tolist()):
-        grid[done:slot] = 0.0
-        done = slot
-        volume[i] = trace.prices @ grid
-    totals = volume + params.p_m * peak + params.p_g * local
-    return totals[back].reshape(slots.shape)
+        validate_schedule(switch_schedule(trace, int(checked.max())), trace, params)
+    return bank._costs(checked).reshape(slots.shape)
 
 
-def _crossings(trace: Trace, params: BillingParams, s):
-    """Switch slots of the threshold multipliers ``s`` (a float or an
-    array), and the final cumulative premium ``S(T)``.
+def _crossings(trace: Trace, params: BillingParams, s: float):
+    """Switch slot of the threshold multiplier ``s`` and the final cumulative
+    premium ``S(T)``, for one run.
 
-    Premiums are non-negative, so the cumulative sum is sorted and each
+    Premiums are non-negative, so the cumulative sum is sorted and the
     first crossing is a binary search away.  The atoms need no cases of
     their own: ``s = -1`` asks for ``-p_m``, which slot 0 already meets,
     and ``s = inf`` for ``inf``, which no slot meets.
     """
     if not trace.has_binary_demands():
-        raise DomainError("threshold runs require 0/1 demands; decompose general demand into layers")
+        raise DomainError(_BINARY_ONLY)
     check_pairing(trace, params)
     cumulative = _premium_prefix(trace, params.p_g)
     return cumulative.searchsorted(s * params.p_m, side="left"), float(cumulative[-1])
+
+
+_BINARY_ONLY = "threshold runs require 0/1 demands; decompose general demand into layers"
 
 
 def _premium_prefix(trace: Trace, p_g: float) -> np.ndarray:

@@ -19,14 +19,9 @@ from peaksched.quadrature import integrate
 from peaksched.validators import check_beta
 
 
-def make_binary_instance(
-    rng: np.random.Generator,
-    beta: float | None = None,
-    sigma_target: float | None = None,
-    horizon: int | None = None,
-) -> tuple[ps.Trace, ps.BillingParams]:
-    """Random 0/1-demand instance with exact hardness beta and a premium
-    mass steered to sigma_target by choosing the peak price."""
+def _draw_binary(rng: np.random.Generator, beta, sigma_target, horizon):
+    """The arrays and peak price of one random 0/1-demand instance with
+    ``p_g = 1``, in the draw order both builders below share."""
     T = horizon if horizon is not None else int(rng.integers(6, 40))
     p_g = 1.0
     b = float(rng.uniform(0.05, 0.95)) if beta is None else beta
@@ -35,13 +30,39 @@ def make_binary_instance(
     demands = (rng.random(T) < 0.7).astype(float)
     if demands.max() == 0:
         demands[int(rng.integers(0, T))] = 1.0
-    trace = ps.Trace(prices=prices, demands=demands)
     premium = float((p_g - prices) @ demands)
     if sigma_target is None:
         sigma_target = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
     p_m = premium / sigma_target if premium > 0 else 1.0
-    params = ps.BillingParams(p_g=p_g, p_m=p_m, capacity=1)
-    return trace, params
+    return prices, demands, p_m
+
+
+def make_binary_instance(
+    rng: np.random.Generator,
+    beta: float | None = None,
+    sigma_target: float | None = None,
+    horizon: int | None = None,
+) -> tuple[ps.Trace, ps.BillingParams]:
+    """Random 0/1-demand instance with exact hardness beta and a premium
+    mass steered to sigma_target by choosing the peak price."""
+    prices, demands, p_m = _draw_binary(rng, beta, sigma_target, horizon)
+    return ps.Trace(prices=prices, demands=demands), ps.BillingParams(p_g=1.0, p_m=p_m, capacity=1)
+
+
+def make_binary_bank(rng: np.random.Generator, betas) -> list[tuple[np.ndarray, ps.TraceBank]]:
+    """``make_binary_instance(rng, beta=beta)`` for each of ``betas`` in
+    turn, with the same draws in the same order, grouped by horizon: one
+    ``(indices, bank)`` per horizon, ascending, where row ``j`` of the bank
+    is instance ``indices[j]``."""
+    groups: dict[int, list] = {}
+    for i, beta in enumerate(betas):
+        prices, demands, p_m = _draw_binary(rng, beta, None, None)
+        groups.setdefault(len(prices), []).append((i, prices, demands, p_m))
+    banks = []
+    for _, rows in sorted(groups.items()):
+        index, prices, demands, p_m = zip(*rows)
+        banks.append((np.array(index), ps.TraceBank(np.array(prices), np.array(demands), 1.0, np.array(p_m))))
+    return banks
 
 
 def make_integer_instance(

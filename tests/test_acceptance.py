@@ -28,19 +28,18 @@ def _criterion(number: int, name: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def binary_bank():
-    """10,000 seeded binary instances spanning beta in [0.05, 0.95]."""
-    rng = np.random.default_rng(42)
-    bank = []
+    """10,000 seeded binary instances spanning beta in [0.05, 0.95], one
+    bank per horizon, as (bank, sigma, beta, opt) with a row per instance."""
     n = 10_000
-    for i in range(n):
-        beta = 0.05 + 0.9 * i / (n - 1)
-        trace, params = make_binary_instance(rng, beta=beta)
-        sigma = ps.sigma(trace, params)
-        opt = ps.optimal_basic(trace, params).total
-        if opt <= 0:
-            continue
-        bank.append((trace, params, sigma, beta, opt))
-    return bank
+    betas = np.array([0.05 + 0.9 * i / (n - 1) for i in range(n)])
+    groups = []
+    for index, bank in conftest.make_binary_bank(np.random.default_rng(42), betas.tolist()):
+        opt = bank.switch_costs(bank.oracle_slots()[:, None])[:, 0]
+        # every instance has demand, so every optimum is positive
+        assert (opt > 0).all()
+        groups.append((bank, bank.sigmas, betas[index], opt))
+    assert sum(len(bank) for bank, *_ in groups) == n
+    return groups
 
 
 @pytest.fixture(scope="module")
@@ -96,31 +95,34 @@ def test_c01_exact_reductions():
     )
 
 
-def _lambda_bed_ratios(trace, params, sigma_hat, lambdas, opt):
-    """Ratios of the assisted rule at each trust, costed per distinct switch slot."""
-    policies = [ps.select_policy(trace, params, "lambda-bed", lam=lam, sigma_hat=sigma_hat) for lam in lambdas.tolist()]
-    slots = ps.switch_slots(trace, params, [policy.s for policy in policies])
-    return ps.switch_costs(trace, params, slots) / opt
+LAMBDAS = np.array([round(0.1 * i, 1) for i in range(1, 11)])
+
+
+def _lambda_bed_ratios(bank, sigma_hats, opt):
+    """Ratios of the assisted rule at each trust in ``LAMBDAS``, one row per
+    instance: each row runs ``lambda_bed_policy``'s threshold on its side of 1."""
+    above = [ps.lambda_bed_policy(2.0, lam).s for lam in LAMBDAS.tolist()]
+    below = [ps.lambda_bed_policy(0.0, lam).s for lam in LAMBDAS.tolist()]
+    thresholds = np.where(sigma_hats[:, None] > 1, above, below)
+    return bank.switch_costs(bank.switch_slots(thresholds)) / opt[:, None]
 
 
 def test_c02_deterministic_robustness(binary_bank):
     """Flipped predictions never push the assisted rule past its guarantee."""
     worst = -math.inf
-    lambdas = np.array([round(0.1 * i, 1) for i in range(1, 11)])
-    for trace, params, sigma, beta, opt in binary_bank:
-        flipped = 0.0 if sigma > 1 else 2.0
-        ratios = _lambda_bed_ratios(trace, params, flipped, lambdas, opt)
-        worst = max(worst, float(np.max(ratios - (1 + (1 - beta) / lambdas))))
+    for bank, sigma, beta, opt in binary_bank:
+        flipped = np.where(sigma > 1, 0.0, 2.0)
+        ratios = _lambda_bed_ratios(bank, flipped, opt)
+        worst = max(worst, float(np.max(ratios - (1 + (1 - beta[:, None]) / LAMBDAS))))
     _criterion(2, "robustness bound under flipped predictions", worst <= 1e-9, f"max excess {worst:.2e}")
 
 
 def test_c03_deterministic_consistency(binary_bank):
     """Perfect predictions keep the assisted rule within 1 + lambda."""
     worst = -math.inf
-    lambdas = np.array([round(0.1 * i, 1) for i in range(1, 11)])
-    for trace, params, sigma, beta, opt in binary_bank:
-        ratios = _lambda_bed_ratios(trace, params, sigma, lambdas, opt)
-        worst = max(worst, float(np.max(ratios - (1 + lambdas))))
+    for bank, sigma, beta, opt in binary_bank:
+        ratios = _lambda_bed_ratios(bank, sigma, opt)
+        worst = max(worst, float(np.max(ratios - (1 + LAMBDAS))))
     _criterion(3, "consistency bound under perfect predictions", worst <= 1e-9, f"max excess {worst:.2e}")
 
 

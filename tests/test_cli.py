@@ -94,6 +94,17 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert manifest["config"]["days"] == 3  # flag wins
 
 
+def test_a_config_file_with_a_bom_writes_the_plain_files_report(tmp_path, capsys):
+    text = b"days = 2\nseed = 3\nalgorithms = bed,lambda-bed\nlambdas = 0.5\n"
+    (tmp_path / "plain.cfg").write_bytes(text)
+    (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + text)
+    for name in ("plain", "bom"):
+        assert main(["compare", "--config", str(tmp_path / f"{name}.cfg"), "--out-dir", str(tmp_path / name)]) == 0
+    report = (tmp_path / "plain" / "report.csv").read_bytes()
+    assert report.count(b"\n") > 1
+    assert (tmp_path / "bom" / "report.csv").read_bytes() == report
+
+
 def test_run_rejects_bad_algorithm(tmp_path, capsys):
     code = main(["run", "--algorithm", "nope", "--days", "2", "--seed", "1"])
     assert code == 2

@@ -12,7 +12,7 @@ import pytest
 
 import peaksched as ps
 from peaksched import online
-from conftest import make_binary_instance, reference_run_threshold, reference_sample
+from conftest import make_binary_bank, make_binary_instance, reference_run_threshold, reference_sample
 
 E = math.e
 
@@ -214,6 +214,69 @@ class TestSwitchCosts:
         # switches at or before the first demand never turn the generator on
         expected = [ps.cost_of(ps.switch_schedule(trace, k), trace, params).total for k in (0, 2, 1)]
         assert ps.switch_costs(trace, params, [0, 2, 1]).tolist() == expected
+
+
+class TestTraceBank:
+    def test_the_bank_builder_makes_the_instance_builders_instances_in_order(self):
+        n = 300
+        betas = [0.05 + 0.9 * i / (n - 1) for i in range(n)]
+        rng = np.random.default_rng(42)
+        expected = [make_binary_instance(rng, beta=beta) for beta in betas]
+        seen = []
+        for index, bank in make_binary_bank(np.random.default_rng(42), betas):
+            assert len(bank) == len(index) and bank.horizon == len(expected[index[0]][0])
+            for row, i in enumerate(index.tolist()):
+                trace, params = expected[i]
+                assert bank.prices[row].tobytes() == trace.prices.tobytes()
+                assert bank.demands[row].tobytes() == trace.demands.tobytes()
+                assert (bank.p_g[row], bank.p_m[row]) == (params.p_g, params.p_m)
+                seen.append(i)
+        assert sorted(seen) == list(range(n))
+
+    def test_shared_and_per_row_arguments(self):
+        bank = ps.TraceBank([[0.5, 1.0, 0.25], [1.0, 1.0, 1.0]], [[1, 0, 1], [0, 0, 0]], [1.0, 2.0], 3.0)
+        assert bank.prices.shape == bank.demands.shape == (2, 3) and not bank.prices.flags.writeable
+        assert bank.p_m.tolist() == [3.0, 3.0]
+        shared = bank.switch_slots([-1.0, math.inf])
+        assert shared.tolist() == [[0, 3], [0, 3]]
+        assert bank.switch_slots([[-1.0, math.inf]] * 2).tolist() == shared.tolist()
+        assert bank.switch_costs([0, 3]).tolist() == bank.switch_costs([[0, 3], [0, 3]]).tolist()
+        assert bank.switch_costs(np.zeros((2, 0), dtype=int)).shape == (2, 0)
+        assert bank.oracle_slots().tolist() == [3, 3]  # sigma 0.25/3 and 0: all local
+
+    @pytest.mark.parametrize(
+        "prices, demands, p_g, p_m, message",
+        [
+            ([[1.0, 1.0]], [[1.0, 1.0, 1.0]], 1.0, 1.0, r"prices \(1, 2\) and demands \(1, 3\) differ in shape"),
+            ([1.0, 1.0], [1.0, 1.0], 1.0, 1.0, "prices must be a two-dimensional"),
+            (np.ones((2, 0)), np.ones((2, 0)), 1.0, 1.0, "empty trace"),
+            ([[1.0], [1.0]], [[1.0], [1.0]], [1.0, 1.0, 1.0], 1.0, r"p_g must be a number or one number per row \(2\)"),
+        ],
+    )
+    def test_rejects_shapes_that_are_not_a_bank(self, prices, demands, p_g, p_m, message):
+        with pytest.raises(ps.PeakSchedError, match=message):
+            ps.TraceBank(prices, demands, p_g, p_m)
+
+    def test_rejects_thresholds_and_slots_of_the_wrong_shape(self):
+        bank = ps.TraceBank(np.ones((2, 3)), np.ones((2, 3)), 1.0, 1.0)
+        with pytest.raises(ps.StructuralError, match=r"thresholds must be \(k,\) or \(2, k\)"):
+            bank.switch_slots(np.ones((3, 1)))
+        with pytest.raises(ps.StructuralError, match=r"slots must be \(k,\) or \(2, k\)"):
+            bank.switch_costs(np.zeros((1, 1, 1), dtype=int))
+
+    def test_a_worst_case_bank_row_is_the_worst_case_instance(self):
+        bank = ps.worst_case_bank([0.5, 1.5, 2.0], [[0.3], [1.0]], p_m=50.0, slots=40)
+        assert len(bank) == 6
+        for row, (beta, s) in enumerate((beta, s) for beta in (0.3, 1.0) for s in (0.5, 1.5, 2.0)):
+            trace, params = ps.worst_case_instance(s, beta, p_m=50.0, slots=40)
+            assert bank.prices[row].tobytes() == trace.prices.tobytes()
+            assert bank.demands[row].tobytes() == trace.demands.tobytes()
+            assert (bank.p_g[row], bank.p_m[row]) == (params.p_g, params.p_m)
+            assert bank.sigmas[row] == ps.sigma(trace, params)
+        with pytest.raises(ps.DomainError, match="threshold multiplier must be > 0, got 0.0"):
+            ps.worst_case_bank([0.5, 0.0], 0.5)
+        with pytest.raises(ps.DomainError, match="beta must lie in"):
+            ps.worst_case_bank(0.5, [0.5, 1.5])
 
 
 class TestPremiumPrefixMemo:

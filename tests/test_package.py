@@ -1,5 +1,6 @@
 """The package namespace: ``import peaksched`` loads the scheduling core,
-and the ``harness`` subpackage loads the first time it is read."""
+and the ``harness`` subpackage and the bank engine load the first time
+they are read."""
 import os
 import subprocess
 import sys
@@ -11,6 +12,9 @@ PROBE = """
 import sys
 import peaksched
 assert not [m for m in sys.modules if m.startswith("peaksched.harness")], "import peaksched loaded the harness"
+assert "peaksched.bank" not in sys.modules, "import peaksched loaded the bank engine"
+assert "TraceBank" in dir(peaksched)
+assert peaksched.TraceBank is sys.modules["peaksched.bank"].TraceBank
 assert "harness" in dir(peaksched)
 assert peaksched.harness is sys.modules["peaksched.harness"]
 from peaksched import harness

@@ -249,6 +249,97 @@ def test_switch_costs_equal_costing_each_switch_schedule_bit_for_bit(case):
     assert [total.hex() for total in totals.tolist()] == [total.hex() for total in expected]
 
 
+@st.composite
+def trace_banks(draw, max_rows=4):
+    """A bank of 1 to ``max_rows`` 0/1 traces of 1 to 40 slots, and (n, k)
+    thresholds to run on it.  Rows may have no demand or prices tied with
+    their ``p_g``; a tied row's peak price is its premium, so its mass is
+    exactly 1, the oracle's tie.  Every row runs -1, inf and drawn
+    thresholds, and two that land on its own ``S(k) / p_m``."""
+    n, T = draw(st.integers(1, max_rows)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_g = np.array(draw(st.lists(st.sampled_from([1.0, 2.5]), min_size=n, max_size=n)))
+    density = draw(st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]), min_size=n, max_size=n))
+    demands = (rng.random((n, T)) < np.array(density)[:, None]).astype(float)
+    prices = rng.uniform(0.05, 1.0, (n, T)) * p_g[:, None]
+    prices = np.where(rng.random((n, T)) < draw(st.sampled_from([0.0, 0.3])), p_g[:, None], prices)
+    p_m = []
+    for r in range(n):
+        premium = float((p_g[r] - prices[r]) @ demands[r])
+        p_m.append(premium if premium > 0 and draw(st.booleans()) else draw(st.floats(0.01, 100.0)))
+    p_m = np.array(p_m)
+    prefix = ((p_g[:, None] - prices) * demands).cumsum(axis=1)
+    landing = prefix[:, draw(st.lists(st.integers(0, T - 1), min_size=2, max_size=2))] / p_m[:, None]
+    drawn = draw(st.lists(st.floats(0.0, 5.0), max_size=6))
+    thresholds = np.hstack([np.tile([-1.0, math.inf, *drawn], (n, 1)), landing])
+    return ps.TraceBank(prices, demands, p_g, p_m), thresholds
+
+
+@PROPERTY
+@given(trace_banks())
+def test_a_bank_answers_each_row_as_its_trace_bit_for_bit(case):
+    bank, thresholds = case
+    slots = bank.switch_slots(thresholds)
+    costs = bank.switch_costs(np.hstack([slots, bank.oracle_slots()[:, None]]))
+    assert slots.shape == thresholds.shape and costs.shape == (len(bank), thresholds.shape[1] + 1)
+    for r in range(len(bank)):
+        trace, params = bank.instance(r)
+        cumulative = ((params.p_g - trace.prices) * trace.demands).cumsum()
+        assert slots[r].tolist() == cumulative.searchsorted(thresholds[r] * params.p_m, side="left").tolist()
+        for s, slot in zip(thresholds[r].tolist(), slots[r].tolist()):
+            record = ps.run_threshold(trace, params, ps.SwitchPolicy.at(s))
+            assert slot == (len(trace) if record.switch_slot is None else record.switch_slot)
+        expected = [ps.cost_of(ps.switch_schedule(trace, slot), trace, params).total for slot in slots[r].tolist()]
+        assert [cost.hex() for cost in costs[r, :-1].tolist()] == [cost.hex() for cost in expected]
+        assert costs[r, -1].hex() == ps.optimal_basic(trace, params).total.hex()
+        assert bank.sigmas[r].hex() == ps.sigma(trace, params).hex()
+        # the one-trace functions are the one-row case
+        assert ps.switch_slots(trace, params, thresholds[r]).tolist() == slots[r].tolist()
+        assert ps.switch_costs(trace, params, slots[r]).tobytes() == costs[r, :-1].tobytes()
+
+
+ROW_FAULTS = ["demand not 0/1", "price above p_g", "NaN price", "NaN demand", "slot out of range", "slot not an integer"]
+
+
+@PROPERTY
+@given(trace_banks(), st.sampled_from(ROW_FAULTS), st.data())
+def test_a_bad_row_raises_its_traces_error_naming_the_row(case, fault, data):
+    bank, _ = case
+    r, t = data.draw(st.integers(0, len(bank) - 1)), data.draw(st.integers(0, bank.horizon - 1))
+    prices, demands, p_g, p_m = (np.array(x) for x in (bank.prices, bank.demands, bank.p_g, bank.p_m))
+    slots = np.zeros((len(bank), 2), dtype=int)
+    if fault == "demand not 0/1":
+        demands[r, t] = data.draw(st.sampled_from([0.5, 2.0]))
+    elif fault == "price above p_g":
+        prices[r, t] = 1.5 * p_g[r]
+    elif fault == "NaN price":
+        prices[r, t] = math.nan
+    elif fault == "NaN demand":
+        demands[r, t] = math.nan
+    elif fault == "slot out of range":
+        slots[r, 1] = data.draw(st.sampled_from([-1, bank.horizon + 1]))
+    else:
+        slots = slots.astype(float)
+        slots[r, 1] = 0.5
+
+    def one_trace():
+        trace = ps.Trace(prices=prices[r], demands=demands[r])
+        ps.switch_costs(trace, ps.BillingParams(p_g=p_g[r], p_m=p_m[r], capacity=1), slots[r])
+
+    def as_bank():
+        ps.TraceBank(prices, demands, p_g, p_m).switch_costs(slots)
+
+    with pytest.raises(ps.PeakSchedError) as expected:
+        one_trace()
+    with pytest.raises(ps.PeakSchedError) as caught:
+        as_bank()
+    message = str(caught.value)
+    assert type(caught.value) is type(expected.value)
+    assert message.startswith(f"row {r}") and message.endswith(str(expected.value))
+    if not fault.startswith("slot"):
+        assert f"slot {t}" in message
+
+
 binary_traces = st.integers(1, 8).flatmap(
     lambda T: st.tuples(
         st.lists(st.floats(0.05, 1.0), min_size=T, max_size=T),
