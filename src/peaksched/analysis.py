@@ -16,7 +16,7 @@ from .errors import DomainError, UndefinedRatioError
 from .model import BillingParams, Trace, _frozen
 from .online import DistributionSpec, SwitchPolicy, _check_thresholds
 from .quadrature import _gk15, integrate
-from .validators import check_beta, check_lambda, check_stretched_lambda
+from .validators import check_beta, check_lambda, check_stretched_lambda, is_real
 
 if TYPE_CHECKING:
     from .bank import TraceBank
@@ -27,20 +27,37 @@ _E = math.e
 _ABS_TOL = 1e-9
 
 
-def _check_mass(sigma) -> None:
-    sigma = np.asarray(sigma, dtype=float)
+def _reals(values, what: str) -> np.ndarray:
+    """``values`` as a float array, or ``DomainError`` naming the first
+    element that is a bool or not a real number.  Anything but an array is
+    read as objects first: ``np.asarray`` would read ``True`` as 1 and
+    ``"0.5"`` as 0.5, and a list's bools as its floats."""
+    values = np.asarray(values, dtype=None if isinstance(values, np.ndarray) else object)
+    if values.dtype.kind not in "fiu":
+        for value in values.ravel().tolist():
+            if not is_real(value):
+                raise DomainError(f"{what} must be a real number, got {value!r}")
+    return values.astype(float, copy=False)
+
+
+def _check_mass(sigma) -> np.ndarray:
+    """``sigma`` as a float array whose every element is finite and >= 0,
+    or ``DomainError`` naming the first that is not."""
+    sigma = _reals(sigma, "premium mass")
     bad = ~((sigma >= 0) & (sigma < math.inf))
     if bad.any():
         raise DomainError(f"premium mass must be finite and >= 0, got {sigma[bad][0]}")
+    return sigma
 
 
-def _check_hardness(beta) -> None:
-    """:func:`check_beta` on every element of ``beta``, naming the first
-    offending value."""
-    beta = np.asarray(beta, dtype=float)
+def _check_hardness(beta) -> np.ndarray:
+    """``beta`` as a float array after :func:`check_beta` on every element,
+    naming the first offending value."""
+    beta = _reals(beta, "beta")
     bad = ~((beta > 0) & (beta <= 1))
     if bad.any():
         check_beta(float(beta[bad][0]))
+    return beta
 
 
 def _scalar_or_array(value: np.ndarray):
@@ -65,9 +82,8 @@ def cost_ratio(policy: SwitchPolicy | float, sigma, beta: float):
     A multiplier that :class:`SwitchPolicy` rejects raises ``DomainError``.
     """
     s = _check_thresholds(policy.s if isinstance(policy, SwitchPolicy) else policy)
-    _check_hardness(beta)
-    _check_mass(sigma)
-    return _ratio(s, sigma, beta)
+    beta = _check_hardness(beta)
+    return _ratio(s, _check_mass(sigma), beta)
 
 
 def _ratio(s, sigma, beta):
@@ -170,16 +186,15 @@ def expected_ratios(specs, betas, sigmas) -> np.ndarray:
     (``np.exp`` may differ in the last bit), so every value is bit for bit
     the scalar quadrature of that point.
     """
-    betas = [float(beta) for beta in betas]
+    betas = list(betas)
     if len(betas) != len(specs):
         raise DomainError(f"need one beta per spec, got {len(betas)} for {len(specs)}")
     for beta in betas:
         check_beta(beta)
-    sigmas = np.asarray(sigmas, dtype=float).reshape(-1)
-    _check_mass(sigmas)
+    sigmas = _check_mass(sigmas).reshape(-1)
     for spec in specs:
         spec.require_normalized()
-    beta_col = np.array(betas).reshape(-1, 1)
+    beta_col = np.array(betas, dtype=float).reshape(-1, 1)
 
     width = max((len(spec.atoms) for spec in specs), default=0)
     # absent atoms are padded as zero mass at inf, whose ratio is finite
@@ -214,9 +229,15 @@ def _density_integrals(specs, beta_col: np.ndarray, sigmas: np.ndarray) -> np.nd
     b = np.concatenate([np.where(split, sigma, hi), hi[split]])
     c, sg, bt = coeff[owner], sigma[owner], beta[owner]
     # segments that share their ends share every node: e^s is taken once
-    # per distinct segment, on its first row, and scattered back
-    _, first, back = np.unique(np.stack([a, b], axis=1), axis=0, return_index=True, return_inverse=True)
-    back = back.reshape(-1)
+    # per distinct segment, on its first row, and scattered back.  The ends
+    # are one complex key, which sorts lexicographically on (a, b) as a
+    # 1-D array, where a row-wise unique sorts generic records; the sort is
+    # stable, so ``first`` is each segment's first row.  Ends that differ
+    # only in the sign of a zero merge: their nodes differ at most in that
+    # sign, and math.exp(-0.0) is math.exp(0.0).
+    key = np.empty(len(a), dtype=complex)
+    key.real, key.imag = a, b
+    _, first, back = np.unique(key, return_index=True, return_inverse=True)
 
     def exp(x: np.ndarray) -> np.ndarray:
         return np.array([math.exp(node) for node in x[first].tolist()])[back]
@@ -243,20 +264,22 @@ def _density_integrals(specs, beta_col: np.ndarray, sigmas: np.ndarray) -> np.nd
     return value.reshape(shape)
 
 
-def expected_ratio_closed_form(predicted_high, sigma, lam: float, beta: float):
+def expected_ratio_closed_form(predicted_high, sigma, lam: float, beta):
     """Closed form of :func:`expected_ratio` for the prediction-weighted
     randomized rule, by branch of the prediction and of the true mass.
 
     Requires ``sigma > 0``.  The two ``sigma <= 1`` branches are constant
     in ``sigma``; the two ``sigma > 1`` branches grow toward their
     ``sigma -> inf`` envelope, which is what the robustness and consistency
-    formulas of :func:`randomized_bounds` cap.  ``predicted_high`` and
-    ``sigma`` may be arrays, which broadcast; scalars give a ``float``.
+    formulas of :func:`randomized_bounds` cap.  ``predicted_high``,
+    ``sigma`` and ``beta`` may be arrays, which broadcast; scalars give a
+    ``float``.  The formula runs elementwise in a fixed order, so each
+    point equals the scalar call at that point bit for bit.  A ``beta``
+    outside (0, 1] raises ``DomainError`` naming the first such value.
     """
     check_lambda(lam, allow_zero=True)
-    check_beta(beta)
-    _check_mass(sigma)
-    sigma = np.asarray(sigma, dtype=float)
+    beta = _check_hardness(beta)
+    sigma = _check_mass(sigma)
     if not (sigma > 0).all():
         raise DomainError("closed forms assume a positive premium mass")
     high = np.asarray(predicted_high, dtype=bool)
@@ -279,11 +302,10 @@ def expected_ratio_closed_form(predicted_high, sigma, lam: float, beta: float):
 def _worst_case_rows(s, beta, p_m: float, slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frozen (n, slots) prices and demands and the (n,) ``p_g`` of
     :func:`worst_case_bank`'s rows, after its argument checks."""
-    s, beta = (np.ravel(x) for x in np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(beta, dtype=float)))
+    s, beta = (np.ravel(x) for x in np.broadcast_arrays(np.asarray(s, dtype=float), _check_hardness(beta)))
     bad = ~(s > 0)
     if bad.any():
         raise DomainError(f"threshold multiplier must be > 0, got {s[bad][0]}")
-    _check_hardness(beta)
     if p_m <= 0:
         raise DomainError(f"peak price must be > 0, got {p_m}")
     if slots < 1:

@@ -135,18 +135,22 @@ def check_expected_ratios(
     the branches where the prediction is right.
 
     Each lambda is one batch of (beta, prediction branch) rows by sigma
-    columns, the loop order of the points within it."""
+    columns, the loop order of the points within it: one
+    :func:`~peaksched.analysis.expected_ratios` call for its quadratures
+    and one :func:`~peaksched.analysis.expected_ratio_closed_form` call,
+    over a column of betas, for its closed forms."""
     betas, sigmas = tuple(betas), tuple(sigmas)
     highs = (True, False)
     mass = np.array(sigmas, dtype=float)
     high = np.array(highs)[:, None]
     right_branch = high == (mass > 1)
     shape = (len(betas), len(highs), len(sigmas))
+    beta_col = np.array(betas)[:, None, None]
     gap, rob, cons = _Worst(0.0), _Worst(-math.inf), _Worst(-math.inf)
     for lam in lambdas:
         specs = [spec for beta in betas for _, spec in _branches(lam, beta)]
         values = expected_ratios(specs, [beta for beta in betas for _ in highs], mass).reshape(shape)
-        closed = np.array([expected_ratio_closed_form(high, mass, lam, beta) for beta in betas])
+        closed = expected_ratio_closed_form(high, mass, lam, beta_col)
         bounds = np.array([randomized_bounds(lam, beta) for beta in betas])[:, :, None, None]
 
         def point(i):

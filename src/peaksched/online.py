@@ -249,9 +249,10 @@ def lambda_bed_policy(sigma_hat: float, lam: float) -> SwitchPolicy:
 class DistributionSpec:
     """Mixed distribution over switch thresholds.
 
-    Point masses sit at the policy atoms (``-1`` and/or ``inf``); the
-    continuous part has density ``coeff * e^s`` on ``[lo, hi]``.  Total
-    mass must be 1 within :data:`MASS_TOL`.
+    Point masses sit at the policy atoms (``-1`` and/or ``inf``), the only
+    places :func:`sample` draws an atom; the continuous part has density
+    ``coeff * e^s`` on ``[lo, hi]``.  Total mass must be 1 within
+    :data:`MASS_TOL`.  A NaN in any field fails its check.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -260,15 +261,21 @@ class DistributionSpec:
     hi: float
 
     def __post_init__(self):
-        if self.coeff < 0:
+        # every comparison is written so that NaN fails it
+        if not self.coeff >= 0:
             raise ValidationError(f"density coefficient must be >= 0, got {self.coeff}")
+        for end in ("lo", "hi"):
+            if math.isnan(getattr(self, end)):
+                raise ValidationError(f"density support end {end} must not be NaN")
         if self.hi < self.lo:
             raise ValidationError(f"empty density support [{self.lo}, {self.hi}]")
         # the masses and e^lo that every sample reads, computed once
         start = atoms = 0
         for where, mass in self.atoms:
-            if mass < 0:
-                raise ValidationError(f"atom at {where} has negative mass {mass}")
+            if not (where == _GRID_FROM_START or where == math.inf):
+                raise ValidationError(f"atom location must be -1 or inf, got {where}")
+            if not mass >= 0:
+                raise ValidationError(f"atom at {where} must have mass >= 0, got {mass}")
             atoms += mass
             if where == _GRID_FROM_START:
                 start += mass
@@ -290,7 +297,7 @@ class DistributionSpec:
 
     def require_normalized(self) -> None:
         total = self._total
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise ValidationError(f"distribution mass is {total}, not 1 within {MASS_TOL}")
 
 

@@ -16,14 +16,21 @@ NAIVE_LAMBDA_FLOOR = 1.0 / _LOG_MAX
 
 
 def check_beta(beta: float) -> None:
-    """Reject a hardness parameter outside (0, 1], NaN included."""
+    """Reject a hardness parameter that is a bool, not a real number, or
+    outside (0, 1], NaN included."""
+    if not (type(beta) is float or is_real(beta)):
+        raise DomainError(f"beta must be a real number, got {beta!r}")
     if not 0 < beta <= 1:
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
 
 
 def check_lambda(lam: float, allow_zero: bool = False) -> None:
-    """Reject a trust parameter outside (0, 1], or outside [0, 1] when
-    ``allow_zero`` is set, NaN included."""
+    """Reject a trust parameter that is a bool, not a real number, or
+    outside (0, 1], or outside [0, 1] when ``allow_zero`` is set, NaN
+    included."""
+    # a plain float skips the call: this runs on every layer run
+    if not (type(lam) is float or is_real(lam)):
+        raise DomainError(f"lambda must be a real number, got {lam!r}")
     if allow_zero:
         if not 0 <= lam <= 1:
             raise DomainError(f"lambda must lie in [0, 1], got {lam}")

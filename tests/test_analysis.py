@@ -340,6 +340,28 @@ class TestExpectedRatio:
         with pytest.raises(ps.DomainError, match="positive premium mass"):
             ps.expected_ratio_closed_form(high, np.array([0.5, 0.0]), 0.3, 0.4)
 
+    def test_closed_form_on_a_beta_array_equals_the_per_beta_calls_bit_for_bit(self):
+        # verify's grid, one call per lambda as its sweep makes it
+        from peaksched.harness.verify import default_beta_grid, default_lambda_grid, default_sigma_grid
+
+        betas = default_beta_grid()
+        high = np.array([True, False])[:, None]
+        mass = np.array(default_sigma_grid())
+        for lam in (0.0, *default_lambda_grid(), 1.0):
+            grid = ps.expected_ratio_closed_form(high, mass, lam, np.array(betas)[:, None, None])
+            loop = np.array([ps.expected_ratio_closed_form(high, mass, lam, beta) for beta in betas])
+            assert grid.shape == (len(betas), 2, len(mass))
+            assert grid.tobytes() == loop.tobytes()
+        assert type(ps.expected_ratio_closed_form(True, 2.0, 0.5, np.float64(0.4))) is float
+
+    @pytest.mark.parametrize("bad", [0.0, -0.2, 1.5, math.nan])
+    def test_closed_form_names_the_first_bad_beta_in_an_array(self, bad):
+        betas = np.array([0.2, 0.5, bad, 3.0, 0.7])
+        with pytest.raises(ps.DomainError, match=rf"beta must lie in \(0, 1\], got {re.escape(str(bad))}$"):
+            ps.expected_ratio_closed_form(True, 0.5, 0.3, betas)
+        with pytest.raises(ps.DomainError, match=r"beta must be a real number, got True$"):
+            ps.expected_ratio_closed_form(True, 0.5, 0.3, [0.2, True, bad])
+
     def test_rejects_unnormalized_spec(self):
         spec = ps.DistributionSpec(atoms=((math.inf, 0.5),), coeff=0.1, lo=0.0, hi=1.0)
         with pytest.raises(ps.ValidationError, match="mass"):

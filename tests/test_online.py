@@ -531,6 +531,39 @@ class TestSampling:
         with pytest.raises(ps.ValidationError):
             ps.sample(bad, 0.5)
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            (((), math.nan, 0.0, 1.0), "density coefficient must be >= 0, got nan"),
+            (((), 1.0, math.nan, 1.0), "density support end lo must not be NaN"),
+            (((), 1.0, 0.0, math.nan), "density support end hi must not be NaN"),
+            ((((math.inf, math.nan),), 0.0, 0.0, 1.0), "atom at inf must have mass >= 0, got nan"),
+            ((((-1.0, -0.5), (math.inf, 1.5)), 0.0, 0.0, 1.0), "atom at -1.0 must have mass >= 0, got -0.5"),
+            # sample draws an atom only at -1 or inf: one elsewhere would be
+            # drawn at inf but integrated where it sits
+            ((((math.nan, 1.0),), 0.0, 0.0, 1.0), "atom location must be -1 or inf, got nan"),
+            ((((0.5, 1.0),), 0.0, 0.0, 1.0), "atom location must be -1 or inf, got 0.5"),
+            ((((-math.inf, 1.0),), 0.0, 0.0, 1.0), "atom location must be -1 or inf, got -inf"),
+            ((((0.0, 0.5), (math.inf, 0.5)), 0.0, 0.0, 1.0), "atom location must be -1 or inf, got 0.0"),
+        ],
+    )
+    def test_rejects_a_nan_or_a_misplaced_atom_naming_the_field(self, fields, match):
+        with pytest.raises(ps.ValidationError, match=re.escape(match)):
+            ps.DistributionSpec(*fields)
+
+    @pytest.mark.parametrize("fields", [((), math.inf, 0.0, 0.0), ((), 1.0, math.inf, math.inf)])
+    def test_a_nan_total_mass_is_not_normalized(self, fields):
+        # inf * 0 and e^inf - e^inf leave the total NaN, which no draw or
+        # quadrature may read as 1
+        spec = ps.DistributionSpec(*fields)
+        assert math.isnan(spec.total_mass())
+        with pytest.raises(ps.ValidationError, match="distribution mass is nan"):
+            spec.require_normalized()
+        with pytest.raises(ps.ValidationError, match="distribution mass is nan"):
+            ps.sample(spec, 0.5)
+        with pytest.raises(ps.ValidationError, match="distribution mass is nan"):
+            ps.expected_ratio(spec, 0.5, 0.5)
+
     def test_samples_equal_a_sampler_that_recomputes_the_masses(self):
         specs = [
             ps.DistributionSpec(atoms=((-1.0, 0.2), (math.inf, 0.3)), coeff=0.5 / (E - 1), lo=0.0, hi=1.0),
