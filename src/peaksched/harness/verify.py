@@ -9,8 +9,9 @@ variant, the trade-off monotonicity of the deterministic rule, and the
 exact ratio curve against measured ratios on constructed worst-case
 instances.
 
-The sweeps run on arrays: the expected ratios one lambda row of the grid at
-a time through :func:`~peaksched.analysis.expected_ratios`, and the
+The sweeps run on arrays: the expected ratios one beta column of the grid
+at a time through :func:`~peaksched.analysis.expected_ratios`, whose
+specs then share their cost ratios at every quadrature node, and the
 worst-case instances a block of rows at a time as one
 :class:`~peaksched.online.TraceBank`, whose switch slots for every
 threshold and whose oracle slots are priced together, once per distinct
@@ -134,22 +135,27 @@ def check_expected_ratios(
     robustness bound anywhere, and never exceeds the consistency bound on
     the branches where the prediction is right.
 
-    Each lambda is one batch of (beta, prediction branch) rows by sigma
-    columns, the loop order of the points within it: one
-    :func:`~peaksched.analysis.expected_ratios` call for its quadratures
-    and one :func:`~peaksched.analysis.expected_ratio_closed_form` call,
-    over a column of betas, for its closed forms."""
-    betas, sigmas = tuple(betas), tuple(sigmas)
+    Each beta is one :func:`~peaksched.analysis.expected_ratios` batch of
+    (lambda, prediction branch) rows by sigma columns: every spec in it has
+    the support [0, 1] and that beta, so the batch's segments share their
+    cost ratios at every quadrature node.  Each lambda then takes one
+    :func:`~peaksched.analysis.expected_ratio_closed_form` call, over a
+    column of betas, and its (beta, branch, sigma) block of the values is
+    checked in the loop order of the points within it."""
+    lambdas, betas, sigmas = tuple(lambdas), tuple(betas), tuple(sigmas)
     highs = (True, False)
     mass = np.array(sigmas, dtype=float)
     high = np.array(highs)[:, None]
     right_branch = high == (mass > 1)
     shape = (len(betas), len(highs), len(sigmas))
+    values = np.empty((len(lambdas), *shape))
+    for b, beta in enumerate(betas):
+        specs = [spec for lam in lambdas for _, spec in _branches(lam, beta)]
+        batch = expected_ratios(specs, [beta] * len(specs), mass)
+        values[:, b] = batch.reshape(len(lambdas), len(highs), len(sigmas))
     beta_col = np.array(betas)[:, None, None]
     gap, rob, cons = _Worst(0.0), _Worst(-math.inf), _Worst(-math.inf)
-    for lam in lambdas:
-        specs = [spec for beta in betas for _, spec in _branches(lam, beta)]
-        values = expected_ratios(specs, [beta for beta in betas for _ in highs], mass).reshape(shape)
+    for lam, value in zip(lambdas, values):
         closed = expected_ratio_closed_form(high, mass, lam, beta_col)
         bounds = np.array([randomized_bounds(lam, beta) for beta in betas])[:, :, None, None]
 
@@ -161,9 +167,9 @@ def check_expected_ratios(
             b, _, j = np.unravel_index(i, shape)
             return f"lam={lam} beta={betas[b]} sigma={sigmas[j]}"
 
-        gap.offer(np.abs(values - closed), point)
-        rob.offer(values - bounds[:, 0], point)
-        cons.offer(np.where(right_branch, values - bounds[:, 1], -math.inf), right_point)
+        gap.offer(np.abs(value - closed), point)
+        rob.offer(value - bounds[:, 0], point)
+        cons.offer(np.where(right_branch, value - bounds[:, 1], -math.inf), right_point)
     return (
         CheckResult("expected-ratio-closed-forms", closed_form_tol, gap.value, gap.at),
         CheckResult("randomized-robustness-envelope", envelope_tol, rob.value, rob.at),

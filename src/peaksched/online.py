@@ -32,7 +32,15 @@ from .model import (
     check_pairing,
     validate_schedule,
 )
-from .validators import check_beta, check_lambda, check_seed, check_sigma_hat, check_stretched_lambda
+from .validators import (
+    as_reals,
+    check_beta,
+    check_lambda,
+    check_seed,
+    check_sigma_hat,
+    check_stretched_lambda,
+    is_real,
+)
 
 #: Tolerance on the total mass of a switch-threshold distribution.
 MASS_TOL = 1e-12
@@ -57,6 +65,9 @@ class SwitchPolicy:
 
     @classmethod
     def at(cls, s: float) -> "SwitchPolicy":
+        # a plain float skips the call: this runs on every layer run
+        if not (type(s) is float or is_real(s)):
+            raise DomainError(f"threshold multiplier must be a real number, got {s!r}")
         return cls(float(s))
 
     @classmethod
@@ -81,9 +92,10 @@ class SwitchPolicy:
 
 
 def _check_thresholds(s) -> np.ndarray:
-    """``s`` as a float array whose every element passes :class:`SwitchPolicy`'s
-    rule, or ``DomainError`` naming the first that does not."""
-    s = np.asarray(s, dtype=float)
+    """``s`` as a float array whose every element is a real number that
+    passes :class:`SwitchPolicy`'s rule, or ``DomainError`` naming the first
+    that does not."""
+    s = np.asarray(s) if type(s) is float else as_reals(s, "threshold multiplier")
     bad = ~((s == _GRID_FROM_START) | (s >= 0))
     if bad.any():
         raise DomainError(f"threshold multiplier must be -1, >= 0, or inf; got {s[bad][0]}")

@@ -11,9 +11,11 @@ short segment is not asked for an error no panel can reach.
 The panel rule :func:`_gk15` is written in plain arithmetic, so it also
 runs on arrays: given arrays ``a`` and ``b`` and an integrand that maps an
 array of nodes elementwise, it returns one panel value and error per
-interval, bit for bit what the scalar rule gives each one.  Batch callers
-run one panel per segment that way and hand only the segments it does not
-settle to :func:`integrate`.
+interval, bit for bit what the scalar rule gives each one.  Its two halves,
+:func:`_gk15_nodes` and :func:`_gk15_sum`, let a batch caller evaluate its
+integrand on the nodes of distinct intervals only and gather the values of
+every interval from them.  Batch callers run one panel per segment that way
+and hand only the segments it does not settle to :func:`integrate`.
 """
 from __future__ import annotations
 
@@ -83,20 +85,38 @@ class _Budget:
         self.cut = False
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+def _gk15_nodes(a, b) -> tuple[list, object]:
+    """The panel's 15 nodes on ``[a, b]`` in the order :func:`_gk15`
+    evaluates them (the center, then each abscissa's lower and upper node),
+    and its half width."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fc = f(center)
+    nodes = [center]
+    for x, _, _ in _NODES:
+        nodes += (center - half * x, center + half * x)
+    return nodes, half
+
+
+def _gk15_sum(values: Iterable, half) -> tuple:
+    """The panel's value and error estimate from its integrand ``values``,
+    taken in :func:`_gk15_nodes`'s order."""
+    values = iter(values)
+    fc = next(values)
     kronrod = _WGK[7] * fc
     gauss = _WG[3] * fc
-    for x, wk, wg in _NODES:
-        pair = f(center - half * x) + f(center + half * x)
+    for _, wk, wg in _NODES:
+        pair = next(values) + next(values)
         kronrod += wk * pair
         if wg is not None:
             gauss += wg * pair
     kronrod *= half
     gauss *= half
     return kronrod, abs(kronrod - gauss)
+
+
+def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    nodes, half = _gk15_nodes(a, b)
+    return _gk15_sum(map(f, nodes), half)
 
 
 def _adaptive(f, a, b, tol, depth, budget: _Budget, ceiling: float = 0.0) -> tuple[float, float]:

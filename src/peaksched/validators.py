@@ -6,6 +6,8 @@ import numbers
 import operator
 import sys
 
+import numpy as np
+
 from .errors import DomainError
 
 _LOG_MAX = math.log(sys.float_info.max)
@@ -49,8 +51,12 @@ def check_stretched_lambda(lam: float) -> None:
 
 
 def check_sigma_hat(sigma_hat: float) -> None:
-    """Reject a NaN or infinite predicted premium mass, which would otherwise
-    pick a branch of ``sigma_hat > 1`` silently; negative values stay legal."""
+    """Reject a predicted premium mass that is a bool, not a real number, NaN
+    or infinite, which would otherwise pick a branch of ``sigma_hat > 1``
+    silently; negative values stay legal."""
+    # a plain float skips the call: this runs on every layer run
+    if not (type(sigma_hat) is float or is_real(sigma_hat)):
+        raise DomainError(f"sigma_hat must be a real number, got {sigma_hat!r}")
     if not math.isfinite(sigma_hat):
         raise DomainError(f"sigma_hat must be finite, got {sigma_hat}")
 
@@ -60,6 +66,19 @@ def is_real(value) -> bool:
     numpy scalars included."""
     # a plain float first: the ABC check costs about 0.6 us a value
     return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def as_reals(values, what: str) -> np.ndarray:
+    """``values`` as a float array, or ``DomainError`` naming the first
+    element that is a bool or not a real number.  Anything but an array is
+    read as objects first: ``np.asarray`` would read ``True`` as 1 and
+    ``"0.5"`` as 0.5, and a list's bools as its floats."""
+    values = np.asarray(values, dtype=None if isinstance(values, np.ndarray) else object)
+    if values.dtype.kind not in "fiu":
+        for value in values.ravel().tolist():
+            if not is_real(value):
+                raise DomainError(f"{what} must be a real number, got {value!r}")
+    return values.astype(float, copy=False)
 
 
 def check_seed(seed) -> None:

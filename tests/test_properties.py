@@ -465,6 +465,41 @@ def test_expected_ratios_equal_the_scalar_quadrature_bit_for_bit(rows, drawn):
         assert [x.hex() for x in row] == [reference_expected_ratio(spec, sg, beta).hex() for sg in sigmas]
 
 
+@st.composite
+def shared_classes(draw):
+    """A batch whose specs mostly share one (support, beta) class, and so
+    their ratios at every node: lambda-red's two branches at a few trusts
+    and red, all on [0, 1] at one beta, a hand-built spec on [-0.0, 1] at
+    that beta beside them, and one spec at another beta on the same
+    support.  Then a permutation, so that no class sits at a fixed row."""
+    beta, other = draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0))
+    lams = draw(st.lists(trusts, min_size=1, max_size=3))
+    rows = [(ps.lambda_red_distribution(hat, lam, beta), beta) for lam in lams for hat in (2.0, 0.5)]
+    rows += [
+        (ps.red_distribution(beta), beta),
+        (ps.DistributionSpec(atoms=(), coeff=1.0 / (math.e - 1.0), lo=-0.0, hi=1.0), beta),
+        (ps.lambda_red_distribution(2.0, lams[0], other), other),
+    ]
+    return draw(st.permutations(rows))
+
+
+@PROPERTY
+@given(
+    st.one_of(shared_classes(), shared_segments()),
+    st.lists(st.floats(1e-9, 20.0), max_size=3),
+)
+def test_a_row_of_expected_ratios_is_the_same_alone_and_in_a_batch(rows, drawn):
+    # masses repeated, at both ends of every support, and -0.0 beside 0.0
+    sigmas = [*drawn, 0.5, *drawn, 0.0, -0.0, 1.0, 0.5]
+    for spec, _ in rows:
+        sigmas += [spec.lo, spec.hi]
+    batch = ps.expected_ratios([spec for spec, _ in rows], [beta for _, beta in rows], sigmas)
+    for (spec, beta), row in zip(rows, batch.tolist()):
+        alone = ps.expected_ratios([spec], [beta], sigmas)[0].tolist()
+        assert [x.hex() for x in row] == [x.hex() for x in alone]
+        assert [x.hex() for x in row] == [reference_expected_ratio(spec, sg, beta).hex() for sg in sigmas]
+
+
 @PROPERTY
 @given(
     st.lists(st.one_of(st.just(-1.0), st.just(math.inf), st.floats(0.0, 12.0)), min_size=1, max_size=6),

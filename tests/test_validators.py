@@ -160,6 +160,79 @@ def test_a_hostile_mass_is_a_domain_error_naming_it(fn, sigma, named):
         fn(sigma)
 
 
+# a threshold multiplier, a predicted premium mass and a run's cost are
+# parameters too: each call below read a bool or a numeric string as a
+# number, or failed on one with a bare TypeError
+SCALAR_THRESHOLD_USERS = [
+    lambda s: ps.SwitchPolicy.at(s),
+    lambda s: ps.worst_case_ratio(s, 0.5),
+]
+ARRAY_THRESHOLD_USERS = [
+    lambda s: ps.cost_ratio(s, 0.5, 0.5),
+    lambda s: ps.worst_case_instance(s, 0.5),
+    lambda s: ps.worst_case_bank(s, 0.5, slots=10),
+    lambda s: ps.switch_slots(
+        ps.Trace(prices=[1, 2, 3], demands=[1, 1, 1]), ps.BillingParams(p_g=3, p_m=10, capacity=1), s
+    ),
+]
+# the sigma_hat users that take the predicted mass as given (policy_distribution
+# reads None as a missing prediction)
+SCALAR_SIGMA_HAT_USERS = SIGMA_HAT_USERS[:3]
+COST_USERS = [
+    ("online cost", lambda total: ps.empirical_ratio(total, 2.0)),
+    ("offline optimum", lambda total: ps.empirical_ratio(1.0, total)),
+]
+
+
+@pytest.mark.parametrize("fn", SCALAR_THRESHOLD_USERS)
+@pytest.mark.parametrize("s, named", SCALAR_HOSTILE)
+def test_a_hostile_threshold_is_a_domain_error_naming_it(fn, s, named):
+    with pytest.raises(ps.DomainError, match=_naming("threshold multiplier", named)):
+        fn(s)
+
+
+@pytest.mark.parametrize("fn", ARRAY_THRESHOLD_USERS)
+@pytest.mark.parametrize("s, named", ARRAY_HOSTILE)
+def test_a_hostile_threshold_array_is_a_domain_error_naming_its_element(fn, s, named):
+    with pytest.raises(ps.DomainError, match=_naming("threshold multiplier", named)):
+        fn(s)
+
+
+@pytest.mark.parametrize("fn", SCALAR_SIGMA_HAT_USERS)
+@pytest.mark.parametrize("hat, named", SCALAR_HOSTILE)
+def test_a_hostile_sigma_hat_is_a_domain_error_naming_it(fn, hat, named):
+    with pytest.raises(ps.DomainError, match=_naming("sigma_hat", named)):
+        fn(hat)
+
+
+@pytest.mark.parametrize("what, fn", COST_USERS)
+@pytest.mark.parametrize("total, named", SCALAR_HOSTILE)
+def test_a_hostile_cost_is_a_domain_error_naming_it(what, fn, total, named):
+    with pytest.raises(ps.DomainError, match=_naming(what, named)):
+        fn(total)
+
+
+@pytest.mark.parametrize(
+    "call, what, named",
+    [
+        (lambda: ps.cost_ratio("0.5", 0.5, 0.5), "threshold multiplier", "0.5"),
+        (lambda: ps.cost_ratio(True, 0.5, 0.5), "threshold multiplier", True),
+        (lambda: ps.SwitchPolicy.at(True), "threshold multiplier", True),
+        (lambda: ps.lambda_bed_policy(True, 0.5), "sigma_hat", True),
+        (lambda: ps.worst_case_instance("1.0", 0.5), "threshold multiplier", "1.0"),
+        (lambda: ps.lambda_red_distribution(True, 0.5, 0.5), "sigma_hat", True),
+        (lambda: ps.lambda_red_distribution("2", 0.5, 0.5), "sigma_hat", "2"),
+        (lambda: ps.worst_case_ratio("1", 0.5), "threshold multiplier", "1"),
+        (lambda: ps.empirical_ratio("1", 2), "online cost", "1"),
+    ],
+)
+def test_each_call_that_took_a_bool_or_a_string_as_a_number_now_names_it(call, what, named):
+    # cost_ratio("0.5", ...) gave 2.0 and SwitchPolicy.at(True) gave s = 1.0;
+    # lambda_red_distribution("2", ...) raised a bare TypeError
+    with pytest.raises(ps.DomainError, match=_naming(what, named)):
+        call()
+
+
 def test_real_arguments_of_every_type_still_pass():
     # a list of reals is an array argument where arrays are taken
     assert ps.cost_ratio(0.5, [0.5, 2.0], [0.5]).tolist() == [ps.cost_ratio(0.5, 0.5, 0.5), ps.cost_ratio(0.5, 2.0, 0.5)]
@@ -171,3 +244,9 @@ def test_real_arguments_of_every_type_still_pass():
     assert ps.expected_ratio(ps.red_distribution(0.5), 1, np.float64(0.5)) == ps.expected_ratio(
         ps.red_distribution(0.5), 1.0, 0.5
     )
+    assert ps.SwitchPolicy.at(1) == ps.SwitchPolicy.at(np.float64(1.0)) == ps.SwitchPolicy.at(1.0)
+    assert ps.worst_case_ratio(np.int64(2), 0.5) == ps.worst_case_ratio(2.0, 0.5)
+    assert ps.cost_ratio(np.array([1, 2]), 0.5, 0.5).tolist() == ps.cost_ratio([1.0, 2.0], 0.5, 0.5).tolist()
+    assert ps.lambda_bed_policy(np.float64(2.0), 0.5) == ps.lambda_bed_policy(2, 0.5)
+    assert ps.empirical_ratio(3, 2) == 1.5
+    assert ps.empirical_ratio(np.array([1.0, 3.0]), np.float64(2.0)).tolist() == [0.5, 1.5]

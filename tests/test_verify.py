@@ -2,10 +2,12 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import peaksched as ps
 from conftest import reference_expected_ratio
+from peaksched import analysis
 from peaksched.harness import verify
 from peaksched.harness.verify import CheckResult
 
@@ -54,11 +56,31 @@ def _reference_envelopes(lambdas, betas, sigmas, tol):
     )
 
 
-def test_one_sweep_equals_per_check_reference():
-    swept = verify.check_expected_ratios(LAMBDAS, BETAS, SIGMAS)
-    reference = (_reference_closed_forms(LAMBDAS, BETAS, SIGMAS, 1e-6), *_reference_envelopes(LAMBDAS, BETAS, SIGMAS, 1e-9))
+# axes of equal length would hide a batch laid out with its axes swapped
+@pytest.mark.parametrize("lambdas, betas", [(LAMBDAS, BETAS), (LAMBDAS[1:4], BETAS), (LAMBDAS, BETAS[1:3])])
+def test_one_sweep_equals_per_check_reference(lambdas, betas):
+    swept = verify.check_expected_ratios(lambdas, betas, SIGMAS)
+    reference = (_reference_closed_forms(lambdas, betas, SIGMAS, 1e-6), *_reference_envelopes(lambdas, betas, SIGMAS, 1e-9))
     assert swept == reference
     assert all(check.detail for check in swept)
+
+
+def test_a_beta_batch_takes_each_node_ratio_once_per_segment_and_mass(monkeypatch):
+    # all 38 specs of one beta column share the support [0, 1]: the density's
+    # ratios are one (15, 108) table, 99 masses plus the 9 that split [0, 1]
+    lambdas, sigmas = verify.default_lambda_grid(), verify.default_sigma_grid()
+    specs = [spec for lam in lambdas for _, spec in verify._branches(lam, 0.4)]
+    shapes = []
+    original = analysis._ratio
+
+    def counted(s, sigma, beta):
+        shapes.append(np.shape(s))
+        return original(s, sigma, beta)
+
+    monkeypatch.setattr(analysis, "_ratio", counted)
+    assert ps.expected_ratios(specs, [0.4] * len(specs), sigmas).shape == (38, 99)
+    # the atom columns take one (specs, 1) call each; the rest is the density
+    assert [shape for shape in shapes if shape != (38, 1)] == [(15, 99 + 9)]
 
 
 def test_wrappers_pass_their_tolerance_through():
@@ -81,11 +103,12 @@ def test_verify_theorems_integrates_each_point_once(monkeypatch):
         return original(specs, betas, sigmas)
 
     monkeypatch.setattr(verify, "expected_ratios", counted)
-    # below full trust the two prediction branches draw from different distributions
-    lambdas = LAMBDAS[:-1] + (0.95,)
+    # below full trust the two prediction branches draw from different
+    # distributions; one lambda more than betas tells the batch axes apart
+    lambdas = LAMBDAS[:-1] + (0.9, 0.95)
     report = verify.verify_theorems(lambdas, BETAS, SIGMAS, empirical_slots=300)
     assert report.passed
-    assert batches == [2 * len(BETAS)] * len(lambdas)  # one batch per lambda row
+    assert batches == [2 * len(lambdas)] * len(BETAS)  # one batch per beta column
     assert len(points) == len(lambdas) * len(BETAS) * 2 * len(SIGMAS)
     assert len(set(points)) == len(points)
 
@@ -142,7 +165,8 @@ def test_a_nan_expected_ratio_fails_its_checks(monkeypatch):
 
     def poisoned(specs, betas, sigmas):
         values = original(specs, betas, sigmas)
-        values[3, 5] = math.nan  # beta = BETAS[1], predicted low, sigma = SIGMAS[5]
+        if betas[0] == BETAS[1]:
+            values[1::2, 5] = math.nan  # every lambda predicted low, sigma = SIGMAS[5]
         return values
 
     monkeypatch.setattr(verify, "expected_ratios", poisoned)
