@@ -1,10 +1,10 @@
 """Instance banks: many 0/1-demand traces of one length, run and priced
 together.
 
-A :class:`TraceBank` is the costing engine behind
-:func:`~peaksched.online.switch_slots` and
-:func:`~peaksched.online.switch_costs`, which are its one-row case.  The
-module loads on first use: ``import peaksched`` does not import it.
+A :class:`TraceBank` checks its rows once and runs them through the switch
+engine of :mod:`peaksched.online`, the block functions that
+:func:`~peaksched.online.switch_costs` runs on its one trace.  The module
+loads on first use: ``import peaksched`` does not import it.
 """
 from __future__ import annotations
 
@@ -15,13 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PeakSchedError, StructuralError, ValidationError
-from .model import BillingParams, Trace, _frozen, check_pairing
-from .online import _BINARY_ONLY, _GRID_FROM_START, _premium_prefix
-
-
-def _require_binary(trace: Trace) -> None:
-    if not trace.has_binary_demands():
-        raise DomainError(_BINARY_ONLY)
+from .model import BillingParams, Trace, _frozen
+from .online import _block_costs, _block_slots, _check_runnable, _check_slots, _check_thresholds
 
 
 def _readonly_block(values, name: str) -> np.ndarray:
@@ -52,10 +47,6 @@ def _per_row(values, rows: int, name: str) -> np.ndarray:
     return _frozen(arr)
 
 
-def _first_row(mask: np.ndarray) -> int:
-    return int(np.flatnonzero(mask.any(axis=1))[0])
-
-
 @dataclass(frozen=True, eq=False)
 class TraceBank:
     """``n`` 0/1-demand traces of one length ``T``, each with its own ``p_g``
@@ -72,9 +63,9 @@ class TraceBank:
 
     :meth:`switch_slots` and :meth:`switch_costs` answer, row for row and
     bit for bit, what :func:`~peaksched.online.switch_slots` and
-    :func:`~peaksched.online.switch_costs` answer on each row's trace, which
-    are their one-row case.  :attr:`sigmas` and :meth:`oracle_slots` give
-    :func:`~peaksched.model.sigma` and
+    :func:`~peaksched.online.switch_costs` answer on each row's trace, and
+    raise their errors, led by ``row r: ``.  :attr:`sigmas` and
+    :meth:`oracle_slots` give :func:`~peaksched.model.sigma` and
     :func:`~peaksched.offline.optimal_basic`'s schedule of each row, so a
     bank's oracle is priced by the same engine.
     """
@@ -103,28 +94,6 @@ class TraceBank:
             _reject_row(int(np.flatnonzero(~ok)[0]), prices, demands, p_g, p_m)
         for name, value in (("prices", prices), ("demands", demands), ("p_g", p_g), ("p_m", p_m)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_rows_named", True)
-        object.__setattr__(self, "_stored_prefix", None)
-
-    @classmethod
-    def _of_trace(cls, trace: Trace, params: BillingParams) -> "TraceBank":
-        """The one-row bank of a trace that
-        :func:`~peaksched.online.run_threshold` accepts, on
-        views of its vectors and the premium prefix stored on the trace; its
-        errors name no row."""
-        _require_binary(trace)
-        check_pairing(trace, params)
-        bank = object.__new__(cls)
-        for name, value in (
-            ("prices", trace.prices[None]),
-            ("demands", trace.demands[None]),
-            ("p_g", np.array([params.p_g])),
-            ("p_m", np.array([params.p_m])),
-            ("_rows_named", False),
-            ("_stored_prefix", _premium_prefix(trace, params.p_g)[None]),
-        ):
-            object.__setattr__(bank, name, value)
-        return bank
 
     def __len__(self) -> int:
         return len(self.prices)
@@ -137,9 +106,6 @@ class TraceBank:
         """Row ``row`` as a trace and its billing parameters (capacity 1)."""
         trace = Trace(prices=self.prices[row], demands=self.demands[row])
         return trace, BillingParams(p_g=float(self.p_g[row]), p_m=float(self.p_m[row]), capacity=1)
-
-    def _row(self, r: int) -> str:
-        return f"row {r}: " if self._rows_named else ""
 
     @cached_property
     def sigmas(self) -> np.ndarray:
@@ -162,27 +128,18 @@ class TraceBank:
         where a policy never switches.  One ``searchsorted`` per row on its
         premium prefix; a threshold that :class:`SwitchPolicy` would reject
         raises ``DomainError`` naming its row and value."""
-        s = self._rows_of(np.asarray(thresholds, dtype=float), "thresholds")
-        bad = ~((s == _GRID_FROM_START) | (s >= 0))
-        if bad.any():
-            r = _first_row(bad)
-            value = s[r][bad[r]][0]
-            raise DomainError(f"{self._row(r)}threshold multiplier must be -1, >= 0, or inf; got {value}")
-        return self._slots(s)
-
-    def _slots(self, s: np.ndarray) -> np.ndarray:
-        """:meth:`switch_slots` of checked (n, k) thresholds."""
-        targets = s * self.p_m[:, None]
-        prefixes = self._stored_prefix
-        if prefixes is None:
-            # ((p_g - p) * d).cumsum() of every row, in one buffer
-            prefixes = self.p_g[:, None] - self.prices
-            prefixes *= self.demands
-            prefixes.cumsum(axis=1, out=prefixes)
-        slots = np.empty(s.shape, dtype=np.intp)
-        for r, prefix in enumerate(prefixes):
-            slots[r] = prefix.searchsorted(targets[r], side="left")
-        return slots
+        block = self._rows_of(thresholds, "thresholds")
+        try:
+            s = _check_thresholds(block)
+        except DomainError:
+            # the first row that fails raises its one-trace error, led by the row
+            for r, row in enumerate(block):
+                try:
+                    _check_thresholds(row)
+                except DomainError as exc:
+                    raise DomainError(f"row {r}: {exc}") from None
+            raise
+        return _block_slots(self.prices, self.demands, self.p_g[:, None], self.p_m[:, None], s)
 
     def switch_costs(self, slots) -> np.ndarray:
         """(n, k) total costs of each row's switch schedule at each slot,
@@ -190,59 +147,18 @@ class TraceBank:
         never switches): bit for bit ``cost_of(switch_schedule(trace, slot),
         trace, params).total`` on the row's trace.  A slot that is not an
         integer in ``[0, T]`` raises ``DomainError`` naming its row."""
-        return self._costs(self._check_slots(slots))
+        checked = _check_slots(self._rows_of(slots, "slots"), self.horizon, named=True)
+        return _block_costs(self.prices, self.demands, self.p_g[:, None], self.p_m[:, None], checked)
 
-    def _rows_of(self, values: np.ndarray, name: str) -> np.ndarray:
+    def _rows_of(self, values, name: str) -> np.ndarray:
+        # anything but an array is read as objects, so that the checks see
+        # a list's bools and strings as they are
+        values = np.asarray(values, dtype=None if isinstance(values, np.ndarray) else object)
         if values.ndim == 1:
             return np.broadcast_to(values, (len(self), values.size))
         if values.ndim != 2 or len(values) != len(self):
             raise StructuralError(f"{name} must be (k,) or ({len(self)}, k), got shape {values.shape}")
         return values
-
-    def _check_slots(self, slots) -> np.ndarray:
-        slots = self._rows_of(np.asarray(slots), "slots")
-        if slots.size and slots.dtype.kind not in "iu":
-            r = 0  # the row of the first value that is not whole, if any is not
-            if slots.dtype.kind == "f":
-                with np.errstate(invalid="ignore"):
-                    fractional = ~(np.mod(slots, 1) == 0)
-                r = _first_row(fractional) if fractional.any() else 0
-            raise DomainError(f"{self._row(r)}switch slots must be integers, got {slots.dtype}")
-        horizon = self.horizon
-        outside = (slots < 0) | (slots > horizon)
-        if outside.any():
-            r = _first_row(outside)
-            raise DomainError(f"{self._row(r)}switch slot {slots[r][outside[r]][0]} lies outside [0, {horizon}]")
-        return slots.astype(np.intp)
-
-    def _costs(self, slots: np.ndarray) -> np.ndarray:
-        """:meth:`switch_costs` of checked (n, k) slots.
-
-        On 0/1 demand a switch at slot ``k`` pays ``p_g`` times the number
-        of demand slots before ``k``, a cumsum that is exact in floats, and
-        ``p_m`` while that count is below the row's total.  The volume is the
-        full-length dot product of the row's prices with its grid purchase,
-        one per distinct slot, on one buffer whose head is zeroed as the
-        slots ascend: a sliced, summed or stacked product would group the
-        partial sums differently and change the last bits.
-        """
-        rows, horizon = self.prices.shape
-        count = np.zeros((rows, horizon + 1))
-        np.cumsum(self.demands, axis=1, out=count[:, 1:])
-        local = count[np.arange(rows)[:, None], slots]
-        peak = local < count[:, -1:]
-        volume = np.empty(slots.shape)
-        grid = np.empty(horizon)
-        for r, row in enumerate(slots.tolist()):
-            prices = self.prices[r]
-            grid[:] = self.demands[r]
-            done, costs = 0, {}
-            for slot in sorted(set(row)):
-                grid[done:slot] = 0.0
-                done = slot
-                costs[slot] = prices @ grid
-            volume[r] = [costs[slot] for slot in row]
-        return volume + self.p_m[:, None] * peak + self.p_g[:, None] * local
 
 
 def _reject_row(r: int, prices, demands, p_g, p_m) -> None:
@@ -252,8 +168,7 @@ def _reject_row(r: int, prices, demands, p_g, p_m) -> None:
     try:
         trace = Trace(prices=prices[r], demands=demands[r])
         params = BillingParams(p_g=float(p_g[r]), p_m=float(p_m[r]), capacity=1)
-        _require_binary(trace)
-        check_pairing(trace, params)
+        _check_runnable(trace, params)
     except PeakSchedError as exc:
         where = f"row {r}"
         if params is not None:

@@ -152,56 +152,134 @@ def run_threshold(trace: Trace, params: BillingParams, policy: SwitchPolicy) -> 
 
 def switch_slots(trace: Trace, params: BillingParams, thresholds) -> np.ndarray:
     """First grid-served slot of each threshold multiplier in ``thresholds``,
-    from one pass over the cumulative premium; ``len(trace)`` where the
-    policy never switches.  Slot for slot what :func:`run_threshold` gives
-    each threshold alone; a threshold that :class:`SwitchPolicy` would
-    reject raises ``DomainError`` naming it.  The one-trace case of
-    :meth:`peaksched.bank.TraceBank.switch_slots`."""
-    from .bank import TraceBank  # the bank module loads on first use
-
-    s = _check_thresholds(thresholds)
-    return TraceBank._of_trace(trace, params)._slots(s.reshape(1, -1)).reshape(s.shape)[()]
+    from one binary search on the premium prefix stored on the trace;
+    ``len(trace)`` where the policy never switches.  Slot for slot what
+    :func:`run_threshold` gives each threshold alone; a threshold that
+    :class:`SwitchPolicy` would reject raises ``DomainError`` naming it."""
+    return _crossings(trace, params, _check_thresholds(thresholds))[0]
 
 
 def switch_costs(trace: Trace, params: BillingParams, slots) -> np.ndarray:
     """Total cost of the switch schedule at each slot in ``slots``
     (``len(trace)`` never switches): bit for bit what
     ``cost_of(switch_schedule(trace, slot), trace, params).total`` gives
-    each slot, with each distinct slot costed once and no schedule built.
-    The one-trace case of :meth:`peaksched.bank.TraceBank.switch_costs`; a
-    ramp limit raises what ``cost_of`` raises on the latest switch's
-    schedule.
+    each slot, with each distinct slot costed once and no schedule built
+    (:func:`_block_costs` on the trace as one row).  A slot that is not an
+    integer in ``[0, len(trace)]`` raises ``DomainError`` naming it; a ramp
+    limit raises what ``cost_of`` raises on the latest switch's schedule.
     """
-    from .bank import TraceBank
-
-    bank = TraceBank._of_trace(trace, params)
-    slots = np.asarray(slots)
-    checked = bank._check_slots(slots.reshape(1, -1))
+    _check_runnable(trace, params)
+    slots = np.asarray(slots, dtype=None if isinstance(slots, np.ndarray) else object)
+    checked = _check_slots(slots.reshape(1, -1), len(trace), named=False)
     if params.ramp is not None and checked.size:
         # a 0/1 output steps by 1 where it first turns on, and the latest
         # switch's schedule turns on wherever an earlier one does: it raises
         # cost_of's ramp error if any slot's schedule would
         validate_schedule(switch_schedule(trace, int(checked.max())), trace, params)
-    return bank._costs(checked).reshape(slots.shape)
+    costs = _block_costs(trace.prices[None], trace.demands[None], params.p_g, params.p_m, checked)
+    return costs.reshape(slots.shape)
 
 
-def _crossings(trace: Trace, params: BillingParams, s: float):
-    """Switch slot of the threshold multiplier ``s`` and the final cumulative
-    premium ``S(T)``, for one run.
+def _check_runnable(trace: Trace, params: BillingParams) -> None:
+    """Reject a trace that a threshold run does not take: demand that is
+    not 0/1, or a pairing that :func:`check_pairing` rejects."""
+    if not trace.has_binary_demands():
+        raise DomainError("threshold runs require 0/1 demands; decompose general demand into layers")
+    check_pairing(trace, params)
+
+
+def _crossings(trace: Trace, params: BillingParams, s):
+    """Switch slot of each threshold multiplier in ``s`` and the final
+    cumulative premium ``S(T)``, for one run.
 
     Premiums are non-negative, so the cumulative sum is sorted and the
     first crossing is a binary search away.  The atoms need no cases of
     their own: ``s = -1`` asks for ``-p_m``, which slot 0 already meets,
     and ``s = inf`` for ``inf``, which no slot meets.
     """
-    if not trace.has_binary_demands():
-        raise DomainError(_BINARY_ONLY)
-    check_pairing(trace, params)
+    _check_runnable(trace, params)
     cumulative = _premium_prefix(trace, params.p_g)
     return cumulative.searchsorted(s * params.p_m, side="left"), float(cumulative[-1])
 
 
-_BINARY_ONLY = "threshold runs require 0/1 demands; decompose general demand into layers"
+def _first_row(mask: np.ndarray) -> int:
+    return int(np.flatnonzero(mask.any(axis=1))[0])
+
+
+def _lead(r: int, named: bool) -> str:
+    return f"row {r}: " if named else ""
+
+
+def _check_slots(slots: np.ndarray, horizon: int, named: bool) -> np.ndarray:
+    """(n, k) ``slots`` as an intp array, or ``DomainError`` naming the first
+    that is not an integer in ``[0, horizon]``, led by ``row r: `` where
+    ``named``.  An object array is read element by element, as
+    :func:`~peaksched.validators.as_reals` reads one: ``np.asarray`` would
+    read a list's ``True`` as slot 1."""
+    if slots.dtype == object:
+        for r, row in enumerate(slots.tolist()):
+            for value in row:
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise DomainError(f"{_lead(r, named)}switch slots must be integers, got {value!r}")
+    elif slots.size and slots.dtype.kind not in "iu":
+        r = 0  # the row of the first value that is not whole, if any is not
+        if slots.dtype.kind == "f":
+            with np.errstate(invalid="ignore"):
+                fractional = ~(np.mod(slots, 1) == 0)
+            r = _first_row(fractional) if fractional.any() else 0
+        raise DomainError(f"{_lead(r, named)}switch slots must be integers, got {slots.dtype}")
+    outside = (slots < 0) | (slots > horizon)
+    if outside.any():
+        r = _first_row(outside)
+        value = slots[r][outside[r]][0]
+        raise DomainError(f"{_lead(r, named)}switch slot {value} lies outside [0, {horizon}]")
+    return slots.astype(np.intp)
+
+
+def _block_slots(prices: np.ndarray, demands: np.ndarray, p_g, p_m, s: np.ndarray) -> np.ndarray:
+    """(n, k) switch slots of checked thresholds ``s`` on (n, T) 0/1 rows,
+    ``p_g`` and ``p_m`` being scalars or (n, 1) columns: one
+    ``cumsum(axis=1)`` of the premiums and one ``searchsorted`` per row."""
+    targets = s * p_m
+    # ((p_g - p) * d).cumsum() of every row, in one buffer
+    prefixes = p_g - prices
+    prefixes *= demands
+    prefixes.cumsum(axis=1, out=prefixes)
+    slots = np.empty(s.shape, dtype=np.intp)
+    for r, prefix in enumerate(prefixes):
+        slots[r] = prefix.searchsorted(targets[r], side="left")
+    return slots
+
+
+def _block_costs(prices: np.ndarray, demands: np.ndarray, p_g, p_m, slots: np.ndarray) -> np.ndarray:
+    """(n, k) total costs of the switch schedules at checked ``slots`` on
+    (n, T) 0/1 rows, ``p_g`` and ``p_m`` being scalars or (n, 1) columns.
+
+    On 0/1 demand a switch at slot ``k`` pays ``p_g`` times the number
+    of demand slots before ``k``, a cumsum that is exact in floats, and
+    ``p_m`` while that count is below the row's total.  The volume is the
+    full-length dot product of the row's prices with its grid purchase,
+    one per distinct slot, on one buffer whose head is zeroed as the
+    slots ascend: a sliced, summed or stacked product would group the
+    partial sums differently and change the last bits.
+    """
+    rows, horizon = prices.shape
+    count = np.zeros((rows, horizon + 1))
+    np.cumsum(demands, axis=1, out=count[:, 1:])
+    local = count[np.arange(rows)[:, None], slots]
+    peak = local < count[:, -1:]
+    volume = np.empty(slots.shape)
+    grid = np.empty(horizon)
+    for r, row in enumerate(slots.tolist()):
+        row_prices = prices[r]
+        grid[:] = demands[r]
+        done, costs = 0, {}
+        for slot in sorted(set(row)):
+            grid[done:slot] = 0.0
+            done = slot
+            costs[slot] = row_prices @ grid
+        volume[r] = [costs[slot] for slot in row]
+    return volume + p_m * peak + p_g * local
 
 
 def _premium_prefix(trace: Trace, p_g: float) -> np.ndarray:

@@ -198,6 +198,25 @@ class TestSwitchCosts:
         with pytest.raises(ps.DomainError, match="integers"):
             ps.switch_costs(trace, ps.BillingParams(p_g=2, p_m=1, capacity=1), [0.5])
 
+    def test_a_bool_in_a_list_of_slots_is_not_slot_1(self):
+        # np.asarray read [True, 3] as int64, so True was priced as slot 1,
+        # although switch_schedule(trace, True) raises
+        trace = ps.Trace(prices=[1, 1, 1], demands=[1, 0, 1])
+        params = ps.BillingParams(p_g=2, p_m=1, capacity=1)
+        bank = ps.TraceBank([trace.prices] * 2, [trace.demands] * 2, params.p_g, params.p_m)
+        message = "switch slots must be integers, got True"
+        with pytest.raises(ps.DomainError, match=f"^{message}$"):
+            ps.switch_costs(trace, params, [True, 3])
+        with pytest.raises(ps.DomainError, match=f"^row 0: {message}$"):
+            bank.switch_costs([True, 3])
+        numpy_bool = f"^row 1: switch slots must be integers, got {re.escape(repr(np.True_))}$"
+        with pytest.raises(ps.DomainError, match=numpy_bool):
+            bank.switch_costs([[1, 3], [np.True_, 3]])
+        # integer arrays and lists of numpy integers are slots
+        expected = ps.switch_costs(trace, params, np.array([1, 3]))
+        assert ps.switch_costs(trace, params, [np.int64(1), 3]).tobytes() == expected.tobytes()
+        assert bank.switch_costs([[1, 3], [1, 3]]).tobytes() == np.vstack([expected, expected]).tobytes()
+
     def test_rejects_a_failed_pairing(self):
         trace = ps.Trace(prices=[1, 3], demands=[1, 1])
         with pytest.raises(ps.ValidationError, match="exceeds generation cost"):

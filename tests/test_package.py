@@ -13,6 +13,9 @@ import sys
 import peaksched
 assert not [m for m in sys.modules if m.startswith("peaksched.harness")], "import peaksched loaded the harness"
 assert "peaksched.bank" not in sys.modules, "import peaksched loaded the bank engine"
+trace, params = peaksched.worst_case_instance(1.5, 0.4, slots=25)
+peaksched.switch_costs(trace, params, peaksched.switch_slots(trace, params, [0.5, 1.0, 2.0]))
+assert "peaksched.bank" not in sys.modules, "switch_slots or switch_costs loaded the bank engine"
 assert "TraceBank" in dir(peaksched)
 assert peaksched.TraceBank is sys.modules["peaksched.bank"].TraceBank
 assert "harness" in dir(peaksched)

@@ -250,3 +250,44 @@ def test_real_arguments_of_every_type_still_pass():
     assert ps.lambda_bed_policy(np.float64(2.0), 0.5) == ps.lambda_bed_policy(2, 0.5)
     assert ps.empirical_ratio(3, 2) == 1.5
     assert ps.empirical_ratio(np.array([1.0, 3.0]), np.float64(2.0)).tolist() == [0.5, 1.5]
+
+
+def test_a_bank_names_the_row_and_value_of_a_string_or_bool_threshold():
+    # the bank read "0.5" as 0.5 and True as 1 and gave [[9, 10], [3, 6]]
+    bank = ps.worst_case_bank([0.5, 1.5], 0.4, slots=10)
+    with pytest.raises(ps.DomainError, match=r"^row 0: threshold multiplier must be a real number, got '0\.5'$"):
+        bank.switch_slots(["0.5", True])
+    with pytest.raises(ps.DomainError, match=r"^row 1: threshold multiplier must be a real number, got True$"):
+        bank.switch_slots([[0.5, 1.0], [0.5, True]])
+
+
+# one message per check: the one-trace functions raise it as it is, and a
+# two-row bank with the value in row 1 raises it led by "row 1: "
+SWITCH_FAULTS = [
+    ("thresholds", math.nan, "threshold multiplier must be -1, >= 0, or inf; got nan"),
+    ("thresholds", -0.5, "threshold multiplier must be -1, >= 0, or inf; got -0.5"),
+    ("thresholds", "1", "threshold multiplier must be a real number, got '1'"),
+    ("thresholds", True, "threshold multiplier must be a real number, got True"),
+    ("slots", math.nan, "switch slots must be integers, got nan"),
+    ("slots", -0.5, "switch slots must be integers, got -0.5"),
+    ("slots", "1", "switch slots must be integers, got '1'"),
+    ("slots", True, "switch slots must be integers, got True"),
+    ("slots", 2.5, "switch slots must be integers, got 2.5"),
+    ("slots", 4, "switch slot 4 lies outside [0, 3]"),  # T + 1
+]
+
+
+@pytest.mark.parametrize("kind, bad, message", SWITCH_FAULTS)
+def test_a_bad_threshold_or_slot_raises_one_message_with_or_without_its_row(kind, bad, message):
+    trace = ps.Trace(prices=[1, 2, 3], demands=[1, 1, 1])
+    params = ps.BillingParams(p_g=3, p_m=10, capacity=1)
+    bank = ps.TraceBank([trace.prices] * 2, [trace.demands] * 2, params.p_g, params.p_m)
+    good = 0.5 if kind == "thresholds" else 1
+    if kind == "thresholds":
+        one_trace, rows = ps.switch_slots, bank.switch_slots
+    else:
+        one_trace, rows = ps.switch_costs, bank.switch_costs
+    with pytest.raises(ps.DomainError, match=f"^{re.escape(message)}$"):
+        one_trace(trace, params, [good, bad])
+    with pytest.raises(ps.DomainError, match=f"^row 1: {re.escape(message)}$"):
+        rows([[good, good], [good, bad]])
