@@ -16,7 +16,7 @@ from .errors import DomainError, UndefinedRatioError
 from .model import BillingParams, Trace, _frozen
 from .online import DistributionSpec, SwitchPolicy, _check_thresholds
 from .quadrature import _gk15_nodes, _gk15_sum, integrate
-from .validators import as_reals, check_beta, check_lambda, check_stretched_lambda, is_real
+from .validators import as_reals, check_beta, check_cost, check_lambda, check_stretched_lambda, is_real
 
 if TYPE_CHECKING:
     from .bank import TraceBank
@@ -28,23 +28,16 @@ _ABS_TOL = 1e-9
 
 
 def _check_mass(sigma) -> np.ndarray:
-    """``sigma`` as a float array whose every element is finite and >= 0,
-    or ``DomainError`` naming the first that is not."""
-    sigma = as_reals(sigma, "premium mass")
-    bad = ~((sigma >= 0) & (sigma < math.inf))
-    if bad.any():
-        raise DomainError(f"premium mass must be finite and >= 0, got {sigma[bad][0]}")
-    return sigma
+    return as_reals(sigma, "premium mass", lambda x: (x >= 0) & (x < math.inf), "must be finite and >= 0, got")
 
 
 def _check_hardness(beta) -> np.ndarray:
-    """``beta`` as a float array after :func:`check_beta` on every element,
-    naming the first offending value."""
-    beta = as_reals(beta, "beta")
-    bad = ~((beta > 0) & (beta <= 1))
-    if bad.any():
-        check_beta(float(beta[bad][0]))
-    return beta
+    # the rule and message of check_beta, on every element
+    return as_reals(beta, "beta", lambda x: (x > 0) & (x <= 1), "must lie in (0, 1], got")
+
+
+def _check_positive_thresholds(s) -> np.ndarray:
+    return as_reals(s, "threshold multiplier", lambda x: x > 0, "must be > 0, got")
 
 
 def _scalar_or_array(value: np.ndarray):
@@ -100,8 +93,7 @@ def worst_case_ratio(s: float, beta: float) -> float:
     check_beta(beta)
     if not is_real(s):
         raise DomainError(f"threshold multiplier must be a real number, got {s!r}")
-    if not s > 0:
-        raise DomainError(f"threshold multiplier must be > 0, got {s}")
+    s = float(_check_positive_thresholds(s))
     if s <= 1:
         return 1.0 + (1.0 - beta) / s
     return 1.0 + s * (1.0 - beta) / ((s - 1.0) * beta + 1.0)
@@ -178,15 +170,14 @@ def expected_ratios(specs, betas, sigmas) -> np.ndarray:
     segment, the ratio in one array call for all 15 nodes, and every
     segment's integrand is gathered from them.
     """
-    betas = list(betas)
+    # one object per spec, so that a beta that is a sequence is named whole
+    betas = np.fromiter(betas, dtype=object)
     if len(betas) != len(specs):
         raise DomainError(f"need one beta per spec, got {len(betas)} for {len(specs)}")
-    for beta in betas:
-        check_beta(beta)
+    beta_col = _check_hardness(betas).reshape(-1, 1)
     sigmas = _check_mass(sigmas).reshape(-1)
     for spec in specs:
         spec.require_normalized()
-    beta_col = np.array(betas, dtype=float).reshape(-1, 1)
 
     width = max((len(spec.atoms) for spec in specs), default=0)
     # absent atoms are padded as zero mass at inf, whose ratio is finite
@@ -307,9 +298,7 @@ def _worst_case_rows(s, beta, p_m: float, slots: int) -> tuple[np.ndarray, np.nd
     :func:`worst_case_bank`'s rows, after its argument checks."""
     s = as_reals(s, "threshold multiplier")
     s, beta = (np.ravel(x) for x in np.broadcast_arrays(s, _check_hardness(beta)))
-    bad = ~(s > 0)
-    if bad.any():
-        raise DomainError(f"threshold multiplier must be > 0, got {s[bad][0]}")
+    _check_positive_thresholds(s)
     if p_m <= 0:
         raise DomainError(f"peak price must be > 0, got {p_m}")
     if slots < 1:
@@ -351,11 +340,10 @@ def worst_case_instance(
 
 def empirical_ratio(alg_total: float, opt_total: float) -> float:
     """Cost of an online run over the exact offline optimum; ``alg_total``
-    may be an array of run costs over one optimum."""
-    if not (is_real(alg_total) or isinstance(alg_total, np.ndarray) and alg_total.dtype.kind in "fiu"):
-        raise DomainError(f"online cost must be a real number, got {alg_total!r}")
-    if not is_real(opt_total):
-        raise DomainError(f"offline optimum must be a real number, got {opt_total!r}")
+    may be an array of run costs over one optimum.  A cost that
+    :func:`~peaksched.validators.check_cost` rejects raises ``DomainError``."""
+    check_cost(alg_total, "online cost", arrays=True)
+    check_cost(opt_total, "offline optimum")
     if opt_total <= 0:
         raise UndefinedRatioError(f"offline optimum must be > 0, got {opt_total}")
     return alg_total / opt_total

@@ -15,26 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PeakSchedError, StructuralError, ValidationError
-from .model import BillingParams, Trace, _frozen
+from .model import BillingParams, Trace, _frozen, _premium_mass, _readonly_vector
 from .online import _block_costs, _block_slots, _check_runnable, _check_slots, _check_thresholds
-
-
-def _readonly_block(values, name: str) -> np.ndarray:
-    # a bank's (n, T) arrays, kept or copied and frozen as Trace's vectors
-    # are; rows must be C-contiguous for the per-row dot products
-    if (
-        isinstance(values, np.ndarray)
-        and values.dtype == np.float64
-        and values.ndim == 2
-        and values.flags.c_contiguous
-        and values.base is None
-        and not values.flags.writeable
-    ):
-        return values
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 2:
-        raise StructuralError(f"{name} must be a two-dimensional (rows, slots) array")
-    return _frozen(arr)
 
 
 def _per_row(values, rows: int, name: str) -> np.ndarray:
@@ -76,8 +58,8 @@ class TraceBank:
     p_m: np.ndarray
 
     def __post_init__(self):
-        prices = _readonly_block(self.prices, "prices")
-        demands = _readonly_block(self.demands, "demands")
+        prices = _readonly_vector(self.prices, "prices", ndim=2)
+        demands = _readonly_vector(self.demands, "demands", ndim=2)
         if prices.shape != demands.shape:
             raise StructuralError(f"prices {prices.shape} and demands {demands.shape} differ in shape")
         rows, horizon = prices.shape
@@ -109,10 +91,10 @@ class TraceBank:
 
     @cached_property
     def sigmas(self) -> np.ndarray:
-        """Each row's premium mass, the ``(p_g - p) @ d / p_m`` dot that
-        :func:`~peaksched.model.sigma` takes of the row's trace."""
+        """Each row's premium mass, as :func:`~peaksched.model.sigma` takes
+        it of the row's trace."""
         rows = zip(self.prices, self.demands, self.p_g.tolist(), self.p_m.tolist())
-        return _frozen(np.array([float((p_g - p) @ d) / p_m for p, d, p_g, p_m in rows], dtype=float))
+        return _frozen(np.array([_premium_mass(p_g - p, d, p_m) for p, d, p_g, p_m in rows], dtype=float))
 
     def oracle_slots(self) -> np.ndarray:
         """The switch slot of each row's

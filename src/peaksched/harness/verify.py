@@ -13,7 +13,7 @@ The sweeps run on arrays: the expected ratios one beta column of the grid
 at a time through :func:`~peaksched.analysis.expected_ratios`, whose
 specs then share their cost ratios at every quadrature node, and the
 worst-case instances a block of rows at a time as one
-:class:`~peaksched.online.TraceBank`, whose switch slots for every
+:class:`~peaksched.bank.TraceBank`, whose switch slots for every
 threshold and whose oracle slots are priced together, once per distinct
 slot of each row.  Each worst value is the first maximum in the grid's
 loop order, so reports name the same point a scalar sweep would.  A NaN
@@ -188,7 +188,7 @@ def check_randomized_envelopes(lambdas, betas, sigmas, tol: float = 1e-9) -> tup
     return check_expected_ratios(lambdas, betas, sigmas, envelope_tol=tol)[1:]
 
 
-def check_trust_extremes(betas, tol: float = 1e-9) -> CheckResult:
+def check_trust_extremes(betas) -> CheckResult:
     """Full trust is optimal, zero trust recovers the pure randomized ratio."""
     worst = 0.0
     for beta in betas:
@@ -200,7 +200,7 @@ def check_trust_extremes(betas, tol: float = 1e-9) -> CheckResult:
             abs(bounds_one.consistency - pure),
             abs(randomized_bounds(0.0, beta).consistency - 1.0),
         )
-    return CheckResult("randomized-trust-extremes", tol, worst)
+    return CheckResult("randomized-trust-extremes", 1e-9, worst)
 
 
 def check_naive_consistency_gap(lambdas, betas) -> CheckResult:
@@ -218,7 +218,7 @@ def check_naive_consistency_gap(lambdas, betas) -> CheckResult:
     return CheckResult("naive-consistency-gap", 1e-9, worst)
 
 
-def check_deterministic_tradeoff(lambdas, betas, tol: float = 1e-12) -> CheckResult:
+def check_deterministic_tradeoff(lambdas, betas) -> CheckResult:
     """Robustness falls and consistency rises as trust decreases (lambda up)."""
     worst = 0.0
     ordered = sorted(lambdas)
@@ -227,7 +227,7 @@ def check_deterministic_tradeoff(lambdas, betas, tol: float = 1e-12) -> CheckRes
             b_lo = deterministic_bounds(lo, beta)
             b_hi = deterministic_bounds(hi, beta)
             worst = _top(worst, b_hi.robustness - b_lo.robustness, b_lo.consistency - b_hi.consistency)
-    return CheckResult("deterministic-tradeoff-monotonicity", tol, worst)
+    return CheckResult("deterministic-tradeoff-monotonicity", 1e-12, worst)
 
 
 def _threshold_grid() -> list[float]:
@@ -304,7 +304,7 @@ def _measured_ratios(s, beta, s_grid, slots: int) -> tuple[np.ndarray, np.ndarra
     return bank.sigmas, np.array([empirical_ratio(row[:-1], row[-1]) for row in costs])
 
 
-def check_worst_case_is_envelope(betas, sigmas, tol: float = 1e-9) -> CheckResult:
+def check_worst_case_is_envelope(betas, sigmas) -> CheckResult:
     """The competitive-ratio formula equals the ratio curve's supremum."""
     worst = 0.0
     s_grid = _threshold_grid()
@@ -315,7 +315,7 @@ def check_worst_case_is_envelope(betas, sigmas, tol: float = 1e-9) -> CheckResul
         envelope = cost_ratio(s, masses, beta).max(axis=1)
         formula = np.array([worst_case_ratio(x, beta) for x in s_grid])
         worst = _top(worst, *np.abs(formula - envelope))
-    return CheckResult("worst-case-ratio-is-envelope", tol, worst)
+    return CheckResult("worst-case-ratio-is-envelope", 1e-9, worst)
 
 
 def verify_theorems(

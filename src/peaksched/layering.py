@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .model import BillingParams, Schedule, Trace, _frozen, sigma
+from .model import BillingParams, Schedule, Trace, _frozen, _premium_mass, check_pairing
 from .online import Algorithm, RunRecord, _as_algorithm, run_algorithm
 from .prediction import Prediction
 from .validators import check_seed, is_real
@@ -82,9 +82,16 @@ def _layer_sigma_hats(sigma_hats, depth: int) -> list[float | None]:
     return [float(value) for value in values]
 
 
+def _layer_masses(premium: np.ndarray, rows, p_m: float) -> list[float]:
+    """The premium mass of each 0/1 layer row, at one premium vector for all rows."""
+    return [_premium_mass(premium, row, p_m) for row in rows]
+
+
 def true_layer_sigma_hats(trace: Trace, params: BillingParams) -> list[float]:
     """Per-layer premium masses of the true trace (a perfect predictor)."""
-    return [sigma(layer, params) for layer in decompose(trace).layers]
+    layers = decompose(trace).layers
+    check_pairing(trace, params)
+    return _layer_masses(params.p_g - trace.prices, (layer.demands for layer in layers), params.p_m)
 
 
 def flipped_layer_sigma_hats(trace: Trace, params: BillingParams) -> list[float]:
@@ -98,10 +105,8 @@ def predicted_layer_sigma_hats(prediction: Prediction, params: BillingParams, de
     Layer ``i`` of the prediction demands one unit where the predicted
     demand reaches ``i``; its mass uses the predicted prices.
     """
-    premium = params.p_g - prediction.prices
-    return [
-        float(premium @ (prediction.demands >= i)) / params.p_m for i in range(1, depth + 1)
-    ]
+    rows = (prediction.demands >= i for i in range(1, depth + 1))
+    return _layer_masses(params.p_g - prediction.prices, rows, params.p_m)
 
 
 def run_layered(

@@ -19,25 +19,29 @@ from functools import cached_property
 import numpy as np
 
 from .errors import StructuralError, UndefinedRatioError, ValidationError
+from .validators import check_cost
 
 #: Absolute tolerance for money / ratio equality comparisons.
 MONEY_TOL = 1e-9
 
 
-def _readonly_vector(values, name: str) -> np.ndarray:
-    # A read-only float64 vector that owns its memory is kept as it is (see
-    # the sharing contract on Trace); anything else is copied and frozen.
+def _readonly_vector(values, name: str, ndim: int = 1) -> np.ndarray:
+    # A read-only, C-contiguous float64 array of ``ndim`` dimensions that owns
+    # its memory is kept as it is (see the sharing contract on Trace); anything
+    # else is copied and frozen in C order, the row order of every dot product.
     if (
         isinstance(values, np.ndarray)
         and values.dtype == np.float64
-        and values.ndim == 1
+        and values.ndim == ndim
+        and values.flags.c_contiguous
         and values.base is None
         and not values.flags.writeable
     ):
         return values
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise StructuralError(f"{name} must be a one-dimensional sequence")
+    arr = np.array(values, dtype=float, order="C")
+    if arr.ndim != ndim:
+        shape = "a one-dimensional sequence" if ndim == 1 else "a two-dimensional (rows, slots) array"
+        raise StructuralError(f"{name} must be {shape}")
     arr.setflags(write=False)
     return arr
 
@@ -48,14 +52,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _checked_range(arr: np.ndarray, what: str, rule: str, positive: bool = False) -> tuple[float, float]:
+def _checked_range(arr: np.ndarray, what: str, rule: str, above: float | None = None) -> tuple[float, float]:
     """Min and max of a non-empty vector, rejecting non-finite values and
-    values below 0 (not above 0 when ``positive``) by the first offending
-    slot.  NaN fails every comparison, so it is rejected too."""
+    values below 0 (not above ``above``, where given) by the first
+    offending slot.  NaN fails every comparison, so it is rejected too."""
     lo = np.minimum.reduce(arr)
     hi = np.maximum.reduce(arr)
-    if not ((lo > 0 if positive else lo >= 0) and hi < math.inf):
-        ok = (arr > 0 if positive else arr >= 0) & (arr < math.inf)
+    if not ((lo >= 0 if above is None else lo > above) and hi < math.inf):
+        ok = (arr >= 0 if above is None else arr > above) & (arr < math.inf)
         t = int(np.flatnonzero(~ok)[0])
         raise ValidationError(f"{what} at slot {t} is {arr[t]}; {rule}")
     return float(lo), float(hi)
@@ -101,7 +105,7 @@ class Trace:
             )
         if len(prices) == 0:
             raise ValidationError("empty trace: the peak charge needs at least one slot")
-        min_price, max_price = _checked_range(prices, "price", "prices must be finite and > 0", positive=True)
+        min_price, max_price = _checked_range(prices, "price", "prices must be finite and > 0", above=0.0)
         _, max_demand = _checked_range(demands, "demand", "demands must be finite and >= 0")
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "demands", demands)
@@ -274,6 +278,18 @@ def cost_of(schedule: Schedule, trace: Trace, params: BillingParams) -> CostBrea
     return CostBreakdown(volume=volume, peak=peak, local=local)
 
 
+def _premium_mass(premium: np.ndarray, demands: np.ndarray, p_m: float) -> float:
+    """The premium mass of ``demands`` at the per-slot premiums ``premium =
+    p_g - p``: every mass, true or predicted, of a trace, layer or bank row."""
+    return float(premium @ demands) / p_m
+
+
+def _cumulative_premium(p_g, prices: np.ndarray, demands: np.ndarray) -> np.ndarray:
+    """``S(t) = sum_{tau<=t} (p_g - p(tau)) d(tau)`` of one trace, or of every
+    row of an (n, T) block with ``p_g`` an (n, 1) column."""
+    return ((p_g - prices) * demands).cumsum(axis=-1)
+
+
 def sigma(trace: Trace, params: BillingParams) -> float:
     """Critical peak-demand threshold of an instance.
 
@@ -283,14 +299,12 @@ def sigma(trace: Trace, params: BillingParams) -> float:
     all-grid schedule is offline-optimal for binary demand.
     """
     check_pairing(trace, params)
-    return float((params.p_g - trace.prices) @ trace.demands) / params.p_m
+    return _premium_mass(params.p_g - trace.prices, trace.demands, params.p_m)
 
 
 def beta(trace: Trace, params: BillingParams) -> float:
     """Ratio of the minimum grid price to the local generation cost, in (0, 1]."""
     check_pairing(trace, params)
-    if trace.min_price <= 0:
-        raise ValidationError(f"minimum price {trace.min_price} must be > 0")
     return trace.min_price / params.p_g
 
 
@@ -299,7 +313,9 @@ def cost_reduction(alg_total: float, trace: Trace, params: BillingParams) -> flo
 
     The benchmark is the no-generator cost ``sum p(t) d(t) + p_m max d(t)``.
     Negative values mean the schedule cost more than not generating at all.
+    A cost that :func:`~peaksched.validators.check_cost` rejects raises ``DomainError``.
     """
+    check_cost(alg_total, "algorithm cost")
     if alg_total < 0:
         raise ValidationError(f"algorithm cost must be >= 0, got {alg_total}")
     baseline = float(trace.prices @ trace.demands) + params.p_m * trace.max_demand

@@ -48,7 +48,6 @@ def optimal_basic(trace: Trace, params: BillingParams) -> OracleResult:
     _require_no_ramp(params, "optimal_basic")
     if not trace.has_binary_demands():
         raise DomainError("optimal_basic requires 0/1 demands; use optimal_general instead")
-    check_pairing(trace, params)
     d = trace.demands
     if sigma(trace, params) > 1:
         schedule = Schedule(u=np.zeros_like(d), v=d)

@@ -27,6 +27,7 @@ from .model import (
     BillingParams,
     Schedule,
     Trace,
+    _cumulative_premium,
     _frozen,
     beta as beta_of,
     check_pairing,
@@ -92,14 +93,9 @@ class SwitchPolicy:
 
 
 def _check_thresholds(s) -> np.ndarray:
-    """``s`` as a float array whose every element is a real number that
-    passes :class:`SwitchPolicy`'s rule, or ``DomainError`` naming the first
-    that does not."""
-    s = np.asarray(s) if type(s) is float else as_reals(s, "threshold multiplier")
-    bad = ~((s == _GRID_FROM_START) | (s >= 0))
-    if bad.any():
-        raise DomainError(f"threshold multiplier must be -1, >= 0, or inf; got {s[bad][0]}")
-    return s
+    """``s`` as a float array whose every element passes :class:`SwitchPolicy`'s rule."""
+    rule = "must be -1, >= 0, or inf; got"
+    return as_reals(s, "threshold multiplier", lambda x: (x == _GRID_FROM_START) | (x >= 0), rule)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,12 +237,8 @@ def _block_slots(prices: np.ndarray, demands: np.ndarray, p_g, p_m, s: np.ndarra
     ``p_g`` and ``p_m`` being scalars or (n, 1) columns: one
     ``cumsum(axis=1)`` of the premiums and one ``searchsorted`` per row."""
     targets = s * p_m
-    # ((p_g - p) * d).cumsum() of every row, in one buffer
-    prefixes = p_g - prices
-    prefixes *= demands
-    prefixes.cumsum(axis=1, out=prefixes)
     slots = np.empty(s.shape, dtype=np.intp)
-    for r, prefix in enumerate(prefixes):
+    for r, prefix in enumerate(_cumulative_premium(p_g, prices, demands)):
         slots[r] = prefix.searchsorted(targets[r], side="left")
     return slots
 
@@ -283,7 +275,7 @@ def _block_costs(prices: np.ndarray, demands: np.ndarray, p_g, p_m, slots: np.nd
 
 
 def _premium_prefix(trace: Trace, p_g: float) -> np.ndarray:
-    """``((p_g - p) * d).cumsum()`` of a trace, kept on the trace.
+    """:func:`~peaksched.model._cumulative_premium` of a trace, kept on the trace.
 
     The first run at a ``p_g`` stores one ``(p_g, frozen prefix)`` tuple,
     which later runs at that ``p_g`` read and a new ``p_g`` replaces whole,
@@ -294,7 +286,7 @@ def _premium_prefix(trace: Trace, p_g: float) -> np.ndarray:
     entry = trace.__dict__.get("_premium_prefix")
     if entry is not None and entry[0] == p_g:
         return entry[1]
-    cumulative = _frozen(((p_g - trace.prices) * trace.demands).cumsum())
+    cumulative = _frozen(_cumulative_premium(p_g, trace.prices, trace.demands))
     trace.__dict__["_premium_prefix"] = (p_g, cumulative)
     return cumulative
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError, ValidationError
-from .model import BillingParams, Trace, _readonly_vector, sigma as true_sigma
+from .model import BillingParams, Trace, _checked_range, _premium_mass, _readonly_vector, sigma as true_sigma
 from .validators import check_seed
 
 
@@ -31,13 +31,9 @@ class Prediction:
         demands = _readonly_vector(self.demands, "predicted demands")
         if len(prices) != len(demands):
             raise StructuralError("predicted prices and demands must be 1-d vectors of equal length")
-        for what, arr, ok, rule in (
-            ("price", prices, np.isfinite(prices), "finite"),
-            ("demand", demands, np.isfinite(demands) & (demands >= 0), "finite and >= 0 (clamp first)"),
-        ):
-            if not ok.all():
-                t = int(np.flatnonzero(~ok)[0])
-                raise ValidationError(f"predicted {what} at slot {t} is {arr[t]}; must be {rule}")
+        if len(prices):  # an empty prediction has no slot to check
+            _checked_range(prices, "predicted price", "must be finite", above=-np.inf)
+            _checked_range(demands, "predicted demand", "must be finite and >= 0 (clamp first)")
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "demands", demands)
 
@@ -51,7 +47,7 @@ def sigma_hat(prediction: Prediction, params: BillingParams) -> float:
     May be negative when predicted prices exceed the generation cost; only
     the comparison against 1 matters downstream.
     """
-    return float((params.p_g - prediction.prices) @ prediction.demands) / params.p_m
+    return _premium_mass(params.p_g - prediction.prices, prediction.demands, params.p_m)
 
 
 def perfect_prediction(trace: Trace) -> Prediction:

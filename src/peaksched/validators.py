@@ -61,6 +61,18 @@ def check_sigma_hat(sigma_hat: float) -> None:
         raise DomainError(f"sigma_hat must be finite, got {sigma_hat}")
 
 
+def check_cost(total, what: str, arrays: bool = False) -> None:
+    """Reject a cost that is a bool, not a real number (nor a real array,
+    where ``arrays``), or not finite, naming it or its first bad element."""
+    if is_real(total):
+        if not -math.inf < total < math.inf:  # NaN fails both
+            raise DomainError(f"{what} must be finite, got {total}")
+    elif not (arrays and isinstance(total, np.ndarray) and total.dtype.kind in "fiu"):
+        raise DomainError(f"{what} must be a real number, got {total!r}")
+    elif not np.isfinite(total).all():
+        raise DomainError(f"{what} must be finite, got {total[~np.isfinite(total)][0]}")
+
+
 def is_real(value) -> bool:
     """A real number that is not a bool: what a float parameter admits,
     numpy scalars included."""
@@ -68,17 +80,25 @@ def is_real(value) -> bool:
     return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
-def as_reals(values, what: str) -> np.ndarray:
+def as_reals(values, what: str, ok=None, rule: str = "") -> np.ndarray:
     """``values`` as a float array, or ``DomainError`` naming the first
-    element that is a bool or not a real number.  Anything but an array is
-    read as objects first: ``np.asarray`` would read ``True`` as 1 and
-    ``"0.5"`` as 0.5, and a list's bools as its floats."""
+    element that is a bool or not a real number, or that fails the
+    element-wise test ``ok``, as ``f"{what} {rule} {value}"``.  Anything but
+    an array or a float is read as objects first: ``np.asarray`` would read
+    ``True`` as 1 and ``"0.5"`` as 0.5, and a list's bools as its floats."""
+    if type(values) is float and (ok is None or ok(values)):
+        return np.asarray(values)  # a float's own comparisons take ns, a 0-d array's us
     values = np.asarray(values, dtype=None if isinstance(values, np.ndarray) else object)
     if values.dtype.kind not in "fiu":
         for value in values.ravel().tolist():
             if not is_real(value):
                 raise DomainError(f"{what} must be a real number, got {value!r}")
-    return values.astype(float, copy=False)
+    values = values.astype(float, copy=False)
+    if ok is not None:
+        bad = ~ok(values)
+        if bad.any():
+            raise DomainError(f"{what} {rule} {values[bad][0]}")
+    return values
 
 
 def check_seed(seed) -> None:

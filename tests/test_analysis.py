@@ -179,6 +179,10 @@ class TestQuadrature:
     def test_empty_interval(self):
         assert integrate(lambda x: x, 2, 2) == (0.0, 0.0)
 
+    def test_inverted_interval_is_rejected_naming_it(self):
+        with pytest.raises(ps.NumericError, match=re.escape("inverted interval [1.0, 0.5]")):
+            integrate(lambda x: x, 1.0, 0.5)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_integrand_fails_at_once(self, bad):
         with pytest.raises(ps.NumericError, match="not finite"):
@@ -424,6 +428,30 @@ class TestEmpiricalRatio:
     def test_rejects_zero_optimum(self):
         with pytest.raises(ps.UndefinedRatioError):
             ps.empirical_ratio(1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "costs, first", [(np.array([1.0, -math.inf, math.nan]), "-inf"), (np.array([[1.0], [math.nan]]), "nan")]
+    )
+    def test_an_array_of_costs_names_its_first_non_finite_element(self, costs, first):
+        # these read [1, -inf, nan] and [[1], [nan]]; the scalar cases are in test_validators
+        with pytest.raises(ps.DomainError, match=f"^online cost must be finite, got {first}$"):
+            ps.empirical_ratio(costs, 1.0)
+
+
+class TestThresholdChecks:
+    @pytest.mark.parametrize("s", [-1, 0, -0.5, math.nan])
+    def test_the_ratio_and_the_instance_builders_name_a_threshold_below_0_alike(self, s):
+        message = f"^threshold multiplier must be > 0, got {float(s)}$"
+        for call in (ps.worst_case_ratio, ps.worst_case_instance, ps.worst_case_bank):
+            with pytest.raises(ps.DomainError, match=message):
+                call(s, 0.5)
+
+    def test_expected_ratios_name_the_first_bad_beta(self):
+        specs = [ps.red_distribution(0.5)] * 3
+        with pytest.raises(ps.DomainError, match=r"^beta must lie in \(0, 1\], got 1.5$"):
+            ps.expected_ratios(specs, [0.5, 1.5, 0.0], [0.7])
+        with pytest.raises(ps.DomainError, match=r"^beta must be a real number, got \[0.5\]$"):
+            ps.expected_ratios(specs, [0.5, [0.5], 0.5], [0.7])
 
 
 def test_measured_ratios_stay_under_curve(rng):

@@ -4,8 +4,11 @@ import json
 import os
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+import peaksched as ps
+from peaksched.harness import synth_trace, write_trace_csv
 from peaksched.harness.cli import _config_from_args, build_parser, main
 from peaksched.harness.experiment import ExperimentConfig
 from peaksched.harness.verify import verify_theorems
@@ -50,6 +53,26 @@ def test_compare_table(tmp_path, capsys):
     assert "bed" in out and "red" in out
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["errors"] == {}
+
+
+def test_a_compare_on_fractional_csv_demands_reports_as_on_the_rounded_csvs(tmp_path, capsys):
+    # layering needs integer demand: the CSV path rounds it and says so
+    trace = synth_trace(days=3, seed=5)
+    fractional = np.maximum(0.0, trace.demands + np.random.default_rng(5).uniform(-0.45, 0.45, len(trace)))
+    seen = {}
+    for name, demands in (("fractional", fractional), ("rounded", np.rint(fractional))):
+        prices_csv, demands_csv = tmp_path / f"{name}-prices.csv", tmp_path / f"{name}-demands.csv"
+        write_trace_csv(ps.Trace(prices=trace.prices, demands=demands), prices_csv, demands_csv)
+        out = tmp_path / name
+        argv = ["compare", "--price-csv", str(prices_csv), "--demand-csv", str(demands_csv), "--seed", "5"]
+        argv += ["--algorithms", "bed,lambda-bed,red,lambda-red", "--lambdas", "0.3,1.0"]
+        assert main([*argv, "--predictors", "perfect,gaussian,adversarial", "--out-dir", str(out)]) == 0
+        rounded = json.loads((out / "manifest.json").read_text())["trace"]["demands_rounded"]
+        seen[name] = (rounded, (out / "report.csv").read_bytes())
+    assert seen["fractional"][0] is True and seen["rounded"][0] is False
+    assert seen["fractional"][1] == seen["rounded"][1]
+    # the header, then bed and red per predictor, then 2 assisted algorithms x 2 lambdas per predictor
+    assert len(seen["rounded"][1].splitlines()) == 1 + 2 * 3 + 2 * 2 * 3
 
 
 def test_sweep_writes_axis_column(tmp_path, capsys):
@@ -109,6 +132,14 @@ def test_run_rejects_bad_algorithm(tmp_path, capsys):
     code = main(["run", "--algorithm", "nope", "--days", "2", "--seed", "1"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_run_exits_1_naming_a_failed_cell(tmp_path, capsys):
+    # all-zero demand: the single cell's offline optimum is 0, so no ratio exists
+    argv = ["run", "--algorithm", "bed", "--days", "1", "--peak-level", "0", "--base-level", "0", "--noise", "0"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "offline optimum must be > 0" in captured.err and captured.out == ""
 
 
 def test_verify_small_grid(capsys):
@@ -210,6 +241,13 @@ def test_synth_reads_config(tmp_path, capsys):
             "compare --days 2 --seed 1 --algorithms naive-lambda-red --lambdas 0.001 --predictors perfect",
             "lambdas: naive-lambda-red needs values of at least 0.0014088818758681283",
         ),
+        (None, "compare --days 2 --seed 1 --predictors perfect,oracle", "unknown predictor 'oracle'"),
+        (None, "compare --days 2 --seed 1 --capacity-ratio 1.5", "capacity-ratio must lie in (0, 1], got 1.5"),
+        ("capacity-ratio = 0", "compare --days 2 --seed 1", "capacity-ratio must lie in (0, 1], got 0.0"),
+        (None, "compare --days 2 --seed 1 --peak-multiplier -2", "peak-multiplier must be > 0, got -2.0"),
+        (None, "compare --seed 1 --price-csv prices.csv", "price-csv and demand-csv must be given together"),
+        ("demand-csv = demands.csv", "run --algorithm bed", "price-csv and demand-csv must be given together"),
+        ("days 2", "compare", "config line 1: expected 'key = value', got 'days 2'"),
     ],
 )
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, config_text, argv, message):

@@ -353,6 +353,12 @@ class TestProjectRamp:
         with pytest.raises(ps.DomainError):
             ps.project_ramp(ps.Schedule(u=[1], v=[0]), trace, ps.BillingParams(p_g=2, p_m=2, capacity=1))
 
+    def test_rejects_a_schedule_of_another_length(self):
+        trace = ps.Trace(prices=[1, 1], demands=[1, 1])
+        params = ps.BillingParams(p_g=2, p_m=2, capacity=1, ramp=1)
+        with pytest.raises(ps.DomainError, match="^schedule and trace lengths differ$"):
+            ps.project_ramp(ps.Schedule(u=[1], v=[0]), trace, params)
+
 
 class TestLayerSigmaHats:
     def test_true_hats_match_layer_masses(self, rng):

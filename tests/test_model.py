@@ -1,5 +1,6 @@
 """Trace, parameter, schedule, and cost-accounting behavior."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,26 @@ def test_trace_rejects_nonpositive_price_and_negative_demand():
 
 
 @pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ps.Trace(prices=[1.0, 2.0], demands=[1.0]), r"prices \(2 slots\) and demands \(1 slots\) differ in length"),
+        (lambda: ps.Trace(prices=[[1.0, 2.0]], demands=[1.0, 1.0]), "prices must be a one-dimensional sequence"),
+        (lambda: ps.Trace(prices=[1.0, 2.0], demands=[[1.0, 1.0]]), "demands must be a one-dimensional sequence"),
+        (lambda: ps.Schedule(u=[1.0], v=[0.0, 0.0]), r"u \(1 slots\) and v \(2 slots\) differ in length"),
+        (lambda: ps.Schedule(u=[[1.0]], v=[0.0]), "u must be a one-dimensional sequence"),
+        (
+            lambda: ps.Prediction(prices=[1.0], demands=[1.0, 1.0]),
+            "predicted prices and demands must be 1-d vectors of equal length",
+        ),
+        (lambda: ps.Prediction(prices=[[1.0, 2.0]], demands=[1.0, 1.0]), "predicted prices must be a one-dimensional sequence"),
+    ],
+)
+def test_vectors_of_the_wrong_shape_are_structural_errors(build, message):
+    with pytest.raises(ps.StructuralError, match=f"^{message}$"):
+        build()
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("p_g", math.nan), ("p_m", math.nan), ("capacity", math.nan), ("ramp", math.nan),
      ("p_g", math.inf), ("p_m", math.inf)],
@@ -118,6 +139,24 @@ def test_cost_reduction_identities():
     assert ps.cost_reduction(baseline, trace, params) == 0.0
     assert ps.cost_reduction(0.0, trace, params) == 1.0
     assert ps.cost_reduction(6.0, trace, params) == pytest.approx(-0.2)
+
+
+@pytest.mark.parametrize(
+    "total, message",
+    [
+        (math.nan, "algorithm cost must be finite, got nan"),
+        (math.inf, "algorithm cost must be finite, got inf"),
+        (-math.inf, "algorithm cost must be finite, got -inf"),
+        (True, "algorithm cost must be a real number, got True"),
+        ("1", "algorithm cost must be a real number, got '1'"),
+        (None, "algorithm cost must be a real number, got None"),
+    ],
+)
+def test_cost_reduction_names_a_cost_that_is_not_a_finite_number(total, message):
+    # these read nan, -inf, a ValidationError, 0.9375 (True as 1), and a bare TypeError twice
+    trace = ps.Trace(prices=[1, 1, 1], demands=[1, 1, 1])
+    with pytest.raises(ps.DomainError, match=f"^{re.escape(message)}$"):
+        ps.cost_reduction(total, trace, ps.BillingParams(p_g=2, p_m=13, capacity=1))
 
 
 def test_cost_reduction_rejects_zero_demand_baseline():

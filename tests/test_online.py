@@ -276,6 +276,29 @@ class TestTraceBank:
         with pytest.raises(ps.PeakSchedError, match=message):
             ps.TraceBank(prices, demands, p_g, p_m)
 
+    def test_a_fortran_order_block_gives_contiguous_rows_that_answer_as_their_traces(self):
+        # an F-order copy kept its order, and its strided rows' dot products
+        # grouped differently: sigmas and costs differed in the last bits
+        rng = np.random.default_rng(3)
+        prices = rng.uniform(0.1, 1.0, (3, 500))
+        demands = (rng.random((3, 500)) < 0.6).astype(float)
+        bank = ps.TraceBank(np.asfortranarray(prices), np.asfortranarray(demands), 1.0, 20.0)
+        assert bank.prices.flags.c_contiguous and bank.demands.flags.c_contiguous
+        slots = np.arange(0, 501, 7)
+        costs = bank.switch_costs(slots)
+        for r in range(len(bank)):
+            trace, params = bank.instance(r)
+            assert bank.sigmas[r].hex() == ps.sigma(trace, params).hex()
+            assert costs[r].tobytes() == ps.switch_costs(trace, params, slots).tobytes()
+
+    def test_a_frozen_c_order_block_is_kept_and_anything_else_is_copied(self):
+        frozen = np.ones((2, 3))
+        frozen.setflags(write=False)
+        assert ps.TraceBank(frozen, frozen, 1.0, 1.0).prices is frozen
+        writable = np.ones((2, 3))
+        copied = ps.TraceBank(writable, writable, 1.0, 1.0).prices
+        assert copied is not writable and not copied.flags.writeable
+
     def test_rejects_thresholds_and_slots_of_the_wrong_shape(self):
         bank = ps.TraceBank(np.ones((2, 3)), np.ones((2, 3)), 1.0, 1.0)
         with pytest.raises(ps.StructuralError, match=r"thresholds must be \(k,\) or \(2, k\)"):
@@ -542,6 +565,15 @@ class TestSampling:
         d_stat = max(np.abs(cdf - grid).max(), np.abs(cdf - (grid - 1 / m)).max())
         assert d_stat < 1.628 / math.sqrt(m)  # 1% critical value
 
+    @pytest.mark.parametrize("uniform", [-0.1, 1.0, 1.5, math.nan])
+    def test_rejects_a_uniform_outside_the_unit_interval(self, uniform):
+        with pytest.raises(ps.DomainError, match=re.escape(f"uniform draw must lie in [0, 1), got {uniform}")):
+            ps.sample(ps.red_distribution(0.5), uniform)
+
+    def test_rejects_an_empty_density_support(self):
+        with pytest.raises(ps.ValidationError, match=re.escape("empty density support [1.0, 0.5]")):
+            ps.DistributionSpec(atoms=((math.inf, 1.0),), coeff=0.0, lo=1.0, hi=0.5)
+
     def test_rejects_unnormalized_spec(self):
         bad = ps.DistributionSpec(atoms=((math.inf, 0.3),), coeff=0.1, lo=0.0, hi=1.0)
         with pytest.raises(ps.ValidationError):
@@ -616,6 +648,21 @@ class TestRunAlgorithm:
             a = ps.cost_of(bed.schedule, trace, params).total
             b = ps.cost_of(assisted.schedule, trace, params).total
             assert a == b
+
+    @pytest.mark.parametrize("algorithm", ["lambda-bed", "lambda-red", "naive-lambda-red"])
+    @pytest.mark.parametrize(
+        "missing, message",
+        [("sigma_hat", "needs a predicted premium mass (sigma_hat)"), ("lam", "needs the trust parameter lambda")],
+    )
+    def test_an_assisted_algorithm_names_the_argument_it_misses(self, rng, algorithm, missing, message):
+        trace, params = make_binary_instance(rng)
+        kwargs = {"lam": 0.5, "sigma_hat": 2.0, "seed": 1}
+        del kwargs[missing]
+        with pytest.raises(ps.DomainError, match=f"^{re.escape(f'{algorithm} {message}')}$"):
+            ps.run_algorithm(trace, params, algorithm, **kwargs)
+        if algorithm != "lambda-bed":
+            with pytest.raises(ps.DomainError, match=f"^{re.escape(f'{algorithm} {message}')}$"):
+                ps.policy_distribution(algorithm, 0.4, kwargs.get("lam"), kwargs.get("sigma_hat"))
 
     def test_policy_distribution_is_shared_and_equals_its_constructor(self):
         first = ps.policy_distribution(ps.Algorithm.LAMBDA_RED, 0.4, 0.5, 2.0)

@@ -118,6 +118,12 @@ def test_prediction_rejects_non_finite_entries(bad, slot):
         ps.Prediction(**vectors)
 
 
+def test_an_empty_prediction_has_mass_zero():
+    prediction = ps.Prediction(prices=[], demands=[])
+    assert len(prediction) == 0
+    assert ps.sigma_hat(prediction, ps.BillingParams(p_g=2.0, p_m=4.0, capacity=1)) == 0.0
+
+
 def test_prediction_keeps_negative_prices_and_rejects_negative_demand():
     prediction = ps.Prediction(prices=[-1.0, 2.0], demands=[1.0, 1.0])
     assert prediction.prices[0] == -1.0

@@ -133,6 +133,36 @@ def test_layered_runs_through_the_memo_equal_fresh_layers_bit_for_bit(instance, 
         assert schedule.v.tobytes() == expected.v.tobytes()
 
 
+@st.composite
+def layer_hat_cases(draw):
+    """An integer-demand trace of up to 300 slots, some of its prices tied
+    with ``p_g``, and a prediction of its length with noisy prices on either
+    side of ``p_g``, fractional demands, and a depth of 0 to 8 layers."""
+    T = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_g = draw(st.sampled_from([1.0, 2.5, 37.3]))
+    demands = rng.integers(0, draw(st.integers(0, 6)) + 1, T).astype(float)
+    prices = np.where(rng.random(T) < 0.2, p_g, rng.uniform(0.05, 1.0, T) * p_g)
+    params = ps.BillingParams(p_g=p_g, p_m=draw(st.floats(0.01, 100.0)), capacity=1)
+    prediction = ps.Prediction(
+        prices=prices + rng.normal(0.0, p_g / 2, T), demands=np.maximum(0.0, demands + rng.normal(0.0, 1.0, T))
+    )
+    return ps.Trace(prices=prices, demands=demands), params, prediction, draw(st.integers(0, 8))
+
+
+@PROPERTY
+@given(layer_hat_cases())
+def test_layer_masses_equal_each_layers_sigma_and_the_mask_formula_bit_for_bit(case):
+    # the hats decide through sigma_hat > 1, so a last-bit change could flip a tie at 1
+    trace, params, prediction, depth = case
+    true_reference = [ps.sigma(layer, params) for layer in ps.decompose(trace).layers]
+    premium = params.p_g - prediction.prices
+    predicted_reference = [float(premium @ (prediction.demands >= i)) / params.p_m for i in range(1, depth + 1)]
+    assert [hat.hex() for hat in ps.true_layer_sigma_hats(trace, params)] == [s.hex() for s in true_reference]
+    predicted = ps.predicted_layer_sigma_hats(prediction, params, depth)
+    assert [hat.hex() for hat in predicted] == [s.hex() for s in predicted_reference]
+
+
 @PROPERTY
 @given(integer_instances(), st.data(), st.integers(0, 4))
 def test_projection_is_idempotent(instance, data, ramp):
@@ -255,7 +285,8 @@ def trace_banks(draw, max_rows=4):
     thresholds to run on it.  Rows may have no demand or prices tied with
     their ``p_g``; a tied row's peak price is its premium, so its mass is
     exactly 1, the oracle's tie.  Every row runs -1, inf and drawn
-    thresholds, and two that land on its own ``S(k) / p_m``."""
+    thresholds, and two that land on its own ``S(k) / p_m``.  The arrays
+    come in C or Fortran order."""
     n, T = draw(st.integers(1, max_rows)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p_g = np.array(draw(st.lists(st.sampled_from([1.0, 2.5]), min_size=n, max_size=n)))
@@ -272,7 +303,8 @@ def trace_banks(draw, max_rows=4):
     landing = prefix[:, draw(st.lists(st.integers(0, T - 1), min_size=2, max_size=2))] / p_m[:, None]
     drawn = draw(st.lists(st.floats(0.0, 5.0), max_size=6))
     thresholds = np.hstack([np.tile([-1.0, math.inf, *drawn], (n, 1)), landing])
-    return ps.TraceBank(prices, demands, p_g, p_m), thresholds
+    order = draw(st.sampled_from("CF"))
+    return ps.TraceBank(np.asarray(prices, order=order), np.asarray(demands, order=order), p_g, p_m), thresholds
 
 
 @PROPERTY

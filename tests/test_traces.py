@@ -286,6 +286,19 @@ class TestSynthTrace:
         with pytest.raises(ps.DomainError, match="seed"):
             synth_trace(days=1, seed=seed)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"days": 0}, "days must be >= 1, got 0"),
+            ({"peak_level": 5.0, "base_level": 6.0}, "need peak_level >= base_level >= 0"),
+            ({"peak_level": 5.0, "base_level": -1.0}, "need peak_level >= base_level >= 0"),
+            ({"noise": -0.5}, "noise must be >= 0, got -0.5"),
+        ],
+    )
+    def test_rejects_a_bad_length_level_or_noise_naming_it(self, kwargs, message):
+        with pytest.raises(ps.ValidationError, match=f"^{message}$"):
+            synth_trace(**{"days": 1, "seed": 0, **kwargs})
+
     def test_monthly_cycle_length(self):
         assert len(synth_trace(days=30, seed=0)) == 720
 

@@ -181,6 +181,12 @@ SCALAR_SIGMA_HAT_USERS = SIGMA_HAT_USERS[:3]
 COST_USERS = [
     ("online cost", lambda total: ps.empirical_ratio(total, 2.0)),
     ("offline optimum", lambda total: ps.empirical_ratio(1.0, total)),
+    (
+        "algorithm cost",
+        lambda total: ps.cost_reduction(
+            total, ps.Trace(prices=[1, 2, 3], demands=[1, 1, 1]), ps.BillingParams(p_g=3, p_m=10, capacity=1)
+        ),
+    ),
 ]
 
 
@@ -209,6 +215,13 @@ def test_a_hostile_sigma_hat_is_a_domain_error_naming_it(fn, hat, named):
 @pytest.mark.parametrize("total, named", SCALAR_HOSTILE)
 def test_a_hostile_cost_is_a_domain_error_naming_it(what, fn, total, named):
     with pytest.raises(ps.DomainError, match=_naming(what, named)):
+        fn(total)
+
+
+@pytest.mark.parametrize("what, fn", COST_USERS)
+@pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_cost_is_a_domain_error_naming_it(what, fn, total):
+    with pytest.raises(ps.DomainError, match=f"^{what} must be finite, got {total}$"):
         fn(total)
 
 

@@ -194,6 +194,14 @@ def test_a_nan_ratio_bound_fails_its_checks(monkeypatch):
         assert math.isnan(check.max_violation) and not check.passed
 
 
+@pytest.mark.parametrize("axis", ["lambda", "beta", "sigma"])
+def test_each_grid_needs_five_points(axis):
+    grids = {"lambdas": LAMBDAS, "betas": BETAS, "sigmas": SIGMAS}
+    grids[f"{axis}s"] = grids[f"{axis}s"][:4]
+    with pytest.raises(ps.DomainError, match=f"^{axis} grid needs at least 5 points, got 4$"):
+        verify.verify_theorems(**grids, empirical_slots=300)
+
+
 def test_infinite_sigma_is_rejected_not_skipped():
     with pytest.raises(ps.DomainError, match="premium mass"):
         verify.verify_theorems(LAMBDAS, BETAS, SIGMAS + (math.inf,), empirical_slots=300)
