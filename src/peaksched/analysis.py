@@ -340,10 +340,16 @@ def worst_case_instance(
 
 def empirical_ratio(alg_total: float, opt_total: float) -> float:
     """Cost of an online run over the exact offline optimum; ``alg_total``
-    may be an array of run costs over one optimum.  A cost that
-    :func:`~peaksched.validators.check_cost` rejects raises ``DomainError``."""
+    may be an array of run costs, over one optimum or over an array of
+    optima that broadcasts against it, such as an (n, 1) column under an
+    (n, k) table.  A cost that :func:`~peaksched.validators.check_cost`
+    rejects raises ``DomainError``."""
     check_cost(alg_total, "online cost", arrays=True)
-    check_cost(opt_total, "offline optimum")
-    if opt_total <= 0:
+    check_cost(opt_total, "offline optimum", arrays=True)
+    if isinstance(opt_total, np.ndarray):
+        low = opt_total <= 0
+        if low.any():
+            raise UndefinedRatioError(f"offline optimum must be > 0, got {opt_total[low][0]}")
+    elif opt_total <= 0:
         raise UndefinedRatioError(f"offline optimum must be > 0, got {opt_total}")
     return alg_total / opt_total

@@ -301,7 +301,7 @@ def _measured_ratios(s, beta, s_grid, slots: int) -> tuple[np.ndarray, np.ndarra
     thresholds[:, :-1] = s_grid
     thresholds[:, -1] = s * (1.0 - 1e-9)
     costs = bank.switch_costs(np.hstack([bank.switch_slots(thresholds), bank.oracle_slots()[:, None]]))
-    return bank.sigmas, np.array([empirical_ratio(row[:-1], row[-1]) for row in costs])
+    return bank.sigmas, empirical_ratio(costs[:, :-1], costs[:, -1:])
 
 
 def check_worst_case_is_envelope(betas, sigmas) -> CheckResult:

@@ -197,10 +197,19 @@ class Schedule:
     copied and frozen as in :class:`Trace`: a read-only float64 vector
     that owns its memory is kept, not copied.  The largest output and
     purchase are computed once per instance.
+
+    :func:`~peaksched.switch_schedule` builds its schedules without these
+    checks (:meth:`_of_switch`): each entry of its ``u`` and ``v`` is 0 or
+    a demand of a trace that was checked when it was built, and it records
+    that trace for :func:`cost_of`.  A pickled or copied schedule is
+    rebuilt from ``u`` and ``v`` alone, and checked again.
     """
 
     u: np.ndarray
     v: np.ndarray
+    # the trace a switch schedule was derived from; not a field, so a
+    # schedule built from (u, v) reads None
+    _trace = None
 
     def __post_init__(self):
         u = _readonly_vector(self.u, "u")
@@ -216,6 +225,17 @@ class Schedule:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "_max_u", max_u)
         object.__setattr__(self, "_max_v", max_v)
+
+    @classmethod
+    def _of_switch(cls, trace: Trace, u: np.ndarray, v: np.ndarray, max_u: float, max_v: float) -> "Schedule":
+        """A schedule of frozen ``u`` and ``v`` derived from ``trace``, with
+        their maxima, taken as they are: the caller has proved them."""
+        schedule = object.__new__(cls)
+        schedule.__dict__.update(u=u, v=v, _max_u=max_u, _max_v=max_v, _trace=trace)
+        return schedule
+
+    def __reduce__(self):
+        return (type(self), (self.u, self.v))
 
     def __len__(self) -> int:
         return len(self.u)
@@ -270,8 +290,16 @@ def cost_of(schedule: Schedule, trace: Trace, params: BillingParams) -> CostBrea
     """Total operating cost of a schedule over the billing cycle.
 
     volume = sum_t p(t) v(t), peak = p_m * max_t v(t), local = sum_t p_g u(t).
+
+    The schedule is checked by :func:`validate_schedule`, except a switch
+    schedule of this very ``trace`` (the same object) where no ramp is set
+    and ``trace.max_demand <= capacity``: its ``u + v`` is the demand
+    exactly and its output never exceeds the largest demand, so it passes.
+    A ramp limit can reject a switch (a 0/1 output steps by 1 where it
+    turns on), so a schedule is always checked where a ramp is set.
     """
-    validate_schedule(schedule, trace, params)
+    if not (schedule._trace is trace and params.ramp is None and trace.max_demand <= params.capacity):
+        validate_schedule(schedule, trace, params)
     volume = float(trace.prices @ schedule.v)
     peak = params.p_m * schedule._max_v
     local = params.p_g * float(schedule.u.sum())

@@ -107,7 +107,10 @@ class RunRecord:
     final ``S(T)``, accumulated over every slot regardless of which source
     served it, so ``S(T) = sigma * p_m`` is an identity.  The ``schedule``
     is ``switch_schedule(trace, switch_slot)``, built on its first read
-    and kept: a caller that needs only the switch slot builds none.
+    and kept: a caller that needs only the switch slot builds none.  It
+    skips ``Schedule``'s range checks and records ``trace``, so
+    ``cost_of(record.schedule, record.trace, params)`` without a ramp
+    skips ``validate_schedule`` too (see :func:`switch_schedule`).
     """
 
     trace: Trace = field(repr=False)
@@ -295,7 +298,13 @@ def switch_schedule(trace: Trace, switch: int | None) -> Schedule:
     """Serve a 0/1-demand trace locally before slot ``switch`` and from the
     grid from it on; None (or ``len(trace)``) serves every slot locally.
     A slot that is not an integer in ``[0, len(trace)]`` raises
-    ``DomainError`` naming it."""
+    ``DomainError`` naming it.
+
+    Each entry of ``u`` and ``v`` is 0 or a demand of the trace, checked
+    when the trace was built, so the schedule skips ``Schedule``'s range
+    checks, and ``u + v`` is the demand exactly; the schedule records the
+    trace, and :func:`~peaksched.cost_of` skips ``validate_schedule`` on
+    it where that proves it feasible."""
     horizon = len(trace.demands)
     if switch is not None and not (type(switch) is int and 0 <= switch <= horizon):
         # off the fast path: a numpy integer, or a slot to reject
@@ -304,10 +313,21 @@ def switch_schedule(trace: Trace, switch: int | None) -> Schedule:
         if not 0 <= switch <= horizon:
             raise DomainError(f"switch slot {switch} lies outside [0, {horizon}]")
     d = trace.demands
+    k = horizon if switch is None else switch
     u = d.copy()
-    if switch is not None:
-        u[switch:] = 0.0
-    return Schedule(u=_frozen(u), v=_frozen(d - u))
+    u[k:] = 0.0
+    v = d - u
+    return Schedule._of_switch(trace, _frozen(u), _frozen(v), _side_max(d[:k], u), _side_max(d[k:], v))
+
+
+def _side_max(demands: np.ndarray, side: np.ndarray) -> float:
+    """Largest entry of ``side``, which holds ``demands`` and 0.0 elsewhere."""
+    if not len(demands):
+        return 0.0
+    top = float(np.maximum.reduce(demands))
+    # a positive maximum is one entry's exact value; a zero one may be -0.0
+    # or 0.0 by the reduction order, so the side's own reduction decides it
+    return top if top else float(np.maximum.reduce(side))
 
 
 def bed_policy() -> SwitchPolicy:

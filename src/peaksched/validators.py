@@ -63,14 +63,26 @@ def check_sigma_hat(sigma_hat: float) -> None:
 
 def check_cost(total, what: str, arrays: bool = False) -> None:
     """Reject a cost that is a bool, not a real number (nor a real array,
-    where ``arrays``), or not finite, naming it or its first bad element."""
+    where ``arrays``), or not finite, or too large for a float (an int that
+    a division would overflow on), naming it or its first bad element."""
     if is_real(total):
-        if not -math.inf < total < math.inf:  # NaN fails both
+        try:
+            finite = math.isfinite(total)
+        except OverflowError:
+            raise DomainError(f"{what} must fit in a float, got {_shown(total)}") from None
+        if not finite:
             raise DomainError(f"{what} must be finite, got {total}")
     elif not (arrays and isinstance(total, np.ndarray) and total.dtype.kind in "fiu"):
         raise DomainError(f"{what} must be a real number, got {total!r}")
     elif not np.isfinite(total).all():
         raise DomainError(f"{what} must be finite, got {total[~np.isfinite(total)][0]}")
+
+
+def _shown(value) -> str:
+    try:
+        return str(value)
+    except ValueError:  # an int with more digits than Python converts
+        return f"a number too long to print ({type(value).__name__})"
 
 
 def is_real(value) -> bool:

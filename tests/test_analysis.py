@@ -429,6 +429,23 @@ class TestEmpiricalRatio:
         with pytest.raises(ps.UndefinedRatioError):
             ps.empirical_ratio(1.0, 0.0)
 
+    def test_a_column_of_optima_divides_each_row_as_a_call_per_row(self):
+        costs = np.array([[3.0, 7.0, 1.1], [2.5, 0.3, 9.0]])
+        optima = np.array([[1.7], [0.9]])
+        rows = [ps.empirical_ratio(row, opt) for row, opt in zip(costs, optima[:, 0])]
+        assert ps.empirical_ratio(costs, optima).tobytes() == np.array(rows).tobytes()
+
+    @pytest.mark.parametrize(
+        "optima, error, message",
+        [
+            (np.array([[1.0], [0.0], [-1.0]]), ps.UndefinedRatioError, "offline optimum must be > 0, got 0.0"),
+            (np.array([[1.0], [math.inf]]), ps.DomainError, "offline optimum must be finite, got inf"),
+        ],
+    )
+    def test_a_column_of_optima_names_its_first_bad_element(self, optima, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            ps.empirical_ratio(np.ones((len(optima), 2)), optima)
+
     @pytest.mark.parametrize(
         "costs, first", [(np.array([1.0, -math.inf, math.nan]), "-inf"), (np.array([[1.0], [math.nan]]), "nan")]
     )

@@ -1,4 +1,5 @@
 """Threshold runs, policy construction, threshold distributions, sampling."""
+import copy
 import gc
 import math
 import pickle
@@ -123,8 +124,9 @@ class TestLazySchedule:
     def test_the_schedule_is_read_only_and_built_once_on_first_read(self, rng, monkeypatch):
         trace, params = make_binary_instance(rng)
         built = []
-        post_init = ps.Schedule.__post_init__
-        monkeypatch.setattr(ps.Schedule, "__post_init__", lambda self: (built.append(1), post_init(self))[1])
+        # switch schedules skip Schedule.__post_init__, so count the builder
+        build = online.switch_schedule
+        monkeypatch.setattr(online, "switch_schedule", lambda *args: (built.append(1), build(*args))[1])
         record = ps.run_algorithm(trace, params, "lambda-red", lam=0.5, sigma_hat=2.0, seed=4)
         assert built == []
         first = record.schedule
@@ -154,6 +156,51 @@ class TestSwitchSchedule:
         never = ps.switch_schedule(trace, None)
         assert ps.switch_schedule(trace, 3).u.tobytes() == never.u.tobytes() == trace.demands.tobytes()
         assert ps.switch_schedule(trace, np.int64(0)).v.tobytes() == trace.demands.tobytes()
+
+    def test_cost_of_checks_a_switch_schedule_paired_with_another_trace(self):
+        trace = ps.Trace(prices=[1, 1, 1], demands=[1, 0, 1])
+        params = ps.BillingParams(p_g=2, p_m=1, capacity=1)
+        schedule = ps.switch_schedule(trace, 2)
+        # an equal trace is another object: its schedule is checked, and passes
+        twin = ps.Trace(prices=trace.prices, demands=trace.demands)
+        assert ps.cost_of(schedule, twin, params) == ps.cost_of(schedule, trace, params)
+        other = ps.Trace(prices=[1, 1, 1], demands=[1, 1, 1])
+        with pytest.raises(ps.ValidationError, match=r"^demand not met at slot 1: u\+v = 0.0 < d = 1.0$"):
+            ps.cost_of(schedule, other, params)
+        shorter = ps.Trace(prices=[1, 1], demands=[1, 0])
+        with pytest.raises(ps.StructuralError, match="^schedule has 3 slots but trace has 2$"):
+            ps.cost_of(schedule, shorter, params)
+
+    def test_cost_of_checks_a_switch_schedule_above_the_capacity(self):
+        trace = ps.Trace(prices=[1, 1, 1], demands=[1, 3, 2])
+        schedule = ps.switch_schedule(trace, None)
+        with pytest.raises(ps.ValidationError, match="^generator output 3.0 at slot 1 exceeds capacity 2$"):
+            ps.cost_of(schedule, trace, ps.BillingParams(p_g=2, p_m=1, capacity=2))
+
+    def test_cost_of_checks_a_switch_schedule_under_a_ramp_below_one(self):
+        trace = ps.Trace(prices=[1, 1, 1], demands=[0, 1, 1])
+        params = ps.BillingParams(p_g=2, p_m=1, capacity=1, ramp=0.5)
+        with pytest.raises(ps.ValidationError, match="^ramp violation at slot 1: output change 1.0 exceeds limit 0.5$"):
+            ps.cost_of(ps.switch_schedule(trace, None), trace, params)
+
+    @pytest.mark.parametrize("slot", [None, 0, 2])
+    def test_a_pickled_or_copied_switch_schedule_is_rebuilt_and_checked_again(self, slot, monkeypatch):
+        trace = ps.Trace(prices=[0.5, 1, 0.25], demands=[1, 0, 1])
+        params = ps.BillingParams(p_g=2, p_m=3, capacity=1)
+        schedule = ps.switch_schedule(trace, slot)
+        checked = ps.Schedule(u=schedule.u, v=schedule.v)
+        # the trace stays behind: the pickle is a checked schedule's
+        assert len(pickle.dumps(schedule)) == len(pickle.dumps(checked))
+        validated = []
+        validate = ps.model.validate_schedule
+        monkeypatch.setattr(ps.model, "validate_schedule", lambda *args: (validated.append(1), validate(*args))[1])
+        expected = ps.cost_of(schedule, trace, params)
+        assert validated == []
+        for rebuilt in (pickle.loads(pickle.dumps(schedule)), copy.copy(schedule), copy.deepcopy(schedule)):
+            assert rebuilt._trace is None
+            assert rebuilt.u.tobytes() == schedule.u.tobytes() and rebuilt.v.tobytes() == schedule.v.tobytes()
+            assert ps.cost_of(rebuilt, trace, params) == expected
+        assert len(validated) == 3
 
 
 class TestSwitchSlots:

@@ -280,6 +280,49 @@ def test_switch_costs_equal_costing_each_switch_schedule_bit_for_bit(case):
 
 
 @st.composite
+def switch_schedule_cases(draw):
+    """A 0/1 or a general non-negative trace of 1 to 80 slots whose zero
+    demands are 0.0 or -0.0, with a capacity and an optional ramp."""
+    T = draw(st.one_of(st.integers(1, 12), st.integers(13, 80)))
+    palette = draw(st.sampled_from([[0.0, -0.0, 1.0], [0.0, -0.0, 0.25, 1.0, 2.0, 3.5], [-0.0], [0.0, -0.0]]))
+    demands = draw(st.lists(st.sampled_from(palette), min_size=T, max_size=T))
+    prices = draw(st.lists(st.floats(0.05, 1.0), min_size=T, max_size=T))
+    params = ps.BillingParams(
+        p_g=1.0,
+        p_m=draw(st.floats(0.1, 50.0)),
+        capacity=draw(st.sampled_from([1, 2, 4])),
+        ramp=draw(st.sampled_from([None, None, 0.5, 1.0, 3.0])),
+    )
+    return ps.Trace(prices=prices, demands=demands), params
+
+
+def _cost_outcome(schedule, trace, params):
+    try:
+        cost = ps.cost_of(schedule, trace, params)
+    except ps.PeakSchedError as error:
+        return type(error), str(error)
+    return cost.volume.hex(), cost.peak.hex(), cost.local.hex()
+
+
+@PROPERTY
+@given(switch_schedule_cases())
+@example((ps.Trace(prices=[1.0] * 3, demands=[-0.0, 0.0, -0.0]), ps.BillingParams(p_g=1.0, p_m=1.0, capacity=1)))
+def test_a_switch_schedule_equals_the_checked_schedule_of_its_arrays_bit_for_bit(case):
+    # switch_schedule skips Schedule's range checks, and cost_of skips
+    # validate_schedule on it; neither may change a bit or an error
+    trace, params = case
+    d = trace.demands
+    for slot in [None, *range(len(trace) + 1)]:
+        lean = ps.switch_schedule(trace, slot)
+        u = d.copy()
+        u[len(trace) if slot is None else slot:] = 0.0
+        assert lean.u.tobytes() == u.tobytes() and lean.v.tobytes() == (d - u).tobytes()
+        checked = ps.Schedule(u=lean.u, v=lean.v)
+        assert (lean._max_u.hex(), lean._max_v.hex()) == (checked._max_u.hex(), checked._max_v.hex())
+        assert _cost_outcome(lean, trace, params) == _cost_outcome(checked, trace, params)
+
+
+@st.composite
 def trace_banks(draw, max_rows=4):
     """A bank of 1 to ``max_rows`` 0/1 traces of 1 to 40 slots, and (n, k)
     thresholds to run on it.  Rows may have no demand or prices tied with

@@ -225,6 +225,20 @@ def test_a_non_finite_cost_is_a_domain_error_naming_it(what, fn, total):
         fn(total)
 
 
+@pytest.mark.parametrize("what, fn", COST_USERS)
+@pytest.mark.parametrize("total", [10**400, -(10**400)])
+def test_an_int_too_large_for_a_float_is_a_domain_error_naming_it(what, fn, total):
+    # it passed the finiteness check and the division raised a bare OverflowError
+    with pytest.raises(ps.DomainError, match=f"^{what} must fit in a float, got {total}$"):
+        fn(total)
+
+
+def test_an_int_too_long_to_print_is_still_a_domain_error():
+    # naming it would raise ValueError past Python's int-to-str digit limit
+    with pytest.raises(ps.DomainError, match=r"^offline optimum must fit in a float, got a number too long to print \(int\)$"):
+        ps.empirical_ratio(1.0, 10**5000)
+
+
 @pytest.mark.parametrize(
     "call, what, named",
     [
