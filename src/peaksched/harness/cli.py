@@ -64,12 +64,20 @@ def _report_errors(errors: dict[str, str]) -> bool:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(
-        args,
-        algorithms=(args.algorithm,),
-        lambdas=(args.lam,) if args.lam is not None else None,
-        predictors=(args.predictor,) if args.predictor else None,
-    )
+    # a singular flag stands for its plural one; left unset, it leaves the
+    # plural flag or the file value alone
+    extra = {}
+    for plural, flag, value in (
+        ("algorithms", "--algorithm", args.algorithm),
+        ("lambdas", "--lambda", args.lam),
+        ("predictors", "--predictor", args.predictor),
+    ):
+        if value is None:
+            continue
+        if getattr(args, plural) is not None:
+            raise ValidationError(f"{flag} and --{plural} both given; pass one of them")
+        extra[plural] = (value,)
+    config = _config_from_args(args, **extra)
     result = run_experiment(config, write=args.out_dir is not None)
     if _report_errors(result.manifest["errors"]):
         return 1

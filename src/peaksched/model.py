@@ -13,13 +13,14 @@ the package use the absolute tolerance :data:`MONEY_TOL`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import StructuralError, UndefinedRatioError, ValidationError
-from .validators import check_cost
+from .validators import _shown, check_cost, is_real
 
 #: Absolute tolerance for money / ratio equality comparisons.
 MONEY_TOL = 1e-9
@@ -38,12 +39,29 @@ def _readonly_vector(values, name: str, ndim: int = 1) -> np.ndarray:
         and not values.flags.writeable
     ):
         return values
-    arr = np.array(values, dtype=float, order="C")
+    # anything but a numeric array is read as objects and checked element by
+    # element, as validators.as_reals reads it: np.array would take True as 1
+    # and "2" as 2.0, and raise a bare ValueError on "a"
+    numeric = isinstance(values, np.ndarray) and values.dtype.kind in "fiu"
+    arr = values if numeric else np.asarray(values, dtype=None if isinstance(values, np.ndarray) else object)
     if arr.ndim != ndim:
         shape = "a one-dimensional sequence" if ndim == 1 else "a two-dimensional (rows, slots) array"
         raise StructuralError(f"{name} must be {shape}")
+    if not numeric:
+        for k, value in enumerate(arr.ravel().tolist()):
+            if not is_real(value):
+                _reject_slot(name, arr.shape, k, f"is {value!r}; must be a real number")
+            if isinstance(value, int) and abs(value) > sys.float_info.max:  # np.array raises OverflowError
+                _reject_slot(name, arr.shape, k, f"is {_shown(value)}; must fit in a float")
+    arr = np.array(arr, dtype=float, order="C")
     arr.setflags(write=False)
     return arr
+
+
+def _reject_slot(name: str, shape: tuple, k: int, what: str) -> None:
+    *row, slot = np.unravel_index(k, shape)
+    where = f"row {row[0]}, slot {slot}" if row else f"slot {slot}"
+    raise ValidationError(f"{name} at {where} {what}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -70,8 +88,10 @@ class Trace:
     """Per-slot grid prices and energy demands for one billing cycle.
 
     Prices must be finite and strictly positive; demands finite and
-    non-negative.  Both vectors share the same length ``T >= 1``.
-    Instances are immutable and safe to share across threads.
+    non-negative.  Both vectors share the same length ``T >= 1``.  An
+    entry that is a bool or not a real number (a string, None) raises
+    ``ValidationError`` naming its slot.  Instances are immutable and safe
+    to share across threads.
 
     Inputs are copied into read-only float64 vectors, except that a
     read-only, one-dimensional float64 array that owns its memory
@@ -166,6 +186,12 @@ class BillingParams:
     ramp: float | None = None
 
     def __post_init__(self):
+        # a bool or a string compares like a number or raises a bare TypeError
+        ramp = 0.0 if self.ramp is None else self.ramp
+        for name, value in (("generation cost p_g", self.p_g), ("peak price p_m", self.p_m),
+                            ("capacity", self.capacity), ("ramp limit", ramp)):
+            if not is_real(value):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
         # comparisons written so that NaN fails them
         if not 0 < self.p_g < math.inf:
             raise ValidationError(f"generation cost p_g must be finite and > 0, got {self.p_g}")

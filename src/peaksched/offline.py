@@ -10,8 +10,10 @@ Three oracles, all hindsight-optimal for their stated instance class:
 * :func:`optimal_with_ramp` -- integer demand under a ramp limit.  For each
   peak cap the lowest ramp-feasible output path is optimal, and it is an
   envelope of two running maxima over the slots, so each cap costs
-  ``O(T)`` time and memory.  The caps are scanned in ascending order, and
-  the scan stops at the first cap whose peak charge alone rules it out.
+  ``O(T)`` time and memory.
+
+Both capacitated oracles scan their caps in ascending order in one loop,
+which stops at the first cap whose peak charge alone rules it out.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError
 from .model import BillingParams, Schedule, Trace, check_pairing, cost_of, sigma
 
 
@@ -59,45 +61,59 @@ def optimal_basic(trace: Trace, params: BillingParams) -> OracleResult:
     return OracleResult(schedule=schedule, total=total, peak_level=peak_level)
 
 
-def _peak_cap_schedule(trace: Trace, cap: float) -> Schedule:
-    # Grid up to the cap, generator for the rest; optimal for a fixed cap
-    # because the grid is never dearer than local generation.
-    v = np.minimum(trace.demands, cap)
-    return Schedule(u=trace.demands - v, v=v)
+# Relative slack on the peak-cap prune, far above the rounding of a cost sum,
+# so a cap is only skipped when it cannot even tie the best total.
+_PRUNE_SLACK = 1e-9
+
+
+def _cheapest_cap(trace: Trace, params: BillingParams, caps, schedule_at) -> OracleResult:
+    """The cheapest of the schedules ``schedule_at(m)`` over the ascending
+    peak ``caps`` (None where no schedule meets cap ``m``); ties go to the
+    smaller cap.  Any schedule with peak ``m`` costs at least ``p_m m +
+    sum_t p(t) d(t)`` because ``p(t) <= p_g``, and one below its cap is no
+    cheaper than the smaller cap's optimum, so the scan stops at the first
+    cap whose bound exceeds the best total.  Every caller's caps hold one
+    with a schedule, and the prune cannot stop the scan before it.
+    """
+    grid_volume = float(trace.prices @ trace.demands)
+    best: tuple[float, float, Schedule] | None = None
+    for m in caps:
+        if best is not None and params.p_m * m + grid_volume > best[0] * (1 + _PRUNE_SLACK):
+            break
+        schedule = schedule_at(m)
+        if schedule is None:
+            continue
+        total = cost_of(schedule, trace, params).total
+        if best is None or (total, m) < (best[0], best[1]):
+            best = (total, m, schedule)
+    total, m, schedule = best
+    return OracleResult(schedule=schedule, total=total, peak_level=float(m))
 
 
 def optimal_general(trace: Trace, params: BillingParams) -> OracleResult:
     """Offline optimum for capacitated instances without ramp constraints.
 
-    The cost under a peak cap ``m`` (grid serves ``min(d(t), m)`` per slot)
-    is piecewise linear in ``m`` with breakpoints only at demand values, so
-    scanning the distinct demand values plus the feasibility floor
-    ``max(0, max d - C)`` finds the exact optimum.  Ties go to the smaller
-    cap.
+    The grid serves ``min(d(t), m)`` under a peak cap ``m`` (optimal for a
+    fixed cap: the grid is never dearer than local generation), and the
+    cost is piecewise linear in ``m`` with breakpoints only at demand
+    values, so scanning the distinct demand values plus the feasibility
+    floor ``max(0, max d - C)`` finds the exact optimum.
     """
     _require_no_ramp(params, "optimal_general")
     check_pairing(trace, params)
+    d = trace.demands
     floor = max(0.0, trace.max_demand - params.capacity)
-    candidates = {floor, 0.0} | {float(x) for x in trace.demands}
-    candidates = sorted(m for m in candidates if m >= floor)
-    assert candidates, "feasibility floor always qualifies"
-    best: tuple[float, float, Schedule] | None = None
-    for m in candidates:
-        schedule = _peak_cap_schedule(trace, m)
-        total = cost_of(schedule, trace, params).total
-        if best is None or (total, m) < (best[0], best[1]):
-            best = (total, m, schedule)
-    total, m, schedule = best
-    return OracleResult(schedule=schedule, total=total, peak_level=m)
+    caps = sorted(m for m in {floor, 0.0} | set(d.tolist()) if m >= floor)
+
+    def capped(m: float) -> Schedule:
+        v = np.minimum(d, m)
+        return Schedule(u=d - v, v=v)
+
+    return _cheapest_cap(trace, params, caps, capped)
 
 
 def _integer_valued(x: float) -> bool:
     return math.isfinite(x) and x == int(x)
-
-
-# Relative slack on the peak-cap prune, far above the rounding of a cost sum,
-# so a cap is only skipped when it cannot even tie the best total.
-_PRUNE_SLACK = 1e-9
 
 
 def optimal_with_ramp(trace: Trace, params: BillingParams) -> OracleResult:
@@ -137,14 +153,8 @@ def optimal_with_ramp(trace: Trace, params: BillingParams) -> OracleResult:
     is exact, as for an integer ``p_g``; with ``p_g = 0.1`` they are not:
     ``0.1*5 + 0.1*2`` rounds below ``0.1*6 + 0.1*1``, the program may climb
     on that rounding, and its total may differ from this one in the last
-    bits while this schedule stays the lowest optimal one.
-
-    Each cap's schedule is re-costed in ascending order, which settles its
-    peak charge, and the best (total, cap) pair wins.  Any schedule with
-    peak ``m`` costs at least ``p_m m + sum_t p(t) d(t)`` because ``p(t) <=
-    p_g``, and a schedule below its cap is no cheaper than the smaller
-    cap's optimum, so the scan stops at the first cap whose bound exceeds
-    the best total.
+    bits while this schedule stays the lowest optimal one.  The cap ``m =
+    max d`` always has the all-zero path.
     """
     if params.ramp is None:
         raise DomainError("optimal_with_ramp requires a ramp limit; use optimal_general otherwise")
@@ -161,26 +171,15 @@ def optimal_with_ramp(trace: Trace, params: BillingParams) -> OracleResult:
     max_d = int(d.max())
     # no path needs a step above C or max d, and R t then stays within int64
     ramp = min(int(params.ramp), cap_max, max_d)
-    grid_volume = float(trace.prices @ trace.demands)
     slope = ramp * np.arange(len(d))
 
-    best: tuple[float, int, Schedule] | None = None
-    for m in range(max(0, max_d - cap_max), max_d + 1):
-        if best is not None and params.p_m * m + grid_volume > best[0] * (1 + _PRUNE_SLACK):
-            break
+    def lowest_path(m: int) -> Schedule | None:
         need = np.maximum(0, d - m) - slope
         later = np.maximum.accumulate(need[::-1])[::-1] + 2 * slope
         u = np.maximum.accumulate(later) - slope
         if u[0] > ramp:
-            continue  # no ramp-feasible path under this cap
+            return None  # no ramp-feasible path under this cap
         u = u.astype(float)
-        schedule = Schedule(u=u, v=np.maximum(0.0, d - u))
-        total = cost_of(schedule, trace, params).total
-        if best is None or (total, m) < (best[0], best[1]):
-            best = (total, m, schedule)
-    if best is None:
-        # Unreachable in practice: the all-zero output path is feasible at
-        # the cap m = max d.  Kept as a guard for future state-space edits.
-        raise InfeasibleError("no ramp-feasible schedule exists at any peak cap")
-    total, m, schedule = best
-    return OracleResult(schedule=schedule, total=total, peak_level=float(m))
+        return Schedule(u=u, v=np.maximum(0.0, d - u))
+
+    return _cheapest_cap(trace, params, range(max(0, max_d - cap_max), max_d + 1), lowest_path)

@@ -6,13 +6,14 @@ scalar estimate can also be fed to them directly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StructuralError, ValidationError
 from .model import BillingParams, Trace, _checked_range, _premium_mass, _readonly_vector, sigma as true_sigma
-from .validators import check_seed
+from .validators import check_seed, is_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +73,16 @@ def gaussian_predictor(
         sigma1 = trace.max_price / 2
     if sigma2 is None:
         sigma2 = trace.max_demand / 2
+    named = (("sigma1", sigma1), ("sigma2", sigma2))
+    for name, value in named:
+        if not is_real(value):
+            raise ValidationError(f"noise standard deviation {name} must be a real number, got {value!r}")
     if sigma1 < 0 or sigma2 < 0:
         raise ValidationError("noise standard deviations must be >= 0")
+    for name, value in named:
+        # NaN fails both `< 0` and `> 0`, and would draw no noise at all
+        if not math.isfinite(value):
+            raise ValidationError(f"noise standard deviation {name} must be finite, got {value}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     eps1 = rng.normal(0.0, sigma1, len(trace)) if sigma1 > 0 else np.zeros(len(trace))

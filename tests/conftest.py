@@ -186,6 +186,50 @@ def reference_ramp_dp(trace: ps.Trace, params: ps.BillingParams) -> ps.OracleRes
     return ps.OracleResult(schedule=schedule, total=total, peak_level=float(m))
 
 
+def _reference_best_cap(trace: ps.Trace, params: ps.BillingParams, schedules) -> ps.OracleResult:
+    # every (cap, schedule) pair costed, no prune; the first (total, cap) minimum wins
+    best = None
+    for m, schedule in schedules:
+        if schedule is None:
+            continue
+        total = ps.cost_of(schedule, trace, params).total
+        if best is None or (total, m) < (best[0], best[1]):
+            best = (total, m, schedule)
+    total, m, schedule = best
+    return ps.OracleResult(schedule=schedule, total=total, peak_level=float(m))
+
+
+def reference_optimal_general(trace: ps.Trace, params: ps.BillingParams) -> ps.OracleResult:
+    """:func:`peaksched.optimal_general` as a loop that costs every candidate
+    cap, kept as the check on the shared cap scan and its prune."""
+    floor = max(0.0, trace.max_demand - params.capacity)
+    caps = sorted(m for m in {floor, 0.0} | {float(x) for x in trace.demands} if m >= floor)
+    d = trace.demands
+    return _reference_best_cap(
+        trace, params, ((m, ps.Schedule(u=d - np.minimum(d, m), v=np.minimum(d, m))) for m in caps)
+    )
+
+
+def reference_optimal_with_ramp(trace: ps.Trace, params: ps.BillingParams) -> ps.OracleResult:
+    """:func:`peaksched.optimal_with_ramp`'s lowest ramp-feasible path at
+    every cap from the floor to ``max d``, each costed, with no prune."""
+    d = trace.demands.astype(int)
+    cap_max, max_d = int(params.capacity), int(d.max())
+    ramp = min(int(params.ramp), cap_max, max_d)
+    slope = ramp * np.arange(len(d))
+
+    def lowest_path(m):
+        need = np.maximum(0, d - m) - slope
+        later = np.maximum.accumulate(need[::-1])[::-1] + 2 * slope
+        u = np.maximum.accumulate(later) - slope
+        if u[0] > ramp:
+            return None
+        u = u.astype(float)
+        return ps.Schedule(u=u, v=np.maximum(0.0, d - u))
+
+    return _reference_best_cap(trace, params, ((m, lowest_path(m)) for m in range(max(0, max_d - cap_max), max_d + 1)))
+
+
 def reference_ratio(s: float, sigma: float, beta: float) -> float:
     """The ratio curve as the scalar case analysis it was first written as,
     kept as the check on the array formula behind :func:`peaksched.cost_ratio`."""

@@ -142,6 +142,44 @@ def test_run_exits_1_naming_a_failed_cell(tmp_path, capsys):
     assert "offline optimum must be > 0" in captured.err and captured.out == ""
 
 
+def _run_lines(capsys, argv, config_text=None, tmp_path=None):
+    if config_text is not None:
+        (tmp_path / "run.conf").write_text(config_text)
+        argv = [*argv, "--config", str(tmp_path / "run.conf")]
+    assert main(["run", "--days", "2", "--seed", "1", *argv]) == 0
+    return [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+
+
+def test_run_honours_the_plural_flags(capsys):
+    # an unset --lambda and --predictor used to erase --lambdas and --predictors
+    argv = ["--algorithm", "lambda-bed", "--lambdas", "0.3,0.6", "--predictors", "adversarial"]
+    assert _run_lines(capsys, argv) == [
+        "lambda-bed lambda=0.3 predictor=adversarial",
+        "lambda-bed lambda=0.6 predictor=adversarial",
+    ]
+
+
+def test_run_takes_the_file_values_unless_a_singular_flag_is_given(tmp_path, capsys):
+    config_text = "lambdas = 0.3\npredictors = adversarial\n"
+    lines = _run_lines(capsys, ["--algorithm", "lambda-bed"], config_text, tmp_path)
+    assert lines == ["lambda-bed lambda=0.3 predictor=adversarial"]
+    lines = _run_lines(capsys, ["--algorithm", "lambda-bed", "--lambda", "0.7"], config_text, tmp_path)
+    assert lines == ["lambda-bed lambda=0.7 predictor=adversarial"]
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        ("--algorithm bed --algorithms red", "--algorithm and --algorithms"),
+        ("--algorithm lambda-bed --lambda 0.3 --lambdas 0.4", "--lambda and --lambdas"),
+        ("--algorithm bed --predictor perfect --predictors gaussian", "--predictor and --predictors"),
+    ],
+)
+def test_run_with_a_singular_and_its_plural_flag_exits_2_naming_both(capsys, argv, flags):
+    assert main(["run", "--days", "2", *argv.split()]) == 2
+    assert capsys.readouterr().err == f"error: {flags} both given; pass one of them\n"
+
+
 def test_verify_small_grid(capsys):
     code = main(["verify", "--grid-resolution", "5", "--slots", "600"])
     out = capsys.readouterr().out

@@ -127,6 +127,25 @@ def test_billing_params_reject_nan_and_infinite_prices(field, value):
         ps.BillingParams(**fields)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("p_g", "1", "generation cost p_g must be a real number, got '1'"),
+        ("p_g", True, "generation cost p_g must be a real number, got True"),
+        ("p_m", "4", "peak price p_m must be a real number, got '4'"),
+        ("capacity", None, "capacity must be a real number, got None"),
+        ("capacity", True, "capacity must be a real number, got True"),
+        ("ramp", "3", "ramp limit must be a real number, got '3'"),
+        ("ramp", False, "ramp limit must be a real number, got False"),
+    ],
+)
+def test_billing_params_reject_bools_and_non_numbers_naming_the_field(field, value, message):
+    # a string raised a bare TypeError from the range check, and a bool read as 0 or 1
+    fields = {"p_g": 2.0, "p_m": 4.0, "capacity": 1, "ramp": 1.0, field: value}
+    with pytest.raises(ps.ValidationError, match=f"^{re.escape(message)}$"):
+        ps.BillingParams(**fields)
+
+
 def test_billing_params_allow_unbounded_capacity_and_ramp():
     params = ps.BillingParams(p_g=2.0, p_m=4.0, capacity=math.inf, ramp=math.inf)
     assert params.capacity == params.ramp == math.inf
@@ -277,3 +296,37 @@ def test_trace_rejects_non_finite_values(prices, demands, message):
 def test_schedule_rejects_non_finite_values(u, v, message):
     with pytest.raises(ps.ValidationError, match=message):
         ps.Schedule(u=u, v=v)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ps.Trace(prices=[1.0, 1.0], demands=["a", 1]), "demands at slot 0 is 'a'; must be a real number"),
+        (lambda: ps.Trace(prices=["1", "2"], demands=[1, 1]), "prices at slot 0 is '1'; must be a real number"),
+        (lambda: ps.Trace(prices=[1.0, 1.0], demands=[1, True]), "demands at slot 1 is True; must be a real number"),
+        (lambda: ps.Trace(prices=np.array(["1", "2"]), demands=[1, 1]), "prices at slot 0 is '1'; must be a real number"),
+        (lambda: ps.Trace(prices=[1, 1], demands=np.array([0, 1], dtype=bool)), "demands at slot 0 is False; must be a real number"),
+        (lambda: ps.Trace(prices=[1.0, 1.0], demands=[1, None]), "demands at slot 1 is None; must be a real number"),
+        (lambda: ps.Trace(prices=[1.0, 10**400], demands=[1, 1]), "prices at slot 1 is 1000"),
+        (lambda: ps.Prediction(prices=[1.0, 1.0], demands=["a", 1]), "predicted demands at slot 0 is 'a'; must be a real number"),
+        (lambda: ps.Prediction(prices=[1.0, True], demands=[1, 1]), "predicted prices at slot 1 is True; must be a real number"),
+        (lambda: ps.Schedule(u=[1, "0"], v=[0, 1]), "u at slot 1 is '0'; must be a real number"),
+        (
+            lambda: ps.TraceBank([[0.5, 0.5], [0.5, "x"]], [[0, 1], [1, 0]], 1.0, 1.0),
+            "prices at row 1, slot 1 is 'x'; must be a real number",
+        ),
+        (
+            lambda: ps.TraceBank([[0.5, 0.5], [0.5, 0.5]], [[0, True], [1, 0]], 1.0, 1.0),
+            "demands at row 0, slot 1 is True; must be a real number",
+        ),
+    ],
+)
+def test_instance_vectors_reject_strings_and_bools_naming_the_slot(build, message):
+    # np.array read "2" as 2.0 and True as 1, and raised a bare ValueError on "a"
+    with pytest.raises(ps.ValidationError, match=f"^{re.escape(message)}"):
+        build()
+
+
+def test_instance_vectors_still_take_numpy_scalars_and_object_arrays_of_numbers():
+    trace = ps.Trace(prices=[np.float32(0.5), 1], demands=np.array([np.int64(2), 1.5], dtype=object))
+    assert trace.prices.tolist() == [0.5, 1.0] and trace.demands.tolist() == [2.0, 1.5]

@@ -8,7 +8,13 @@ import pytest
 import peaksched as ps
 import peaksched.offline as offline
 from peaksched.harness import synth_trace
-from conftest import brute_force_optimum, make_binary_instance, make_integer_instance, reference_ramp_dp
+from conftest import (
+    brute_force_optimum,
+    make_binary_instance,
+    make_integer_instance,
+    reference_optimal_general,
+    reference_ramp_dp,
+)
 
 
 def test_basic_all_grid_above_threshold():
@@ -237,6 +243,25 @@ def test_ramp_prune_stops_before_the_last_cap(monkeypatch, rng):
     monkeypatch.setattr(offline, "cost_of", counting_cost_of)
     _assert_same_oracle(ps.optimal_with_ramp(trace, params), reference)
     assert len(costed) < params.capacity + 1  # the caps from the floor to max d
+
+
+def test_general_prune_stops_before_the_last_cap(monkeypatch, rng):
+    # a costly peak charge: the bound p_m m + sum p d rules out the highest
+    # caps of the general oracle too
+    trace, params = make_integer_instance(rng, max_demand=14, horizon=60, capacity=8.0, sigma_target=0.3)
+    floor = trace.max_demand - params.capacity
+    caps = {floor} | {m for m in trace.demands.tolist() if m >= floor}
+    reference = reference_optimal_general(trace, params)
+    costed = []
+    real_cost_of = offline.cost_of
+
+    def counting_cost_of(schedule, *args):
+        costed.append(schedule)
+        return real_cost_of(schedule, *args)
+
+    monkeypatch.setattr(offline, "cost_of", counting_cost_of)
+    _assert_same_oracle(ps.optimal_general(trace, params), reference)
+    assert len(costed) < len(caps)
 
 
 @pytest.mark.parametrize("p_g", [0.1, 0.7, 3.3])

@@ -1,4 +1,7 @@
 """Predictors and the predicted premium mass."""
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,23 @@ class TestGaussianPredictor:
         trace, _ = make_integer_instance(rng)
         with pytest.raises(ps.DomainError, match="seed"):
             ps.gaussian_predictor(trace, seed=seed)
+
+    @pytest.mark.parametrize(
+        "noise, message",
+        [
+            ({"sigma1": math.nan, "sigma2": math.nan}, "noise standard deviation sigma1 must be finite, got nan"),
+            ({"sigma2": math.nan}, "noise standard deviation sigma2 must be finite, got nan"),
+            ({"sigma1": math.inf}, "noise standard deviation sigma1 must be finite, got inf"),
+            ({"sigma1": "a"}, "noise standard deviation sigma1 must be a real number, got 'a'"),
+            ({"sigma2": True}, "noise standard deviation sigma2 must be a real number, got True"),
+            ({"sigma1": -1.0, "sigma2": math.nan}, "noise standard deviations must be >= 0"),
+        ],
+    )
+    def test_a_noise_level_that_is_not_a_finite_number_is_rejected(self, rng, noise, message):
+        # NaN failed both `< 0` and `> 0`, so the prediction came back noiseless
+        trace, _ = make_integer_instance(rng)
+        with pytest.raises(ps.ValidationError, match=f"^{re.escape(message)}$"):
+            ps.gaussian_predictor(trace, **noise)
 
     def test_noise_scale_matches_request(self):
         # price noise is unclamped, so its sample std tracks sigma1

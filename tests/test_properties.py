@@ -16,6 +16,8 @@ from peaksched.layering import project_ramp_block
 from conftest import (
     brute_force_optimum,
     reference_expected_ratio,
+    reference_optimal_general,
+    reference_optimal_with_ramp,
     reference_parse_trace_csv,
     reference_project_ramp,
     reference_ramp_dp,
@@ -106,6 +108,49 @@ def test_ramp_oracle_equals_the_reference_program_bit_for_bit(instance):
     assert result.peak_level == reference.peak_level
     assert np.array_equal(result.schedule.u, reference.schedule.u)
     assert np.array_equal(result.schedule.v, reference.schedule.v)
+
+
+@st.composite
+def cap_scan_instances(draw, max_slots=30, max_capacity=6):
+    """An instance for either capacitated oracle: integer demand up to twice
+    an integer capacity, with a ramp limit from 0 to ``C + 2`` (where the
+    lowest caps can have no ramp-feasible path) or none, or fractional
+    demand and capacity without one.  Some prices are tied with ``p_g = 1``,
+    and peak prices from 0.01 to 100 let the prune stop some scans at the
+    second cap and others not at all."""
+    T = draw(st.integers(1, max_slots))
+    if draw(st.booleans()):
+        capacity = draw(st.floats(1.0, max_capacity))
+        demands = draw(st.lists(st.floats(0.0, 2 * capacity), min_size=T, max_size=T))
+        ramp = None
+    else:
+        capacity = draw(st.integers(1, max_capacity))
+        demands = draw(st.lists(st.integers(0, 2 * capacity), min_size=T, max_size=T))
+        ramp = draw(st.none() | st.integers(0, capacity + 2))
+    prices = draw(st.lists(st.floats(0.05, 1.0), min_size=T, max_size=T))
+    for t in draw(st.sets(st.integers(0, T - 1))):
+        prices[t] = 1.0
+    params = ps.BillingParams(p_g=1.0, p_m=draw(st.floats(0.01, 100.0)), capacity=capacity, ramp=ramp)
+    return ps.Trace(prices=prices, demands=demands), params
+
+
+@settings(PROPERTY, max_examples=200)
+@given(cap_scan_instances())
+# the floor cap 2 has no ramp-feasible path: slot 0 needs 4 - 2 > R
+@example((ps.Trace(prices=[0.5, 1.0, 0.5], demands=[4, 1, 3]), ps.BillingParams(p_g=1.0, p_m=0.2, capacity=2, ramp=1)))
+# caps 0 and 1 tie at a total of 12, with and without a slack ramp
+@example((ps.Trace(prices=[1, 1, 1], demands=[2, 1, 3]), ps.BillingParams(p_g=2, p_m=3, capacity=3)))
+@example((ps.Trace(prices=[1, 1, 1], demands=[2, 1, 3]), ps.BillingParams(p_g=2, p_m=3, capacity=3, ramp=3)))
+def test_each_capacitated_oracle_equals_its_unpruned_cap_loop_bit_for_bit(instance):
+    trace, params = instance
+    if params.ramp is None:
+        result, reference = ps.optimal_general(trace, params), reference_optimal_general(trace, params)
+    else:
+        result, reference = ps.optimal_with_ramp(trace, params), reference_optimal_with_ramp(trace, params)
+    assert result.total.hex() == reference.total.hex()
+    assert result.peak_level.hex() == reference.peak_level.hex()
+    assert result.schedule.u.tobytes() == reference.schedule.u.tobytes()
+    assert result.schedule.v.tobytes() == reference.schedule.v.tobytes()
 
 
 @PROPERTY
