@@ -13,14 +13,13 @@ the package use the absolute tolerance :data:`MONEY_TOL`.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import StructuralError, UndefinedRatioError, ValidationError
-from .validators import _shown, check_cost, is_real
+from .validators import _shown, check_cost, fits_float, is_real
 
 #: Absolute tolerance for money / ratio equality comparisons.
 MONEY_TOL = 1e-9
@@ -51,7 +50,7 @@ def _readonly_vector(values, name: str, ndim: int = 1) -> np.ndarray:
         for k, value in enumerate(arr.ravel().tolist()):
             if not is_real(value):
                 _reject_slot(name, arr.shape, k, f"is {value!r}; must be a real number")
-            if isinstance(value, int) and abs(value) > sys.float_info.max:  # np.array raises OverflowError
+            if not fits_float(value):  # np.array raises OverflowError
                 _reject_slot(name, arr.shape, k, f"is {_shown(value)}; must fit in a float")
     arr = np.array(arr, dtype=float, order="C")
     arr.setflags(write=False)
@@ -192,6 +191,9 @@ class BillingParams:
                             ("capacity", self.capacity), ("ramp limit", ramp)):
             if not is_real(value):
                 raise ValidationError(f"{name} must be a real number, got {value!r}")
+            # an int beyond the largest float compares below inf, then overflows in use
+            if not fits_float(value):
+                raise ValidationError(f"{name} must fit in a float, got {_shown(value)}")
         # comparisons written so that NaN fails them
         if not 0 < self.p_g < math.inf:
             raise ValidationError(f"generation cost p_g must be finite and > 0, got {self.p_g}")
@@ -227,8 +229,11 @@ class Schedule:
     :func:`~peaksched.switch_schedule` builds its schedules without these
     checks (:meth:`_of_switch`): each entry of its ``u`` and ``v`` is 0 or
     a demand of a trace that was checked when it was built, and it records
-    that trace for :func:`cost_of`.  A pickled or copied schedule is
-    rebuilt from ``u`` and ``v`` alone, and checked again.
+    that trace for :func:`cost_of`.  A switch schedule that serves every
+    slot from one source shares that side with the trace: its ``u`` (all
+    local) or ``v`` (all grid) is ``trace.demands``, the other side an owned,
+    read-only array of zeros.  A pickled or copied schedule is rebuilt
+    from ``u`` and ``v`` alone, and checked again.
     """
 
     u: np.ndarray

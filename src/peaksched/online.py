@@ -304,7 +304,13 @@ def switch_schedule(trace: Trace, switch: int | None) -> Schedule:
     when the trace was built, so the schedule skips ``Schedule``'s range
     checks, and ``u + v`` is the demand exactly; the schedule records the
     trace, and :func:`~peaksched.cost_of` skips ``validate_schedule`` on
-    it where that proves it feasible."""
+    it where that proves it feasible.
+
+    A schedule on one source shares the trace's frozen demand array:
+    ``u`` is ``trace.demands`` at ``len(trace)`` (or None), and ``v`` is at
+    0.  The other side is a read-only array of zeros, and the shared
+    side's maximum is ``trace.max_demand``.  These are the bits that
+    copying and zeroing would give.  Any other slot gets two new arrays."""
     horizon = len(trace.demands)
     if switch is not None and not (type(switch) is int and 0 <= switch <= horizon):
         # off the fast path: a numpy integer, or a slot to reject
@@ -314,6 +320,13 @@ def switch_schedule(trace: Trace, switch: int | None) -> Schedule:
             raise DomainError(f"switch slot {switch} lies outside [0, {horizon}]")
     d = trace.demands
     k = horizon if switch is None else switch
+    if k == horizon or k == 0:
+        # one side is the demand bit for bit (``d - 0.0`` keeps every bit of
+        # ``d``), the other all +0.0 (``d - d`` is +0.0 even where d is -0.0)
+        zeros = _frozen(np.zeros(horizon))
+        if k:
+            return Schedule._of_switch(trace, d, zeros, trace.max_demand, 0.0)
+        return Schedule._of_switch(trace, zeros, d, 0.0, trace.max_demand)
     u = d.copy()
     u[k:] = 0.0
     v = d - u
@@ -321,9 +334,8 @@ def switch_schedule(trace: Trace, switch: int | None) -> Schedule:
 
 
 def _side_max(demands: np.ndarray, side: np.ndarray) -> float:
-    """Largest entry of ``side``, which holds ``demands`` and 0.0 elsewhere."""
-    if not len(demands):
-        return 0.0
+    """Largest entry of ``side``, which holds the non-empty ``demands`` and
+    0.0 elsewhere."""
     top = float(np.maximum.reduce(demands))
     # a positive maximum is one entry's exact value; a zero one may be -0.0
     # or 0.0 by the reduction order, so the side's own reduction decides it
@@ -558,9 +570,12 @@ def select_policy(
     """The switch policy an algorithm runs with on a trace.
 
     Randomized algorithms require ``seed`` and draw one threshold from
-    ``default_rng(seed)`` (through :func:`_seeded_uniform`); identical
-    seeds yield identical policies.  A seed, where given, must be a
-    non-negative integer.
+    the first uniform of ``default_rng(seed)``, bit for bit, which
+    :func:`_seeded_uniform` computes from the seed's ``SeedSequence``
+    without building the ``PCG64`` and ``Generator`` that
+    ``default_rng`` would build to read one double; identical seeds
+    yield identical policies.  A seed, where given, must
+    be a non-negative integer.
     """
     algorithm = _as_algorithm(algorithm)
     if seed is not None:
@@ -579,9 +594,29 @@ def select_policy(
     return sample(spec, _seeded_uniform(operator.index(seed)))
 
 
+# SeedSequence.generate_state's hash: the i-th output word is the pool word
+# i % 4 hashed with the i-th and (i+1)-th powers of MULT_B times INIT_B
+_INIT_B, _MULT_B, _M32 = 0x8B51F9DD, 0x58F38DED, 0xFFFFFFFF
+_HASH_KEYS = tuple((_INIT_B * _MULT_B**i & _M32, _INIT_B * _MULT_B ** (i + 1) & _M32) for i in range(8))
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
 @lru_cache(maxsize=1024)
 def _seeded_uniform(seed: int) -> float:
     """The first uniform of ``default_rng(seed)``, memoised per integer seed.
+
+    Computed from ``SeedSequence(seed).pool`` with Python integers: the
+    eight hashed words that ``generate_state(4, uint64)`` gives, paired
+    low word first into the 128-bit ``initstate`` (words 0-1 high, 2-3
+    low) and stream ``seq`` (words 4-7); PCG64's seeding, ``(inc +
+    initstate) * MULT + inc`` with ``inc = 2 seq + 1``, and the draw's
+    one LCG step, all mod 2^128; and that state's XSL-RR output, whose
+    top 53 bits make the double.  numpy's RNG policy (NEP 19) pins those
+    streams, and SeedSequence's pool mixing stays in numpy, so a seed of
+    any size takes this one path.  No ``PCG64`` or ``Generator`` is
+    built: the integer steps cost less than building them, and give the
+    same bits.
 
     A layered run's layer seeds are a pure function of ``(seed, layer
     index)``, so every cell of an experiment draws the same uniforms; the
@@ -591,7 +626,18 @@ def _seeded_uniform(seed: int) -> float:
     Carlo) or a run cycles through more layer seeds than the bound, each
     call misses and pays only the lookup on top of the draw.
     """
-    return float(np.random.default_rng(seed).random())
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    words = []
+    for i, (key, mult) in enumerate(_HASH_KEYS):
+        word = (pool[i & 3] ^ key) * mult & _M32
+        words.append(word ^ word >> 16)
+    initstate = words[1] << 96 | words[0] << 64 | words[3] << 32 | words[2]
+    inc = (words[5] << 96 | words[4] << 64 | words[7] << 32 | words[6]) << 1 | 1
+    state = (((inc + initstate) * _PCG_MULT + inc) * _PCG_MULT + inc) & (1 << 128) - 1
+    # XSL-RR: the xor of the halves, rotated right by the top 6 bits
+    low = (state >> 64 ^ state) & (1 << 64) - 1
+    rot = state >> 122
+    return (((low >> rot | low << (64 - rot)) & (1 << 64) - 1) >> 11) * 2.0**-53
 
 
 def run_algorithm(

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import StructuralError, ValidationError
 from .model import BillingParams, Trace, _checked_range, _premium_mass, _readonly_vector, sigma as true_sigma
-from .validators import check_seed, is_real
+from .validators import _shown, check_seed, fits_float, is_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +80,9 @@ def gaussian_predictor(
     if sigma1 < 0 or sigma2 < 0:
         raise ValidationError("noise standard deviations must be >= 0")
     for name, value in named:
+        # an int beyond the largest float makes math.isfinite overflow
+        if not fits_float(value):
+            raise ValidationError(f"noise standard deviation {name} must fit in a float, got {_shown(value)}")
         # NaN fails both `< 0` and `> 0`, and would draw no noise at all
         if not math.isfinite(value):
             raise ValidationError(f"noise standard deviation {name} must be finite, got {value}")

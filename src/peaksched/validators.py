@@ -66,16 +66,24 @@ def check_cost(total, what: str, arrays: bool = False) -> None:
     where ``arrays``), or not finite, or too large for a float (an int that
     a division would overflow on), naming it or its first bad element."""
     if is_real(total):
-        try:
-            finite = math.isfinite(total)
-        except OverflowError:
-            raise DomainError(f"{what} must fit in a float, got {_shown(total)}") from None
-        if not finite:
+        if not fits_float(total):
+            raise DomainError(f"{what} must fit in a float, got {_shown(total)}")
+        if not math.isfinite(total):
             raise DomainError(f"{what} must be finite, got {total}")
     elif not (arrays and isinstance(total, np.ndarray) and total.dtype.kind in "fiu"):
         raise DomainError(f"{what} must be a real number, got {total!r}")
     elif not np.isfinite(total).all():
         raise DomainError(f"{what} must be finite, got {total[~np.isfinite(total)][0]}")
+
+
+def fits_float(value) -> bool:
+    """Whether a real number converts to a float: an int (or a fraction)
+    beyond the largest float does not, though it compares below ``inf``."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _shown(value) -> str:

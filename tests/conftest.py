@@ -363,6 +363,13 @@ def reference_sample(spec: ps.DistributionSpec, uniform: float) -> float:
     return math.inf
 
 
+def reference_seeded_uniform(seed: int) -> float:
+    """The first uniform of a freshly built ``default_rng(seed)``: the
+    check on ``online._seeded_uniform``, which computes it from the seed's
+    SeedSequence pool without building a generator."""
+    return float(np.random.default_rng(seed).random())
+
+
 def _reference_read_series(path: str | Path, kind: str) -> dict[datetime, float]:
     """One file's ``{timestamp: value}`` rows.  Its stamps must all carry a
     UTC offset or all lack one: Python cannot order the two kinds."""

@@ -182,8 +182,9 @@ def test_c07_monte_carlo_agreement():
     sigma = ps.sigma(trace, params)
     expected = ps.expected_ratio(ps.lambda_red_distribution(mass, lam, beta), sigma, beta)
     n = 100_000
-    # one default_rng(seed) draw per run, as run_algorithm makes it; the
-    # runs' switch slots and costs then come in one batch each
+    # one draw per run, as run_algorithm makes it: the first uniform of
+    # default_rng(seed), bit for bit, computed without building the
+    # generator; the runs' switch slots and costs then come in one batch each
     thresholds = [
         ps.select_policy(trace, params, "lambda-red", lam=lam, sigma_hat=mass, seed=seed).s for seed in range(n)
     ]

@@ -172,19 +172,17 @@ class TestRunLayered:
 
     @pytest.mark.parametrize("algorithm", ["red", "lambda-red", "naive-lambda-red"])
     @pytest.mark.parametrize("capacity", [2.0, 9.0])
-    def test_one_generator_is_built_per_layer_seed(self, rng, monkeypatch, algorithm, capacity):
-        # depth 5: the capacity lies below and above it; later calls reuse the draws
+    def test_one_uniform_is_drawn_per_layer_seed(self, rng, algorithm, capacity):
+        # depth 5: the capacity lies below and above it; later calls reuse the
+        # draws, so the memo's misses count the draws made
         trace, params = make_integer_instance(rng, max_demand=5, capacity=capacity)
-        built = []
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(online.np.random, "default_rng", lambda seed: (built.append(seed), default_rng(seed))[1])
         online._seeded_uniform.cache_clear()
         hats = [0.5, 2.0, 0.7, 3.0, 0.1]
         outputs = {
             ps.run_layered(trace, params, algorithm, lam=0.5, sigma_hats=hats, seed=11).u.tobytes() for _ in range(3)
         }
         assert len(outputs) == 1
-        assert len(built) == min(int(capacity), 5)
+        assert online._seeded_uniform.cache_info().misses == min(int(capacity), 5)
 
     def test_an_unknown_algorithm_name_is_a_domain_error(self):
         trace = ps.Trace(prices=[1, 1], demands=[2, 2])

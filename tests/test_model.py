@@ -146,6 +146,18 @@ def test_billing_params_reject_bools_and_non_numbers_naming_the_field(field, val
         ps.BillingParams(**fields)
 
 
+@pytest.mark.parametrize(
+    "field, name",
+    [("p_g", "generation cost p_g"), ("p_m", "peak price p_m"), ("capacity", "capacity"), ("ramp", "ramp limit")],
+)
+def test_billing_params_reject_an_int_too_large_for_a_float_naming_the_field(field, name):
+    # it compared below inf, and sigma, optimal_general or optimal_with_ramp
+    # then raised a bare OverflowError
+    fields = {"p_g": 2.0, "p_m": 4.0, "capacity": 1, "ramp": 1.0, field: 10**400}
+    with pytest.raises(ps.ValidationError, match=f"^{name} must fit in a float, got 1000"):
+        ps.BillingParams(**fields)
+
+
 def test_billing_params_allow_unbounded_capacity_and_ramp():
     params = ps.BillingParams(p_g=2.0, p_m=4.0, capacity=math.inf, ramp=math.inf)
     assert params.capacity == params.ramp == math.inf

@@ -13,7 +13,13 @@ import pytest
 
 import peaksched as ps
 from peaksched import online
-from conftest import make_binary_bank, make_binary_instance, reference_run_threshold, reference_sample
+from conftest import (
+    make_binary_bank,
+    make_binary_instance,
+    reference_run_threshold,
+    reference_sample,
+    reference_seeded_uniform,
+)
 
 E = math.e
 
@@ -157,6 +163,17 @@ class TestSwitchSchedule:
         assert ps.switch_schedule(trace, 3).u.tobytes() == never.u.tobytes() == trace.demands.tobytes()
         assert ps.switch_schedule(trace, np.int64(0)).v.tobytes() == trace.demands.tobytes()
 
+    @pytest.mark.parametrize("slot", [None, 3, 0])
+    def test_a_schedule_on_one_source_shares_the_trace_demands(self, slot):
+        trace = ps.Trace(prices=[1, 1, 1], demands=[1, -0.0, 1])
+        schedule = ps.switch_schedule(trace, slot)
+        shared, other = (schedule.v, schedule.u) if slot == 0 else (schedule.u, schedule.v)
+        assert shared is trace.demands
+        assert other is not trace.demands and other.base is None and not other.flags.writeable
+        assert other.tobytes() == np.zeros(3).tobytes()
+        max_shared, max_other = (schedule._max_v, schedule._max_u) if slot == 0 else (schedule._max_u, schedule._max_v)
+        assert (max_shared.hex(), max_other.hex()) == (trace.max_demand.hex(), (0.0).hex())
+
     def test_cost_of_checks_a_switch_schedule_paired_with_another_trace(self):
         trace = ps.Trace(prices=[1, 1, 1], demands=[1, 0, 1])
         params = ps.BillingParams(p_g=2, p_m=1, capacity=1)
@@ -183,7 +200,7 @@ class TestSwitchSchedule:
         with pytest.raises(ps.ValidationError, match="^ramp violation at slot 1: output change 1.0 exceeds limit 0.5$"):
             ps.cost_of(ps.switch_schedule(trace, None), trace, params)
 
-    @pytest.mark.parametrize("slot", [None, 0, 2])
+    @pytest.mark.parametrize("slot", [None, 0, 2, 3])
     def test_a_pickled_or_copied_switch_schedule_is_rebuilt_and_checked_again(self, slot, monkeypatch):
         trace = ps.Trace(prices=[0.5, 1, 0.25], demands=[1, 0, 1])
         params = ps.BillingParams(p_g=2, p_m=3, capacity=1)
@@ -322,6 +339,29 @@ class TestTraceBank:
     def test_rejects_shapes_that_are_not_a_bank(self, prices, demands, p_g, p_m, message):
         with pytest.raises(ps.PeakSchedError, match=message):
             ps.TraceBank(prices, demands, p_g, p_m)
+
+    @pytest.mark.parametrize(
+        "p_g, p_m, message",
+        [
+            ("1", 1.0, "p_g must be a real number, got '1'"),
+            (True, 1.0, "p_g must be a real number, got True"),
+            ([1.0, "2"], 1.0, "row 1: p_g must be a real number, got '2'"),
+            (1.0, [None, 1.0], "row 0: p_m must be a real number, got None"),
+            (np.array(["1", "2"]), 1.0, "row 0: p_g must be a real number, got '1'"),
+            (1.0, 10**400, f"p_m must fit in a float, got {10**400}"),
+            ([1.0, 10**400], 1.0, f"row 1: p_g must fit in a float, got {10**400}"),
+        ],
+    )
+    def test_rejects_per_row_prices_that_are_not_real_numbers(self, p_g, p_m, message):
+        # the float fill read "1" and True as 1.0, and raised a bare OverflowError on 10**400
+        with pytest.raises(ps.ValidationError, match=f"^{re.escape(message)}$"):
+            ps.TraceBank([[0.5, 0.5], [0.5, 0.5]], [[0, 1], [1, 0]], p_g, p_m)
+
+    def test_per_row_prices_take_numpy_scalars_and_lists_of_numbers(self):
+        bank = ps.TraceBank([[0.5, 0.5], [0.5, 0.5]], [[0, 1], [1, 0]], np.float32(1.0), [np.int64(2), 3.0])
+        assert bank.p_g.tolist() == [1.0, 1.0] and bank.p_m.tolist() == [2.0, 3.0]
+        with pytest.raises(ps.StructuralError, match=r"p_m must be a number or one number per row \(2\)"):
+            ps.TraceBank([[0.5, 0.5], [0.5, 0.5]], [[0, 1], [1, 0]], 1.0, [[2.0, 3.0]])
 
     def test_a_fortran_order_block_gives_contiguous_rows_that_answer_as_their_traces(self):
         # an F-order copy kept its order, and its strided rows' dot products
@@ -834,12 +874,17 @@ class TestRunAlgorithm:
 class TestSeededUniform:
     def test_equals_the_first_draw_of_default_rng(self):
         online._seeded_uniform.cache_clear()
-        seeds = [*range(10_000), 2**32 - 1, 2**32, 2**64 + 5]
-        for seed in seeds:
-            assert online._seeded_uniform(seed) == np.random.default_rng(seed).random()
-        for seed in (np.uint32(7), np.int64(2**40 + 3), np.uint64(2**64 - 1)):
+        # one to three 32-bit words, then five and six, which SeedSequence
+        # mixes into its four-word pool in its extra-entropy loop
+        wide = [2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 5, 2**96 + 7]
+        wide += [base + k for base in (2**128, 2**160) for k in (0, 1, 7, 2**31 + 3)]
+        for seed in [*range(10_000), *wide]:
+            assert online._seeded_uniform(seed).hex() == reference_seeded_uniform(seed).hex()
+        numpy_seeds = [np.uint8(255), np.int8(9), np.uint16(65535), np.int16(3), np.uint32(7), np.int32(2**31 - 1)]
+        numpy_seeds += [np.int64(2**40 + 3), np.uint64(2**64 - 1)]
+        for seed in numpy_seeds:
             online._seeded_uniform.cache_clear()
-            assert online._seeded_uniform(seed) == np.random.default_rng(int(seed)).random()
+            assert online._seeded_uniform(seed).hex() == reference_seeded_uniform(int(seed)).hex()
 
     def test_numpy_and_python_seeds_share_one_entry(self, rng):
         trace, params = make_binary_instance(rng)

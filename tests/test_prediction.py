@@ -65,6 +65,9 @@ class TestGaussianPredictor:
             ({"sigma1": "a"}, "noise standard deviation sigma1 must be a real number, got 'a'"),
             ({"sigma2": True}, "noise standard deviation sigma2 must be a real number, got True"),
             ({"sigma1": -1.0, "sigma2": math.nan}, "noise standard deviations must be >= 0"),
+            # an int beyond the largest float raised a bare OverflowError from math.isfinite
+            ({"sigma1": 10**400}, f"noise standard deviation sigma1 must fit in a float, got {10**400}"),
+            ({"sigma2": 10**400}, f"noise standard deviation sigma2 must fit in a float, got {10**400}"),
         ],
     )
     def test_a_noise_level_that_is_not_a_finite_number_is_rejected(self, rng, noise, message):

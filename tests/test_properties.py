@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import peaksched as ps
+from peaksched import online
 from peaksched.harness import parse_trace_csv
 from peaksched.layering import project_ramp_block
 from conftest import (
@@ -24,6 +25,7 @@ from conftest import (
     reference_ratio,
     reference_run_layered,
     reference_run_threshold,
+    reference_seeded_uniform,
 )
 
 # small, derandomized runs keep the suite fast and reproducible
@@ -365,6 +367,14 @@ def test_a_switch_schedule_equals_the_checked_schedule_of_its_arrays_bit_for_bit
         checked = ps.Schedule(u=lean.u, v=lean.v)
         assert (lean._max_u.hex(), lean._max_v.hex()) == (checked._max_u.hex(), checked._max_v.hex())
         assert _cost_outcome(lean, trace, params) == _cost_outcome(checked, trace, params)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(st.integers(0, 2**192))
+def test_the_seeded_uniform_is_the_first_draw_of_default_rng(seed):
+    # one to seven 32-bit words: past four, SeedSequence mixes the extra
+    # words into its pool, which the draw reads
+    assert online._seeded_uniform(seed).hex() == reference_seeded_uniform(seed).hex()
 
 
 @st.composite
