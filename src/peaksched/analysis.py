@@ -16,7 +16,7 @@ from .errors import DomainError, UndefinedRatioError
 from .model import BillingParams, Trace, _frozen
 from .online import DistributionSpec, SwitchPolicy, _check_thresholds
 from .quadrature import _gk15_nodes, _gk15_sum, integrate
-from .validators import as_reals, check_beta, check_cost, check_lambda, check_stretched_lambda, is_real
+from .validators import SCALAR, as_reals, check_beta, check_cost, check_lambda, check_stretched_lambda, read_reals
 
 if TYPE_CHECKING:
     from .bank import TraceBank
@@ -91,9 +91,7 @@ def worst_case_ratio(s: float, beta: float) -> float:
     """Competitive ratio of the threshold policy ``s``: the supremum of
     :func:`cost_ratio` over premium masses, attained at ``sigma = s``."""
     check_beta(beta)
-    if not is_real(s):
-        raise DomainError(f"threshold multiplier must be a real number, got {s!r}")
-    s = float(_check_positive_thresholds(s))
+    s = float(_check_positive_thresholds(read_reals(s, "threshold multiplier", SCALAR)))
     if s <= 1:
         return 1.0 + (1.0 - beta) / s
     return 1.0 + s * (1.0 - beta) / ((s - 1.0) * beta + 1.0)
@@ -344,8 +342,8 @@ def empirical_ratio(alg_total: float, opt_total: float) -> float:
     optima that broadcasts against it, such as an (n, 1) column under an
     (n, k) table.  A cost that :func:`~peaksched.validators.check_cost`
     rejects raises ``DomainError``."""
-    check_cost(alg_total, "online cost", arrays=True)
-    check_cost(opt_total, "offline optimum", arrays=True)
+    alg_total = check_cost(alg_total, "online cost", arrays=True)
+    opt_total = check_cost(opt_total, "offline optimum", arrays=True)
     if isinstance(opt_total, np.ndarray):
         low = opt_total <= 0
         if low.any():

@@ -17,28 +17,13 @@ import numpy as np
 from .errors import DomainError, PeakSchedError, StructuralError, ValidationError
 from .model import BillingParams, Trace, _frozen, _premium_mass, _readonly_vector
 from .online import _block_costs, _block_slots, _check_runnable, _check_slots, _check_thresholds
-from .validators import _shown, fits_float, is_real
+from .validators import PER_ROW, read_reals
 
 
 def _per_row(values, rows: int, name: str) -> np.ndarray:
-    # one float per row, a scalar standing for every row's.  Anything but a
-    # numeric array is read as objects and checked value by value, as
-    # validators.as_reals reads it: the float fill takes "1" and True as 1.0
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
-        values = np.asarray(values, dtype=object)
-        if values.ndim > 1:
-            raise StructuralError(f"{name} must be a number or one number per row ({rows})")
-        for r, value in enumerate(values.reshape(-1).tolist()):
-            lead = f"row {r}: " if values.ndim else ""
-            if not is_real(value):
-                raise ValidationError(f"{lead}{name} must be a real number, got {value!r}")
-            if not fits_float(value):
-                raise ValidationError(f"{lead}{name} must fit in a float, got {_shown(value)}")
+    # one float per row, a scalar standing for every row's
     arr = np.empty(rows)
-    try:
-        arr[:] = values
-    except ValueError:
-        raise StructuralError(f"{name} must be a number or one number per row ({rows})") from None
+    arr[:] = read_reals(values, name, PER_ROW, ValidationError, rows=rows)
     return _frozen(arr)
 
 

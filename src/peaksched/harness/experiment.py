@@ -32,7 +32,7 @@ from ..offline import OracleResult, optimal_general, optimal_with_ramp
 from ..online import Algorithm
 from ..analysis import empirical_ratio
 from ..prediction import gaussian_predictor, sigma_hat as sigma_hat_of
-from ..validators import NAIVE_LAMBDA_FLOOR, is_real
+from ..validators import NAIVE_LAMBDA_FLOOR, SCALAR, VECTOR, read_reals
 from .traces import parse_trace_csv, synth_trace, write_text
 
 REPORT_COLUMNS = (
@@ -86,10 +86,11 @@ class ExperimentConfig:
             if many and not isinstance(value, (tuple, list)):
                 raise ValidationError(f"{key}: expected {kind.__name__}s, got {value!r}")
             for item in value if many else (value,):
-                if isinstance(item, bool) or not isinstance(item, _KINDS[kind]):
+                if kind is float:
+                    if not math.isfinite(read_reals(item, f"{key}:", SCALAR, ValidationError, real="expected float")):
+                        raise ValidationError(f"{key} must be finite, got {value}")
+                elif isinstance(item, bool) or not isinstance(item, _KINDS[kind]):
                     raise ValidationError(f"{key}: expected {kind.__name__}, got {item!r}")
-                if kind is float and not math.isfinite(item):
-                    raise ValidationError(f"{key} must be finite, got {value}")
         if not self.algorithms:
             raise ValidationError("algorithms must name at least one algorithm")
         if not self.predictors:
@@ -139,8 +140,8 @@ _SCHEMA = {
     for name, hint in _HINTS.items()
 }
 _OPTIONAL = frozenset(name for name, hint in _HINTS.items() if type(None) in typing.get_args(hint))
-# the typed values each element type admits; bools are rejected separately
-_KINDS = {int: numbers.Integral, float: numbers.Real, str: str}
+# the typed values of an int or str field; bools are rejected separately
+_KINDS = {int: numbers.Integral, str: str}
 
 
 def parse_text(text: str, kind: type, key: str, many: bool = False):
@@ -509,10 +510,7 @@ def _sweep_values(axis: str, values) -> tuple[float, ...]:
         raise ValidationError(f"sweep axis {axis!r}: values must be a sequence of numbers, got {values!r}")
     if len(values) == 0:
         raise ValidationError(f"sweep axis {axis!r} needs at least one value")
-    for value in values:
-        if not is_real(value):
-            raise ValidationError(f"sweep axis {axis!r}: expected numbers, got {value!r}")
-    return tuple(float(value) for value in values)
+    return tuple(read_reals(values, f"sweep axis {axis!r}:", VECTOR, ValidationError, real="expected numbers").tolist())
 
 
 def run_sweep(

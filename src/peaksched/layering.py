@@ -21,7 +21,7 @@ from .errors import DomainError
 from .model import BillingParams, Schedule, Trace, _frozen, _premium_mass, check_pairing
 from .online import Algorithm, RunRecord, _as_algorithm, run_algorithm
 from .prediction import Prediction
-from .validators import check_seed, is_real
+from .validators import check_seed, is_real, read_reals
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,19 +67,15 @@ def _layer_seed(seed: int, layer_index: int) -> int:
 def _layer_sigma_hats(sigma_hats, depth: int) -> list[float | None]:
     if sigma_hats is None:
         return [None] * depth
+    rule = "must be a real number or one per layer"
+    hats = read_reals(sigma_hats, "sigma_hats", real=rule)
     if is_real(sigma_hats):
-        return [float(sigma_hats)] * depth
-    values = None
-    if not isinstance(sigma_hats, (str, bytes)):
-        try:
-            values = list(sigma_hats)
-        except TypeError:  # not iterable
-            pass
-    if values is None or not all(is_real(value) for value in values):
-        raise DomainError(f"sigma_hats must be a real number or one per layer, got {sigma_hats!r}")
-    if len(values) != depth:
-        raise DomainError(f"got {len(values)} per-layer sigma_hat values for {depth} layers")
-    return [float(value) for value in values]
+        return [float(hats)] * depth
+    if hats.ndim != 1:  # a 0-d array is not a real number
+        raise DomainError(f"sigma_hats {rule}, got {sigma_hats!r}")
+    if len(hats) != depth:
+        raise DomainError(f"got {len(hats)} per-layer sigma_hat values for {depth} layers")
+    return hats.tolist()
 
 
 def _layer_masses(premium: np.ndarray, rows, p_m: float) -> list[float]:

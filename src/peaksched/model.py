@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import StructuralError, UndefinedRatioError, ValidationError
-from .validators import _shown, check_cost, fits_float, is_real
+from .validators import SCALAR, check_cost, read_reals
 
 #: Absolute tolerance for money / ratio equality comparisons.
 MONEY_TOL = 1e-9
@@ -38,29 +38,9 @@ def _readonly_vector(values, name: str, ndim: int = 1) -> np.ndarray:
         and not values.flags.writeable
     ):
         return values
-    # anything but a numeric array is read as objects and checked element by
-    # element, as validators.as_reals reads it: np.array would take True as 1
-    # and "2" as 2.0, and raise a bare ValueError on "a"
-    numeric = isinstance(values, np.ndarray) and values.dtype.kind in "fiu"
-    arr = values if numeric else np.asarray(values, dtype=None if isinstance(values, np.ndarray) else object)
-    if arr.ndim != ndim:
-        shape = "a one-dimensional sequence" if ndim == 1 else "a two-dimensional (rows, slots) array"
-        raise StructuralError(f"{name} must be {shape}")
-    if not numeric:
-        for k, value in enumerate(arr.ravel().tolist()):
-            if not is_real(value):
-                _reject_slot(name, arr.shape, k, f"is {value!r}; must be a real number")
-            if not fits_float(value):  # np.array raises OverflowError
-                _reject_slot(name, arr.shape, k, f"is {_shown(value)}; must fit in a float")
-    arr = np.array(arr, dtype=float, order="C")
+    arr = np.array(read_reals(values, name, ndim, ValidationError, slots=True), order="C")
     arr.setflags(write=False)
     return arr
-
-
-def _reject_slot(name: str, shape: tuple, k: int, what: str) -> None:
-    *row, slot = np.unravel_index(k, shape)
-    where = f"row {row[0]}, slot {slot}" if row else f"slot {slot}"
-    raise ValidationError(f"{name} at {where} {what}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -139,10 +119,6 @@ class Trace:
         return len(self.prices)
 
     @property
-    def horizon(self) -> int:
-        return len(self.prices)
-
-    @property
     def min_price(self) -> float:
         return self._min_price
 
@@ -185,15 +161,12 @@ class BillingParams:
     ramp: float | None = None
 
     def __post_init__(self):
-        # a bool or a string compares like a number or raises a bare TypeError
+        # a bool or a string compares like a number or raises a bare TypeError,
+        # and an int beyond the largest float compares below inf, then overflows in use
         ramp = 0.0 if self.ramp is None else self.ramp
         for name, value in (("generation cost p_g", self.p_g), ("peak price p_m", self.p_m),
                             ("capacity", self.capacity), ("ramp limit", ramp)):
-            if not is_real(value):
-                raise ValidationError(f"{name} must be a real number, got {value!r}")
-            # an int beyond the largest float compares below inf, then overflows in use
-            if not fits_float(value):
-                raise ValidationError(f"{name} must fit in a float, got {_shown(value)}")
+            read_reals(value, name, SCALAR, ValidationError)
         # comparisons written so that NaN fails them
         if not 0 < self.p_g < math.inf:
             raise ValidationError(f"generation cost p_g must be finite and > 0, got {self.p_g}")
@@ -374,7 +347,7 @@ def cost_reduction(alg_total: float, trace: Trace, params: BillingParams) -> flo
     Negative values mean the schedule cost more than not generating at all.
     A cost that :func:`~peaksched.validators.check_cost` rejects raises ``DomainError``.
     """
-    check_cost(alg_total, "algorithm cost")
+    alg_total = check_cost(alg_total, "algorithm cost")
     if alg_total < 0:
         raise ValidationError(f"algorithm cost must be >= 0, got {alg_total}")
     baseline = float(trace.prices @ trace.demands) + params.p_m * trace.max_demand

@@ -212,9 +212,8 @@ def _lead(r: int, named: bool) -> str:
 def _check_slots(slots: np.ndarray, horizon: int, named: bool) -> np.ndarray:
     """(n, k) ``slots`` as an intp array, or ``DomainError`` naming the first
     that is not an integer in ``[0, horizon]``, led by ``row r: `` where
-    ``named``.  An object array is read element by element, as
-    :func:`~peaksched.validators.as_reals` reads one: ``np.asarray`` would
-    read a list's ``True`` as slot 1."""
+    ``named``.  An object array is read element by element:
+    ``np.asarray`` would read a list's ``True`` as slot 1."""
     if slots.dtype == object:
         for r, row in enumerate(slots.tolist()):
             for value in row:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import StructuralError, ValidationError
 from .model import BillingParams, Trace, _checked_range, _premium_mass, _readonly_vector, sigma as true_sigma
-from .validators import _shown, check_seed, fits_float, is_real
+from .validators import SCALAR, check_seed, read_reals
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,16 +73,13 @@ def gaussian_predictor(
         sigma1 = trace.max_price / 2
     if sigma2 is None:
         sigma2 = trace.max_demand / 2
-    named = (("sigma1", sigma1), ("sigma2", sigma2))
-    for name, value in named:
-        if not is_real(value):
-            raise ValidationError(f"noise standard deviation {name} must be a real number, got {value!r}")
+    sigma1, sigma2 = (
+        read_reals(value, f"noise standard deviation {name}", SCALAR, ValidationError)
+        for name, value in (("sigma1", sigma1), ("sigma2", sigma2))
+    )
     if sigma1 < 0 or sigma2 < 0:
         raise ValidationError("noise standard deviations must be >= 0")
-    for name, value in named:
-        # an int beyond the largest float makes math.isfinite overflow
-        if not fits_float(value):
-            raise ValidationError(f"noise standard deviation {name} must fit in a float, got {_shown(value)}")
+    for name, value in (("sigma1", sigma1), ("sigma2", sigma2)):
         # NaN fails both `< 0` and `> 0`, and would draw no noise at all
         if not math.isfinite(value):
             raise ValidationError(f"noise standard deviation {name} must be finite, got {value}")

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, StructuralError
 
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -61,19 +61,19 @@ def check_sigma_hat(sigma_hat: float) -> None:
         raise DomainError(f"sigma_hat must be finite, got {sigma_hat}")
 
 
-def check_cost(total, what: str, arrays: bool = False) -> None:
-    """Reject a cost that is a bool, not a real number (nor a real array,
-    where ``arrays``), or not finite, or too large for a float (an int that
-    a division would overflow on), naming it or its first bad element."""
-    if is_real(total):
-        if not fits_float(total):
-            raise DomainError(f"{what} must fit in a float, got {_shown(total)}")
-        if not math.isfinite(total):
-            raise DomainError(f"{what} must be finite, got {total}")
-    elif not (arrays and isinstance(total, np.ndarray) and total.dtype.kind in "fiu"):
-        raise DomainError(f"{what} must be a real number, got {total!r}")
-    elif not np.isfinite(total).all():
-        raise DomainError(f"{what} must be finite, got {total[~np.isfinite(total)][0]}")
+def check_cost(total, what: str, arrays: bool = False):
+    """``total`` as a float (or a float array, where ``arrays`` admits a
+    real array), or ``DomainError`` where it is a bool, not a real number,
+    not finite, or too large for a float (an int that a division would
+    overflow on), naming it or its first bad element."""
+    if arrays and isinstance(total, np.ndarray) and total.dtype.kind in "fiu":
+        if not np.isfinite(total).all():
+            raise DomainError(f"{what} must be finite, got {total[~np.isfinite(total)][0]}")
+        return total.astype(float, copy=False)
+    value = read_reals(total, what, SCALAR)
+    if not math.isfinite(value):
+        raise DomainError(f"{what} must be finite, got {total}")
+    return value
 
 
 def fits_float(value) -> bool:
@@ -100,20 +100,67 @@ def is_real(value) -> bool:
     return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
+#: The shapes :func:`read_reals` takes besides ``None`` (any shape); with
+#: ``PER_ROW``, a scalar stands for every row's value.
+SCALAR, VECTOR, BLOCK, PER_ROW = 0, 1, 2, "per row"
+
+_SHAPES = {
+    None: "a rectangular array", VECTOR: "a one-dimensional sequence", BLOCK: "a two-dimensional (rows, slots) array"
+}
+
+
+def read_reals(values, name: str, shape=None, error=DomainError, *, rows: int | None = None,
+               slots: bool = False, real: str = "must be a real number"):
+    """``values`` as floats: a ``float`` for a ``SCALAR``, which must itself
+    be a real number, else a float array of ``shape`` (``StructuralError``
+    if not).  A numeric array is taken as it is; anything else is read as
+    objects, where ``np.asarray`` would read ``True`` as 1 and ``"0.5"`` as
+    0.5 and overflow on an int beyond the largest float.  The first element
+    that is not a real number (``real``) or does not fit in a float raises
+    ``error``, named as ``f"{name} at slot {k} is {value}; {rule}"`` where
+    ``slots`` is set, else as ``f"{name} {rule}, got {value}"``, led by
+    ``row r: `` in a ``PER_ROW`` vector."""
+    if shape == SCALAR:
+        if type(values) is float:
+            return values
+        items = (values,)
+    else:
+        arr = values
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+            try:
+                arr = np.asarray(values, dtype=object)
+            except ValueError:  # sequences nested to depths numpy cannot stack
+                arr = None
+        if arr is None or not (
+            shape is None
+            or arr.ndim == shape
+            or shape == PER_ROW and (arr.ndim == 0 or arr.ndim == 1 and len(arr) == rows)
+        ):
+            words = f"a number or one number per row ({rows})" if shape == PER_ROW else _SHAPES[shape]
+            raise StructuralError(f"{name} must be {words}")
+        items = arr.ravel().tolist() if arr.dtype == object else ()
+    for k, value in enumerate(items):
+        if not is_real(value):
+            shown, rule = repr(value), real
+        elif not fits_float(value):
+            shown, rule = _shown(value), "must fit in a float"
+        else:
+            continue
+        if slots:
+            *row, slot = np.unravel_index(k, arr.shape)
+            raise error(f"{name} at {f'row {row[0]}, ' if row else ''}slot {slot} is {shown}; {rule}")
+        lead = f"row {k}: " if shape == PER_ROW and arr.ndim == 1 else ""
+        raise error(f"{lead}{name} {rule}, got {shown}")
+    return float(values) if shape == SCALAR else arr.astype(float, copy=False)
+
+
 def as_reals(values, what: str, ok=None, rule: str = "") -> np.ndarray:
-    """``values`` as a float array, or ``DomainError`` naming the first
-    element that is a bool or not a real number, or that fails the
-    element-wise test ``ok``, as ``f"{what} {rule} {value}"``.  Anything but
-    an array or a float is read as objects first: ``np.asarray`` would read
-    ``True`` as 1 and ``"0.5"`` as 0.5, and a list's bools as its floats."""
+    """``values`` as :func:`read_reals` reads them, of any shape, or
+    ``DomainError`` naming the first element that fails the element-wise
+    test ``ok``, as ``f"{what} {rule} {value}"``."""
     if type(values) is float and (ok is None or ok(values)):
         return np.asarray(values)  # a float's own comparisons take ns, a 0-d array's us
-    values = np.asarray(values, dtype=None if isinstance(values, np.ndarray) else object)
-    if values.dtype.kind not in "fiu":
-        for value in values.ravel().tolist():
-            if not is_real(value):
-                raise DomainError(f"{what} must be a real number, got {value!r}")
-    values = values.astype(float, copy=False)
+    values = read_reals(values, what)
     if ok is not None:
         bad = ~ok(values)
         if bad.any():

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import peaksched as ps
 from peaksched import online
-from peaksched.harness import parse_trace_csv
+from peaksched.harness import experiment, parse_trace_csv
+from peaksched.harness.experiment import ExperimentConfig
 from peaksched.layering import project_ramp_block
 from conftest import (
     brute_force_optimum,
@@ -759,3 +760,52 @@ def test_bulk_csv_reader_answers_as_the_per_row_reader(csv_dir, texts):
     demand_file.write_bytes(texts[1].encode())
     expected = _outcome(reference_parse_trace_csv, price_file, demand_file)
     assert _outcome(parse_trace_csv, price_file, demand_file) == expected
+
+
+# every boundary that reads one number (not an array of any shape, where a
+# nested list is a block), each fed the value where 1 is legal and
+# returning what it read
+_ONE_SLOT = ps.Trace(prices=[0.5], demands=[1.0])
+_ONE_SLOT_PARAMS = ps.BillingParams(p_g=1.0, p_m=1.0, capacity=1)
+NUMBER_READERS = {
+    "BillingParams p_g": lambda v: float(ps.BillingParams(p_g=v, p_m=1.0, capacity=1).p_g),
+    "BillingParams capacity": lambda v: float(ps.BillingParams(p_g=1.0, p_m=1.0, capacity=v).capacity),
+    "Trace demand": lambda v: ps.Trace(prices=[0.5, 0.5], demands=[0.0, v]).demands.tobytes(),
+    "Schedule output": lambda v: ps.Schedule(u=[0.0, v], v=[1.0, 0.0]).u.tobytes(),
+    "TraceBank p_g": lambda v: ps.TraceBank([[0.5]], [[1.0]], v, 1.0).p_g.tobytes(),
+    "TraceBank price": lambda v: ps.TraceBank([[0.5, v]], [[1.0, 1.0]], 1.0, 1.0).prices.tobytes(),
+    "gaussian sigma1": lambda v: ps.gaussian_predictor(_ONE_SLOT, sigma1=v, sigma2=0.0, seed=1).prices.tobytes(),
+    "worst_case_ratio s": lambda v: ps.worst_case_ratio(v, 0.5),
+    "cost_reduction cost": lambda v: ps.cost_reduction(v, _ONE_SLOT, _ONE_SLOT_PARAMS),
+    "run_layered sigma_hats": lambda v: ps.run_layered(
+        _ONE_SLOT, _ONE_SLOT_PARAMS, "lambda-bed", lam=0.5, sigma_hats=[v]
+    ).u.tobytes(),
+    "config peak-multiplier": lambda v: ExperimentConfig(peak_multiplier=v).validate(),
+    "sweep value": lambda v: ExperimentConfig(capacity_ratio=experiment._sweep_values("capacity", [v])[0]).validate(),
+}
+# None stands for the default noise level, not for a number
+_NONE_IS_A_DEFAULT = {"gaussian sigma1"}
+numbers_and_hostile_values = st.one_of(
+    st.sampled_from([1, 1.0, np.float32(1.0), np.int64(1), np.uint8(1)]),
+    st.sampled_from([True, False, np.True_, "1", "x", None, 1j, math.nan, np.float32(math.nan)]),
+    st.integers(2**1024, 2**1030) | st.integers(-(2**1030), -(2**1024)),
+    st.lists(st.just(1.0), min_size=1, max_size=3).flatmap(lambda row: st.sampled_from([[row], np.array([row])])),
+)
+
+
+def _read(reader, value):
+    try:
+        return True, reader(value)
+    except ps.PeakSchedError:
+        return False, None
+
+
+@PROPERTY
+@given(numbers_and_hostile_values)
+def test_every_number_reader_rejects_a_value_or_reads_it_as_the_same_float(value):
+    names = [name for name in NUMBER_READERS if not (value is None and name in _NONE_IS_A_DEFAULT)]
+    read = {name: _read(NUMBER_READERS[name], value) for name in names}
+    accepted = sorted(name for name, (ok, _) in read.items() if ok)
+    assert accepted in ([], sorted(names)), f"{value!r} read by {accepted} only"
+    for name in accepted:
+        assert read[name][1] == NUMBER_READERS[name](float(value))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import peaksched as ps
+from peaksched.harness import experiment
+from peaksched.harness.experiment import ExperimentConfig
 from peaksched.validators import NAIVE_LAMBDA_FLOOR
 
 # each takes lambda alone: the first list checks (0, 1], the second [0, 1]
@@ -318,3 +320,77 @@ def test_a_bad_threshold_or_slot_raises_one_message_with_or_without_its_row(kind
         one_trace(trace, params, [good, bad])
     with pytest.raises(ps.DomainError, match=f"^row 1: {re.escape(message)}$"):
         rows([[good, good], [good, bad]])
+
+
+HUGE = 10**400
+_TRACE = ps.Trace(prices=[1, 2, 3], demands=[1, 1, 1])
+_PARAMS = ps.BillingParams(p_g=3, p_m=10, capacity=1)
+_LAYERED = (ps.Trace(prices=[1, 1], demands=[2, 2]), ps.BillingParams(p_g=2, p_m=10, capacity=2))
+
+# each raised a bare OverflowError where numpy or float() read the int
+OVERFLOW_ESCAPES = [
+    (lambda: ps.cost_ratio([HUGE], 0.5, 0.5), ps.DomainError, f"threshold multiplier must fit in a float, got {HUGE}"),
+    (lambda: ps.cost_ratio(0.5, [HUGE], 0.5), ps.DomainError, f"premium mass must fit in a float, got {HUGE}"),
+    (lambda: ps.worst_case_ratio(HUGE, 0.5), ps.DomainError, f"threshold multiplier must fit in a float, got {HUGE}"),
+    (
+        lambda: ps.switch_slots(_TRACE, _PARAMS, [HUGE]),
+        ps.DomainError,
+        f"threshold multiplier must fit in a float, got {HUGE}",
+    ),
+    (
+        lambda: ps.expected_ratios([ps.red_distribution(0.5)], [0.5], [HUGE]),
+        ps.DomainError,
+        f"premium mass must fit in a float, got {HUGE}",
+    ),
+    (
+        lambda: ps.run_layered(*_LAYERED, "lambda-bed", lam=0.5, sigma_hats=HUGE),
+        ps.DomainError,
+        f"sigma_hats must fit in a float, got {HUGE}",
+    ),
+    (
+        lambda: experiment._sweep_values("capacity", [HUGE]),
+        ps.ValidationError,
+        f"sweep axis 'capacity': must fit in a float, got {HUGE}",
+    ),
+    (
+        lambda: ExperimentConfig(peak_multiplier=HUGE).validate(),
+        ps.ValidationError,
+        f"peak-multiplier: must fit in a float, got {HUGE}",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    OVERFLOW_ESCAPES,
+    ids=["cost_ratio-s", "cost_ratio-sigma", "worst_case_ratio", "switch_slots", "expected_ratios",
+         "run_layered", "sweep_values", "config"],
+)
+def test_an_int_too_large_for_a_float_is_named_by_every_reader(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("field", ["p_g", "p_m"])
+def test_a_one_row_numeric_array_per_row_is_refused_as_the_list_is(field):
+    # the float fill broadcast the (1, 2) array into a row each, where the
+    # same values as a list raised StructuralError
+    args = {"p_g": 1.0, "p_m": 1.0}
+    message = rf"^{field} must be a number or one number per row \(2\)$"
+    for values in ([[2.0, 3.0]], np.array([[2.0, 3.0]])):
+        with pytest.raises(ps.StructuralError, match=message):
+            ps.TraceBank([[0.5, 0.5], [0.5, 0.5]], [[0, 1], [1, 0]], **{**args, field: values})
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda values: ps.cost_ratio(values, 0.5, 0.5), "threshold multiplier"),
+        (lambda values: ps.Trace(prices=values, demands=[1, 1]), "prices"),
+        (lambda values: ps.TraceBank([[0.5]] * 2, [[1.0]] * 2, values, 1.0), "p_g"),
+    ],
+)
+def test_arrays_numpy_cannot_stack_are_refused_naming_the_argument(call, name):
+    # np.asarray(..., dtype=object) raised a bare ValueError on these
+    with pytest.raises(ps.PeakSchedError, match=f"^{name} "):
+        call([np.zeros((2, 2)), np.zeros((2, 3))])
