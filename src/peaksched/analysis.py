@@ -90,7 +90,7 @@ def _ratio(s, sigma, beta):
 def worst_case_ratio(s: float, beta: float) -> float:
     """Competitive ratio of the threshold policy ``s``: the supremum of
     :func:`cost_ratio` over premium masses, attained at ``sigma = s``."""
-    check_beta(beta)
+    beta = check_beta(beta)
     s = float(_check_positive_thresholds(read_reals(s, "threshold multiplier", SCALAR)))
     if s <= 1:
         return 1.0 + (1.0 - beta) / s
@@ -108,8 +108,8 @@ def deterministic_bounds(lam: float, beta: float) -> Bounds:
     Robust to ``1 + (1 - beta) / lambda`` under arbitrary prediction error
     and ``(1 + lambda)``-competitive under perfect prediction.
     """
-    check_lambda(lam)
-    check_beta(beta)
+    lam = check_lambda(lam)
+    beta = check_beta(beta)
     return Bounds(1.0 + (1.0 - beta) / lam, 1.0 + lam)
 
 
@@ -119,8 +119,8 @@ def randomized_bounds(lam: float, beta: float) -> Bounds:
     ``lam = 1`` collapses both to ``e / (e - 1 + beta)``, the pure
     randomized competitive ratio; ``lam = 0`` drives consistency to 1.
     """
-    check_lambda(lam, allow_zero=True)
-    check_beta(beta)
+    lam = check_lambda(lam, allow_zero=True)
+    beta = check_beta(beta)
     phi = 1.0 / (_E - 1.0 + beta)
     robustness = phi * (_E + (1.0 - lam) * (1.0 - beta) * (_E - 1.0 + beta) / beta)
     consistency = phi * (
@@ -135,8 +135,8 @@ def naive_randomized_bounds(lam: float, beta: float) -> Bounds:
     Its consistency is stuck at ``1 / beta``, which is why the
     mass-shifting construction of :func:`randomized_bounds` exists.
     """
-    check_lambda(lam)
-    check_beta(beta)
+    lam = check_lambda(lam)
+    beta = check_beta(beta)
     check_stretched_lambda(lam)
     inv = 1.0 / lam
     stretched = math.exp(inv) / (math.exp(inv) - 1.0 + beta)
@@ -269,7 +269,7 @@ def expected_ratio_closed_form(predicted_high, sigma, lam: float, beta):
     point equals the scalar call at that point bit for bit.  A ``beta``
     outside (0, 1] raises ``DomainError`` naming the first such value.
     """
-    check_lambda(lam, allow_zero=True)
+    lam = check_lambda(lam, allow_zero=True)
     beta = _check_hardness(beta)
     sigma = _check_mass(sigma)
     if not (sigma > 0).all():

@@ -295,9 +295,8 @@ def synth_trace(
         raise ValidationError("need peak_level >= base_level >= 0")
     if noise < 0:
         raise ValidationError(f"noise must be >= 0, got {noise}")
-    check_seed(seed)
     hours = np.arange(24 * days) % 24
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     demand = base_level + (peak_level - base_level) * _diurnal(hours, peak_hour=16.0)
     if noise > 0:
         demand = demand + rng.normal(0.0, noise, len(hours))

@@ -58,7 +58,7 @@ def decompose(trace: Trace) -> LayerStack:
 def _layer_seed(seed: int, layer_index: int) -> int:
     # Layer 1 keeps the root seed so a single-layer run reproduces a plain
     # run_algorithm call; higher layers get independent derived streams.
-    check_seed(seed)
+    seed = check_seed(seed)
     if layer_index == 1:
         return seed
     return int(np.random.SeedSequence([seed, layer_index]).generate_state(1)[0])
@@ -124,7 +124,7 @@ def run_layered(
     """
     algorithm = _as_algorithm(algorithm)
     if seed is not None:
-        check_seed(seed)
+        seed = check_seed(seed)
     stack = decompose(trace)
     hats = _layer_sigma_hats(sigma_hats, stack.depth)
     seeded = seed is not None and algorithm.is_randomized

@@ -49,6 +49,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _stored(cls, **fields):
+    """A new ``cls`` whose attributes are ``fields``, set in their order with
+    no ``__init__`` or ``__post_init__``: for values the caller has proved,
+    where a frozen dataclass's own pass would set and check them again."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _checked_range(arr: np.ndarray, what: str, rule: str, above: float | None = None) -> tuple[float, float]:
     """Min and max of a non-empty vector, rejecting non-finite values and
     values below 0 (not above ``above``, where given) by the first
@@ -234,9 +243,7 @@ class Schedule:
     def _of_switch(cls, trace: Trace, u: np.ndarray, v: np.ndarray, max_u: float, max_v: float) -> "Schedule":
         """A schedule of frozen ``u`` and ``v`` derived from ``trace``, with
         their maxima, taken as they are: the caller has proved them."""
-        schedule = object.__new__(cls)
-        schedule.__dict__.update(u=u, v=v, _max_u=max_u, _max_v=max_v, _trace=trace)
-        return schedule
+        return _stored(cls, u=u, v=v, _max_u=max_u, _max_v=max_v, _trace=trace)
 
     def __reduce__(self):
         return (type(self), (self.u, self.v))
@@ -307,7 +314,7 @@ def cost_of(schedule: Schedule, trace: Trace, params: BillingParams) -> CostBrea
     volume = float(trace.prices @ schedule.v)
     peak = params.p_m * schedule._max_v
     local = params.p_g * float(schedule.u.sum())
-    return CostBreakdown(volume=volume, peak=peak, local=local)
+    return _stored(CostBreakdown, volume=volume, peak=peak, local=local)
 
 
 def _premium_mass(premium: np.ndarray, demands: np.ndarray, p_m: float) -> float:

@@ -15,7 +15,6 @@ distribution with an exponential density segment and up to two atoms.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -29,18 +28,20 @@ from .model import (
     Trace,
     _cumulative_premium,
     _frozen,
+    _stored,
     beta as beta_of,
     check_pairing,
     validate_schedule,
 )
 from .validators import (
+    SCALAR,
     as_reals,
     check_beta,
     check_lambda,
     check_seed,
     check_sigma_hat,
     check_stretched_lambda,
-    is_real,
+    read_reals,
 )
 
 #: Tolerance on the total mass of a switch-threshold distribution.
@@ -54,30 +55,31 @@ class SwitchPolicy:
     """Threshold multiplier governing the generator-to-grid switch.
 
     ``s`` is either ``-1.0`` (grid from the first slot), a finite value
-    ``>= 0``, or ``inf`` (never switch).
+    ``>= 0``, or ``inf`` (never switch).  Any other real number that fits
+    in a float is stored as that float.
     """
 
     s: float
 
     def __post_init__(self):
+        # a plain float skips the call: this runs on every layer run
+        if type(self.s) is not float:
+            object.__setattr__(self, "s", read_reals(self.s, "threshold multiplier", SCALAR))
         # the rule of _check_thresholds on one value; NaN fails it
         if not (self.s == _GRID_FROM_START or self.s >= 0):
             raise DomainError(f"threshold multiplier must be -1, >= 0, or inf; got {self.s}")
 
     @classmethod
     def at(cls, s: float) -> "SwitchPolicy":
-        # a plain float skips the call: this runs on every layer run
-        if not (type(s) is float or is_real(s)):
-            raise DomainError(f"threshold multiplier must be a real number, got {s!r}")
-        return cls(float(s))
+        return cls(s)
 
     @classmethod
     def grid_from_start(cls) -> "SwitchPolicy":
-        return cls(_GRID_FROM_START)
+        return _stored(cls, s=_GRID_FROM_START)
 
     @classmethod
     def never_switch(cls) -> "SwitchPolicy":
-        return cls(math.inf)
+        return _stored(cls, s=math.inf)
 
     @property
     def is_grid_from_start(self) -> bool:
@@ -139,14 +141,9 @@ def run_threshold(trace: Trace, params: BillingParams, policy: SwitchPolicy) -> 
     """
     slot, premium = _crossings(trace, params, policy.s)
     switch = int(slot)
-    if switch == len(trace):
-        switch = None
-    return RunRecord(
-        trace=trace,
-        switch_slot=switch,
-        policy=policy,
-        cumulative_premium=premium,
-    )
+    # the fields RunRecord's __init__ sets, in its order; _schedule stays the class's None until read
+    return _stored(RunRecord, trace=trace, switch_slot=None if switch == len(trace) else switch, policy=policy,
+                   cumulative_premium=premium)
 
 
 def switch_slots(trace: Trace, params: BillingParams, thresholds) -> np.ndarray:
@@ -353,7 +350,7 @@ def lambda_bed_policy(sigma_hat: float, lam: float) -> SwitchPolicy:
     predicted premium mass exceeds 1 and very late otherwise; ``lam = 1``
     collapses both branches to the plain break-even rule.
     """
-    check_lambda(lam)
+    lam = check_lambda(lam)
     check_sigma_hat(sigma_hat)
     return SwitchPolicy.at(lam if sigma_hat > 1 else 1.0 / lam)
 
@@ -425,7 +422,7 @@ def red_distribution(beta: float) -> DistributionSpec:
     Density ``e^s / (e - 1 + beta)`` on [0, 1] plus a never-switch atom
     carrying the remaining ``beta`` mass.
     """
-    check_beta(beta)
+    beta = check_beta(beta)
     norm = math.e - 1 + beta
     return _spec([(math.inf, beta / norm)], coeff=1.0 / norm, lo=0.0, hi=1.0)
 
@@ -440,8 +437,8 @@ def lambda_red_distribution(sigma_hat: float, lam: float, beta: float) -> Distri
     entirely on never-switch.  ``lam = 1`` recovers the pure randomized
     distribution; ``lam = 0`` degenerates to a single atom.
     """
-    check_lambda(lam, allow_zero=True)
-    check_beta(beta)
+    lam = check_lambda(lam, allow_zero=True)
+    beta = check_beta(beta)
     check_sigma_hat(sigma_hat)
     norm = math.e - 1 + beta
     moved = (1 - lam) * (math.e - 1) + beta
@@ -463,8 +460,8 @@ def naive_red_distribution(sigma_hat: float, lam: float, beta: float) -> Distrib
     ``beta`` share of the mass.  Kept as a comparison point: its
     consistency degrades to ``1/beta``.
     """
-    check_lambda(lam)
-    check_beta(beta)
+    lam = check_lambda(lam)
+    beta = check_beta(beta)
     check_sigma_hat(sigma_hat)
     if sigma_hat <= 1:
         check_stretched_lambda(lam)
@@ -488,8 +485,9 @@ def sample(spec: DistributionSpec, uniform: float) -> SwitchPolicy:
         return SwitchPolicy.grid_from_start()
     if uniform < start_mass + spec._continuous:
         residual = uniform - start_mass
-        s = math.log(spec._exp_lo + residual / spec.coeff)
-        return SwitchPolicy.at(min(max(s, spec.lo), spec.hi))
+        s = min(max(math.log(spec._exp_lo + residual / spec.coeff), spec.lo), spec.hi)
+        # SwitchPolicy's rule still holds the clamped value: a spec's support may start below 0
+        return _stored(SwitchPolicy, s=s) if type(s) is float and s >= 0 else SwitchPolicy(s)
     return SwitchPolicy.never_switch()
 
 
@@ -511,15 +509,18 @@ class Algorithm(str, Enum):
         return self in (Algorithm.LAMBDA_BED, Algorithm.LAMBDA_RED, Algorithm.NAIVE_LAMBDA_RED)
 
 
+# a member hashes and compares as its value, so one lookup takes either
+_ALGORITHMS = {member.value: member for member in Algorithm}
+
+
 def _as_algorithm(algorithm: Algorithm | str) -> Algorithm:
     """An ``Algorithm`` member as it is, or the member a name stands for;
-    anything else raises ``DomainError`` naming the choices."""
-    if isinstance(algorithm, Algorithm):
-        return algorithm
+    anything else, an unhashable value included, raises ``DomainError``
+    naming the choices."""
     try:
-        return Algorithm(algorithm)
-    except ValueError:
-        choices = ", ".join(member.value for member in Algorithm)
+        return _ALGORITHMS[algorithm]
+    except (KeyError, TypeError):
+        choices = ", ".join(_ALGORITHMS)
         raise DomainError(f"unknown algorithm {algorithm!r}; choose one of {choices}") from None
 
 
@@ -534,15 +535,23 @@ def policy_distribution(
     ``lam`` nor ``sigma_hat``).  Invalid arguments raise on every call (a
     raised call is not cached).
     """
-    algorithm = _as_algorithm(algorithm)
+    return _policy_spec(_as_algorithm(algorithm), beta, lam, sigma_hat)
+
+
+def _policy_spec(algorithm: Algorithm, beta: float, lam: float | None, sigma_hat: float | None) -> DistributionSpec:
+    """:func:`policy_distribution` of a resolved member."""
     if algorithm is Algorithm.RED:
         return _distribution(algorithm, beta, None, None)
+    _require_prediction(algorithm, lam, sigma_hat)
+    check_sigma_hat(sigma_hat)
+    return _distribution(algorithm, beta, lam, bool(sigma_hat > 1))
+
+
+def _require_prediction(algorithm: Algorithm, lam: float | None, sigma_hat: float | None) -> None:
     if sigma_hat is None:
         raise DomainError(f"{algorithm.value} needs a predicted premium mass (sigma_hat)")
     if lam is None:
         raise DomainError(f"{algorithm.value} needs the trust parameter lambda")
-    check_sigma_hat(sigma_hat)
-    return _distribution(algorithm, beta, lam, bool(sigma_hat > 1))
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -568,71 +577,71 @@ def select_policy(
 ) -> SwitchPolicy:
     """The switch policy an algorithm runs with on a trace.
 
-    Randomized algorithms require ``seed`` and draw one threshold from
-    the first uniform of ``default_rng(seed)``, bit for bit, which
-    :func:`_seeded_uniform` computes from the seed's ``SeedSequence``
-    without building the ``PCG64`` and ``Generator`` that
-    ``default_rng`` would build to read one double; identical seeds
-    yield identical policies.  A seed, where given, must
-    be a non-negative integer.
+    Randomized algorithms require ``seed``, a non-negative integer, and
+    draw one threshold from the first uniform of ``default_rng(seed)``, bit
+    for bit, which :func:`_seeded_uniform` computes without building a
+    ``PCG64`` or ``Generator``; identical seeds yield identical policies.
+    The draw is keyed by the int :func:`~peaksched.validators.check_seed`
+    returns, so ``5`` and ``np.uint64(5)`` draw alike; the name is resolved
+    once a call.
     """
     algorithm = _as_algorithm(algorithm)
     if seed is not None:
-        check_seed(seed)
+        seed = check_seed(seed)
     if algorithm is Algorithm.BED:
         return bed_policy()
     if algorithm is Algorithm.LAMBDA_BED:
-        if sigma_hat is None:
-            raise DomainError("lambda-bed needs a predicted premium mass (sigma_hat)")
-        if lam is None:
-            raise DomainError("lambda-bed needs the trust parameter lambda")
+        _require_prediction(algorithm, lam, sigma_hat)
         return lambda_bed_policy(sigma_hat, lam)
     if seed is None:
         raise DomainError(f"{algorithm.value} is randomized and requires a seed")
-    spec = policy_distribution(algorithm, beta_of(trace, params), lam, sigma_hat)
-    return sample(spec, _seeded_uniform(operator.index(seed)))
+    return sample(_policy_spec(algorithm, beta_of(trace, params), lam, sigma_hat), _seeded_uniform(seed))
 
 
-# SeedSequence.generate_state's hash: the i-th output word is the pool word
-# i % 4 hashed with the i-th and (i+1)-th powers of MULT_B times INIT_B
-_INIT_B, _MULT_B, _M32 = 0x8B51F9DD, 0x58F38DED, 0xFFFFFFFF
-_HASH_KEYS = tuple((_INIT_B * _MULT_B**i & _M32, _INIT_B * _MULT_B ** (i + 1) & _M32) for i in range(8))
-# PCG64's 128-bit LCG multiplier
+# PCG64's multiplier M: its seeding and the draw's one step take initstate to
+# initstate * M^2 + inc * (M^2 + M + 1), mod 2^128
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_SQUARE, _PCG_SUM = _PCG_MULT**2 & (1 << 128) - 1, (_PCG_MULT**2 + _PCG_MULT + 1) & (1 << 128) - 1
+_LANES = 0x0000FFFF_0000FFFF_0000FFFF_0000FFFF  # the low 16 bits of each 32-bit lane
 
 
 @lru_cache(maxsize=1024)
 def _seeded_uniform(seed: int) -> float:
     """The first uniform of ``default_rng(seed)``, memoised per integer seed.
 
-    Computed from ``SeedSequence(seed).pool`` with Python integers: the
-    eight hashed words that ``generate_state(4, uint64)`` gives, paired
-    low word first into the 128-bit ``initstate`` (words 0-1 high, 2-3
-    low) and stream ``seq`` (words 4-7); PCG64's seeding, ``(inc +
-    initstate) * MULT + inc`` with ``inc = 2 seq + 1``, and the draw's
-    one LCG step, all mod 2^128; and that state's XSL-RR output, whose
-    top 53 bits make the double.  numpy's RNG policy (NEP 19) pins those
-    streams, and SeedSequence's pool mixing stays in numpy, so a seed of
-    any size takes this one path.  No ``PCG64`` or ``Generator`` is
-    built: the integer steps cost less than building them, and give the
-    same bits.
+    Computed from ``SeedSequence(seed).pool`` with Python integers, in
+    straight-line code: ``generate_state(4, uint64)``'s eight hashed words,
+    paired low word first into PCG64's 128-bit ``initstate`` (words 0-3)
+    and stream ``seq`` (words 4-7); its seeding and the draw's one LCG
+    step, mod 2^128; and that state's XSL-RR output, whose top 53 bits make
+    the double.  numpy's RNG policy (NEP 19) pins those streams, and the
+    pool mixing stays in numpy, so a seed of any size takes this one path,
+    and no ``PCG64`` or ``Generator`` is built.
 
-    A layered run's layer seeds are a pure function of ``(seed, layer
-    index)``, so every cell of an experiment draws the same uniforms; the
-    bound matches ``layering._layer_seed``'s, so both memos hold the same
-    layers.  Callers pass ``operator.index(seed)``, so a numpy integer
-    shares the entry of the equal int.  Where every seed is new (Monte
-    Carlo) or a run cycles through more layer seeds than the bound, each
-    call misses and pays only the lookup on top of the draw.
+    Layer seeds are a pure function of ``(seed, layer index)``, so an
+    experiment's cells draw the same uniforms; the bound matches
+    ``layering._layer_seed``'s.  Callers pass what
+    :func:`~peaksched.validators.check_seed` returns, so a numpy integer
+    shares the equal int's entry.  Where every seed is new (Monte Carlo),
+    each call misses and pays only the lookup on top of the draw.
     """
-    pool = np.random.SeedSequence(seed).pool.tolist()
-    words = []
-    for i, (key, mult) in enumerate(_HASH_KEYS):
-        word = (pool[i & 3] ^ key) * mult & _M32
-        words.append(word ^ word >> 16)
-    initstate = words[1] << 96 | words[0] << 64 | words[3] << 32 | words[2]
-    inc = (words[5] << 96 | words[4] << 64 | words[7] << 32 | words[6]) << 1 | 1
-    state = (((inc + initstate) * _PCG_MULT + inc) * _PCG_MULT + inc) & (1 << 128) - 1
+    p0, p1, p2, p3 = np.random.SeedSequence(seed).pool.tolist()
+    # generate_state's hash of word i: pool word i % 4 xor K_i, times K_(i+1),
+    # mod 2^32, where K_i = 0x8B51F9DD * 0x58F38DED^i mod 2^32
+    h0 = (p0 ^ 0x8B51F9DD) * 0x464A0A99 & 0xFFFFFFFF
+    h1 = (p1 ^ 0x464A0A99) * 0x819D14A5 & 0xFFFFFFFF
+    h2 = (p2 ^ 0x819D14A5) * 0xD369FDC1 & 0xFFFFFFFF
+    h3 = (p3 ^ 0xD369FDC1) * 0x501638AD & 0xFFFFFFFF
+    h4 = (p0 ^ 0x501638AD) * 0xA600C129 & 0xFFFFFFFF
+    h5 = (p1 ^ 0xA600C129) * 0x8B0167F5 & 0xFFFFFFFF
+    h6 = (p2 ^ 0x8B0167F5) * 0x5C1E2ED1 & 0xFFFFFFFF
+    h7 = (p3 ^ 0x5C1E2ED1) * 0x301D747D & 0xFFFFFFFF
+    # each word's closing x ^ x >> 16, on the four 32-bit lanes at once
+    initstate = h1 << 96 | h0 << 64 | h3 << 32 | h2
+    seq = h5 << 96 | h4 << 64 | h7 << 32 | h6
+    initstate ^= initstate >> 16 & _LANES
+    seq ^= seq >> 16 & _LANES
+    state = (initstate * _PCG_SQUARE + (seq << 1 | 1) * _PCG_SUM) & (1 << 128) - 1
     # XSL-RR: the xor of the halves, rotated right by the top 6 bits
     low = (state >> 64 ^ state) & (1 << 64) - 1
     rot = state >> 122

@@ -83,8 +83,7 @@ def gaussian_predictor(
         # NaN fails both `< 0` and `> 0`, and would draw no noise at all
         if not math.isfinite(value):
             raise ValidationError(f"noise standard deviation {name} must be finite, got {value}")
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     eps1 = rng.normal(0.0, sigma1, len(trace)) if sigma1 > 0 else np.zeros(len(trace))
     eps2 = rng.normal(0.0, sigma2, len(trace)) if sigma2 > 0 else np.zeros(len(trace))
     return Prediction(

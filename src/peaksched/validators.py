@@ -17,27 +17,28 @@ _LOG_MAX = math.log(sys.float_info.max)
 NAIVE_LAMBDA_FLOOR = 1.0 / _LOG_MAX
 
 
-def check_beta(beta: float) -> None:
-    """Reject a hardness parameter that is a bool, not a real number, or
-    outside (0, 1], NaN included."""
-    if not (type(beta) is float or is_real(beta)):
-        raise DomainError(f"beta must be a real number, got {beta!r}")
-    if not 0 < beta <= 1:
+def check_beta(beta: float) -> float:
+    """``beta`` as a float, or ``DomainError`` where the hardness parameter
+    is a bool, not a real number, too large for a float, or outside (0, 1],
+    NaN included."""
+    value = beta if type(beta) is float else read_reals(beta, "beta", SCALAR)
+    if not 0 < value <= 1:
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
+    return value
 
 
-def check_lambda(lam: float, allow_zero: bool = False) -> None:
-    """Reject a trust parameter that is a bool, not a real number, or
-    outside (0, 1], or outside [0, 1] when ``allow_zero`` is set, NaN
-    included."""
+def check_lambda(lam: float, allow_zero: bool = False) -> float:
+    """``lam`` as a float, or ``DomainError`` where the trust parameter is a
+    bool, not a real number, too large for a float, or outside (0, 1], or
+    outside [0, 1] when ``allow_zero`` is set, NaN included."""
     # a plain float skips the call: this runs on every layer run
-    if not (type(lam) is float or is_real(lam)):
-        raise DomainError(f"lambda must be a real number, got {lam!r}")
+    value = lam if type(lam) is float else read_reals(lam, "lambda", SCALAR)
     if allow_zero:
-        if not 0 <= lam <= 1:
+        if not 0 <= value <= 1:
             raise DomainError(f"lambda must lie in [0, 1], got {lam}")
-    elif not 0 < lam <= 1:
+    elif not 0 < value <= 1:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
+    return value
 
 
 def check_stretched_lambda(lam: float) -> None:
@@ -51,12 +52,12 @@ def check_stretched_lambda(lam: float) -> None:
 
 
 def check_sigma_hat(sigma_hat: float) -> None:
-    """Reject a predicted premium mass that is a bool, not a real number, NaN
-    or infinite, which would otherwise pick a branch of ``sigma_hat > 1``
-    silently; negative values stay legal."""
+    """Reject a predicted premium mass that is a bool, not a real number, too
+    large for a float, NaN or infinite, which would otherwise pick a branch
+    of ``sigma_hat > 1`` silently; negative values stay legal."""
     # a plain float skips the call: this runs on every layer run
-    if not (type(sigma_hat) is float or is_real(sigma_hat)):
-        raise DomainError(f"sigma_hat must be a real number, got {sigma_hat!r}")
+    if type(sigma_hat) is not float:
+        read_reals(sigma_hat, "sigma_hat", SCALAR)
     if not math.isfinite(sigma_hat):
         raise DomainError(f"sigma_hat must be finite, got {sigma_hat}")
 
@@ -168,13 +169,15 @@ def as_reals(values, what: str, ok=None, rule: str = "") -> np.ndarray:
     return values
 
 
-def check_seed(seed) -> None:
-    """Reject a seed that is not a non-negative integer, the only seeds
-    numpy's ``SeedSequence`` takes; a bool is not a seed."""
+def check_seed(seed) -> int:
+    """``operator.index(seed)``, or ``DomainError`` where ``seed`` is not a
+    non-negative integer, the only seeds numpy's ``SeedSequence`` takes; a
+    bool is not a seed.  A numpy integer gives the equal int."""
     try:
         # every integer type has __index__; an ABC check would cost 0.8 us a draw
-        ok = operator.index(seed) >= 0 and not isinstance(seed, bool)
+        value = operator.index(seed)
     except TypeError:
-        ok = False
-    if not ok:
+        value = -1
+    if value < 0 or isinstance(seed, bool):
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    return value

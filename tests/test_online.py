@@ -626,6 +626,17 @@ class TestSampling:
             policy = ps.sample(spec, mass)
             assert policy.is_finite and policy.s == pytest.approx(s_target, abs=1e-12)
 
+    def test_a_draw_below_zero_from_a_users_spec_is_refused_as_switch_policy_refuses_it(self):
+        # a normalized spec whose support starts at -0.5: sample stores a
+        # drawn s >= 0 directly, and must still refuse this one
+        spec = ps.DistributionSpec(atoms=(), coeff=1 / (E - E**-0.5), lo=-0.5, hi=1.0)
+        spec.require_normalized()
+        s = math.log(E**-0.5 + 0.01 / spec.coeff)
+        message = f"threshold multiplier must be -1, >= 0, or inf; got {s}"
+        assert message.startswith("threshold multiplier must be -1, >= 0, or inf; got -0.4657")
+        with pytest.raises(ps.DomainError, match=f"^{re.escape(message)}$"):
+            ps.sample(spec, 0.01)
+
     def test_atom_frequencies_match_masses(self):
         spec = ps.lambda_red_distribution(2.0, 0.6, 0.35)
         n = 100_000
@@ -902,3 +913,56 @@ class TestSeededUniform:
             with pytest.raises(ps.DomainError, match="seed"):
                 ps.select_policy(trace, params, "red", seed=seed)
         assert online._seeded_uniform.cache_info().misses == 0
+
+
+_CHOICES = "choose one of bed, lambda-bed, red, lambda-red, naive-lambda-red"
+# (algorithm, lam, sigma_hat, seed) and the message every per-run entry point
+# raises on it; policy_distribution takes no seed, so a seed row skips it
+PER_RUN_MESSAGES = [
+    ("nope", 0.5, 0.6, 1, f"unknown algorithm 'nope'; {_CHOICES}"),
+    (["red"], 0.5, 0.6, 1, f"unknown algorithm ['red']; {_CHOICES}"),
+    ("lambda-red", 0.5, 0.6, True, "seed must be a non-negative integer, got True"),
+    ("lambda-red", 0.5, 0.6, -1, "seed must be a non-negative integer, got -1"),
+    ("lambda-red", 0.5, 0.6, 1.5, "seed must be a non-negative integer, got 1.5"),
+    ("bed", None, None, True, "seed must be a non-negative integer, got True"),
+    ("lambda-red", None, 0.6, 1, "lambda-red needs the trust parameter lambda"),
+    ("lambda-red", 0.5, None, 1, "lambda-red needs a predicted premium mass (sigma_hat)"),
+    ("naive-lambda-red", None, 0.6, 1, "naive-lambda-red needs the trust parameter lambda"),
+    ("naive-lambda-red", 0.5, None, 1, "naive-lambda-red needs a predicted premium mass (sigma_hat)"),
+    ("lambda-bed", None, 0.6, None, "lambda-bed needs the trust parameter lambda"),
+    ("lambda-bed", 0.5, None, None, "lambda-bed needs a predicted premium mass (sigma_hat)"),
+    ("lambda-red", 0.5, "2", 1, "sigma_hat must be a real number, got '2'"),
+    ("lambda-red", 0.5, math.nan, 1, "sigma_hat must be finite, got nan"),
+    ("lambda-red", 0.5, math.inf, 1, "sigma_hat must be finite, got inf"),
+    ("lambda-bed", 0.5, "2", None, "sigma_hat must be a real number, got '2'"),
+    ("lambda-bed", 0.5, math.nan, None, "sigma_hat must be finite, got nan"),
+    ("lambda-bed", 0.5, math.inf, None, "sigma_hat must be finite, got inf"),
+    ("red", None, None, None, "red is randomized and requires a seed"),
+    ("lambda-red", 0.5, 0.6, None, "lambda-red is randomized and requires a seed"),
+]
+
+
+class TestPerRunMessages:
+    """The messages a run's own arguments raise, pinned: the run path reads
+    each argument once, and each entry point must still say the same."""
+
+    @pytest.mark.parametrize("algorithm, lam, sigma_hat, seed, message", PER_RUN_MESSAGES)
+    def test_each_entry_point_raises_the_pinned_message(self, algorithm, lam, sigma_hat, seed, message):
+        trace = ps.Trace(prices=[0.5, 0.25, 0.5], demands=[1, 0, 1])
+        params = ps.BillingParams(p_g=1.0, p_m=1.0, capacity=1)
+        pattern = f"^{re.escape(message)}$"
+        for run in (ps.run_algorithm, ps.select_policy):
+            with pytest.raises(ps.DomainError, match=pattern):
+                run(trace, params, algorithm, lam=lam, sigma_hat=sigma_hat, seed=seed)
+        if not message.startswith("seed ") and "requires a seed" not in message:
+            with pytest.raises(ps.DomainError, match=pattern):
+                ps.policy_distribution(algorithm, 0.4, lam, sigma_hat)
+
+    @pytest.mark.parametrize("algorithm", ["red", "lambda-red", "naive-lambda-red"])
+    def test_python_and_numpy_seeds_give_one_policy_and_one_record(self, rng, algorithm):
+        trace, params = make_binary_instance(rng)
+        seeds = (5, np.uint32(5), np.uint64(5))
+        policies = {ps.select_policy(trace, params, algorithm, lam=0.5, sigma_hat=0.6, seed=seed) for seed in seeds}
+        assert len(policies) == 1
+        records = [ps.run_algorithm(trace, params, algorithm, lam=0.5, sigma_hat=0.6, seed=seed) for seed in seeds]
+        assert len({(r.switch_slot, r.policy, r.cumulative_premium) for r in records}) == 1

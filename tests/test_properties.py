@@ -3,7 +3,10 @@ oracles are never beaten, layered and projected schedules are feasible,
 projection is idempotent, the threshold switch is the first crossing, and
 the batched engines equal their scalar references bit for bit, and the bulk
 CSV reader answers every file as the per-row reader did."""
+import copy
+import dataclasses
 import math
+import pickle
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -376,6 +379,41 @@ def test_the_seeded_uniform_is_the_first_draw_of_default_rng(seed):
     # one to seven 32-bit words: past four, SeedSequence mixes the extra
     # words into its pool, which the draw reads
     assert online._seeded_uniform(seed).hex() == reference_seeded_uniform(seed).hex()
+
+
+def _is_its_checked_twin(stored, twin):
+    """``stored``, set up without its class's ``__init__``, against ``twin``,
+    the same values passed through it: the same attributes in the same
+    order, and alike under every protocol the class takes part in."""
+    assert type(stored) is type(twin) and list(vars(stored).items()) == list(vars(twin).items())
+    assert repr(stored) == repr(twin)
+    if type(twin).__eq__ is not object.__eq__:  # a RunRecord compares by identity
+        assert stored == twin and hash(stored) == hash(twin)
+    assert pickle.dumps(stored) == pickle.dumps(twin)
+    assert repr(pickle.loads(pickle.dumps(stored))) == repr(twin)
+    assert list(vars(copy.copy(stored)).items()) == list(vars(copy.copy(twin)).items())
+    assert list(vars(dataclasses.replace(stored)).items()) == list(vars(dataclasses.replace(twin)).items())
+
+
+@PROPERTY
+@given(
+    integer_instances(max_demand=1),
+    st.sampled_from(["red", "lambda-red", "naive-lambda-red"]),
+    st.floats(0.05, 1.0),
+    st.floats(-1.0, 3.0),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_a_stored_policy_record_and_cost_each_equal_their_checked_twin(instance, algorithm, lam, hat, uniform):
+    trace, params = instance
+    policy = ps.sample(ps.policy_distribution(algorithm, ps.beta(trace, params), lam, hat), uniform)
+    _is_its_checked_twin(policy, ps.SwitchPolicy(policy.s))
+    record = ps.run_threshold(trace, params, policy)
+    twin = ps.RunRecord(
+        trace=trace, switch_slot=record.switch_slot, policy=policy, cumulative_premium=record.cumulative_premium
+    )
+    _is_its_checked_twin(record, twin)
+    cost = ps.cost_of(record.schedule, trace, params)
+    _is_its_checked_twin(cost, ps.CostBreakdown(volume=cost.volume, peak=cost.peak, local=cost.local))
 
 
 @st.composite
@@ -781,6 +819,10 @@ NUMBER_READERS = {
         _ONE_SLOT, _ONE_SLOT_PARAMS, "lambda-bed", lam=0.5, sigma_hats=[v]
     ).u.tobytes(),
     "config peak-multiplier": lambda v: ExperimentConfig(peak_multiplier=v).validate(),
+    "SwitchPolicy s": lambda v: ps.SwitchPolicy(v).s,
+    "lambda_bed_policy sigma_hat": lambda v: ps.lambda_bed_policy(v, 0.5).s,
+    "lambda_red_distribution lambda": lambda v: ps.lambda_red_distribution(2.0, v, 0.5),
+    "red_distribution beta": lambda v: ps.red_distribution(v),
     "sweep value": lambda v: ExperimentConfig(capacity_ratio=experiment._sweep_values("capacity", [v])[0]).validate(),
 }
 # None stands for the default noise level, not for a number

@@ -371,6 +371,47 @@ def test_an_int_too_large_for_a_float_is_named_by_every_reader(call, error, mess
         call()
 
 
+LONG = 10**5000
+_TOO_LONG = "a number too long to print (int)"
+_RUN = (ps.Trace(prices=[0.5, 0.25, 0.5], demands=[1, 0, 1]), ps.BillingParams(p_g=1.0, p_m=1.0, capacity=1))
+
+# the per-run scalar checks: the first four raised a bare OverflowError, the
+# next two a bare ValueError from their range message's f-string, and
+# SwitchPolicy(LONG) was built with an int s
+PER_RUN_ESCAPES = [
+    (lambda: ps.lambda_red_distribution(HUGE, 0.5, 0.5), f"sigma_hat must fit in a float, got {HUGE}"),
+    (lambda: ps.lambda_bed_policy(HUGE, 0.5), f"sigma_hat must fit in a float, got {HUGE}"),
+    (lambda: ps.SwitchPolicy.at(HUGE), f"threshold multiplier must fit in a float, got {HUGE}"),
+    (
+        lambda: ps.run_algorithm(*_RUN, "lambda-red", lam=0.5, sigma_hat=HUGE, seed=1),
+        f"sigma_hat must fit in a float, got {HUGE}",
+    ),
+    (lambda: ps.red_distribution(LONG), f"beta must fit in a float, got {_TOO_LONG}"),
+    (lambda: ps.deterministic_bounds(LONG, 0.5), f"lambda must fit in a float, got {_TOO_LONG}"),
+    (lambda: ps.SwitchPolicy(LONG), f"threshold multiplier must fit in a float, got {_TOO_LONG}"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    PER_RUN_ESCAPES,
+    ids=["lambda_red_distribution", "lambda_bed_policy", "SwitchPolicy.at", "run_algorithm", "red_distribution",
+         "deterministic_bounds", "SwitchPolicy"],
+)
+def test_a_per_run_check_names_an_int_too_large_for_a_float(call, message):
+    with pytest.raises(ps.DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_switch_policy_stores_a_real_threshold_as_a_float():
+    # SwitchPolicy(True) and SwitchPolicy(2) kept a bool and an int
+    with pytest.raises(ps.DomainError, match=r"^threshold multiplier must be a real number, got True$"):
+        ps.SwitchPolicy(True)
+    for s in (2, np.int64(2), np.float32(2.0), 2.0):
+        policy = ps.SwitchPolicy(s)
+        assert type(policy.s) is float and policy == ps.SwitchPolicy.at(s) == ps.SwitchPolicy(2.0)
+
+
 @pytest.mark.parametrize("field", ["p_g", "p_m"])
 def test_a_one_row_numeric_array_per_row_is_refused_as_the_list_is(field):
     # the float fill broadcast the (1, 2) array into a row each, where the
