@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -54,32 +54,33 @@ _GRID_FROM_START = -1.0
 class SwitchPolicy:
     """Threshold multiplier governing the generator-to-grid switch.
 
-    ``s`` is either ``-1.0`` (grid from the first slot), a finite value
-    ``>= 0``, or ``inf`` (never switch).  Any other real number that fits
-    in a float is stored as that float.
+    ``s``, stored as a float, is either ``-1.0`` (grid from the first
+    slot), a finite value ``>= 0``, or ``inf`` (never switch).
     """
 
     s: float
 
     def __post_init__(self):
-        # a plain float skips the call: this runs on every layer run
-        if type(self.s) is not float:
-            object.__setattr__(self, "s", read_reals(self.s, "threshold multiplier", SCALAR))
+        s = read_reals(self.s, "threshold multiplier", SCALAR)
         # the rule of _check_thresholds on one value; NaN fails it
-        if not (self.s == _GRID_FROM_START or self.s >= 0):
-            raise DomainError(f"threshold multiplier must be -1, >= 0, or inf; got {self.s}")
+        if not (s == _GRID_FROM_START or s >= 0):
+            raise DomainError(f"threshold multiplier must be -1, >= 0, or inf; got {s}")
+        object.__setattr__(self, "s", s)
 
     @classmethod
     def at(cls, s: float) -> "SwitchPolicy":
         return cls(s)
 
+    # each atom is built once, checked as any policy is; a policy is immutable
     @classmethod
+    @cache
     def grid_from_start(cls) -> "SwitchPolicy":
-        return _stored(cls, s=_GRID_FROM_START)
+        return cls(_GRID_FROM_START)
 
     @classmethod
+    @cache
     def never_switch(cls) -> "SwitchPolicy":
-        return _stored(cls, s=math.inf)
+        return cls(math.inf)
 
     @property
     def is_grid_from_start(self) -> bool:
@@ -140,10 +141,8 @@ def run_threshold(trace: Trace, params: BillingParams, policy: SwitchPolicy) -> 
     ``s * p_m``.
     """
     slot, premium = _crossings(trace, params, policy.s)
-    switch = int(slot)
-    # the fields RunRecord's __init__ sets, in its order; _schedule stays the class's None until read
-    return _stored(RunRecord, trace=trace, switch_slot=None if switch == len(trace) else switch, policy=policy,
-                   cumulative_premium=premium)
+    switch = None if slot == len(trace) else int(slot)
+    return _stored(RunRecord, trace=trace, switch_slot=switch, policy=policy, cumulative_premium=premium)
 
 
 def switch_slots(trace: Trace, params: BillingParams, thresholds) -> np.ndarray:
@@ -485,9 +484,8 @@ def sample(spec: DistributionSpec, uniform: float) -> SwitchPolicy:
         return SwitchPolicy.grid_from_start()
     if uniform < start_mass + spec._continuous:
         residual = uniform - start_mass
-        s = min(max(math.log(spec._exp_lo + residual / spec.coeff), spec.lo), spec.hi)
-        # SwitchPolicy's rule still holds the clamped value: a spec's support may start below 0
-        return _stored(SwitchPolicy, s=s) if type(s) is float and s >= 0 else SwitchPolicy(s)
+        s = math.log(spec._exp_lo + residual / spec.coeff)
+        return SwitchPolicy(min(max(s, spec.lo), spec.hi))
     return SwitchPolicy.never_switch()
 
 
@@ -520,8 +518,7 @@ def _as_algorithm(algorithm: Algorithm | str) -> Algorithm:
     try:
         return _ALGORITHMS[algorithm]
     except (KeyError, TypeError):
-        choices = ", ".join(_ALGORITHMS)
-        raise DomainError(f"unknown algorithm {algorithm!r}; choose one of {choices}") from None
+        raise DomainError(f"unknown algorithm {algorithm!r}; choose one of {', '.join(_ALGORITHMS)}") from None
 
 
 def policy_distribution(
@@ -579,11 +576,8 @@ def select_policy(
 
     Randomized algorithms require ``seed``, a non-negative integer, and
     draw one threshold from the first uniform of ``default_rng(seed)``, bit
-    for bit, which :func:`_seeded_uniform` computes without building a
-    ``PCG64`` or ``Generator``; identical seeds yield identical policies.
-    The draw is keyed by the int :func:`~peaksched.validators.check_seed`
-    returns, so ``5`` and ``np.uint64(5)`` draw alike; the name is resolved
-    once a call.
+    for bit (:func:`_seeded_uniform`); identical seeds yield identical
+    policies, and ``5`` and ``np.uint64(5)`` draw alike.
     """
     algorithm = _as_algorithm(algorithm)
     if seed is not None:
@@ -618,12 +612,9 @@ def _seeded_uniform(seed: int) -> float:
     pool mixing stays in numpy, so a seed of any size takes this one path,
     and no ``PCG64`` or ``Generator`` is built.
 
-    Layer seeds are a pure function of ``(seed, layer index)``, so an
-    experiment's cells draw the same uniforms; the bound matches
-    ``layering._layer_seed``'s.  Callers pass what
-    :func:`~peaksched.validators.check_seed` returns, so a numpy integer
-    shares the equal int's entry.  Where every seed is new (Monte Carlo),
-    each call misses and pays only the lookup on top of the draw.
+    An experiment's cells draw the same layer seeds; the bound matches
+    ``layering._layer_seed``'s.  Callers pass the int that ``check_seed``
+    returns, so a numpy integer shares the equal int's entry.
     """
     p0, p1, p2, p3 = np.random.SeedSequence(seed).pool.tolist()
     # generate_state's hash of word i: pool word i % 4 xor K_i, times K_(i+1),

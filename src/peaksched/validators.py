@@ -21,7 +21,7 @@ def check_beta(beta: float) -> float:
     """``beta`` as a float, or ``DomainError`` where the hardness parameter
     is a bool, not a real number, too large for a float, or outside (0, 1],
     NaN included."""
-    value = beta if type(beta) is float else read_reals(beta, "beta", SCALAR)
+    value = read_reals(beta, "beta", SCALAR)
     if not 0 < value <= 1:
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
     return value
@@ -31,8 +31,7 @@ def check_lambda(lam: float, allow_zero: bool = False) -> float:
     """``lam`` as a float, or ``DomainError`` where the trust parameter is a
     bool, not a real number, too large for a float, or outside (0, 1], or
     outside [0, 1] when ``allow_zero`` is set, NaN included."""
-    # a plain float skips the call: this runs on every layer run
-    value = lam if type(lam) is float else read_reals(lam, "lambda", SCALAR)
+    value = read_reals(lam, "lambda", SCALAR)
     if allow_zero:
         if not 0 <= value <= 1:
             raise DomainError(f"lambda must lie in [0, 1], got {lam}")
@@ -55,10 +54,7 @@ def check_sigma_hat(sigma_hat: float) -> None:
     """Reject a predicted premium mass that is a bool, not a real number, too
     large for a float, NaN or infinite, which would otherwise pick a branch
     of ``sigma_hat > 1`` silently; negative values stay legal."""
-    # a plain float skips the call: this runs on every layer run
-    if type(sigma_hat) is not float:
-        read_reals(sigma_hat, "sigma_hat", SCALAR)
-    if not math.isfinite(sigma_hat):
+    if not math.isfinite(read_reals(sigma_hat, "sigma_hat", SCALAR)):
         raise DomainError(f"sigma_hat must be finite, got {sigma_hat}")
 
 

@@ -382,9 +382,10 @@ def test_the_seeded_uniform_is_the_first_draw_of_default_rng(seed):
 
 
 def _is_its_checked_twin(stored, twin):
-    """``stored``, set up without its class's ``__init__``, against ``twin``,
-    the same values passed through it: the same attributes in the same
-    order, and alike under every protocol the class takes part in."""
+    """``stored``, as the run path builds it (without its class's
+    ``__init__``, or once and shared), against ``twin``, the same values
+    passed through it: the same attributes in the same order, and alike
+    under every protocol the class takes part in."""
     assert type(stored) is type(twin) and list(vars(stored).items()) == list(vars(twin).items())
     assert repr(stored) == repr(twin)
     if type(twin).__eq__ is not object.__eq__:  # a RunRecord compares by identity
