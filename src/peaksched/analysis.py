@@ -15,7 +15,8 @@ import numpy as np
 from .errors import DomainError, UndefinedRatioError
 from .model import BillingParams, Trace, _frozen
 from .online import DistributionSpec, SwitchPolicy, _check_thresholds
-from .quadrature import _gk15_nodes, _gk15_sum, integrate
+from .quadrature import _gk15_nodes, _gk15_sum, bisect_panels
+from .quadrature import integrate  # noqa: F401  looked up here by the benchmark's tracer
 from .validators import SCALAR, as_reals, check_beta, check_cost, check_lambda, check_stretched_lambda, read_reals
 
 if TYPE_CHECKING:
@@ -159,14 +160,11 @@ def expected_ratios(specs, betas, sigmas) -> np.ndarray:
     is integrated to absolute error 1e-9, split at the branch point
     ``s = sigma`` where the ratio curve has a kink, as :func:`integrate`
     splits it.  Every point's segments first take one GK15 panel together,
-    as arrays; only the points whose panel misses its share of the
-    tolerance go through :func:`integrate`'s adaptive bisection.  The
-    density's ``e^s`` is taken with ``math.exp`` on each distinct node
-    (``np.exp`` may differ in the last bit), so every value is bit for bit
-    the scalar quadrature of that point.  Both ``e^s`` and the cost ratio
-    are taken once per node of each distinct (support, beta, mass)
-    segment, the ratio in one array call for all 15 nodes, and every
-    segment's integrand is gathered from them.
+    as arrays; the points whose panels miss their share of the tolerance
+    go on through :func:`~peaksched.quadrature.bisect_panels`, all in
+    lockstep.  Every value is bit for bit that point's own adaptive
+    quadrature.  A spec whose density support starts below 0 raises
+    ``DomainError``: no threshold policy draws there.
     """
     # one object per spec, so that a beta that is a sequence is named whole
     betas = np.fromiter(betas, dtype=object)
@@ -176,6 +174,8 @@ def expected_ratios(specs, betas, sigmas) -> np.ndarray:
     sigmas = _check_mass(sigmas).reshape(-1)
     for spec in specs:
         spec.require_normalized()
+        if spec.lo < 0 and spec.coeff > 0 and spec.hi > spec.lo:
+            raise DomainError(f"density support [{spec.lo}, {spec.hi}] holds threshold multipliers below 0")
 
     width = max((len(spec.atoms) for spec in specs), default=0)
     # absent atoms are padded as zero mass at inf, whose ratio is finite
@@ -194,9 +194,20 @@ def expected_ratios(specs, betas, sigmas) -> np.ndarray:
     return total
 
 
+def _panels(a, b, sigma, beta, coeff, at) -> tuple:
+    """GK15 panels of ``coeff * e^s * ratio(s)`` on ``[a, b]``, ``e^s`` by
+    ``math.exp`` (``np.exp`` may differ in the last bit), gathered by ``at``."""
+    nodes, half = _gk15_nodes(a, b)
+    exps = np.array([math.exp(node) for node in np.concatenate(nodes).tolist()]).reshape(len(nodes), -1)
+    ratios = _ratio(np.array(nodes), sigma, beta)
+    # a non-finite integrand (a subnormal sigma) leaves a NaN error to raise on
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _gk15_sum(((coeff * e[at]) * r[at] for e, r in zip(exps, ratios)), half[at])
+
+
 def _density_integrals(specs, beta_col: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """``integrate`` of ``coeff * e^s * ratio(s)`` over each spec's support
-    at each mass, one GK15 panel per segment for all points at once."""
+    """The integral of ``coeff * e^s * ratio(s)`` over each spec's support at
+    each mass: one GK15 panel per segment at once, then the bisection."""
     coeff = np.array([spec.coeff for spec in specs]).reshape(-1, 1)
     lo = np.array([spec.lo for spec in specs]).reshape(-1, 1)
     hi = np.array([spec.hi for spec in specs]).reshape(-1, 1)
@@ -229,30 +240,26 @@ def _density_integrals(specs, beta_col: np.ndarray, sigmas: np.ndarray) -> np.nd
     second = np.zeros_like(first)
     second[cut] = np.arange(cut.size, len(cells))
     at = np.concatenate([first[of_class].ravel(), second[of_class].ravel()[split]])
-    nodes, half = _gk15_nodes(a, b)
-    exps = np.array([math.exp(node) for node in np.concatenate(nodes).tolist()]).reshape(len(nodes), -1)
     klass, column = np.divmod(cells, len(sigmas))
-    ratios = _ratio(np.array(nodes), sigmas[column], row_beta[klass, 0])
-    c = coeff[owner]
-    # a non-finite integrand (a subnormal sigma) leaves its panel's error
-    # NaN, unsettled, for the scalar fallback to raise on, as it would alone
-    with np.errstate(over="ignore", invalid="ignore"):
-        panels, err = _gk15_sum(((c * e[at]) * r[at] for e, r in zip(exps, ratios)), half[at])
+    panels, err = _panels(a, b, sigmas[column], row_beta[klass, 0], coeff[owner], at)
     settled = err <= (_ABS_TOL * (b - a) / (row_hi - row_lo)[klass, 0])[at]
-    value, rest = panels[: len(sigma)], panels[len(sigma) :]
-    value[split] += rest
     unsettled = ~settled[: len(sigma)]
     unsettled[split] |= ~settled[len(sigma) :]
-    for i in np.flatnonzero(unsettled):
-        # the adaptive recursion, on this one point's scalar integrand
-        ci, si, bi = float(coeff[i]), float(sigma[i]), float(beta[i])
-        value[i], _ = integrate(
-            lambda s: ci * math.exp(s) * _ratio(s, si, bi),
-            float(lo[i]),
-            float(hi[i]),
-            abs_tol=_ABS_TOL,
-            breakpoints=(si,),
-        )
+    # the unsettled points' first panels, each point's segments in order
+    points = np.flatnonzero(unsettled)
+    roots = np.flatnonzero(unsettled[owner])
+    roots = roots[np.argsort(owner[roots], kind="stable")]
+    roots = panels[roots], err[roots]
+    value, rest = panels[: len(sigma)], panels[len(sigma) :]
+    value[split] += rest
+    # each point bisected on the ends of its own spec
+    cuts = [[x, s, y] if c else [x, y] for x, s, y, c in zip(*(v[points].tolist() for v in (lo, sigma, hi, split)))]
+
+    def evaluate(lo_ends, hi_ends, which):
+        i = points[which]
+        return _panels(lo_ends, hi_ends, sigma[i], beta[i], coeff[i], slice(None))
+
+    value[points] = [v for v, _ in bisect_panels(evaluate, cuts, roots, _ABS_TOL)]
     return value.reshape(shape)
 
 

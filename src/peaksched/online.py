@@ -41,6 +41,7 @@ from .validators import (
     check_seed,
     check_sigma_hat,
     check_stretched_lambda,
+    is_real,
     read_reals,
 )
 
@@ -370,30 +371,48 @@ class DistributionSpec:
     hi: float
 
     def __post_init__(self):
-        # every comparison is written so that NaN fails it
-        if not self.coeff >= 0:
-            raise ValidationError(f"density coefficient must be >= 0, got {self.coeff}")
-        for end in ("lo", "hi"):
-            if math.isnan(getattr(self, end)):
+        # every number is read as a real that fits a float and stored as that
+        # float; every comparison is written so that NaN fails it
+        coeff = read_reals(self.coeff, "density coefficient", SCALAR, ValidationError)
+        if not coeff >= 0:
+            raise ValidationError(f"density coefficient must be >= 0, got {coeff}")
+        lo = read_reals(self.lo, "density support end lo", SCALAR, ValidationError)
+        hi = read_reals(self.hi, "density support end hi", SCALAR, ValidationError)
+        exps = []
+        for end, value in (("lo", lo), ("hi", hi)):
+            if math.isnan(value):
                 raise ValidationError(f"density support end {end} must not be NaN")
-        if self.hi < self.lo:
-            raise ValidationError(f"empty density support [{self.lo}, {self.hi}]")
+            try:
+                exps.append(math.exp(value))
+            except OverflowError:
+                message = f"density support end {end} must keep e^{end} a finite float, got {value}"
+                raise ValidationError(message) from None
+        if hi < lo:
+            raise ValidationError(f"empty density support [{lo}, {hi}]")
+        try:
+            pairs = [(where, mass) for where, mass in self.atoms]
+        except (TypeError, ValueError):
+            raise ValidationError(f"atoms must be (location, mass) pairs, got {self.atoms!r}") from None
         # the masses and e^lo that every sample reads, computed once
         start = atoms = 0
-        for where, mass in self.atoms:
-            if not (where == _GRID_FROM_START or where == math.inf):
+        for k, (where, mass) in enumerate(pairs):
+            if not (is_real(where) and (where == _GRID_FROM_START or where == math.inf)):
                 raise ValidationError(f"atom location must be -1 or inf, got {where}")
+            if type(mass) is not float:
+                mass = read_reals(mass, f"mass of the atom at {where}", SCALAR, ValidationError)
             if not mass >= 0:
                 raise ValidationError(f"atom at {where} must have mass >= 0, got {mass}")
             atoms += mass
             if where == _GRID_FROM_START:
                 start += mass
-        exp_lo = math.exp(self.lo)
-        continuous = self.coeff * (math.exp(self.hi) - exp_lo)
-        object.__setattr__(self, "_exp_lo", exp_lo)
-        object.__setattr__(self, "_continuous", continuous)
-        object.__setattr__(self, "_total", continuous + atoms)
-        object.__setattr__(self, "_start_mass", start)
+            pairs[k] = (float(where), mass)
+        exp_lo, exp_hi = exps
+        continuous = coeff * (exp_hi - exp_lo)
+        # a frozen dataclass's fields, set past its __setattr__ as model._stored sets them
+        self.__dict__.update(
+            coeff=coeff, lo=lo, hi=hi, atoms=tuple(pairs),
+            _exp_lo=exp_lo, _continuous=continuous, _total=continuous + atoms, _start_mass=start,
+        )
 
     def atom_mass(self, where: float) -> float:
         return sum(mass for loc, mass in self.atoms if loc == where)

@@ -15,7 +15,8 @@ import pytest
 import peaksched as ps
 from peaksched.harness.traces import LoadedTrace, read_text
 from peaksched.online import MASS_TOL
-from peaksched.quadrature import integrate
+from peaksched import quadrature
+from peaksched.quadrature import _gk15_nodes, _gk15_sum
 from peaksched.validators import check_beta
 
 
@@ -247,10 +248,78 @@ def reference_ratio(s: float, sigma: float, beta: float) -> float:
     return 1.0 + s * (1.0 - beta) / denom
 
 
+def reference_gk15(f, a: float, b: float) -> tuple[float, float]:
+    """One GK15 panel of the scalar integrand ``f`` on ``[a, b]``."""
+    nodes, half = _gk15_nodes(a, b)
+    return _gk15_sum(map(f, nodes), half)
+
+
+class _Budget:
+    """Panels left to one ``reference_integrate`` call, and whether any
+    panel that still needed splitting was refused one."""
+
+    __slots__ = ("left", "cut")
+
+    def __init__(self):
+        self.left = quadrature._MAX_PANELS
+        self.cut = False
+
+
+def _adaptive(f, a, b, tol, depth, budget: _Budget, ceiling: float = 0.0) -> tuple[float, float]:
+    value, err = reference_gk15(f, a, b)
+    budget.left -= 1
+    # a segment's first panel passes the whole tolerance as ``ceiling``;
+    # its halves inherit the floored share
+    tol = max(tol, min(ceiling, quadrature._ROUNDING_FLOOR * abs(value)))
+    if err <= tol or depth >= quadrature._MAX_DEPTH:
+        return value, err
+    if math.isnan(err):
+        raise ps.NumericError(f"integrand is not finite on [{a}, {b}]")
+    if budget.left <= 0:
+        budget.cut = True
+        return value, err
+    mid = 0.5 * (a + b)
+    left = _adaptive(f, a, mid, tol / 2, depth + 1, budget)
+    right = _adaptive(f, mid, b, tol / 2, depth + 1, budget)
+    return left[0] + right[0], left[1] + right[1]
+
+
+def reference_integrate(f, a, b, abs_tol: float = 1e-9, breakpoints=()) -> tuple[float, float]:
+    """Adaptive GK15 quadrature as the depth-first scalar recursion it was
+    first written as, one :func:`reference_gk15` call per panel, kept as the
+    check on the lockstep array engine behind
+    :func:`peaksched.quadrature.integrate` and
+    :func:`peaksched.expected_ratios`: the same rules (tolerance halving,
+    rounding floor, depth cap, per-call panel budget counted in pre-order)
+    and the same messages."""
+    if b < a:
+        raise ps.NumericError(f"inverted interval [{a}, {b}]")
+    if a == b:
+        return 0.0, 0.0
+    cuts = sorted({a, b, *(x for x in breakpoints if a < x < b)})
+    total = 0.0
+    err = 0.0
+    budget = _Budget()
+    for lo, hi in zip(cuts, cuts[1:]):
+        seg_tol = abs_tol * (hi - lo) / (b - a)
+        value, seg_err = _adaptive(f, lo, hi, seg_tol, 0, budget, abs_tol)
+        total += value
+        err += seg_err
+    if budget.cut:
+        raise ps.NumericError(
+            f"quadrature used its {quadrature._MAX_PANELS} panels at error {err:.3e} (target {abs_tol:.3e})",
+            achieved=err,
+        )
+    if err > abs_tol and not math.isclose(err, abs_tol):
+        raise ps.NumericError(f"quadrature stalled at error {err:.3e} (target {abs_tol:.3e})", achieved=err)
+    return total, err
+
+
 def reference_expected_ratio(spec: ps.DistributionSpec, sigma: float, beta: float) -> float:
     """The expected ratio as one scalar quadrature per point, kept as the
     check on :func:`peaksched.expected_ratios`: atoms summed exactly, the
-    density segment integrated adaptively to 1e-9, split at ``s = sigma``."""
+    density segment integrated by :func:`reference_integrate` to 1e-9,
+    split at ``s = sigma``."""
     check_beta(beta)
     if not sigma >= 0:
         raise ps.DomainError(f"premium mass must be >= 0, got {sigma}")
@@ -258,7 +327,7 @@ def reference_expected_ratio(spec: ps.DistributionSpec, sigma: float, beta: floa
     total = sum(mass * reference_ratio(where, sigma, beta) for where, mass in spec.atoms)
     if spec.coeff > 0 and spec.hi > spec.lo:
         coeff = spec.coeff
-        value, _ = integrate(
+        value, _ = reference_integrate(
             lambda s: coeff * math.exp(s) * reference_ratio(s, sigma, beta),
             spec.lo,
             spec.hi,

@@ -1,4 +1,5 @@
 """Ratio curves, guarantee formulas, quadrature, and instance construction."""
+import itertools
 import math
 import re
 import time
@@ -6,7 +7,9 @@ import time
 import numpy as np
 import pytest
 
+import conftest
 import peaksched as ps
+from conftest import reference_expected_ratio, reference_integrate
 from peaksched import quadrature
 from peaksched.quadrature import integrate
 
@@ -199,18 +202,18 @@ class TestQuadrature:
     def test_panel_cap_leaves_a_result_that_fits_it(self, monkeypatch):
         f = lambda x: math.sqrt(abs(x))
         value = integrate(f, -2.0, 3.0, breakpoints=(0.0,))
-        used = []
-        original = quadrature._gk15
+        calls = []
 
-        def counted(g, a, b):
-            used.append((a, b))
-            return original(g, a, b)
+        def counted(x):
+            calls.append(x)
+            return f(x)
 
-        monkeypatch.setattr(quadrature, "_gk15", counted)
-        assert integrate(f, -2.0, 3.0, breakpoints=(0.0,)) == value
-        assert 100 < len(used) < quadrature._MAX_PANELS
+        assert integrate(counted, -2.0, 3.0, breakpoints=(0.0,)) == value
+        used = len(calls) // 15  # one integrand call per node of each panel
+        assert len(calls) == 15 * used
+        assert 100 < used < quadrature._MAX_PANELS
         # a cap of exactly the panels the result needs leaves it as it is
-        monkeypatch.setattr(quadrature, "_MAX_PANELS", len(used))
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", used)
         assert integrate(f, -2.0, 3.0, breakpoints=(0.0,)) == value
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
         with pytest.raises(ps.NumericError, match="panels"):
@@ -240,9 +243,10 @@ class TestQuadrature:
             (lambda x: math.sin(7 * x) + x**3, -1.0, 2.5, (0.0, 1.1)),
             (lambda x: math.sqrt(abs(x)), -2.0, 3.0, (0.0,)),
         ]
+        # the array engine against the scalar recursion run on the indexed rule
         current = [integrate(f, a, b, abs_tol=1e-9, breakpoints=bp) for f, a, b, bp in cases]
-        monkeypatch.setattr(quadrature, "_gk15", indexed_gk15)
-        indexed = [integrate(f, a, b, abs_tol=1e-9, breakpoints=bp) for f, a, b, bp in cases]
+        monkeypatch.setattr(conftest, "reference_gk15", indexed_gk15)
+        indexed = [reference_integrate(f, a, b, abs_tol=1e-9, breakpoints=bp) for f, a, b, bp in cases]
         assert current == indexed
 
 
@@ -296,8 +300,6 @@ class TestExpectedRatio:
     def test_a_tiny_mass_meets_the_closed_form_within_a_second(self, sigma):
         # the [0, sigma] segment's length share of 1e-9 is below the rounding
         # of its panels; floored at that rounding, the segment converges
-        from conftest import reference_expected_ratio
-
         spec = ps.red_distribution(0.5)
         start = time.perf_counter()
         value = ps.expected_ratio(spec, sigma, 0.5)
@@ -312,6 +314,47 @@ class TestExpectedRatio:
         # say so, not leak an overflow warning from the array panel
         with pytest.raises(ps.NumericError, match="integrand is not finite"):
             ps.expected_ratio(ps.red_distribution(0.5), 5e-324, 0.5)
+
+    @pytest.mark.parametrize(
+        "naive_first, sigmas, first",
+        [
+            (False, [0.5, 5e-324, 1e-310], "integrand is not finite on [0.0, 5e-324]"),
+            (False, [0.5, 1e-310, 5e-324], "integrand is not finite on [0.0, 1e-310]"),
+            # the cut point's error is known only when its walk ends, many
+            # steps after the later points' NaNs stopped their walks
+            (True, [2.0, 5e-324], "quadrature used its 2 panels at error"),
+            (True, [5e-324, 2.0], "integrand is not finite on [0.0, 5e-324]"),
+        ],
+    )
+    def test_the_first_failing_point_in_point_order_raises(self, monkeypatch, naive_first, sigmas, first):
+        # naive lambda-red at trust 0.01 spreads its density over [0, 100],
+        # which two panels do not settle
+        specs = [ps.red_distribution(0.5), ps.naive_red_distribution(0.5, 0.01, 0.5)]
+        specs = specs[::-1] if naive_first else specs
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
+        with pytest.raises(ps.NumericError, match=f"^{re.escape(first)}") as raised:
+            ps.expected_ratios(specs, [0.5, 0.5], sigmas)
+        # as the first of the one-point calls, row by row, raises alone
+        for spec, sigma in itertools.product(specs, sigmas):
+            try:
+                reference_expected_ratio(spec, sigma, 0.5)
+            except ps.NumericError as error:
+                assert (str(error), error.achieved) == (str(raised.value), raised.value.achieved)
+                break
+        else:
+            raise AssertionError("no point failed alone")
+
+    @pytest.mark.parametrize("lo", [-1.0, -math.inf])
+    def test_a_density_support_below_zero_is_refused(self, lo):
+        # thresholds below 0 are no policy's; at -inf, numpy would warn on
+        # the panel's nodes before the quadrature failed
+        spec = ps.DistributionSpec(atoms=(), coeff=1.0 / (1.0 - math.exp(lo)), lo=lo, hi=0.0)
+        spec.require_normalized()
+        message = f"density support [{lo}, 0.0] holds threshold multipliers below 0"
+        with pytest.raises(ps.DomainError, match=f"^{re.escape(message)}$"):
+            ps.expected_ratios([ps.red_distribution(0.5), spec], [0.5, 0.5], [0.5])
+        with pytest.raises(ps.DomainError, match=re.escape(message)):
+            ps.expected_ratio(spec, 0.5, 0.5)
 
     @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])

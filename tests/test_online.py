@@ -700,6 +700,31 @@ class TestSampling:
         with pytest.raises(ps.ValidationError, match=re.escape(match)):
             ps.DistributionSpec(*fields)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(coeff="1"), "density coefficient must be a real number, got '1'"),
+            (dict(coeff=True), "density coefficient must be a real number, got True"),
+            (dict(atoms=((math.inf, "0.5"),)), "mass of the atom at inf must be a real number, got '0.5'"),
+            (dict(hi=10**400), f"density support end hi must fit in a float, got {10**400}"),
+            # e^1000 overflows a float where the masses are computed
+            (dict(hi=1000.0), "density support end hi must keep e^hi a finite float, got 1000.0"),
+            (dict(lo=1000.0, hi=1000.0), "density support end lo must keep e^lo a finite float, got 1000.0"),
+            (dict(atoms=None), "atoms must be (location, mass) pairs, got None"),
+            (dict(atoms=((math.inf,),)), "atoms must be (location, mass) pairs, got ((inf,),)"),
+            (dict(atoms=((True, 1.0),)), "atom location must be -1 or inf, got True"),
+        ],
+    )
+    def test_a_malformed_field_is_refused_naming_it(self, fields, message):
+        with pytest.raises(ps.ValidationError, match=f"^{re.escape(message)}$"):
+            ps.DistributionSpec(**{"atoms": (), "coeff": 0.0, "lo": 0.0, "hi": 1.0, **fields})
+
+    def test_fields_are_stored_as_the_floats_they_read_as(self):
+        spec = ps.DistributionSpec(atoms=[(-1, np.float32(0.25)), (math.inf, 0.75)], coeff=0, lo=0, hi=np.int64(1))
+        assert spec == ps.DistributionSpec(atoms=((-1.0, 0.25), (math.inf, 0.75)), coeff=0.0, lo=0.0, hi=1.0)
+        assert all(type(x) is float for x in (spec.coeff, spec.lo, spec.hi, *spec.atoms[0], *spec.atoms[1]))
+        spec.require_normalized()
+
     @pytest.mark.parametrize("fields", [((), math.inf, 0.0, 0.0), ((), 1.0, math.inf, math.inf)])
     def test_a_nan_total_mass_is_not_normalized(self, fields):
         # inf * 0 and e^inf - e^inf leave the total NaN, which no draw or

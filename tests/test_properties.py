@@ -14,13 +14,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import peaksched as ps
-from peaksched import online
+from peaksched import online, quadrature
 from peaksched.harness import experiment, parse_trace_csv
 from peaksched.harness.experiment import ExperimentConfig
 from peaksched.layering import project_ramp_block
+from peaksched.quadrature import integrate
 from conftest import (
     brute_force_optimum,
     reference_expected_ratio,
+    reference_integrate,
     reference_optimal_general,
     reference_optimal_with_ramp,
     reference_parse_trace_csv,
@@ -670,6 +672,76 @@ def test_a_row_of_expected_ratios_is_the_same_alone_and_in_a_batch(rows, drawn):
         assert [x.hex() for x in row] == [reference_expected_ratio(spec, sg, beta).hex() for sg in sigmas]
 
 
+def _quadrature_outcome(call) -> tuple:
+    """A quadrature's values by ``float.hex``, or its error by type, message
+    and achieved estimate."""
+    try:
+        values = call()
+    except ps.NumericError as error:
+        achieved = error.achieved
+        return type(error).__name__, str(error), None if achieved is None else achieved.hex()
+    return ("values", *(float(x).hex() for x in np.ravel(values)))
+
+
+# integrands the bisection must walk as the recursion does: a kink, a root
+# singularity, an oscillation, one whose panels round above 1e-16 near 0,
+# and non-finite regions
+INTEGRANDS = {
+    "kink": lambda x: abs(x - 0.3) * math.exp(x),
+    "root": lambda x: math.sqrt(abs(x)),
+    "wave": lambda x: math.sin(7 * x) + x**3,
+    "steep": lambda x: (1.0 + (1.0 - 1e-7 + x) * 0.5 / 1e-7) * math.exp(x),
+    "nan above 0.9": lambda x: math.nan if x > 0.9 else x,
+    "inf below -0.2": lambda x: math.inf if x < -0.2 else x * x,
+}
+interval_ends = st.one_of(st.integers(-2, 3), st.floats(-2.0, 3.0))
+# 1024 is the package's cap; the small ones cut the walk mid-tree
+panel_caps = st.sampled_from([1024, 1024, 1, 2, 3, 5, 17, 100, 333])
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(INTEGRANDS)),
+    interval_ends,
+    st.one_of(st.integers(0, 4), st.floats(0.0, 4.0)),
+    st.lists(interval_ends, max_size=2),
+    st.sampled_from([1e-6, 1e-9, 1e-12, 1e-16]),
+    panel_caps,
+)
+@example("steep", 0.0, 1e-7, [], 1e-16, 1024)  # a tolerance below rounding
+@example("root", -2.0, 5.0, [0.0], 1e-9, 333)  # cut with right siblings pending
+@example("root", -2, 5, [0], 1e-9, 5)  # integer ends, in messages as given
+@example("nan above 0.9", 0, 1, [], 1e-9, 1024)
+@example("kink", 1.0, -0.5, [], 1e-9, 1024)  # an inverted interval
+def test_integrate_equals_the_scalar_recursion(name, a, width, breakpoints, abs_tol, cap):
+    f, b = INTEGRANDS[name], a + width
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "_MAX_PANELS", cap)
+        engine = _quadrature_outcome(lambda: integrate(f, a, b, abs_tol, breakpoints))
+        assert engine == _quadrature_outcome(lambda: reference_integrate(f, a, b, abs_tol, breakpoints))
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(st.sampled_from([0.5, 2.0]), st.floats(0.01, 0.1), st.floats(0.01, 1.0)), min_size=1, max_size=3),
+    st.lists(st.one_of(st.floats(0.0, 120.0), st.sampled_from([5e-324, 1e-310, 1.8e-278, 1e-12, 1e-7])),
+             min_size=1, max_size=4),
+    panel_caps,
+)
+@example([(0.5, 0.01, 0.5)], [2.0, 5e-324], 2)  # a cut point before a NaN one
+def test_expected_ratios_equal_the_scalar_recursion_point_by_point(naive, sigmas, cap):
+    # naive specs at small trusts, whose first panels often miss, beside
+    # red; a batch that fails raises the first failing point's error
+    rows = [(ps.naive_red_distribution(hat, lam, beta), beta) for hat, lam, beta in naive]
+    rows.append((ps.red_distribution(0.5), 0.5))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "_MAX_PANELS", cap)
+        batch = _quadrature_outcome(lambda: ps.expected_ratios([spec for spec, _ in rows], [beta for _, beta in rows], sigmas))
+        points = [_quadrature_outcome(lambda: reference_expected_ratio(spec, sg, beta)) for spec, beta in rows for sg in sigmas]
+    failed = [point for point in points if point[0] != "values"]
+    assert batch == (failed[0] if failed else ("values", *(point[1] for point in points)))
+
+
 @PROPERTY
 @given(
     st.lists(st.one_of(st.just(-1.0), st.just(math.inf), st.floats(0.0, 12.0)), min_size=1, max_size=6),
@@ -824,6 +896,10 @@ NUMBER_READERS = {
     "lambda_bed_policy sigma_hat": lambda v: ps.lambda_bed_policy(v, 0.5).s,
     "lambda_red_distribution lambda": lambda v: ps.lambda_red_distribution(2.0, v, 0.5),
     "red_distribution beta": lambda v: ps.red_distribution(v),
+    "DistributionSpec coeff": lambda v: ps.DistributionSpec(atoms=(), coeff=v, lo=0.0, hi=1.0).coeff,
+    "DistributionSpec lo": lambda v: ps.DistributionSpec(atoms=(), coeff=1.0, lo=v, hi=2.0).lo,
+    "DistributionSpec hi": lambda v: ps.DistributionSpec(atoms=(), coeff=1.0, lo=0.0, hi=v).hi,
+    "DistributionSpec atom mass": lambda v: ps.DistributionSpec(atoms=((math.inf, v),), coeff=0.0, lo=0.0, hi=0.0).atoms,
     "sweep value": lambda v: ExperimentConfig(capacity_ratio=experiment._sweep_values("capacity", [v])[0]).validate(),
 }
 # None stands for the default noise level, not for a number
