@@ -167,47 +167,64 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _run_flags(parser: argparse.ArgumentParser) -> None:
+    _add_config_flags(parser)
+    parser.add_argument("--algorithm", required=True)
+    parser.add_argument("--lambda", dest="lam", type=float)
+    parser.add_argument("--predictor")
+
+
+def _sweep_flags(parser: argparse.ArgumentParser) -> None:
+    _add_config_flags(parser)
+    parser.add_argument("--axis", required=True, choices=sorted(SWEEP_AXES))
+    parser.add_argument("--values", help="comma-separated axis values")
+
+
+def _synth_flags(parser: argparse.ArgumentParser) -> None:
+    _add_config_flags(parser)
+    parser.add_argument("--start", default="2018-04-01T00:00", help="first hourly timestamp")
+
+
+def _verify_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--grid-resolution", type=int, default=9, help="points per parameter axis (>= 5)")
+    parser.add_argument("--full", action="store_true", help="use the full acceptance-scale grids")
+    parser.add_argument("--slots", type=int, default=4000, help="slots in constructed worst-case instances")
+    parser.add_argument("--out-dir")
+
+
+# name -> (help, the function adding its flags, the function running it)
+_COMMANDS = {
+    "run": ("run one algorithm on one trace", _run_flags, _cmd_run),
+    "compare": ("compare the configured algorithm table", _add_config_flags, _cmd_compare),
+    "sweep": ("sweep one experiment axis", _sweep_flags, _cmd_sweep),
+    "synth": ("write synthetic trace CSVs", _synth_flags, _cmd_synth),
+    "verify": ("run the theorem verification suite", _verify_flags, _cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``peaksched`` parser.  Every subcommand is registered, so usage and
+    error text name all five.  Where ``command`` names one of them, only
+    its flags are added (each flag builds a help formatter, so this halves
+    the set-up); otherwise every subcommand's flags are."""
     parser = argparse.ArgumentParser(
         prog="peaksched",
         description="Peak-aware generation scheduling: algorithms, experiments, verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one algorithm on one trace")
-    _add_config_flags(p_run)
-    p_run.add_argument("--algorithm", required=True)
-    p_run.add_argument("--lambda", dest="lam", type=float)
-    p_run.add_argument("--predictor")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="compare the configured algorithm table")
-    _add_config_flags(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_sweep = sub.add_parser("sweep", help="sweep one experiment axis")
-    _add_config_flags(p_sweep)
-    p_sweep.add_argument("--axis", required=True, choices=sorted(SWEEP_AXES))
-    p_sweep.add_argument("--values", help="comma-separated axis values")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_synth = sub.add_parser("synth", help="write synthetic trace CSVs")
-    _add_config_flags(p_synth)
-    p_synth.add_argument("--start", default="2018-04-01T00:00", help="first hourly timestamp")
-    p_synth.set_defaults(func=_cmd_synth)
-
-    p_verify = sub.add_parser("verify", help="run the theorem verification suite")
-    p_verify.add_argument("--grid-resolution", type=int, default=9, help="points per parameter axis (>= 5)")
-    p_verify.add_argument("--full", action="store_true", help="use the full acceptance-scale grids")
-    p_verify.add_argument("--slots", type=int, default=4000, help="slots in constructed worst-case instances")
-    p_verify.add_argument("--out-dir")
-    p_verify.set_defaults(func=_cmd_verify)
-
+    for name, (text, add_flags, run) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=text)
+        if command not in _COMMANDS or command == name:
+            add_flags(subparser)
+        subparser.set_defaults(func=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the subcommand is argv's first token: the top level takes no option but -h
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

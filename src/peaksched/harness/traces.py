@@ -98,15 +98,16 @@ def _is_data_row(fields: list[str]) -> bool:
     return True
 
 
+# In UTF-8, ',' and LF are single bytes that occur inside no other
+# character, so the encoded text less every other byte is the sequence of
+# separators.
 _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
-def _comma_counts(body: str, lines: int) -> np.ndarray:
-    """The number of commas on each of the ``lines`` LF-separated lines of
-    ``body``.  In UTF-8, ',' and LF are single bytes that occur inside no
-    other character, so the encoded text less every other byte is the
-    sequence of separators."""
-    seps = np.frombuffer(body.encode().translate(None, _NOT_SEPARATORS), np.uint8)
+def _comma_counts(separators: bytes, lines: int) -> np.ndarray:
+    """The number of commas on each of ``lines`` lines, from the sequence of
+    their ``separators``."""
+    seps = np.frombuffer(separators, np.uint8)
     line_of = np.cumsum(seps == ord("\n"))
     return np.bincount(line_of[seps == ord(",")], minlength=lines)
 
@@ -177,8 +178,10 @@ def _read_series(path: str | Path, kind: str) -> _Series:
 
     n = body.count("\n") + 1
     lineno = np.arange(2, n + 2)
-    counts = _comma_counts(body, n)
-    if not (counts == 1).all():
+    separators = body.encode().translate(None, _NOT_SEPARATORS)
+    # one comma on every line is one comma before each LF and after the last
+    if separators != b",\n" * (n - 1) + b",":
+        counts = _comma_counts(separators, n)
         rows = body.split("\n")
         keep = counts == 1
         for i in np.flatnonzero(~keep):
@@ -239,7 +242,7 @@ def _read_series(path: str | Path, kind: str) -> _Series:
         error = ValidationError(f"{path} line {lineno[i]}: duplicate timestamp {stamp_strs[i]}")
     if error:
         raise error
-    return _Series(stamps, unique, np.array(order, dtype=np.intp), values)
+    return _Series(stamps, unique, np.fromiter(order, np.intp, len(order)), values)
 
 
 def _common_values(series: _Series, other: _Series) -> np.ndarray:
@@ -257,12 +260,16 @@ def parse_trace_csv(price_file: str | Path, demand_file: str | Path) -> LoadedTr
     """
     prices = _read_series(price_file, "price")
     demands = _read_series(demand_file, "demand")
-    trace_prices = _common_values(prices, demands)
+    if prices.unique == demands.unique:
+        # every row is kept: one comparison of the stamp sets stands for a lookup per stamp
+        trace_prices, trace_demands = prices.values[prices.order], demands.values[demands.order]
+    else:
+        trace_prices, trace_demands = _common_values(prices, demands), _common_values(demands, prices)
     if not trace_prices.size:
         raise StructuralError(
             f"no common timestamps between {price_file} and {demand_file}"
         )
-    trace = Trace(prices=trace_prices, demands=_common_values(demands, prices))
+    trace = Trace(prices=trace_prices, demands=trace_demands)
     return LoadedTrace(
         trace=trace,
         dropped_price_rows=len(prices.stamps) - len(trace),

@@ -38,7 +38,8 @@ def decompose(trace: Trace) -> LayerStack:
     Kept on the trace: the first call builds the stack and every later
     call on the same trace object returns that same stack.  Threads racing
     on a new trace may each build one, but all of them get the one stored
-    first.
+    first.  Each layer shares the trace's checked prices and is built
+    without a ``Trace``'s checks: its demand is 0/1 with at least one 1.
     """
     stack = trace.__dict__.get("_layer_stack")
     if stack is not None:
@@ -47,10 +48,7 @@ def decompose(trace: Trace) -> LayerStack:
         raise DomainError("layer decomposition requires integer demands")
     d = trace.demands
     depth = int(trace.max_demand)
-    # the layers share the parent's frozen prices; only demands are new
-    layers = tuple(
-        Trace(prices=trace.prices, demands=_frozen((d >= i).astype(float))) for i in range(1, depth + 1)
-    )
+    layers = tuple(Trace._of_layer(trace, _frozen((d >= i).astype(float))) for i in range(1, depth + 1))
     return trace.__dict__.setdefault("_layer_stack", LayerStack(layers=layers, depth=depth))
 
 
@@ -120,7 +118,8 @@ def run_layered(
     the grid outright.  Randomized algorithms draw each layer's threshold
     with a seed derived from ``(seed, layer index)``, so runs are
     reproducible and layers independent; a seed, where given, must be a
-    non-negative integer.
+    non-negative integer.  Its ``u`` is at most ``min(d, capacity)`` and
+    ``u + v = d`` exactly, so the schedule is checked once, by ``trace``.
     """
     algorithm = _as_algorithm(algorithm)
     if seed is not None:
@@ -141,7 +140,8 @@ def run_layered(
         slot = len(trace) if record.switch_slot is None else record.switch_slot
         u[:slot] += layer.demands[:slot]
     # u counts whole units, so d - u is exactly the sum of the layers' grid purchases
-    return Schedule(u=_frozen(u), v=_frozen(trace.demands - u))
+    v = _frozen(trace.demands - u)
+    return Schedule._of_trace(trace, _frozen(u), v, float(np.maximum.reduce(u)), float(np.maximum.reduce(v)))
 
 
 def project_ramp_block(u, v, demands, capacity, ramp) -> Iterator[tuple[np.ndarray, np.ndarray]]:

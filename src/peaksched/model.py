@@ -87,11 +87,13 @@ class Trace:
     taken to be frozen for good: whoever built it must not make it
     writable again or write to it through an older view.
 
-    What is derived from the arrays is kept on the instance: the extremes,
-    the integer and binary tests, :func:`peaksched.decompose`'s
-    ``_layer_stack``, and the online engine's ``_premium_prefix`` at the
-    last ``p_g`` it ran.  A pickled or copied trace is rebuilt from
-    ``prices`` and ``demands`` alone.
+    What is derived from the arrays is kept on the instance: the extremes
+    ``min_price``, ``max_price`` and ``max_demand``, the integer and binary
+    tests, :func:`peaksched.decompose`'s ``_layer_stack``, and the online
+    engine's ``_premium_prefix`` at the last ``p_g`` it ran.  The stack's
+    layers are built without the checks (:meth:`_of_layer`): each shares
+    its parent's checked prices, and its 0/1 demand is known.  A pickled or
+    copied trace is rebuilt from ``prices`` and ``demands`` alone.
 
     The freeze cannot be enforced: a writable view made before the array
     was frozen still writes through it.  After ``a = np.zeros(3); b = a[:];
@@ -117,27 +119,22 @@ class Trace:
         _, max_demand = _checked_range(demands, "demand", "demands must be finite and >= 0")
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "demands", demands)
-        object.__setattr__(self, "_min_price", min_price)
-        object.__setattr__(self, "_max_price", max_price)
-        object.__setattr__(self, "_max_demand", max_demand)
+        object.__setattr__(self, "min_price", min_price)
+        object.__setattr__(self, "max_price", max_price)
+        object.__setattr__(self, "max_demand", max_demand)
+
+    @classmethod
+    def _of_layer(cls, parent: "Trace", demands: np.ndarray) -> "Trace":
+        """A 0/1 layer of ``parent``: its frozen, checked prices and frozen
+        0/1 ``demands`` with at least one 1, taken as they are."""
+        return _stored(cls, prices=parent.prices, demands=demands, min_price=parent.min_price,
+                       max_price=parent.max_price, max_demand=1.0, _integer_demands=True)
 
     def __reduce__(self):
         return (type(self), (self.prices, self.demands))
 
     def __len__(self) -> int:
         return len(self.prices)
-
-    @property
-    def min_price(self) -> float:
-        return self._min_price
-
-    @property
-    def max_price(self) -> float:
-        return self._max_price
-
-    @property
-    def max_demand(self) -> float:
-        return self._max_demand
 
     @cached_property
     def _integer_demands(self) -> bool:
@@ -208,20 +205,20 @@ class Schedule:
     that owns its memory is kept, not copied.  The largest output and
     purchase are computed once per instance.
 
-    :func:`~peaksched.switch_schedule` builds its schedules without these
-    checks (:meth:`_of_switch`): each entry of its ``u`` and ``v`` is 0 or
-    a demand of a trace that was checked when it was built, and it records
-    that trace for :func:`cost_of`.  A switch schedule that serves every
-    slot from one source shares that side with the trace: its ``u`` (all
-    local) or ``v`` (all grid) is ``trace.demands``, the other side an owned,
-    read-only array of zeros.  A pickled or copied schedule is rebuilt
-    from ``u`` and ``v`` alone, and checked again.
+    :func:`~peaksched.switch_schedule` and :func:`~peaksched.run_layered`
+    build their schedules without these checks (:meth:`_of_trace`) and
+    record for :func:`cost_of` the checked trace they came from: their
+    ``u + v`` is its demand exactly, with ``0 <= u, v``.  A switch schedule
+    that serves every slot from one source shares that side with the
+    trace: its ``u`` (all local) or ``v`` (all grid) is ``trace.demands``,
+    the other side an owned, read-only array of zeros.  A pickled or copied
+    schedule is rebuilt from ``u`` and ``v`` alone, and checked again.
     """
 
     u: np.ndarray
     v: np.ndarray
-    # the trace a switch schedule was derived from; not a field, so a
-    # schedule built from (u, v) reads None
+    # the trace a schedule was derived from; not a field, so a schedule
+    # built from (u, v) reads None
     _trace = None
 
     def __post_init__(self):
@@ -240,7 +237,7 @@ class Schedule:
         object.__setattr__(self, "_max_v", max_v)
 
     @classmethod
-    def _of_switch(cls, trace: Trace, u: np.ndarray, v: np.ndarray, max_u: float, max_v: float) -> "Schedule":
+    def _of_trace(cls, trace: Trace, u: np.ndarray, v: np.ndarray, max_u: float, max_v: float) -> "Schedule":
         """A schedule of frozen ``u`` and ``v`` derived from ``trace``, with
         their maxima, taken as they are: the caller has proved them."""
         return _stored(cls, u=u, v=v, _max_u=max_u, _max_v=max_v, _trace=trace)
@@ -302,14 +299,14 @@ def cost_of(schedule: Schedule, trace: Trace, params: BillingParams) -> CostBrea
 
     volume = sum_t p(t) v(t), peak = p_m * max_t v(t), local = sum_t p_g u(t).
 
-    The schedule is checked by :func:`validate_schedule`, except a switch
-    schedule of this very ``trace`` (the same object) where no ramp is set
-    and ``trace.max_demand <= capacity``: its ``u + v`` is the demand
-    exactly and its output never exceeds the largest demand, so it passes.
-    A ramp limit can reject a switch (a 0/1 output steps by 1 where it
-    turns on), so a schedule is always checked where a ramp is set.
+    The schedule is checked by :func:`validate_schedule`, except one derived
+    from this very ``trace`` (the same object) where no ramp is set: its
+    ``u + v`` is the demand exactly, so only the capacity test is left, and
+    it is made here on the stored largest output.  A ramp limit can reject
+    a switch (a 0/1 output steps by 1 where it turns on), so a schedule is
+    always checked where a ramp is set.
     """
-    if not (schedule._trace is trace and params.ramp is None and trace.max_demand <= params.capacity):
+    if not (schedule._trace is trace and params.ramp is None and schedule._max_u <= params.capacity + MONEY_TOL):
         validate_schedule(schedule, trace, params)
     volume = float(trace.prices @ schedule.v)
     peak = params.p_m * schedule._max_v

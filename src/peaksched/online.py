@@ -321,12 +321,12 @@ def switch_schedule(trace: Trace, switch: int | None) -> Schedule:
         # ``d``), the other all +0.0 (``d - d`` is +0.0 even where d is -0.0)
         zeros = _frozen(np.zeros(horizon))
         if k:
-            return Schedule._of_switch(trace, d, zeros, trace.max_demand, 0.0)
-        return Schedule._of_switch(trace, zeros, d, 0.0, trace.max_demand)
+            return Schedule._of_trace(trace, d, zeros, trace.max_demand, 0.0)
+        return Schedule._of_trace(trace, zeros, d, 0.0, trace.max_demand)
     u = d.copy()
     u[k:] = 0.0
     v = d - u
-    return Schedule._of_switch(trace, _frozen(u), _frozen(v), _side_max(d[:k], u), _side_max(d[k:], v))
+    return Schedule._of_trace(trace, _frozen(u), _frozen(v), _side_max(d[:k], u), _side_max(d[k:], v))
 
 
 def _side_max(demands: np.ndarray, side: np.ndarray) -> float:

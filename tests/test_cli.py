@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import peaksched as ps
-from peaksched.harness import synth_trace, write_trace_csv
+from peaksched.harness import cli, synth_trace, write_trace_csv
 from peaksched.harness.cli import _config_from_args, build_parser, main
 from peaksched.harness.experiment import ExperimentConfig
 from peaksched.harness.verify import verify_theorems
@@ -222,6 +222,48 @@ def test_one_flag_per_config_field(command):
         assert flags[0].type is None and flags[0].default is None
     own = {"run": {"algorithm", "lam", "predictor"}, "sweep": {"axis", "values"}, "synth": {"start"}}
     assert set(dests) == {"help", "config"} | {f.name for f in fields(ExperimentConfig)} | own.get(command, set())
+
+
+COMMANDS = ["run", "compare", "sweep", "synth", "verify"]
+
+
+def _exit_of(parse, argv, capsys):
+    with pytest.raises(SystemExit) as stopped:
+        parse(argv)
+    return stopped.value.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["-h"], ["--help"], ["bogus"], ["--bogus"], ["--", "bogus"],
+        *[[command, "--help"] for command in COMMANDS],
+        # one bad flag per subcommand: missing, unknown, out of choices, missing its value, not an int
+        ["run", "--lambda", "0.5"], ["compare", "--algorithm-list", "bed"], ["sweep", "--axis", "depth"],
+        ["synth", "--start"], ["verify", "--slots", "many"],
+    ],
+)
+def test_main_exits_as_the_parser_of_every_subcommand(argv, capsys, monkeypatch):
+    # main builds only the named subcommand's flags: its help, usage and
+    # errors must be the full parser's byte for byte
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, err = _exit_of(main, argv, capsys)
+    assert (code, out, err) == _exit_of(build_parser().parse_args, argv, capsys)
+    assert code == (0 if {"-h", "--help"} & set(argv) else 2) and (out if code == 0 else err)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_main_builds_no_other_subcommands_flags(command, capsys, monkeypatch):
+    built = []
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *args: built.append(full(*args)) or built[-1])
+    _exit_of(main, [command, "--help"], capsys)
+    (parser,) = built
+    every = _subparsers(full())
+    assert list(_subparsers(parser)) == COMMANDS == list(every)
+    for name, sub in _subparsers(parser).items():
+        own = [a.option_strings for a in sub._actions]
+        assert own == ([a.option_strings for a in every[name]._actions] if name == command else [["-h", "--help"]])
 
 
 def test_file_and_flags_build_equal_configs(tmp_path):

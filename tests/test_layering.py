@@ -163,11 +163,14 @@ class TestRunLayered:
         # depth 5: the capacity lies below and above it
         trace, params = make_integer_instance(rng, max_demand=5, capacity=capacity)
         assert ps.decompose(trace).depth == 5
+        # checked (u, v) schedules and trace-derived ones alike: no layer builds one
         built = []
-        post_init = ps.Schedule.__post_init__
+        post_init, of_trace = ps.Schedule.__post_init__, ps.Schedule._of_trace
         monkeypatch.setattr(ps.Schedule, "__post_init__", lambda self: (built.append(1), post_init(self))[1])
+        monkeypatch.setattr(ps.Schedule, "_of_trace", lambda *args: (built.append(1), of_trace(*args))[1])
         for seed in range(3):
-            ps.run_layered(trace, params, algorithm, lam=0.5, sigma_hats=[0.5, 2.0, 0.7, 3.0, 0.1], seed=seed)
+            schedule = ps.run_layered(trace, params, algorithm, lam=0.5, sigma_hats=[0.5, 2.0, 0.7, 3.0, 0.1], seed=seed)
+            assert schedule._trace is trace
         assert len(built) == 3
 
     @pytest.mark.parametrize("algorithm", ["red", "lambda-red", "naive-lambda-red"])

@@ -375,6 +375,68 @@ def test_a_switch_schedule_equals_the_checked_schedule_of_its_arrays_bit_for_bit
         assert _cost_outcome(lean, trace, params) == _cost_outcome(checked, trace, params)
 
 
+@st.composite
+def layered_traces(draw):
+    """A trace of 1 to 12 slots whose demand is all zero (0.0 or -0.0), 0/1,
+    or one to three integer levels up to 6, each repeated over the slots,
+    with a peak price."""
+    T = draw(st.integers(1, 12))
+    levels = draw(st.sampled_from([[0.0, -0.0], [0.0, 1.0], None]))
+    if levels is None:
+        levels = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    demands = draw(st.lists(st.sampled_from(levels), min_size=T, max_size=T))
+    prices = draw(st.lists(st.floats(0.05, 1.0), min_size=T, max_size=T))
+    return ps.Trace(prices=prices, demands=demands), draw(st.floats(0.1, 50.0))
+
+
+@PROPERTY
+@given(layered_traces())
+def test_each_layer_equals_the_checked_trace_of_its_demand(case):
+    # decompose builds its layers without Trace's checks; each must be the
+    # trace those checks build from the same arrays
+    trace, _ = case
+    stack = ps.decompose(trace)
+    assert stack.depth == len(stack.layers) == int(trace.max_demand)
+    for i, layer in enumerate(stack.layers, start=1):
+        checked = ps.Trace(prices=trace.prices, demands=(trace.demands >= i).astype(float))
+        assert layer.prices is trace.prices and checked.prices is trace.prices
+        assert layer.demands.tobytes() == checked.demands.tobytes() and not layer.demands.flags.writeable
+        for name in ("min_price", "max_price", "max_demand"):
+            assert getattr(layer, name).hex() == getattr(checked, name).hex()
+        assert (layer.has_integer_demands(), layer.has_binary_demands()) == (True, True)
+        assert (checked.has_integer_demands(), checked.has_binary_demands()) == (True, True)
+        assert pickle.dumps(layer) == pickle.dumps(checked)
+        rebuilt = pickle.loads(pickle.dumps(layer))
+        assert rebuilt.demands.tobytes() == checked.demands.tobytes()
+        assert (rebuilt.max_demand, rebuilt.has_binary_demands()) == (1.0, True)
+
+
+@PROPERTY
+@given(layered_traces(), st.floats(0.05, 1.0), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
+def test_a_layered_schedule_costs_as_the_checked_schedule_of_its_arrays_bit_for_bit(case, lam, hat, seed):
+    # run_layered's schedule skips Schedule's checks, and cost_of skips
+    # validate_schedule on it where it would pass; neither may change a bit
+    # or an error, at any capacity, with or without a ramp
+    trace, p_m = case
+    depth = int(trace.max_demand)
+    twin = ps.Trace(prices=trace.prices, demands=trace.demands)
+    capacities = sorted({1.0, max(1.0, depth - 1.0), max(1.0, depth - 0.5), depth + 1.0})
+    for algorithm in ALGORITHMS:
+        for capacity in capacities:
+            params = ps.BillingParams(p_g=1.0, p_m=p_m, capacity=capacity)
+            lean = ps.run_layered(trace, params, algorithm, lam=lam, sigma_hats=hat, seed=seed)
+            checked = ps.Schedule(u=lean.u, v=lean.v)
+            assert lean._trace is trace and np.array_equal(lean.u + lean.v, trace.demands)
+            assert (lean._max_u.hex(), lean._max_v.hex()) == (checked._max_u.hex(), checked._max_v.hex())
+            for other in capacities:
+                for ramp in (None, 0.5, 1.0, 7.0):
+                    costed = ps.BillingParams(p_g=1.0, p_m=p_m, capacity=other, ramp=ramp)
+                    outcome = _cost_outcome(checked, trace, costed)
+                    assert _cost_outcome(lean, trace, costed) == outcome == _cost_outcome(lean, twin, costed)
+                    if lean._max_u > other:
+                        assert outcome[0] is ps.ValidationError and "exceeds capacity" in outcome[1]
+
+
 @settings(PROPERTY, max_examples=500)
 @given(st.integers(0, 2**192))
 def test_the_seeded_uniform_is_the_first_draw_of_default_rng(seed):

@@ -1,5 +1,5 @@
 """CSV ingestion and synthetic trace generation."""
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -266,6 +266,46 @@ def test_of_two_faults_the_earlier_line_is_named(tmp_path, kind, first, second):
     with pytest.raises(type(expected.value)) as got:
         parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
     assert str(got.value) == str(expected.value)
+
+
+def _stamps(hours):
+    return [(datetime(2018, 4, 1) + timedelta(hours=h)).isoformat(timespec="minutes") for h in hours]
+
+
+# demand stamps against the price file's hours 0 to 23, in file order
+ALIGNMENTS = {
+    "the same stamps in another order": _stamps([5, 3, 0, 23, *range(6, 23), 1, 2, 4]),
+    "all stamps but one shared": _stamps([*range(23), 40]),
+    "no stamp shared": _stamps(range(30, 54)),
+    "the same instants at another offset": [
+        (datetime(2018, 4, 1, tzinfo=timezone.utc) + timedelta(hours=h)).astimezone(timezone(timedelta(hours=2)))
+        .isoformat(timespec="minutes") for h in range(24)
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(ALIGNMENTS))
+def test_alignment_answers_as_the_per_row_reader(tmp_path, case):
+    # files that share their stamps align in one pass, the others by a
+    # lookup per stamp: both must give the per-row reader's trace or error
+    aware = case.endswith("offset")
+    price_stamps = [f"{t}+00:00" for t in _stamps(range(24))] if aware else _stamps(range(24))
+    _write(tmp_path / "p.csv", [(t, 20.0 + 0.25 * k) for k, t in enumerate(price_stamps)])
+    _write(tmp_path / "d.csv", [(t, k % 7) for k, t in enumerate(ALIGNMENTS[case])])
+    try:
+        expected = reference_parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
+    except ps.PeakSchedError as error:
+        with pytest.raises(type(error)) as got:
+            parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
+        assert case == "no stamp shared" and str(got.value) == str(error)
+        return
+    loaded = parse_trace_csv(tmp_path / "p.csv", tmp_path / "d.csv")
+    assert loaded.trace.prices.tobytes() == expected.trace.prices.tobytes()
+    assert loaded.trace.demands.tobytes() == expected.trace.demands.tobytes()
+    assert (loaded.dropped_price_rows, loaded.dropped_demand_rows) == (
+        expected.dropped_price_rows, expected.dropped_demand_rows
+    )
+    assert len(loaded.trace) == (23 if case.startswith("all stamps") else 24)
 
 
 class TestSynthTrace:
