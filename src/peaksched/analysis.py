@@ -12,9 +12,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, UndefinedRatioError
+from .errors import DomainError, UndefinedRatioError, ValidationError
 from .model import BillingParams, Trace, _frozen
-from .online import DistributionSpec, SwitchPolicy, _check_thresholds
+from .online import DistributionSpec, SwitchPolicy, _check_thresholds, _demand_counts
 from .quadrature import _gk15_nodes, _gk15_sum, bisect_panels
 from .quadrature import integrate  # noqa: F401  looked up here by the benchmark's tracer
 from .validators import SCALAR, as_reals, check_beta, check_cost, check_lambda, check_stretched_lambda, read_reals
@@ -178,15 +178,22 @@ def expected_ratios(specs, betas, sigmas) -> np.ndarray:
             raise DomainError(f"density support [{spec.lo}, {spec.hi}] holds threshold multipliers below 0")
 
     width = max((len(spec.atoms) for spec in specs), default=0)
-    # absent atoms are padded as zero mass at inf, whose ratio is finite
-    where = np.full((len(specs), width), math.inf)
+    # absent atoms are padded as zero mass at inf, whose ratio is finite.
+    # Atoms of one (location, beta) class share their ratio at every mass:
+    # it is taken once per class, a row of one _ratio call, and gathered
+    # into each atom column, which is summed in atom order as before.
+    pad = ((math.inf, 0.0),)
+    classes = {}
+    of_class = np.zeros((len(specs), width), dtype=np.intp)
     mass = np.zeros((len(specs), width))
-    for i, spec in enumerate(specs):
-        for k, (loc, m) in enumerate(spec.atoms):
-            where[i, k], mass[i, k] = loc, m
+    for i, (spec, beta) in enumerate(zip(specs, beta_col.ravel().tolist())):
+        for k, (loc, m) in enumerate(spec.atoms + pad * (width - len(spec.atoms))):
+            of_class[i, k], mass[i, k] = classes.setdefault((loc, beta), len(classes)), m
+    ends = np.array(list(classes)).reshape(-1, 2)
+    ratios = _ratio(ends[:, :1], sigmas, ends[:, 1:])
     total = np.zeros((len(specs), len(sigmas)))
     for k in range(width):
-        total += mass[:, k : k + 1] * _ratio(where[:, k : k + 1], sigmas, beta_col)
+        total += mass[:, k : k + 1] * ratios[of_class[:, k]]
 
     rows = [i for i, spec in enumerate(specs) if spec.coeff > 0 and spec.hi > spec.lo]
     if rows:
@@ -298,21 +305,33 @@ def expected_ratio_closed_form(predicted_high, sigma, lam: float, beta):
     return _scalar_or_array(closed)
 
 
-def _worst_case_rows(s, beta, p_m: float, slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frozen (n, slots) prices and demands and the (n,) ``p_g`` of
-    :func:`worst_case_bank`'s rows, after its argument checks."""
+def _check_slot_count(slots) -> None:
+    if slots < 1:
+        raise DomainError(f"need at least one slot, got {slots}")
+
+
+def _worst_case_rows(s, beta, p_m: float, slots: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The (n,) constant prices and ``p_g`` of :func:`worst_case_bank`'s
+    rows and the ``p_m`` read as a float, after its argument checks."""
     s = as_reals(s, "threshold multiplier")
     s, beta = (np.ravel(x) for x in np.broadcast_arrays(s, _check_hardness(beta)))
     _check_positive_thresholds(s)
+    p_m = read_reals(p_m, "peak price p_m", SCALAR, ValidationError)
     if p_m <= 0:
         raise DomainError(f"peak price must be > 0, got {p_m}")
-    if slots < 1:
-        raise DomainError(f"need at least one slot, got {slots}")
-    # with beta = 1 there is no premium to tune
-    p_g = np.divide(s * p_m, (1.0 - beta) * slots, out=np.ones(len(s)), where=beta != 1.0)
-    prices = np.empty((len(s), slots))
-    prices[:] = (beta * p_g)[:, None]
-    return _frozen(prices), _frozen(np.ones((len(s), slots))), p_g
+    _check_slot_count(slots)
+    # with beta = 1 there is no premium to tune; a p_g past the largest
+    # float is inf, which the trace's price rule refuses by name
+    with np.errstate(over="ignore"):
+        p_g = np.divide(s * p_m, (1.0 - beta) * slots, out=np.ones(len(s)), where=beta != 1.0)
+    return beta * p_g, p_g, p_m
+
+
+def _unit_demands(rows: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """A frozen all-ones (rows, slots) demand block and its frozen count
+    prefix, which worst-case banks of up to ``rows`` rows share read-only."""
+    ones = _frozen(np.ones((rows, slots)))
+    return ones, _frozen(_demand_counts(ones))
 
 
 def worst_case_bank(s, beta, p_m: float = 100.0, slots: int = 1000) -> TraceBank:
@@ -327,10 +346,18 @@ def worst_case_bank(s, beta, p_m: float = 100.0, slots: int = 1000) -> TraceBank
     at rate ``(1 - beta) / slots``.  With ``beta = 1`` there is no premium
     to tune, the mass is 0, and every policy is optimal.
     """
+    return _worst_case_bank(s, beta, p_m, slots)
+
+
+def _worst_case_bank(s, beta, p_m, slots, unit=None) -> TraceBank:
+    """:func:`worst_case_bank` on ``unit``, a :func:`_unit_demands` block of
+    ``slots`` slots and at least as many rows (built when None).  The bank
+    tests its rules on the (n,) vectors its rows are constant in."""
     from .bank import TraceBank  # the bank module loads on first use
 
-    prices, demands, p_g = _worst_case_rows(s, beta, p_m, slots)
-    return TraceBank(prices=prices, demands=demands, p_g=p_g, p_m=p_m)
+    price, p_g, p_m = _worst_case_rows(s, beta, p_m, slots)
+    ones, counts = unit if unit is not None else _unit_demands(len(price), slots)
+    return TraceBank._of_constant_rows(price, p_g, p_m, ones[: len(price)], counts[: len(price)])
 
 
 def worst_case_instance(
@@ -338,8 +365,8 @@ def worst_case_instance(
 ) -> tuple[Trace, BillingParams]:
     """Build the adversarial instance for the threshold policy ``s``: the
     one-row case of :func:`worst_case_bank`, with capacity 1."""
-    prices, demands, p_g = _worst_case_rows(s, beta, p_m, slots)
-    trace = Trace(prices=prices[0], demands=demands[0])
+    price, p_g, p_m = _worst_case_rows(s, beta, p_m, slots)
+    trace = Trace(prices=np.full(slots, price[0]), demands=np.ones(slots))
     return trace, BillingParams(p_g=float(p_g[0]), p_m=p_m, capacity=1)
 
 

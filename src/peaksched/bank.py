@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PeakSchedError, StructuralError, ValidationError
-from .model import BillingParams, Trace, _frozen, _premium_mass, _readonly_vector
-from .online import _block_costs, _block_slots, _check_runnable, _check_slots, _check_thresholds
+from .model import BillingParams, Trace, _frozen, _premium_mass, _readonly_vector, _stored
+from .online import _block_costs, _block_slots, _check_runnable, _check_slots, _check_thresholds, _demand_counts
 from .validators import PER_ROW, read_reals
 
 
@@ -75,6 +75,24 @@ class TraceBank:
         for name, value in (("prices", prices), ("demands", demands), ("p_g", p_g), ("p_m", p_m)):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _of_constant_rows(cls, price: np.ndarray, p_g, p_m, ones: np.ndarray, counts: np.ndarray) -> "TraceBank":
+        """The bank ``TraceBank(prices, ones, p_g, p_m)``, row ``r`` of
+        ``prices`` being ``price[r]`` on every slot, where ``ones`` is a
+        frozen all-ones (n, T) block and ``counts`` its frozen
+        :func:`~peaksched.online._demand_counts`, which banks may share.
+        On such rows a rule holds on every slot where it holds on the (n,)
+        vectors, so only those are tested; the first row that fails raises
+        what the constructor raises."""
+        rows, horizon = ones.shape
+        prices = np.empty((rows, horizon))
+        prices[:] = price[:, None]
+        p_g, p_m = _per_row(p_g, rows, "p_g"), _per_row(p_m, rows, "p_m")
+        ok = (price > 0) & (price <= p_g) & (p_g > 0) & (p_g < math.inf) & (p_m > 0) & (p_m < math.inf)
+        if not ok.all():
+            _reject_row(int(np.flatnonzero(~ok)[0]), prices, ones, p_g, p_m)
+        return _stored(cls, prices=_frozen(prices), demands=ones, p_g=p_g, p_m=p_m, _counts=counts)
+
     def __len__(self) -> int:
         return len(self.prices)
 
@@ -93,6 +111,10 @@ class TraceBank:
         it of the row's trace."""
         rows = zip(self.prices, self.demands, self.p_g.tolist(), self.p_m.tolist())
         return _frozen(np.array([_premium_mass(p_g - p, d, p_m) for p, d, p_g, p_m in rows], dtype=float))
+
+    @cached_property
+    def _counts(self) -> np.ndarray:
+        return _frozen(_demand_counts(self.demands))
 
     def oracle_slots(self) -> np.ndarray:
         """The switch slot of each row's
@@ -128,7 +150,7 @@ class TraceBank:
         trace, params).total`` on the row's trace.  A slot that is not an
         integer in ``[0, T]`` raises ``DomainError`` naming its row."""
         checked = _check_slots(self._rows_of(slots, "slots"), self.horizon, named=True)
-        return _block_costs(self.prices, self.demands, self.p_g[:, None], self.p_m[:, None], checked)
+        return _block_costs(self.prices, self.demands, self._counts, self.p_g[:, None], self.p_m[:, None], checked)
 
     def _rows_of(self, values, name: str) -> np.ndarray:
         # anything but an array is read as objects, so that the checks see

@@ -33,7 +33,7 @@ from ..online import Algorithm
 from ..analysis import empirical_ratio
 from ..prediction import gaussian_predictor, sigma_hat as sigma_hat_of
 from ..validators import NAIVE_LAMBDA_FLOOR, SCALAR, VECTOR, read_reals
-from .traces import parse_trace_csv, synth_trace, write_text
+from .traces import SYNTH_LIMITS, parse_trace_csv, synth_trace, write_text
 
 REPORT_COLUMNS = (
     "algorithm",
@@ -91,6 +91,9 @@ class ExperimentConfig:
                         raise ValidationError(f"{key} must be finite, got {value}")
                 elif isinstance(item, bool) or not isinstance(item, _KINDS[kind]):
                     raise ValidationError(f"{key}: expected {kind.__name__}, got {item!r}")
+        for name, limit in SYNTH_LIMITS.items():
+            if getattr(self, name) > limit:
+                raise ValidationError(f"{name.replace('_', '-')} must be at most {limit}, got {getattr(self, name)}")
         if not self.algorithms:
             raise ValidationError("algorithms must name at least one algorithm")
         if not self.predictors:

@@ -277,6 +277,13 @@ def parse_trace_csv(price_file: str | Path, demand_file: str | Path) -> LoadedTr
     )
 
 
+#: Upper bounds of :func:`synth_trace`'s arguments: a leap year of hourly
+#: slots, and a peak level and noise that keep the rounded demand, one 0/1
+#: layer per unit in :func:`~peaksched.decompose`, below about 1,500 units,
+#: so that a synthetic trace's layers take at most about 170 MB.
+SYNTH_LIMITS = {"days": 366, "peak_level": 1000.0, "noise": 100.0}
+
+
 def _diurnal(hours: np.ndarray, peak_hour: float) -> np.ndarray:
     # smooth 24h bump in [0, 1] peaking at peak_hour
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * (hours - peak_hour + 12.0) / 24.0))
@@ -294,10 +301,14 @@ def synth_trace(
     Demand follows a diurnal bump between ``base_level`` and ``peak_level``
     plus seeded Gaussian noise, rounded to non-negative integers; prices
     follow their own deterministic diurnal profile between 20 and 60.  With
-    ``noise = 0`` the demand is exactly 24-periodic.
+    ``noise = 0`` the demand is exactly 24-periodic.  ``days``,
+    ``peak_level`` and ``noise`` are bounded by :data:`SYNTH_LIMITS`.
     """
     if days < 1:
         raise ValidationError(f"days must be >= 1, got {days}")
+    for name, value in (("days", days), ("peak_level", peak_level), ("noise", noise)):
+        if value > SYNTH_LIMITS[name]:
+            raise ValidationError(f"{name} must be at most {SYNTH_LIMITS[name]}, got {value}")
     if peak_level < base_level or base_level < 0:
         raise ValidationError("need peak_level >= base_level >= 0")
     if noise < 0:

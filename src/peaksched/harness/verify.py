@@ -35,10 +35,10 @@ from ..analysis import (
     expected_ratios,
     naive_randomized_bounds,
     randomized_bounds,
-    worst_case_bank,
     worst_case_instance,  # noqa: F401  looked up here by the benchmark's tracer
     worst_case_ratio,
 )
+from ..analysis import _check_slot_count, _unit_demands, _worst_case_bank
 from ..errors import DomainError
 from ..model import cost_of  # noqa: F401  looked up here by the benchmark's tracer
 from ..offline import optimal_basic  # noqa: F401  looked up here by the benchmark's tracer
@@ -258,6 +258,7 @@ def check_ratio_curve_empirical(betas, slots: int = 4000) -> tuple[CheckResult, 
     in one call.  The bounds are then one ratio-curve evaluation over all
     instances.
     """
+    _check_slot_count(slots)
     s_grid = _threshold_grid()
     cases = [(beta, sg) for beta in betas for sg in s_grid]
     case_beta = np.array([beta for beta, _ in cases])
@@ -265,9 +266,11 @@ def check_ratio_curve_empirical(betas, slots: int = 4000) -> tuple[CheckResult, 
     measured = np.empty((len(cases), len(s_grid) + 1))
     masses = np.empty(len(cases))
     rows = max(1, _BLOCK_SLOTS // slots)
+    # every block's bank shares one all-ones demand block and its counts
+    unit = _unit_demands(min(rows, len(cases)), slots)
     for start in range(0, len(cases), rows):
         block = slice(start, start + rows)
-        masses[block], measured[block] = _measured_ratios(case_s[block], case_beta[block], s_grid, slots)
+        masses[block], measured[block] = _measured_ratios(case_s[block], case_beta[block], s_grid, slots, unit)
     s = np.array(s_grid)
     beta, sg, mass = case_beta[:, None], case_s[:, None], masses[:, None]
     # the ratio curve drops discontinuously as s passes sigma; on the
@@ -292,11 +295,12 @@ def check_ratio_curve_empirical(betas, slots: int = 4000) -> tuple[CheckResult, 
     )
 
 
-def _measured_ratios(s, beta, s_grid, slots: int) -> tuple[np.ndarray, np.ndarray]:
+def _measured_ratios(s, beta, s_grid, slots: int, unit) -> tuple[np.ndarray, np.ndarray]:
     """Premium masses of the worst-case instances of ``s`` at ``beta``, and
     each one's measured ratios at every threshold of ``s_grid`` and at its
-    own ``s`` nudged down; the block's arrays are freed on return."""
-    bank = worst_case_bank(s, beta, p_m=100.0, slots=slots)
+    own ``s`` nudged down; the block's arrays but ``unit``'s are freed on
+    return."""
+    bank = _worst_case_bank(s, beta, 100.0, slots, unit)
     thresholds = np.empty((len(bank), len(s_grid) + 1))
     thresholds[:, :-1] = s_grid
     thresholds[:, -1] = s * (1.0 - 1e-9)

@@ -172,7 +172,8 @@ def switch_costs(trace: Trace, params: BillingParams, slots) -> np.ndarray:
         # switch's schedule turns on wherever an earlier one does: it raises
         # cost_of's ramp error if any slot's schedule would
         validate_schedule(switch_schedule(trace, int(checked.max())), trace, params)
-    costs = _block_costs(trace.prices[None], trace.demands[None], params.p_g, params.p_m, checked)
+    prices, demands = trace.prices[None], trace.demands[None]
+    costs = _block_costs(prices, demands, _demand_counts(demands), params.p_g, params.p_m, checked)
     return costs.reshape(slots.shape)
 
 
@@ -242,9 +243,17 @@ def _block_slots(prices: np.ndarray, demands: np.ndarray, p_g, p_m, s: np.ndarra
     return slots
 
 
-def _block_costs(prices: np.ndarray, demands: np.ndarray, p_g, p_m, slots: np.ndarray) -> np.ndarray:
+def _demand_counts(demands: np.ndarray) -> np.ndarray:
+    """(n, T + 1) counts of the demand slots before each slot of (n, T) 0/1 rows."""
+    counts = np.zeros((len(demands), demands.shape[1] + 1))
+    np.cumsum(demands, axis=1, out=counts[:, 1:])
+    return counts
+
+
+def _block_costs(prices: np.ndarray, demands: np.ndarray, count: np.ndarray, p_g, p_m, slots) -> np.ndarray:
     """(n, k) total costs of the switch schedules at checked ``slots`` on
-    (n, T) 0/1 rows, ``p_g`` and ``p_m`` being scalars or (n, 1) columns.
+    (n, T) 0/1 rows whose :func:`_demand_counts` are ``count``, ``p_g`` and
+    ``p_m`` being scalars or (n, 1) columns.
 
     On 0/1 demand a switch at slot ``k`` pays ``p_g`` times the number
     of demand slots before ``k``, a cumsum that is exact in floats, and
@@ -255,8 +264,6 @@ def _block_costs(prices: np.ndarray, demands: np.ndarray, p_g, p_m, slots: np.nd
     partial sums differently and change the last bits.
     """
     rows, horizon = prices.shape
-    count = np.zeros((rows, horizon + 1))
-    np.cumsum(demands, axis=1, out=count[:, 1:])
     local = count[np.arange(rows)[:, None], slots]
     peak = local < count[:, -1:]
     volume = np.empty(slots.shape)

@@ -15,7 +15,7 @@ import pytest
 import peaksched as ps
 from peaksched.harness.traces import LoadedTrace, read_text
 from peaksched.online import MASS_TOL
-from peaksched import quadrature
+from peaksched import analysis, quadrature
 from peaksched.quadrature import _gk15_nodes, _gk15_sum
 from peaksched.validators import check_beta
 
@@ -336,6 +336,21 @@ def reference_expected_ratio(spec: ps.DistributionSpec, sigma: float, beta: floa
         )
         total += value
     return total
+
+
+def reference_expected_ratios(specs, betas, sigmas) -> np.ndarray:
+    """:func:`peaksched.expected_ratios` one row at a time, kept as the check
+    on its atom classes: each atom of a row takes its own ``_ratio`` call
+    over the masses, summed in atom order, and the row's density its own
+    one-row batch."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    rows = np.zeros((len(specs), len(sigmas)))
+    for row, spec, beta in zip(rows, specs, betas):
+        for where, mass in spec.atoms:
+            row += mass * analysis._ratio(where, sigmas, beta)
+        if spec.coeff > 0 and spec.hi > spec.lo:
+            row += analysis._density_integrals([spec], np.array([[beta]]), sigmas)[0]
+    return rows
 
 
 def reference_run_threshold(

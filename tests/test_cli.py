@@ -2,13 +2,13 @@
 import argparse
 import json
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import peaksched as ps
-from peaksched.harness import cli, synth_trace, write_trace_csv
+from peaksched.harness import cli, synth_trace, traces, write_trace_csv
 from peaksched.harness.cli import _config_from_args, build_parser, main
 from peaksched.harness.experiment import ExperimentConfig
 from peaksched.harness.verify import verify_theorems
@@ -328,6 +328,7 @@ def test_synth_reads_config(tmp_path, capsys):
         (None, "compare --seed 1 --price-csv prices.csv", "price-csv and demand-csv must be given together"),
         ("demand-csv = demands.csv", "run --algorithm bed", "price-csv and demand-csv must be given together"),
         ("days 2", "compare", "config line 1: expected 'key = value', got 'days 2'"),
+        (None, "verify --slots 0", "need at least one slot, got 0"),
     ],
 )
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, config_text, argv, message):
@@ -444,3 +445,35 @@ def test_an_unwritable_output_exits_2_naming_it(tmp_path, capsys, command, name)
     assert main([*WRITERS[command][0].split(), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{tmp_path / 'out' / name}: cannot write" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("compare --days 1 --peak-level 1e308 --base-level 0", "peak-level must be at most 1000.0, got 1e+308"),
+        ("compare --days 1 --seed 1 --noise 1e300", "noise must be at most 100.0, got 1e+300"),
+        ("sweep --axis ramp --values 0.5 --days 100000", "days must be at most 366, got 100000"),
+        ("run --algorithm bed --days 1 --peak-level 1000.5", "peak-level must be at most 1000.0, got 1000.5"),
+        ("synth --days 1 --peak-level 1e308 --base-level 0", "peak_level must be at most 1000.0, got 1e+308"),
+        ("synth --days 1 --noise 1e300", "noise must be at most 100.0, got 1e+300"),
+        ("synth --days 367", "days must be at most 366, got 367"),
+    ],
+)
+def test_a_synthetic_trace_past_its_limits_exits_2_before_it_is_built(tmp_path, capsys, monkeypatch, argv, message):
+    # a huge level or noise rounds to ~1e308 units of demand, and decompose
+    # builds one layer per unit: no trace may be built on the way to exit 2
+    def built(*args):
+        raise AssertionError("a synthetic trace was built")
+
+    monkeypatch.setattr(traces, "_diurnal", built)
+    assert main([*argv.split(), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_a_synthetic_trace_at_its_limits_validates():
+    config = ExperimentConfig(days=366, peak_level=1000.0, noise=100.0)
+    config.validate()
+    for key, value in (("days", 367), ("peak_level", 1000.0000000000001), ("noise", 100.00000000000001)):
+        with pytest.raises(ps.ValidationError, match=f"^{key.replace('_', '-')} must be at most "):
+            replace(config, **{key: value}).validate()

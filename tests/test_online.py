@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import peaksched as ps
-from peaksched import online
+from peaksched import analysis, online
 from conftest import (
     make_binary_bank,
     make_binary_instance,
@@ -406,6 +406,80 @@ class TestTraceBank:
             ps.worst_case_bank([0.5, 0.0], 0.5)
         with pytest.raises(ps.DomainError, match="beta must lie in"):
             ps.worst_case_bank(0.5, [0.5, 1.5])
+
+
+def _checked_worst_case_bank(s, beta, p_m, slots):
+    """The worst-case rows as (n, T) arrays, through TraceBank's own checks."""
+    s, beta = (np.ravel(x) for x in np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(beta, dtype=float)))
+    with np.errstate(over="ignore", divide="ignore"):
+        p_g = np.where(beta != 1.0, s * p_m / ((1.0 - beta) * slots), 1.0)
+    prices = np.repeat((beta * p_g)[:, None], slots, axis=1)
+    return ps.TraceBank(prices=prices, demands=np.ones((len(s), slots)), p_g=p_g, p_m=p_m)
+
+
+class TestWorstCaseBank:
+    @pytest.mark.parametrize(
+        "s, beta, slots",
+        [
+            ([0.5, 1.0, 1.5, 2.0], [[0.3], [1.0]], 40),  # beta = 1 rows: p_g = 1, mass 0
+            (1e-320, 0.999, 7),  # a subnormal p_g and price
+            ([0.1, 0.9, 1.1, 1.9], [0.05, 0.5, 0.95, 0.999], 977),
+        ],
+    )
+    def test_the_bank_built_from_checked_parameters_is_the_checked_bank(self, s, beta, slots):
+        bank = ps.worst_case_bank(s, beta, p_m=50.0, slots=slots)
+        checked = _checked_worst_case_bank(s, beta, 50.0, slots)
+        for name in ("prices", "demands", "p_g", "p_m"):
+            ours, theirs = getattr(bank, name), getattr(checked, name)
+            assert (ours.dtype, ours.shape, ours.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
+            assert not ours.flags.writeable and not theirs.flags.writeable
+        assert bank.sigmas.tobytes() == checked.sigmas.tobytes()
+        thresholds = [-1.0, 0.0, 1e-320, 0.25, 0.5, 1.0, 1.5, 2.0 * (1 - 1e-9), math.inf]
+        slots_of = bank.switch_slots(thresholds)
+        assert slots_of.tobytes() == checked.switch_slots(thresholds).tobytes()
+        table = np.hstack([slots_of, bank.oracle_slots()[:, None], np.full((len(bank), 1), slots // 2)])
+        assert bank.switch_costs(table).tobytes() == checked.switch_costs(table).tobytes()
+
+    @pytest.mark.parametrize("s", [5e-324, 1e308, [0.5, 1e308]])
+    def test_a_row_that_fails_raises_what_the_checked_bank_raises(self, s):
+        # 5e-324 prices the row at 0; 1e308 overflows p_g to inf, which
+        # leaked a RuntimeWarning before the ValidationError
+        with pytest.raises(ps.ValidationError) as checked:
+            _checked_worst_case_bank(s, 0.5, 100.0, 1000)
+        with pytest.raises(ps.ValidationError) as built:
+            ps.worst_case_bank(s, 0.5)
+        assert str(built.value) == str(checked.value)
+        assert re.fullmatch(r"row \d: price at slot 0 is (0\.0|inf); prices must be finite and > 0", str(built.value))
+        with pytest.raises(ps.ValidationError) as instance:
+            ps.worst_case_instance(np.ravel(s)[-1], 0.5)
+        assert f"row {len(np.ravel(s)) - 1}: {instance.value}" == str(built.value)
+
+    @pytest.mark.parametrize(
+        "p_m, error, message",
+        [
+            ("100", ps.ValidationError, "peak price p_m must be a real number, got '100'"),
+            (True, ps.ValidationError, "peak price p_m must be a real number, got True"),
+            (10**400, ps.ValidationError, "peak price p_m must fit in a float, got 1000"),
+            (-2, ps.DomainError, "peak price must be > 0, got -2.0"),
+        ],
+    )
+    def test_a_bad_peak_price_is_named(self, p_m, error, message):
+        # a string raised a bare TypeError and a huge int a bare OverflowError
+        for build in (ps.worst_case_bank, ps.worst_case_instance):
+            with pytest.raises(error, match=f"^{re.escape(message)}"):
+                build(0.5, 0.5, p_m=p_m)
+
+    def test_banks_on_one_shared_demand_block_keep_to_their_rows(self):
+        unit = analysis._unit_demands(4, 30)
+        banks = [analysis._worst_case_bank(s, 0.4, 100.0, 30, unit) for s in ([0.5, 1.5, 2.0, 0.1], [1.2, 0.3])]
+        assert not unit[0].flags.writeable and not unit[1].flags.writeable
+        assert unit[1].tolist() == [list(range(31))] * 4
+        for bank, s in zip(banks, ([0.5, 1.5, 2.0, 0.1], [1.2, 0.3])):
+            own = ps.worst_case_bank(s, 0.4, slots=30)
+            assert np.shares_memory(bank.demands, unit[0])
+            assert bank.demands.tobytes() == own.demands.tobytes()
+            slots = bank.switch_slots([0.2, 1.0, math.inf])
+            assert bank.switch_costs(slots).tobytes() == own.switch_costs(slots).tobytes()
 
 
 class TestPremiumPrefixMemo:

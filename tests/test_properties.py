@@ -22,6 +22,7 @@ from peaksched.quadrature import integrate
 from conftest import (
     brute_force_optimum,
     reference_expected_ratio,
+    reference_expected_ratios,
     reference_integrate,
     reference_optimal_general,
     reference_optimal_with_ramp,
@@ -802,6 +803,39 @@ def test_expected_ratios_equal_the_scalar_recursion_point_by_point(naive, sigmas
         points = [_quadrature_outcome(lambda: reference_expected_ratio(spec, sg, beta)) for spec, beta in rows for sg in sigmas]
     failed = [point for point in points if point[0] != "values"]
     assert batch == (failed[0] if failed else ("values", *(point[1] for point in points)))
+
+
+# a spec of each kind: red, both branches of lambda-red (which move the
+# never-switch mass to the grid-from-start atom or keep it), and naive
+SPEC_KINDS = {
+    "red": lambda lam, beta: ps.red_distribution(beta),
+    "lambda-red high": lambda lam, beta: ps.lambda_red_distribution(2.0, lam, beta),
+    "lambda-red low": lambda lam, beta: ps.lambda_red_distribution(0.5, lam, beta),
+    "naive high": lambda lam, beta: ps.naive_red_distribution(2.0, lam, beta),
+    "naive low": lambda lam, beta: ps.naive_red_distribution(0.5, lam, beta),
+}
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(sorted(SPEC_KINDS)),
+            st.sampled_from([0.05, 0.5, 1.0]),
+            # few betas, so that atoms of different specs share a class
+            st.one_of(st.sampled_from([0.1, 0.4, 1.0]), st.floats(0.05, 1.0)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.lists(st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-7]), st.floats(0.0, 12.0)), min_size=1, max_size=4),
+)
+@example([("red", 0.5, 0.4), ("lambda-red high", 0.5, 0.4), ("lambda-red low", 0.5, 1.0)], [0.5, 1.0, 2.0])
+def test_expected_ratios_equal_a_row_by_row_reference(kinds, sigmas):
+    specs = [SPEC_KINDS[kind](lam, beta) for kind, lam, beta in kinds]
+    betas = [beta for _, _, beta in kinds]
+    batch = _quadrature_outcome(lambda: ps.expected_ratios(specs, betas, sigmas))
+    assert batch == _quadrature_outcome(lambda: reference_expected_ratios(specs, betas, sigmas))
 
 
 @PROPERTY

@@ -333,6 +333,9 @@ class TestSynthTrace:
             ({"peak_level": 5.0, "base_level": 6.0}, "need peak_level >= base_level >= 0"),
             ({"peak_level": 5.0, "base_level": -1.0}, "need peak_level >= base_level >= 0"),
             ({"noise": -0.5}, "noise must be >= 0, got -0.5"),
+            ({"days": 367}, "days must be at most 366, got 367"),
+            ({"peak_level": 1e308, "base_level": 0.0}, "peak_level must be at most 1000.0, got 1e\\+308"),
+            ({"noise": 1e300}, "noise must be at most 100.0, got 1e\\+300"),
         ],
     )
     def test_rejects_a_bad_length_level_or_noise_naming_it(self, kwargs, message):

@@ -79,8 +79,9 @@ def test_a_beta_batch_takes_each_node_ratio_once_per_segment_and_mass(monkeypatc
 
     monkeypatch.setattr(analysis, "_ratio", counted)
     assert ps.expected_ratios(specs, [0.4] * len(specs), sigmas).shape == (38, 99)
-    # the atom columns take one (specs, 1) call each; the rest is the density
-    assert [shape for shape in shapes if shape != (38, 1)] == [(15, 99 + 9)]
+    # the atoms take one call, a row per (location, beta) class (at -1 and
+    # at inf, where absent atoms are padded); the rest is the density
+    assert shapes == [(2, 1), (15, 99 + 9)]
 
 
 def test_wrappers_pass_their_tolerance_through():
