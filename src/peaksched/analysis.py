@@ -8,6 +8,7 @@ parameter ``beta`` (minimum grid price over generation cost).
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -17,7 +18,9 @@ from .model import BillingParams, Trace, _frozen
 from .online import DistributionSpec, SwitchPolicy, _check_thresholds, _demand_counts
 from .quadrature import _gk15_nodes, _gk15_sum, bisect_panels
 from .quadrature import integrate  # noqa: F401  looked up here by the benchmark's tracer
-from .validators import SCALAR, as_reals, check_beta, check_cost, check_lambda, check_stretched_lambda, read_reals
+from .validators import (
+    SCALAR, _shown, as_reals, check_beta, check_cost, check_lambda, check_stretched_lambda, read_reals,
+)
 
 if TYPE_CHECKING:
     from .bank import TraceBank
@@ -95,6 +98,9 @@ def worst_case_ratio(s: float, beta: float) -> float:
     s = float(_check_positive_thresholds(read_reals(s, "threshold multiplier", SCALAR)))
     if s <= 1:
         return 1.0 + (1.0 - beta) / s
+    if s == math.inf:
+        # the formula reads inf / inf; its limit is the supremum over sigma
+        return 1.0 + (1.0 - beta) / beta
     return 1.0 + s * (1.0 - beta) / ((s - 1.0) * beta + 1.0)
 
 
@@ -305,26 +311,43 @@ def expected_ratio_closed_form(predicted_high, sigma, lam: float, beta):
     return _scalar_or_array(closed)
 
 
-def _check_slot_count(slots) -> None:
-    if slots < 1:
-        raise DomainError(f"need at least one slot, got {slots}")
+#: The largest slot count numpy can index.
+_MAX_SLOTS = int(np.iinfo(np.intp).max)
 
 
-def _worst_case_rows(s, beta, p_m: float, slots: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _check_slot_count(slots) -> int:
+    """``operator.index(slots)``, or ``DomainError`` naming ``slots`` where
+    the count is not an integer from 1 to :data:`_MAX_SLOTS`; a bool is not
+    a count.  A numpy integer gives the equal int."""
+    try:
+        value = operator.index(slots)
+    except TypeError:
+        value = None
+    if value is None or isinstance(slots, bool):
+        raise DomainError(f"slots must be an integer, got {slots!r}")
+    if value < 1:
+        raise DomainError(f"slots: need at least one slot, got {value}")
+    if value > _MAX_SLOTS:
+        raise DomainError(f"slots must be at most {_MAX_SLOTS}, got {_shown(value)}")
+    return value
+
+
+def _worst_case_rows(s, beta, p_m: float, slots: int) -> tuple[np.ndarray, np.ndarray, float, int]:
     """The (n,) constant prices and ``p_g`` of :func:`worst_case_bank`'s
-    rows and the ``p_m`` read as a float, after its argument checks."""
+    rows, and the ``p_m`` and slot count read as a float and an int, after
+    its argument checks."""
     s = as_reals(s, "threshold multiplier")
     s, beta = (np.ravel(x) for x in np.broadcast_arrays(s, _check_hardness(beta)))
     _check_positive_thresholds(s)
     p_m = read_reals(p_m, "peak price p_m", SCALAR, ValidationError)
     if p_m <= 0:
         raise DomainError(f"peak price must be > 0, got {p_m}")
-    _check_slot_count(slots)
+    slots = _check_slot_count(slots)
     # with beta = 1 there is no premium to tune; a p_g past the largest
     # float is inf, which the trace's price rule refuses by name
     with np.errstate(over="ignore"):
         p_g = np.divide(s * p_m, (1.0 - beta) * slots, out=np.ones(len(s)), where=beta != 1.0)
-    return beta * p_g, p_g, p_m
+    return beta * p_g, p_g, p_m, slots
 
 
 def _unit_demands(rows: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
@@ -355,7 +378,7 @@ def _worst_case_bank(s, beta, p_m, slots, unit=None) -> TraceBank:
     tests its rules on the (n,) vectors its rows are constant in."""
     from .bank import TraceBank  # the bank module loads on first use
 
-    price, p_g, p_m = _worst_case_rows(s, beta, p_m, slots)
+    price, p_g, p_m, slots = _worst_case_rows(s, beta, p_m, slots)
     ones, counts = unit if unit is not None else _unit_demands(len(price), slots)
     return TraceBank._of_constant_rows(price, p_g, p_m, ones[: len(price)], counts[: len(price)])
 
@@ -365,7 +388,7 @@ def worst_case_instance(
 ) -> tuple[Trace, BillingParams]:
     """Build the adversarial instance for the threshold policy ``s``: the
     one-row case of :func:`worst_case_bank`, with capacity 1."""
-    price, p_g, p_m = _worst_case_rows(s, beta, p_m, slots)
+    price, p_g, p_m, slots = _worst_case_rows(s, beta, p_m, slots)
     trace = Trace(prices=np.full(slots, price[0]), demands=np.ones(slots))
     return trace, BillingParams(p_g=float(p_g[0]), p_m=p_m, capacity=1)
 

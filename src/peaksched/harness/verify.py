@@ -258,7 +258,7 @@ def check_ratio_curve_empirical(betas, slots: int = 4000) -> tuple[CheckResult, 
     in one call.  The bounds are then one ratio-curve evaluation over all
     instances.
     """
-    _check_slot_count(slots)
+    slots = _check_slot_count(slots)
     s_grid = _threshold_grid()
     cases = [(beta, sg) for beta in betas for sg in s_grid]
     case_beta = np.array([beta for beta, _ in cases])
@@ -331,7 +331,8 @@ def verify_theorems(
     """Run the full verification suite over the given grids.
 
     Grids default to the acceptance-scale ones; each axis needs at least 5
-    points for the sweeps to mean anything.
+    points for the sweeps to mean anything.  ``empirical_slots``, the
+    instances' slot count, is checked before any check runs.
     """
     lambdas = tuple(lambdas) if lambdas is not None else default_lambda_grid()
     betas = tuple(betas) if betas is not None else default_beta_grid()
@@ -339,6 +340,7 @@ def verify_theorems(
     for name, grid in (("lambda", lambdas), ("beta", betas), ("sigma", sigmas)):
         if len(grid) < 5:
             raise DomainError(f"{name} grid needs at least 5 points, got {len(grid)}")
+    empirical_slots = _check_slot_count(empirical_slots)
     checks: list[CheckResult] = []
     checks.extend(check_expected_ratios(lambdas, betas, sigmas))
     checks.append(check_trust_extremes(betas))

@@ -88,7 +88,8 @@ class Trace:
     writable again or write to it through an older view.
 
     What is derived from the arrays is kept on the instance: the extremes
-    ``min_price``, ``max_price`` and ``max_demand``, the integer and binary
+    ``min_price``, ``max_price`` and ``max_demand``, the demand total that
+    :func:`cost_of` reads for an all-local schedule, the integer and binary
     tests, :func:`peaksched.decompose`'s ``_layer_stack``, and the online
     engine's ``_premium_prefix`` at the last ``p_g`` it ran.  The stack's
     layers are built without the checks (:meth:`_of_layer`): each shares
@@ -99,8 +100,9 @@ class Trace:
     was frozen still writes through it.  After ``a = np.zeros(3); b = a[:];
     a.setflags(write=False); t = Trace(prices=[1, 1, 1], demands=a)``, the
     write ``b[0] = 5`` changes ``t.demands`` but leaves all of that stale:
-    ``t.max_demand`` stays 0, and the tests, the stack and the prefix keep
-    their old answers.  The package's own arrays keep no such view.
+    ``t.max_demand`` stays 0, and the demand total, the tests, the stack and
+    the prefix keep their old answers.  The package's own arrays keep no
+    such view.
     """
 
     prices: np.ndarray
@@ -139,6 +141,10 @@ class Trace:
     @cached_property
     def _integer_demands(self) -> bool:
         return bool(np.all(self.demands == np.rint(self.demands)))
+
+    @cached_property
+    def _demand_total(self) -> float:
+        return float(np.add.reduce(self.demands))
 
     def has_integer_demands(self) -> bool:
         return self._integer_demands
@@ -305,12 +311,23 @@ def cost_of(schedule: Schedule, trace: Trace, params: BillingParams) -> CostBrea
     it is made here on the stored largest output.  A ramp limit can reject
     a switch (a 0/1 output steps by 1 where it turns on), so a schedule is
     always checked where a ramp is set.
+
+    No dot or sum is taken whose answer is already known.  A ``v`` whose
+    stored largest entry is 0, as in a run that never switches, holds only
+    0.0 and -0.0 (its entries are checked or proven finite and >= 0), and
+    adds +0.0, the dot numpy gives such a side.  A ``u`` that is
+    ``trace.demands`` itself, as in an all-local switch schedule, adds the
+    demand total kept on the trace, which is that array's
+    ``np.add.reduce``.  Every other side takes its dot or
+    ``np.add.reduce``, which ``ndarray.sum`` calls, so every bit is the one
+    a full dot and sum give.
     """
     if not (schedule._trace is trace and params.ramp is None and schedule._max_u <= params.capacity + MONEY_TOL):
         validate_schedule(schedule, trace, params)
-    volume = float(trace.prices @ schedule.v)
+    u, v = schedule.u, schedule.v
+    volume = float(trace.prices @ v) if schedule._max_v else 0.0
     peak = params.p_m * schedule._max_v
-    local = params.p_g * float(schedule.u.sum())
+    local = params.p_g * (trace._demand_total if u is trace.demands else float(np.add.reduce(u)))
     return _stored(CostBreakdown, volume=volume, peak=peak, local=local)
 
 

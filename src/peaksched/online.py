@@ -500,8 +500,12 @@ def sample(spec: DistributionSpec, uniform: float) -> SwitchPolicy:
 
     The unit interval is carved in order: grid-from-start atom, continuous
     segment, never-switch atom.  Within the segment the inverse CDF is
-    ``ln(e^lo + r / coeff)`` for residual mass ``r``.
+    ``ln(e^lo + r / coeff)`` for residual mass ``r``.  A draw that is not a
+    real number that fits a float raises ``DomainError`` naming it.
     """
+    if type(uniform) is not float:
+        # off the fast path: another real type, or a value to refuse
+        uniform = read_reals(uniform, "uniform draw", SCALAR)
     if not 0 <= uniform < 1:
         raise DomainError(f"uniform draw must lie in [0, 1), got {uniform}")
     spec.require_normalized()
@@ -564,10 +568,21 @@ def policy_distribution(
 def _policy_spec(algorithm: Algorithm, beta: float, lam: float | None, sigma_hat: float | None) -> DistributionSpec:
     """:func:`policy_distribution` of a resolved member."""
     if algorithm is Algorithm.RED:
-        return _distribution(algorithm, beta, None, None)
-    _require_prediction(algorithm, lam, sigma_hat)
-    check_sigma_hat(sigma_hat)
-    return _distribution(algorithm, beta, lam, bool(sigma_hat > 1))
+        lam = above = None
+    else:
+        _require_prediction(algorithm, lam, sigma_hat)
+        check_sigma_hat(sigma_hat)
+        above = bool(sigma_hat > 1)
+    try:
+        return _distribution(algorithm, beta, lam, above)
+    except TypeError:
+        # the cache hashes its arguments before any check, so an unhashable
+        # beta or lam (red passes None) raises here; each is read as the
+        # spec's builders read it
+        check_beta(beta)
+        if lam is not None:
+            check_lambda(lam, allow_zero=True)
+        raise
 
 
 def _require_prediction(algorithm: Algorithm, lam: float | None, sigma_hat: float | None) -> None:

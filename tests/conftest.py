@@ -100,6 +100,18 @@ def schedule_cost(u, v, trace: ps.Trace, params: ps.BillingParams) -> float:
     return volume + peak + local
 
 
+def reference_cost_of(schedule: ps.Schedule, trace: ps.Trace, params: ps.BillingParams) -> tuple[float, float, float]:
+    """A schedule's volume, peak and local cost with no shortcut, kept as the
+    check on :func:`peaksched.cost_of`: ``validate_schedule`` on every
+    schedule, then the plain dot of the prices with ``v``, ``p_m`` times
+    ``v.max()`` and ``p_g`` times ``u.sum()``."""
+    ps.validate_schedule(schedule, trace, params)
+    volume = float(trace.prices @ schedule.v)
+    peak = params.p_m * float(schedule.v.max())
+    local = params.p_g * float(schedule.u.sum())
+    return volume, peak, local
+
+
 def brute_force_optimum(trace: ps.Trace, params: ps.BillingParams, ramp: bool = False) -> float:
     """Enumerate every integer output sequence in {0..C}^T (ramp-filtered
     when asked), serving residual demand from the grid."""

@@ -11,6 +11,7 @@ import conftest
 import peaksched as ps
 from conftest import reference_expected_ratio, reference_integrate
 from peaksched import quadrature
+from peaksched.harness import verify
 from peaksched.quadrature import integrate
 
 E = math.e
@@ -102,6 +103,20 @@ class TestWorstCaseRatio:
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ps.DomainError):
             ps.worst_case_ratio(0.0, 0.5)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.4, 0.5, 1.0])
+    def test_an_infinite_threshold_reads_the_supremum_of_the_never_switch_ratio(self, beta):
+        limit = 1.0 + (1.0 - beta) / beta
+        assert ps.worst_case_ratio(math.inf, beta) == limit
+        assert ps.worst_case_ratio(1e300, beta) == pytest.approx(limit, rel=1e-15)
+        masses = np.append(np.geomspace(1e-3, 1e6, 200), 1e300)
+        assert ps.cost_ratio(math.inf, masses, beta).max() == pytest.approx(limit, rel=1e-12)
+
+    def test_a_finite_threshold_keeps_the_formulas_bits(self):
+        for s in (1e-300, 0.3, 1.0, 1.0 + 2**-52, 1.7, 12.0, 1e300):
+            for beta in (0.05, 0.4, 1.0):
+                value = 1.0 + (1.0 - beta) / s if s <= 1 else 1.0 + s * (1.0 - beta) / ((s - 1.0) * beta + 1.0)
+                assert ps.worst_case_ratio(s, beta).hex() == value.hex()
 
 
 class TestDeterministicBounds:
@@ -461,6 +476,54 @@ class TestWorstCaseInstance:
         eager = ps.run_threshold(trace, params, ps.SwitchPolicy.grid_from_start())
         total = ps.cost_of(eager.schedule, trace, params).total
         assert ps.empirical_ratio(total, opt) == pytest.approx(1.0 + 10.0 / 100.0, abs=1e-12)
+
+
+BAD_SLOT_COUNTS = [
+    (None, "slots must be an integer, got None"),
+    ("1", "slots must be an integer, got '1'"),
+    ([1, 2], "slots must be an integer, got [1, 2]"),
+    (True, "slots must be an integer, got True"),
+    (math.nan, "slots must be an integer, got nan"),
+    (math.inf, "slots must be an integer, got inf"),
+    (10.0, "slots must be an integer, got 10.0"),
+    (0, "slots: need at least one slot, got 0"),
+    (np.int64(-3), "slots: need at least one slot, got -3"),
+    (2**63, "slots must be at most 9223372036854775807, got 9223372036854775808"),
+    (2**64, "slots must be at most 9223372036854775807, got 18446744073709551616"),
+    (10**400, f"slots must be at most 9223372036854775807, got {10**400}"),
+]
+
+
+class TestSlotCount:
+    """The slot count of the worst-case builders and of the verification's
+    empirical instances is read as a seed is: an integer, not a bool."""
+
+    @pytest.mark.parametrize(
+        "slots, message",
+        BAD_SLOT_COUNTS,
+        ids=["None", "str", "list", "bool", "nan", "inf", "float", "zero", "negative", "2**63", "2**64", "10**400"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda slots: ps.worst_case_instance(1.0, 0.5, slots=slots),
+            lambda slots: ps.worst_case_bank([0.5, 1.5], 0.5, slots=slots),
+            lambda slots: verify.verify_theorems(empirical_slots=slots),
+            lambda slots: verify.check_ratio_curve_empirical((0.5,), slots=slots),
+        ],
+        ids=["instance", "bank", "verify_theorems", "ratio_curve"],
+    )
+    def test_a_count_that_is_not_an_integer_from_one_is_refused_naming_slots(self, build, slots, message):
+        with pytest.raises(ps.DomainError, match=f"^{re.escape(message)}$"):
+            build(slots)
+
+    def test_a_numpy_integer_count_builds_what_the_int_builds(self):
+        trace, params = ps.worst_case_instance(1.3, 0.4, slots=7)
+        for slots in (np.int64(7), np.uint16(7)):
+            twin, twin_params = ps.worst_case_instance(1.3, 0.4, slots=slots)
+            assert twin.prices.tobytes() == trace.prices.tobytes() and twin_params == params
+            bank = ps.worst_case_bank([0.5, 1.3], 0.4, slots=slots)
+            assert bank.prices.tobytes() == ps.worst_case_bank([0.5, 1.3], 0.4, slots=7).prices.tobytes()
 
 
 class TestEmpiricalRatio:

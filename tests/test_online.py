@@ -7,6 +7,7 @@ import re
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -711,6 +712,21 @@ class TestSampling:
         with pytest.raises(ps.DomainError, match=f"^{re.escape(message)}$"):
             ps.sample(spec, 0.01)
 
+    @pytest.mark.parametrize("uniform", [None, "1", [1, 2], np.array([0.5]), True])
+    def test_a_uniform_that_is_not_a_real_number_is_refused_naming_it(self, uniform):
+        message = f"uniform draw must be a real number, got {uniform!r}"
+        with pytest.raises(ps.DomainError, match=f"^{re.escape(message)}$"):
+            ps.sample(ps.red_distribution(0.5), uniform)
+
+    def test_a_uniform_of_another_real_type_draws_as_its_float(self):
+        spec = ps.lambda_red_distribution(2.0, 0.5, 0.5)
+        for uniform in (0, np.float64(0.3), np.float32(0.25), Fraction(2, 3)):
+            assert ps.sample(spec, uniform) == ps.sample(spec, float(uniform))
+        with pytest.raises(ps.DomainError, match="^uniform draw must fit in a float, got 1000"):
+            ps.sample(spec, 10**400)
+        with pytest.raises(ps.DomainError, match=r"^uniform draw must lie in \[0, 1\), got 1.0$"):
+            ps.sample(spec, 1)
+
     def test_atom_frequencies_match_masses(self):
         spec = ps.lambda_red_distribution(2.0, 0.6, 0.35)
         n = 100_000
@@ -1036,6 +1052,11 @@ PER_RUN_MESSAGES = [
     ("lambda-bed", 0.5, "2", None, "sigma_hat must be a real number, got '2'"),
     ("lambda-bed", 0.5, math.nan, None, "sigma_hat must be finite, got nan"),
     ("lambda-bed", 0.5, math.inf, None, "sigma_hat must be finite, got inf"),
+    # unhashable: the spec cache hashes lambda before any check reads it
+    ("lambda-red", [1, 2], 0.6, 1, "lambda must be a real number, got [1, 2]"),
+    ("lambda-red", np.array([0.5]), 2.0, 1, "lambda must be a real number, got array([0.5])"),
+    ("naive-lambda-red", {"lam": 0.5}, 0.6, 1, "lambda must be a real number, got {'lam': 0.5}"),
+    ("naive-lambda-red", [0.5], 2.0, 1, "lambda must be a real number, got [0.5]"),
     ("red", None, None, None, "red is randomized and requires a seed"),
     ("lambda-red", 0.5, 0.6, None, "lambda-red is randomized and requires a seed"),
 ]
@@ -1056,6 +1077,23 @@ class TestPerRunMessages:
         if not message.startswith("seed ") and "requires a seed" not in message:
             with pytest.raises(ps.DomainError, match=pattern):
                 ps.policy_distribution(algorithm, 0.4, lam, sigma_hat)
+
+    @pytest.mark.parametrize("algorithm", ["red", "lambda-red", "naive-lambda-red"])
+    @pytest.mark.parametrize("beta", [[0.4], np.array([0.4]), {"beta": 0.4}])
+    def test_an_unhashable_beta_is_refused_naming_it(self, algorithm, beta):
+        message = f"beta must be a real number, got {beta!r}"
+        with pytest.raises(ps.DomainError, match=f"^{re.escape(message)}$"):
+            ps.policy_distribution(algorithm, beta, 0.5, 0.6)
+
+    @pytest.mark.parametrize("algorithm", ["red", "lambda-red", "naive-lambda-red"])
+    def test_a_type_error_with_valid_arguments_is_raised_as_it_is(self, algorithm, monkeypatch):
+        # red reads no lambda: its None must not be refused in place of the error
+        def broken(*args):
+            raise TypeError("broken builder")
+
+        monkeypatch.setattr(online, "_distribution", broken)
+        with pytest.raises(TypeError, match="^broken builder$"):
+            ps.policy_distribution(algorithm, 0.4, 0.5, 0.6)
 
     @pytest.mark.parametrize("algorithm", ["red", "lambda-red", "naive-lambda-red"])
     def test_python_and_numpy_seeds_give_one_policy_and_one_record(self, rng, algorithm):

@@ -21,6 +21,7 @@ from peaksched.layering import project_ramp_block
 from peaksched.quadrature import integrate
 from conftest import (
     brute_force_optimum,
+    reference_cost_of,
     reference_expected_ratio,
     reference_expected_ratios,
     reference_integrate,
@@ -374,6 +375,79 @@ def test_a_switch_schedule_equals_the_checked_schedule_of_its_arrays_bit_for_bit
         checked = ps.Schedule(u=lean.u, v=lean.v)
         assert (lean._max_u.hex(), lean._max_v.hex()) == (checked._max_u.hex(), checked._max_v.hex())
         assert _cost_outcome(lean, trace, params) == _cost_outcome(checked, trace, params)
+
+
+@st.composite
+def costing_cases(draw):
+    """A trace of 1 to 40 slots whose zero demands are 0.0 or -0.0: all
+    zero, 0/1, integer levels up to 4 or fractions up to 1, whose sums
+    round by their order; with a capacity, an optional ramp, T signed
+    zeros and a layered run's arguments."""
+    T = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        palette = [-0.0, *draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4))]
+    else:
+        palette = draw(st.sampled_from([[0.0, -0.0], [-0.0], [0.0, -0.0, 1.0], [-0.0, 1.0], [0.0, -0.0, 1.0, 2.0, 4.0]]))
+    demands = draw(st.lists(st.sampled_from(palette), min_size=T, max_size=T))
+    prices = draw(st.lists(st.floats(0.05, 1.0), min_size=T, max_size=T))
+    params = ps.BillingParams(
+        p_g=1.0,
+        p_m=draw(st.floats(0.1, 50.0)),
+        capacity=draw(st.sampled_from([1, 2, 4])),
+        ramp=draw(st.sampled_from([None, None, 1.0])),
+    )
+    zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=T, max_size=T))
+    run = (draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 3.0)), draw(st.integers(0, 2**32 - 1)))
+    return ps.Trace(prices=prices, demands=demands), params, zeros, run
+
+
+def _costed(costing, schedule, trace, params):
+    """The hex of volume, peak, local and total, or the error's type and message."""
+    try:
+        volume, peak, local = costing(schedule, trace, params)
+    except ps.PeakSchedError as error:
+        return type(error), str(error)
+    return volume.hex(), peak.hex(), local.hex(), (volume + peak + local).hex()
+
+
+def _cost_of(schedule, trace, params):
+    cost = ps.cost_of(schedule, trace, params)
+    assert cost.total == cost.volume + cost.peak + cost.local
+    return cost.volume, cost.peak, cost.local
+
+
+@PROPERTY
+@given(costing_cases())
+@example((ps.Trace(prices=[0.5], demands=[-0.0]), ps.BillingParams(p_g=1.0, p_m=1.0, capacity=1), [-0.0], (0.5, 2.0, 7)))
+def test_cost_of_equals_the_plain_reference_bit_for_bit(case):
+    # cost_of adds +0.0 for a side whose largest entry is 0 and reads the
+    # kept demand total for a u that is the trace's demand; every schedule
+    # must cost, or fail, as the full dot, max and sum do
+    trace, params, zeros, (lam, hat, seed) = case
+    d, T = trace.demands, len(trace)
+    switches = [ps.switch_schedule(trace, slot) for slot in [None, *range(T + 1)]]
+    checked = [
+        ps.Schedule(u=d, v=zeros),
+        ps.Schedule(u=np.array(d), v=zeros),
+        ps.Schedule(u=zeros, v=d),
+        ps.Schedule(u=zeros, v=list(reversed(zeros))),
+    ]
+    assert checked[0].u is d and checked[1].u is not d
+    layered = []
+    if trace.has_integer_demands():
+        layered = [_layered(trace, params, (algorithm, lam, hat, seed)) for algorithm in ALGORITHMS]
+    for schedule in switches + checked + layered:
+        expected = _costed(reference_cost_of, schedule, trace, params)
+        assert _costed(_cost_of, schedule, trace, params) == expected
+    if trace.has_binary_demands():
+        # the batched engine costs every switch slot as cost_of does
+        expected = [_costed(reference_cost_of, schedule, trace, params) for schedule in switches[1:]]
+        if any(outcome[0] is ps.ValidationError for outcome in expected):
+            with pytest.raises(ps.ValidationError):
+                ps.switch_costs(trace, params, range(T + 1))
+        else:
+            totals = ps.switch_costs(trace, params, range(T + 1)).tolist()
+            assert [total.hex() for total in totals] == [outcome[3] for outcome in expected]
 
 
 @st.composite
