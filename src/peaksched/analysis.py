@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,9 +21,6 @@ from .quadrature import integrate  # noqa: F401  looked up here by the benchmark
 from .validators import (
     SCALAR, _shown, as_reals, check_beta, check_cost, check_lambda, check_stretched_lambda, read_reals,
 )
-
-if TYPE_CHECKING:
-    from .bank import TraceBank
 
 _E = math.e
 
@@ -333,61 +330,57 @@ def _check_slot_count(slots) -> int:
 
 
 def _worst_case_rows(s, beta, p_m: float, slots: int) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """The (n,) constant prices and ``p_g`` of :func:`worst_case_bank`'s
-    rows, and the ``p_m`` and slot count read as a float and an int, after
-    its argument checks."""
+    """The (n,) constant prices and ``p_g`` of the worst-case instances of
+    the threshold policies ``s`` at hardness ``beta``, which broadcast
+    against each other, in row-major order, and the ``p_m`` and slot count
+    read as a float and an int.
+
+    Constant prices at ``beta * p_g`` and unit demand on every slot, with
+    the generation cost tuned so the premium mass equals ``s`` exactly:
+    demand dries up right as the policy finishes paying its premium.  With
+    ``beta = 1`` there is no premium to tune, and ``p_g`` is 1.  Every row
+    passes the rules of :class:`Trace` and :class:`BillingParams`, or the
+    first that does not raises ``ValidationError``, led by ``row r: ``
+    where there are several rows."""
     s = as_reals(s, "threshold multiplier")
     s, beta = (np.ravel(x) for x in np.broadcast_arrays(s, _check_hardness(beta)))
     _check_positive_thresholds(s)
     p_m = read_reals(p_m, "peak price p_m", SCALAR, ValidationError)
     if p_m <= 0:
         raise DomainError(f"peak price must be > 0, got {p_m}")
+    if p_m == math.inf:
+        raise ValidationError(f"peak price p_m must be finite and > 0, got {p_m}")
     slots = _check_slot_count(slots)
     # with beta = 1 there is no premium to tune; a p_g past the largest
-    # float is inf, which the trace's price rule refuses by name
+    # float is inf, and so is its price
     with np.errstate(over="ignore"):
         p_g = np.divide(s * p_m, (1.0 - beta) * slots, out=np.ones(len(s)), where=beta != 1.0)
-    return beta * p_g, p_g, p_m, slots
+    # beta lies in (0, 1]: a price finite and > 0 has a p_g finite and >= it
+    price = beta * p_g
+    bad = ~((price > 0) & (price < math.inf))
+    if bad.any():
+        r = int(np.flatnonzero(bad)[0])
+        lead = f"row {r}: " if len(price) > 1 else ""
+        raise ValidationError(f"{lead}price at slot 0 is {price[r]}; prices must be finite and > 0")
+    return price, p_g, p_m, slots
 
 
 def _unit_demands(rows: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
     """A frozen all-ones (rows, slots) demand block and its frozen count
-    prefix, which worst-case banks of up to ``rows`` rows share read-only."""
+    prefix, which blocks of worst-case rows share read-only."""
     ones = _frozen(np.ones((rows, slots)))
     return ones, _frozen(_demand_counts(ones))
-
-
-def worst_case_bank(s, beta, p_m: float = 100.0, slots: int = 1000) -> TraceBank:
-    """The adversarial instances of the threshold policies ``s`` at hardness
-    ``beta`` (which broadcast against each other), as the rows of one
-    :class:`~peaksched.bank.TraceBank` in row-major order.
-
-    Constant prices at ``beta * p_g`` and unit demand on every slot, with
-    the generation cost tuned so the premium mass equals ``s`` exactly:
-    demand dries up right as the policy finishes paying its premium.  The
-    policy's empirical ratio approaches :func:`worst_case_ratio` from below
-    at rate ``(1 - beta) / slots``.  With ``beta = 1`` there is no premium
-    to tune, the mass is 0, and every policy is optimal.
-    """
-    return _worst_case_bank(s, beta, p_m, slots)
-
-
-def _worst_case_bank(s, beta, p_m, slots, unit=None) -> TraceBank:
-    """:func:`worst_case_bank` on ``unit``, a :func:`_unit_demands` block of
-    ``slots`` slots and at least as many rows (built when None).  The bank
-    tests its rules on the (n,) vectors its rows are constant in."""
-    from .bank import TraceBank  # the bank module loads on first use
-
-    price, p_g, p_m, slots = _worst_case_rows(s, beta, p_m, slots)
-    ones, counts = unit if unit is not None else _unit_demands(len(price), slots)
-    return TraceBank._of_constant_rows(price, p_g, p_m, ones[: len(price)], counts[: len(price)])
 
 
 def worst_case_instance(
     s: float, beta: float, p_m: float = 100.0, slots: int = 1000
 ) -> tuple[Trace, BillingParams]:
-    """Build the adversarial instance for the threshold policy ``s``: the
-    one-row case of :func:`worst_case_bank`, with capacity 1."""
+    """Build the adversarial instance for the threshold policy ``s``, with
+    capacity 1: constant prices at ``beta * p_g`` and unit demand on every
+    slot, the generation cost tuned so the premium mass equals ``s``
+    exactly.  The policy's empirical ratio approaches
+    :func:`worst_case_ratio` from below at rate ``(1 - beta) / slots``.
+    With ``beta = 1`` the mass is 0, and every policy is optimal."""
     price, p_g, p_m, slots = _worst_case_rows(s, beta, p_m, slots)
     trace = Trace(prices=np.full(slots, price[0]), demands=np.ones(slots))
     return trace, BillingParams(p_g=float(p_g[0]), p_m=p_m, capacity=1)

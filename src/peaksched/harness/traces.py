@@ -10,6 +10,7 @@ aligned on the intersection of their timestamps.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import compress
@@ -21,7 +22,7 @@ import numpy as np
 
 from ..errors import StructuralError, ValidationError
 from ..model import Trace
-from ..validators import check_seed
+from ..validators import SCALAR, check_seed, read_reals
 
 
 @dataclass(frozen=True)
@@ -303,15 +304,29 @@ def synth_trace(
     follow their own deterministic diurnal profile between 20 and 60.  With
     ``noise = 0`` the demand is exactly 24-periodic.  ``days``,
     ``peak_level`` and ``noise`` are bounded by :data:`SYNTH_LIMITS`.
+    ``days`` must be an integer (not a bool) and the levels and ``noise``
+    real numbers; a value that is not, or that fails a bound (NaN fails
+    every bound), raises ``ValidationError`` naming its argument.
     """
+    try:
+        count = operator.index(days)
+    except TypeError:
+        count = None
+    if count is None or isinstance(days, bool):
+        raise ValidationError(f"days must be an integer, got {days!r}")
+    days = count
+    peak_level, base_level, noise = (
+        read_reals(value, name, SCALAR, ValidationError)
+        for name, value in (("peak_level", peak_level), ("base_level", base_level), ("noise", noise))
+    )
     if days < 1:
         raise ValidationError(f"days must be >= 1, got {days}")
     for name, value in (("days", days), ("peak_level", peak_level), ("noise", noise)):
-        if value > SYNTH_LIMITS[name]:
+        if not value <= SYNTH_LIMITS[name]:
             raise ValidationError(f"{name} must be at most {SYNTH_LIMITS[name]}, got {value}")
-    if peak_level < base_level or base_level < 0:
+    if not peak_level >= base_level >= 0:
         raise ValidationError("need peak_level >= base_level >= 0")
-    if noise < 0:
+    if not noise >= 0:
         raise ValidationError(f"noise must be >= 0, got {noise}")
     hours = np.arange(24 * days) % 24
     rng = np.random.default_rng(check_seed(seed))

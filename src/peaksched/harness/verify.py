@@ -12,12 +12,12 @@ instances.
 The sweeps run on arrays: the expected ratios one beta column of the grid
 at a time through :func:`~peaksched.analysis.expected_ratios`, whose
 specs then share their cost ratios at every quadrature node, and the
-worst-case instances a block of rows at a time as one
-:class:`~peaksched.bank.TraceBank`, whose switch slots for every
-threshold and whose oracle slots are priced together, once per distinct
-slot of each row.  Each worst value is the first maximum in the grid's
-loop order, so reports name the same point a scalar sweep would.  A NaN
-that reaches a check is its worst value, and the check fails.
+worst-case instances a block of rows at a time on the switch engine's
+block functions, which find every row's switch slots for every threshold
+and price them with its oracle slot, once per distinct slot of each row.
+Each worst value is the first maximum in the grid's loop order, so
+reports name the same point a scalar sweep would.  A NaN that reaches a
+check is its worst value, and the check fails.
 """
 from __future__ import annotations
 
@@ -38,10 +38,12 @@ from ..analysis import (
     worst_case_instance,  # noqa: F401  looked up here by the benchmark's tracer
     worst_case_ratio,
 )
-from ..analysis import _check_slot_count, _unit_demands, _worst_case_bank
+from ..analysis import _check_slot_count, _unit_demands, _worst_case_rows
 from ..errors import DomainError
+from ..model import _premium_mass
 from ..model import cost_of  # noqa: F401  looked up here by the benchmark's tracer
 from ..offline import optimal_basic  # noqa: F401  looked up here by the benchmark's tracer
+from ..online import _block_costs, _block_slots
 from ..online import (
     lambda_red_distribution,
     run_threshold,  # noqa: F401  looked up here by the benchmark's tracer
@@ -251,8 +253,7 @@ def check_ratio_curve_empirical(betas, slots: int = 4000) -> tuple[CheckResult, 
     discreteness gap it allows for is exactly one slot's premium relative
     to the optimum.
 
-    The instances are built in blocks of rows of one
-    :func:`~peaksched.analysis.worst_case_bank`, whose premium prefixes give
+    The instances are built in blocks of rows, whose premium prefixes give
     every row's switch slots for the whole threshold grid and the nudged
     threshold at once; those slots and each row's oracle slot are priced
     in one call.  The bounds are then one ratio-curve evaluation over all
@@ -266,7 +267,7 @@ def check_ratio_curve_empirical(betas, slots: int = 4000) -> tuple[CheckResult, 
     measured = np.empty((len(cases), len(s_grid) + 1))
     masses = np.empty(len(cases))
     rows = max(1, _BLOCK_SLOTS // slots)
-    # every block's bank shares one all-ones demand block and its counts
+    # every block shares one all-ones demand block and its counts
     unit = _unit_demands(min(rows, len(cases)), slots)
     for start in range(0, len(cases), rows):
         block = slice(start, start + rows)
@@ -299,13 +300,28 @@ def _measured_ratios(s, beta, s_grid, slots: int, unit) -> tuple[np.ndarray, np.
     """Premium masses of the worst-case instances of ``s`` at ``beta``, and
     each one's measured ratios at every threshold of ``s_grid`` and at its
     own ``s`` nudged down; the block's arrays but ``unit``'s are freed on
-    return."""
-    bank = _worst_case_bank(s, beta, 100.0, slots, unit)
-    thresholds = np.empty((len(bank), len(s_grid) + 1))
+    return.
+
+    Row ``r`` is :func:`~peaksched.analysis.worst_case_instance` of
+    ``s[r]`` and ``beta[r]``, run and priced on the rows of ``unit`` as
+    :func:`~peaksched.online.switch_slots` and
+    :func:`~peaksched.online.switch_costs` run and price its trace.  Its
+    mass is :func:`~peaksched.model.sigma`'s, and its oracle is
+    :func:`~peaksched.offline.optimal_basic`'s schedule as a switch slot:
+    0 (all grid) where the mass exceeds 1, ``slots`` (all local) otherwise.
+    """
+    price, p_g, p_m, slots = _worst_case_rows(s, beta, 100.0, slots)
+    ones, counts = (x[: len(price)] for x in unit)
+    prices = np.empty(ones.shape)
+    prices[:] = price[:, None]
+    mass = np.array([_premium_mass(g - p, d, p_m) for p, d, g in zip(prices, ones, p_g.tolist())])
+    thresholds = np.empty((len(price), len(s_grid) + 1))
     thresholds[:, :-1] = s_grid
     thresholds[:, -1] = s * (1.0 - 1e-9)
-    costs = bank.switch_costs(np.hstack([bank.switch_slots(thresholds), bank.oracle_slots()[:, None]]))
-    return bank.sigmas, empirical_ratio(costs[:, :-1], costs[:, -1:])
+    p_g = p_g[:, None]
+    at = np.hstack([_block_slots(prices, ones, p_g, p_m, thresholds), np.where(mass > 1, 0, slots)[:, None]])
+    costs = _block_costs(prices, ones, counts, p_g, p_m, at)
+    return mass, empirical_ratio(costs[:, :-1], costs[:, -1:])
 
 
 def check_worst_case_is_envelope(betas, sigmas) -> CheckResult:

@@ -19,32 +19,22 @@ from functools import cached_property
 import numpy as np
 
 from .errors import StructuralError, UndefinedRatioError, ValidationError
-from .validators import SCALAR, check_cost, read_reals
+from .validators import SCALAR, VECTOR, check_cost, read_reals
 
 #: Absolute tolerance for money / ratio equality comparisons.
 MONEY_TOL = 1e-9
 
 
-def _readonly_vector(values, name: str, ndim: int = 1) -> np.ndarray:
-    # A read-only, C-contiguous float64 array of ``ndim`` dimensions that owns
-    # its memory is kept as it is (see the sharing contract on Trace); anything
-    # else is copied and frozen in C order, the row order of every dot product.
-    if (
-        isinstance(values, np.ndarray)
-        and values.dtype == np.float64
-        and values.ndim == ndim
-        and values.flags.c_contiguous
-        and values.base is None
-        and not values.flags.writeable
-    ):
-        return values
-    arr = np.array(read_reals(values, name, ndim, ValidationError, slots=True), order="C")
+def _readonly_vector(values, name: str) -> np.ndarray:
+    # always a copy, frozen in C order (the row order of every dot product):
+    # no array or view that a caller holds writes into an instance
+    arr = np.array(read_reals(values, name, VECTOR, ValidationError, slots=True), order="C")
     arr.setflags(write=False)
     return arr
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """Freeze an array built inside the package so traces and schedules keep it without a copy."""
+    """Freeze an array built inside the package, which its own instances keep without a copy."""
     arr.setflags(write=False)
     return arr
 
@@ -81,11 +71,8 @@ class Trace:
     ``ValidationError`` naming its slot.  Instances are immutable and safe
     to share across threads.
 
-    Inputs are copied into read-only float64 vectors, except that a
-    read-only, one-dimensional float64 array that owns its memory
-    (``base is None``) is kept as it is, not copied.  Such an array is
-    taken to be frozen for good: whoever built it must not make it
-    writable again or write to it through an older view.
+    Inputs are copied into read-only float64 vectors, so no array or view
+    that a caller keeps writes into the instance.
 
     What is derived from the arrays is kept on the instance: the extremes
     ``min_price``, ``max_price`` and ``max_demand``, the demand total that
@@ -95,14 +82,6 @@ class Trace:
     layers are built without the checks (:meth:`_of_layer`): each shares
     its parent's checked prices, and its 0/1 demand is known.  A pickled or
     copied trace is rebuilt from ``prices`` and ``demands`` alone.
-
-    The freeze cannot be enforced: a writable view made before the array
-    was frozen still writes through it.  After ``a = np.zeros(3); b = a[:];
-    a.setflags(write=False); t = Trace(prices=[1, 1, 1], demands=a)``, the
-    write ``b[0] = 5`` changes ``t.demands`` but leaves all of that stale:
-    ``t.max_demand`` stays 0, and the demand total, the tests, the stack and
-    the prefix keep their old answers.  The package's own arrays keep no
-    such view.
     """
 
     prices: np.ndarray
@@ -207,8 +186,7 @@ class Schedule:
     non-negative; demand satisfaction, capacity, and ramp feasibility
     depend on a trace and parameters and are checked by
     :func:`validate_schedule` (invoked by :func:`cost_of`).  Vectors are
-    copied and frozen as in :class:`Trace`: a read-only float64 vector
-    that owns its memory is kept, not copied.  The largest output and
+    copied and frozen as in :class:`Trace`.  The largest output and
     purchase are computed once per instance.
 
     :func:`~peaksched.switch_schedule` and :func:`~peaksched.run_layered`
@@ -333,7 +311,7 @@ def cost_of(schedule: Schedule, trace: Trace, params: BillingParams) -> CostBrea
 
 def _premium_mass(premium: np.ndarray, demands: np.ndarray, p_m: float) -> float:
     """The premium mass of ``demands`` at the per-slot premiums ``premium =
-    p_g - p``: every mass, true or predicted, of a trace, layer or bank row."""
+    p_g - p``: every mass, true or predicted, of a trace, layer or worst-case row."""
     return float(premium @ demands) / p_m
 
 

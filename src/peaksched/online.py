@@ -141,7 +141,7 @@ def run_threshold(trace: Trace, params: BillingParams, policy: SwitchPolicy) -> 
     the grid, so the premium actually paid stays strictly below
     ``s * p_m``.
     """
-    slot, premium = _crossings(trace, params, policy.s)
+    slot, premium = _crossings(trace, params, policy.s * params.p_m)
     switch = None if slot == len(trace) else int(slot)
     return _stored(RunRecord, trace=trace, switch_slot=switch, policy=policy, cumulative_premium=premium)
 
@@ -152,7 +152,10 @@ def switch_slots(trace: Trace, params: BillingParams, thresholds) -> np.ndarray:
     ``len(trace)`` where the policy never switches.  Slot for slot what
     :func:`run_threshold` gives each threshold alone; a threshold that
     :class:`SwitchPolicy` would reject raises ``DomainError`` naming it."""
-    return _crossings(trace, params, _check_thresholds(thresholds))[0]
+    s = _check_thresholds(thresholds)
+    with np.errstate(over="ignore"):  # a target past the largest float is inf: never switch
+        targets = s * params.p_m
+    return _crossings(trace, params, targets)[0]
 
 
 def switch_costs(trace: Trace, params: BillingParams, slots) -> np.ndarray:
@@ -166,7 +169,7 @@ def switch_costs(trace: Trace, params: BillingParams, slots) -> np.ndarray:
     """
     _check_runnable(trace, params)
     slots = np.asarray(slots, dtype=None if isinstance(slots, np.ndarray) else object)
-    checked = _check_slots(slots.reshape(1, -1), len(trace), named=False)
+    checked = _check_slots(slots, len(trace)).reshape(1, -1)
     if params.ramp is not None and checked.size:
         # a 0/1 output steps by 1 where it first turns on, and the latest
         # switch's schedule turns on wherever an earlier one does: it raises
@@ -185,9 +188,9 @@ def _check_runnable(trace: Trace, params: BillingParams) -> None:
     check_pairing(trace, params)
 
 
-def _crossings(trace: Trace, params: BillingParams, s):
-    """Switch slot of each threshold multiplier in ``s`` and the final
-    cumulative premium ``S(T)``, for one run.
+def _crossings(trace: Trace, params: BillingParams, targets):
+    """Switch slot of each premium target ``s * p_m`` in ``targets`` and the
+    final cumulative premium ``S(T)``, for one run.
 
     Premiums are non-negative, so the cumulative sum is sorted and the
     first crossing is a binary search away.  The atoms need no cases of
@@ -196,39 +199,22 @@ def _crossings(trace: Trace, params: BillingParams, s):
     """
     _check_runnable(trace, params)
     cumulative = _premium_prefix(trace, params.p_g)
-    return cumulative.searchsorted(s * params.p_m, side="left"), float(cumulative[-1])
+    return cumulative.searchsorted(targets, side="left"), float(cumulative[-1])
 
 
-def _first_row(mask: np.ndarray) -> int:
-    return int(np.flatnonzero(mask.any(axis=1))[0])
-
-
-def _lead(r: int, named: bool) -> str:
-    return f"row {r}: " if named else ""
-
-
-def _check_slots(slots: np.ndarray, horizon: int, named: bool) -> np.ndarray:
-    """(n, k) ``slots`` as an intp array, or ``DomainError`` naming the first
-    that is not an integer in ``[0, horizon]``, led by ``row r: `` where
-    ``named``.  An object array is read element by element:
-    ``np.asarray`` would read a list's ``True`` as slot 1."""
+def _check_slots(slots: np.ndarray, horizon: int) -> np.ndarray:
+    """``slots`` as an intp array, or ``DomainError`` naming the first that
+    is not an integer in ``[0, horizon]``.  An object array is read element
+    by element: ``np.asarray`` would read a list's ``True`` as slot 1."""
     if slots.dtype == object:
-        for r, row in enumerate(slots.tolist()):
-            for value in row:
-                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                    raise DomainError(f"{_lead(r, named)}switch slots must be integers, got {value!r}")
+        for value in slots.ravel().tolist():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"switch slots must be integers, got {value!r}")
     elif slots.size and slots.dtype.kind not in "iu":
-        r = 0  # the row of the first value that is not whole, if any is not
-        if slots.dtype.kind == "f":
-            with np.errstate(invalid="ignore"):
-                fractional = ~(np.mod(slots, 1) == 0)
-            r = _first_row(fractional) if fractional.any() else 0
-        raise DomainError(f"{_lead(r, named)}switch slots must be integers, got {slots.dtype}")
+        raise DomainError(f"switch slots must be integers, got {slots.dtype}")
     outside = (slots < 0) | (slots > horizon)
     if outside.any():
-        r = _first_row(outside)
-        value = slots[r][outside[r]][0]
-        raise DomainError(f"{_lead(r, named)}switch slot {value} lies outside [0, {horizon}]")
+        raise DomainError(f"switch slot {slots[outside][0]} lies outside [0, {horizon}]")
     return slots.astype(np.intp)
 
 
@@ -236,7 +222,8 @@ def _block_slots(prices: np.ndarray, demands: np.ndarray, p_g, p_m, s: np.ndarra
     """(n, k) switch slots of checked thresholds ``s`` on (n, T) 0/1 rows,
     ``p_g`` and ``p_m`` being scalars or (n, 1) columns: one
     ``cumsum(axis=1)`` of the premiums and one ``searchsorted`` per row."""
-    targets = s * p_m
+    with np.errstate(over="ignore"):  # a target past the largest float is inf: never switch
+        targets = s * p_m
     slots = np.empty(s.shape, dtype=np.intp)
     for r, prefix in enumerate(_cumulative_premium(p_g, prices, demands)):
         slots[r] = prefix.searchsorted(targets[r], side="left")
@@ -252,8 +239,8 @@ def _demand_counts(demands: np.ndarray) -> np.ndarray:
 
 def _block_costs(prices: np.ndarray, demands: np.ndarray, count: np.ndarray, p_g, p_m, slots) -> np.ndarray:
     """(n, k) total costs of the switch schedules at checked ``slots`` on
-    (n, T) 0/1 rows whose :func:`_demand_counts` are ``count``, ``p_g`` and
-    ``p_m`` being scalars or (n, 1) columns.
+    C-order (n, T) 0/1 rows whose :func:`_demand_counts` are ``count``,
+    ``p_g`` and ``p_m`` being scalars or (n, 1) columns.
 
     On 0/1 demand a switch at slot ``k`` pays ``p_g`` times the number
     of demand slots before ``k``, a cumsum that is exact in floats, and

@@ -97,17 +97,14 @@ def is_real(value) -> bool:
     return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
-#: The shapes :func:`read_reals` takes besides ``None`` (any shape); with
-#: ``PER_ROW``, a scalar stands for every row's value.
-SCALAR, VECTOR, BLOCK, PER_ROW = 0, 1, 2, "per row"
+#: The shapes :func:`read_reals` takes besides ``None`` (any shape).
+SCALAR, VECTOR = 0, 1
 
-_SHAPES = {
-    None: "a rectangular array", VECTOR: "a one-dimensional sequence", BLOCK: "a two-dimensional (rows, slots) array"
-}
+_SHAPES = {None: "a rectangular array", VECTOR: "a one-dimensional sequence"}
 
 
-def read_reals(values, name: str, shape=None, error=DomainError, *, rows: int | None = None,
-               slots: bool = False, real: str = "must be a real number"):
+def read_reals(values, name: str, shape=None, error=DomainError, *, slots: bool = False,
+               real: str = "must be a real number"):
     """``values`` as floats: a ``float`` for a ``SCALAR``, which must itself
     be a real number, else a float array of ``shape`` (``StructuralError``
     if not).  A numeric array is taken as it is; anything else is read as
@@ -115,8 +112,7 @@ def read_reals(values, name: str, shape=None, error=DomainError, *, rows: int | 
     0.5 and overflow on an int beyond the largest float.  The first element
     that is not a real number (``real``) or does not fit in a float raises
     ``error``, named as ``f"{name} at slot {k} is {value}; {rule}"`` where
-    ``slots`` is set, else as ``f"{name} {rule}, got {value}"``, led by
-    ``row r: `` in a ``PER_ROW`` vector."""
+    ``slots`` is set, else as ``f"{name} {rule}, got {value}"``."""
     if shape == SCALAR:
         if type(values) is float:
             return values
@@ -128,13 +124,8 @@ def read_reals(values, name: str, shape=None, error=DomainError, *, rows: int | 
                 arr = np.asarray(values, dtype=object)
             except ValueError:  # sequences nested to depths numpy cannot stack
                 arr = None
-        if arr is None or not (
-            shape is None
-            or arr.ndim == shape
-            or shape == PER_ROW and (arr.ndim == 0 or arr.ndim == 1 and len(arr) == rows)
-        ):
-            words = f"a number or one number per row ({rows})" if shape == PER_ROW else _SHAPES[shape]
-            raise StructuralError(f"{name} must be {words}")
+        if arr is None or not (shape is None or arr.ndim == shape):
+            raise StructuralError(f"{name} must be {_SHAPES[shape]}")
         items = arr.ravel().tolist() if arr.dtype == object else ()
     for k, value in enumerate(items):
         if not is_real(value):
@@ -143,11 +134,7 @@ def read_reals(values, name: str, shape=None, error=DomainError, *, rows: int | 
             shown, rule = _shown(value), "must fit in a float"
         else:
             continue
-        if slots:
-            *row, slot = np.unravel_index(k, arr.shape)
-            raise error(f"{name} at {f'row {row[0]}, ' if row else ''}slot {slot} is {shown}; {rule}")
-        lead = f"row {k}: " if shape == PER_ROW and arr.ndim == 1 else ""
-        raise error(f"{lead}{name} {rule}, got {shown}")
+        raise error(f"{name} at slot {k} is {shown}; {rule}" if slots else f"{name} {rule}, got {shown}")
     return float(values) if shape == SCALAR else arr.astype(float, copy=False)
 
 

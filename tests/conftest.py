@@ -50,20 +50,17 @@ def make_binary_instance(
     return ps.Trace(prices=prices, demands=demands), ps.BillingParams(p_g=1.0, p_m=p_m, capacity=1)
 
 
-def make_binary_bank(rng: np.random.Generator, betas) -> list[tuple[np.ndarray, ps.TraceBank]]:
+def make_binary_blocks(rng: np.random.Generator, betas) -> list[tuple[np.ndarray, ...]]:
     """``make_binary_instance(rng, beta=beta)`` for each of ``betas`` in
     turn, with the same draws in the same order, grouped by horizon: one
-    ``(indices, bank)`` per horizon, ascending, where row ``j`` of the bank
-    is instance ``indices[j]``."""
+    ``(indices, prices, demands, p_m)`` per horizon, ascending, where row
+    ``j`` of the (n, T) price and demand blocks and of the (n,) peak prices
+    is instance ``indices[j]``; every instance has ``p_g = 1``."""
     groups: dict[int, list] = {}
     for i, beta in enumerate(betas):
         prices, demands, p_m = _draw_binary(rng, beta, None, None)
         groups.setdefault(len(prices), []).append((i, prices, demands, p_m))
-    banks = []
-    for _, rows in sorted(groups.items()):
-        index, prices, demands, p_m = zip(*rows)
-        banks.append((np.array(index), ps.TraceBank(np.array(prices), np.array(demands), 1.0, np.array(p_m))))
-    return banks
+    return [tuple(np.array(column) for column in zip(*rows)) for _, rows in sorted(groups.items())]
 
 
 def make_integer_instance(

@@ -12,7 +12,9 @@ import pytest
 import peaksched as ps
 import conftest
 from conftest import brute_force_optimum, make_binary_instance, make_integer_instance
+from peaksched import online
 from peaksched.harness.experiment import config_from_sources, run_experiment, run_sweep
+from peaksched.model import _premium_mass
 
 E = math.e
 
@@ -26,19 +28,32 @@ def _criterion(number: int, name: str, ok: bool, detail: str = ""):
 
 # ---------------------------------------------------------------- fixtures
 
+def _switch_costs(block, thresholds):
+    """Each row's switch cost at each of its row of ``thresholds``, on the
+    switch engine's block functions: per row, what ``switch_costs`` gives
+    at the slots ``switch_slots`` finds on that row's trace."""
+    prices, demands, counts, p_m = block
+    slots = online._block_slots(prices, demands, 1.0, p_m[:, None], thresholds)
+    return online._block_costs(prices, demands, counts, 1.0, p_m[:, None], slots)
+
+
 @pytest.fixture(scope="module")
-def binary_bank():
+def binary_blocks():
     """10,000 seeded binary instances spanning beta in [0.05, 0.95], one
-    bank per horizon, as (bank, sigma, beta, opt) with a row per instance."""
+    block of rows per horizon, as (block, sigma, beta, opt) with a row per
+    instance; the optimum is priced at ``optimal_basic``'s switch slot."""
     n = 10_000
     betas = np.array([0.05 + 0.9 * i / (n - 1) for i in range(n)])
     groups = []
-    for index, bank in conftest.make_binary_bank(np.random.default_rng(42), betas.tolist()):
-        opt = bank.switch_costs(bank.oracle_slots()[:, None])[:, 0]
+    for index, prices, demands, p_m in conftest.make_binary_blocks(np.random.default_rng(42), betas.tolist()):
+        block = (prices, demands, online._demand_counts(demands), p_m)
+        sigma = np.array([_premium_mass(1.0 - p, d, m) for p, d, m in zip(prices, demands, p_m.tolist())])
+        oracle = np.where(sigma > 1, 0, prices.shape[1])[:, None]
+        opt = online._block_costs(prices, demands, block[2], 1.0, p_m[:, None], oracle)[:, 0]
         # every instance has demand, so every optimum is positive
         assert (opt > 0).all()
-        groups.append((bank, bank.sigmas, betas[index], opt))
-    assert sum(len(bank) for bank, *_ in groups) == n
+        groups.append((block, sigma, betas[index], opt))
+    assert sum(len(sigma) for _, sigma, *_ in groups) == n
     return groups
 
 
@@ -98,30 +113,30 @@ def test_c01_exact_reductions():
 LAMBDAS = np.array([round(0.1 * i, 1) for i in range(1, 11)])
 
 
-def _lambda_bed_ratios(bank, sigma_hats, opt):
+def _lambda_bed_ratios(block, sigma_hats, opt):
     """Ratios of the assisted rule at each trust in ``LAMBDAS``, one row per
     instance: each row runs ``lambda_bed_policy``'s threshold on its side of 1."""
     above = [ps.lambda_bed_policy(2.0, lam).s for lam in LAMBDAS.tolist()]
     below = [ps.lambda_bed_policy(0.0, lam).s for lam in LAMBDAS.tolist()]
     thresholds = np.where(sigma_hats[:, None] > 1, above, below)
-    return bank.switch_costs(bank.switch_slots(thresholds)) / opt[:, None]
+    return _switch_costs(block, thresholds) / opt[:, None]
 
 
-def test_c02_deterministic_robustness(binary_bank):
+def test_c02_deterministic_robustness(binary_blocks):
     """Flipped predictions never push the assisted rule past its guarantee."""
     worst = -math.inf
-    for bank, sigma, beta, opt in binary_bank:
+    for block, sigma, beta, opt in binary_blocks:
         flipped = np.where(sigma > 1, 0.0, 2.0)
-        ratios = _lambda_bed_ratios(bank, flipped, opt)
+        ratios = _lambda_bed_ratios(block, flipped, opt)
         worst = max(worst, float(np.max(ratios - (1 + (1 - beta[:, None]) / LAMBDAS))))
     _criterion(2, "robustness bound under flipped predictions", worst <= 1e-9, f"max excess {worst:.2e}")
 
 
-def test_c03_deterministic_consistency(binary_bank):
+def test_c03_deterministic_consistency(binary_blocks):
     """Perfect predictions keep the assisted rule within 1 + lambda."""
     worst = -math.inf
-    for bank, sigma, beta, opt in binary_bank:
-        ratios = _lambda_bed_ratios(bank, sigma, opt)
+    for block, sigma, beta, opt in binary_blocks:
+        ratios = _lambda_bed_ratios(block, sigma, opt)
         worst = max(worst, float(np.max(ratios - (1 + LAMBDAS))))
     _criterion(3, "consistency bound under perfect predictions", worst <= 1e-9, f"max excess {worst:.2e}")
 

@@ -10,7 +10,7 @@ import pytest
 import conftest
 import peaksched as ps
 from conftest import reference_expected_ratio, reference_integrate
-from peaksched import quadrature
+from peaksched import analysis, quadrature
 from peaksched.harness import verify
 from peaksched.quadrature import integrate
 
@@ -507,11 +507,10 @@ class TestSlotCount:
         "build",
         [
             lambda slots: ps.worst_case_instance(1.0, 0.5, slots=slots),
-            lambda slots: ps.worst_case_bank([0.5, 1.5], 0.5, slots=slots),
             lambda slots: verify.verify_theorems(empirical_slots=slots),
             lambda slots: verify.check_ratio_curve_empirical((0.5,), slots=slots),
         ],
-        ids=["instance", "bank", "verify_theorems", "ratio_curve"],
+        ids=["instance", "verify_theorems", "ratio_curve"],
     )
     def test_a_count_that_is_not_an_integer_from_one_is_refused_naming_slots(self, build, slots, message):
         with pytest.raises(ps.DomainError, match=f"^{re.escape(message)}$"):
@@ -522,8 +521,45 @@ class TestSlotCount:
         for slots in (np.int64(7), np.uint16(7)):
             twin, twin_params = ps.worst_case_instance(1.3, 0.4, slots=slots)
             assert twin.prices.tobytes() == trace.prices.tobytes() and twin_params == params
-            bank = ps.worst_case_bank([0.5, 1.3], 0.4, slots=slots)
-            assert bank.prices.tobytes() == ps.worst_case_bank([0.5, 1.3], 0.4, slots=7).prices.tobytes()
+
+
+class TestWorstCaseRows:
+    """The rules every worst-case instance must pass, tested on its
+    parameters before any trace is built."""
+
+    @pytest.mark.parametrize("s, price", [(5e-324, "0.0"), (1e308, "inf")])
+    def test_a_price_that_underflows_or_overflows_is_named(self, s, price):
+        # 5e-324 prices the instance at 0; 1e308 overflows p_g to inf, which
+        # leaked a RuntimeWarning before the ValidationError
+        message = f"price at slot 0 is {price}; prices must be finite and > 0"
+        with pytest.raises(ps.ValidationError, match=f"^{re.escape(message)}$"):
+            ps.worst_case_instance(s, 0.5)
+        with pytest.raises(ps.ValidationError, match=f"^row 1: {re.escape(message)}$"):
+            analysis._worst_case_rows([0.5, s, 5e-324], 0.5, 100.0, 1000)
+
+    @pytest.mark.parametrize(
+        "p_m, error, message",
+        [
+            ("100", ps.ValidationError, "peak price p_m must be a real number, got '100'"),
+            (True, ps.ValidationError, "peak price p_m must be a real number, got True"),
+            (10**400, ps.ValidationError, "peak price p_m must fit in a float, got 1000"),
+            (-2, ps.DomainError, "peak price must be > 0, got -2.0"),
+            (math.inf, ps.ValidationError, "peak price p_m must be finite and > 0, got inf"),
+        ],
+    )
+    def test_a_bad_peak_price_is_named(self, p_m, error, message):
+        # a string raised a bare TypeError and a huge int a bare OverflowError
+        for beta in (0.5, 1.0):
+            with pytest.raises(error, match=f"^{re.escape(message)}"):
+                ps.worst_case_instance(0.5, beta, p_m=p_m)
+
+    def test_rows_broadcast_in_row_major_order_as_their_instances(self):
+        price, p_g, p_m, slots = analysis._worst_case_rows([0.5, 1.5, 2.0], [[0.3], [1.0]], 50.0, 40)
+        assert (p_m, slots) == (50.0, 40)
+        for row, (beta, s) in enumerate((beta, s) for beta in (0.3, 1.0) for s in (0.5, 1.5, 2.0)):
+            trace, params = ps.worst_case_instance(s, beta, p_m=50.0, slots=40)
+            assert trace.prices.tolist() == [price[row]] * 40 and params.p_g == p_g[row]
+            assert ps.sigma(trace, params) == pytest.approx(0.0 if beta == 1.0 else s, rel=1e-12)
 
 
 class TestEmpiricalRatio:
@@ -565,7 +601,7 @@ class TestThresholdChecks:
     @pytest.mark.parametrize("s", [-1, 0, -0.5, math.nan])
     def test_the_ratio_and_the_instance_builders_name_a_threshold_below_0_alike(self, s):
         message = f"^threshold multiplier must be > 0, got {float(s)}$"
-        for call in (ps.worst_case_ratio, ps.worst_case_instance, ps.worst_case_bank):
+        for call in (ps.worst_case_ratio, ps.worst_case_instance):
             with pytest.raises(ps.DomainError, match=message):
                 call(s, 0.5)
 

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import peaksched as ps
-from peaksched import analysis, online
+from peaksched import online
 from conftest import (
-    make_binary_bank,
+    make_binary_blocks,
     make_binary_instance,
     reference_run_threshold,
     reference_sample,
@@ -234,6 +234,18 @@ class TestSwitchSlots:
         with pytest.raises(ps.DomainError, match=message):
             ps.switch_slots(trace, params, bad)
 
+    def test_a_target_past_the_largest_float_never_switches_as_run_threshold_does(self):
+        # s * p_m overflowed to inf and leaked a RuntimeWarning, which the
+        # suite turns into an error; run_threshold multiplies floats silently
+        trace = ps.Trace(prices=[0.5, 0.5, 0.5], demands=[1, 1, 1])
+        params = ps.BillingParams(p_g=1.0, p_m=100.0, capacity=1)
+        record = ps.run_threshold(trace, params, ps.SwitchPolicy(1e308))
+        assert record.switch_slot is None
+        assert ps.switch_slots(trace, params, [1e308, 0.01]).tolist() == [len(trace), 1]
+        demands = np.ones((2, 3))
+        block = online._block_slots(np.full((2, 3), 0.5), demands, 1.0, np.array([[100.0], [1.0]]), np.full((2, 1), 1e308))
+        assert block.tolist() == [[3], [3]]
+
 
 class TestSwitchCosts:
     def test_totals_equal_costing_each_switch_schedule(self):
@@ -268,19 +280,15 @@ class TestSwitchCosts:
         # although switch_schedule(trace, True) raises
         trace = ps.Trace(prices=[1, 1, 1], demands=[1, 0, 1])
         params = ps.BillingParams(p_g=2, p_m=1, capacity=1)
-        bank = ps.TraceBank([trace.prices] * 2, [trace.demands] * 2, params.p_g, params.p_m)
         message = "switch slots must be integers, got True"
         with pytest.raises(ps.DomainError, match=f"^{message}$"):
             ps.switch_costs(trace, params, [True, 3])
-        with pytest.raises(ps.DomainError, match=f"^row 0: {message}$"):
-            bank.switch_costs([True, 3])
-        numpy_bool = f"^row 1: switch slots must be integers, got {re.escape(repr(np.True_))}$"
+        numpy_bool = f"^switch slots must be integers, got {re.escape(repr(np.True_))}$"
         with pytest.raises(ps.DomainError, match=numpy_bool):
-            bank.switch_costs([[1, 3], [np.True_, 3]])
+            ps.switch_costs(trace, params, [[1, 3], [np.True_, 3]])
         # integer arrays and lists of numpy integers are slots
         expected = ps.switch_costs(trace, params, np.array([1, 3]))
         assert ps.switch_costs(trace, params, [np.int64(1), 3]).tobytes() == expected.tobytes()
-        assert bank.switch_costs([[1, 3], [1, 3]]).tobytes() == np.vstack([expected, expected]).tobytes()
 
     def test_rejects_a_failed_pairing(self):
         trace = ps.Trace(prices=[1, 3], demands=[1, 1])
@@ -300,187 +308,21 @@ class TestSwitchCosts:
         assert ps.switch_costs(trace, params, [0, 2, 1]).tolist() == expected
 
 
-class TestTraceBank:
-    def test_the_bank_builder_makes_the_instance_builders_instances_in_order(self):
-        n = 300
-        betas = [0.05 + 0.9 * i / (n - 1) for i in range(n)]
-        rng = np.random.default_rng(42)
-        expected = [make_binary_instance(rng, beta=beta) for beta in betas]
-        seen = []
-        for index, bank in make_binary_bank(np.random.default_rng(42), betas):
-            assert len(bank) == len(index) and bank.horizon == len(expected[index[0]][0])
-            for row, i in enumerate(index.tolist()):
-                trace, params = expected[i]
-                assert bank.prices[row].tobytes() == trace.prices.tobytes()
-                assert bank.demands[row].tobytes() == trace.demands.tobytes()
-                assert (bank.p_g[row], bank.p_m[row]) == (params.p_g, params.p_m)
-                seen.append(i)
-        assert sorted(seen) == list(range(n))
-
-    def test_shared_and_per_row_arguments(self):
-        bank = ps.TraceBank([[0.5, 1.0, 0.25], [1.0, 1.0, 1.0]], [[1, 0, 1], [0, 0, 0]], [1.0, 2.0], 3.0)
-        assert bank.prices.shape == bank.demands.shape == (2, 3) and not bank.prices.flags.writeable
-        assert bank.p_m.tolist() == [3.0, 3.0]
-        shared = bank.switch_slots([-1.0, math.inf])
-        assert shared.tolist() == [[0, 3], [0, 3]]
-        assert bank.switch_slots([[-1.0, math.inf]] * 2).tolist() == shared.tolist()
-        assert bank.switch_costs([0, 3]).tolist() == bank.switch_costs([[0, 3], [0, 3]]).tolist()
-        assert bank.switch_costs(np.zeros((2, 0), dtype=int)).shape == (2, 0)
-        assert bank.oracle_slots().tolist() == [3, 3]  # sigma 0.25/3 and 0: all local
-
-    @pytest.mark.parametrize(
-        "prices, demands, p_g, p_m, message",
-        [
-            ([[1.0, 1.0]], [[1.0, 1.0, 1.0]], 1.0, 1.0, r"prices \(1, 2\) and demands \(1, 3\) differ in shape"),
-            ([1.0, 1.0], [1.0, 1.0], 1.0, 1.0, "prices must be a two-dimensional"),
-            (np.ones((2, 0)), np.ones((2, 0)), 1.0, 1.0, "empty trace"),
-            ([[1.0], [1.0]], [[1.0], [1.0]], [1.0, 1.0, 1.0], 1.0, r"p_g must be a number or one number per row \(2\)"),
-        ],
-    )
-    def test_rejects_shapes_that_are_not_a_bank(self, prices, demands, p_g, p_m, message):
-        with pytest.raises(ps.PeakSchedError, match=message):
-            ps.TraceBank(prices, demands, p_g, p_m)
-
-    @pytest.mark.parametrize(
-        "p_g, p_m, message",
-        [
-            ("1", 1.0, "p_g must be a real number, got '1'"),
-            (True, 1.0, "p_g must be a real number, got True"),
-            ([1.0, "2"], 1.0, "row 1: p_g must be a real number, got '2'"),
-            (1.0, [None, 1.0], "row 0: p_m must be a real number, got None"),
-            (np.array(["1", "2"]), 1.0, "row 0: p_g must be a real number, got '1'"),
-            (1.0, 10**400, f"p_m must fit in a float, got {10**400}"),
-            ([1.0, 10**400], 1.0, f"row 1: p_g must fit in a float, got {10**400}"),
-        ],
-    )
-    def test_rejects_per_row_prices_that_are_not_real_numbers(self, p_g, p_m, message):
-        # the float fill read "1" and True as 1.0, and raised a bare OverflowError on 10**400
-        with pytest.raises(ps.ValidationError, match=f"^{re.escape(message)}$"):
-            ps.TraceBank([[0.5, 0.5], [0.5, 0.5]], [[0, 1], [1, 0]], p_g, p_m)
-
-    def test_per_row_prices_take_numpy_scalars_and_lists_of_numbers(self):
-        bank = ps.TraceBank([[0.5, 0.5], [0.5, 0.5]], [[0, 1], [1, 0]], np.float32(1.0), [np.int64(2), 3.0])
-        assert bank.p_g.tolist() == [1.0, 1.0] and bank.p_m.tolist() == [2.0, 3.0]
-        with pytest.raises(ps.StructuralError, match=r"p_m must be a number or one number per row \(2\)"):
-            ps.TraceBank([[0.5, 0.5], [0.5, 0.5]], [[0, 1], [1, 0]], 1.0, [[2.0, 3.0]])
-
-    def test_a_fortran_order_block_gives_contiguous_rows_that_answer_as_their_traces(self):
-        # an F-order copy kept its order, and its strided rows' dot products
-        # grouped differently: sigmas and costs differed in the last bits
-        rng = np.random.default_rng(3)
-        prices = rng.uniform(0.1, 1.0, (3, 500))
-        demands = (rng.random((3, 500)) < 0.6).astype(float)
-        bank = ps.TraceBank(np.asfortranarray(prices), np.asfortranarray(demands), 1.0, 20.0)
-        assert bank.prices.flags.c_contiguous and bank.demands.flags.c_contiguous
-        slots = np.arange(0, 501, 7)
-        costs = bank.switch_costs(slots)
-        for r in range(len(bank)):
-            trace, params = bank.instance(r)
-            assert bank.sigmas[r].hex() == ps.sigma(trace, params).hex()
-            assert costs[r].tobytes() == ps.switch_costs(trace, params, slots).tobytes()
-
-    def test_a_frozen_c_order_block_is_kept_and_anything_else_is_copied(self):
-        frozen = np.ones((2, 3))
-        frozen.setflags(write=False)
-        assert ps.TraceBank(frozen, frozen, 1.0, 1.0).prices is frozen
-        writable = np.ones((2, 3))
-        copied = ps.TraceBank(writable, writable, 1.0, 1.0).prices
-        assert copied is not writable and not copied.flags.writeable
-
-    def test_rejects_thresholds_and_slots_of_the_wrong_shape(self):
-        bank = ps.TraceBank(np.ones((2, 3)), np.ones((2, 3)), 1.0, 1.0)
-        with pytest.raises(ps.StructuralError, match=r"thresholds must be \(k,\) or \(2, k\)"):
-            bank.switch_slots(np.ones((3, 1)))
-        with pytest.raises(ps.StructuralError, match=r"slots must be \(k,\) or \(2, k\)"):
-            bank.switch_costs(np.zeros((1, 1, 1), dtype=int))
-
-    def test_a_worst_case_bank_row_is_the_worst_case_instance(self):
-        bank = ps.worst_case_bank([0.5, 1.5, 2.0], [[0.3], [1.0]], p_m=50.0, slots=40)
-        assert len(bank) == 6
-        for row, (beta, s) in enumerate((beta, s) for beta in (0.3, 1.0) for s in (0.5, 1.5, 2.0)):
-            trace, params = ps.worst_case_instance(s, beta, p_m=50.0, slots=40)
-            assert bank.prices[row].tobytes() == trace.prices.tobytes()
-            assert bank.demands[row].tobytes() == trace.demands.tobytes()
-            assert (bank.p_g[row], bank.p_m[row]) == (params.p_g, params.p_m)
-            assert bank.sigmas[row] == ps.sigma(trace, params)
-        with pytest.raises(ps.DomainError, match="threshold multiplier must be > 0, got 0.0"):
-            ps.worst_case_bank([0.5, 0.0], 0.5)
-        with pytest.raises(ps.DomainError, match="beta must lie in"):
-            ps.worst_case_bank(0.5, [0.5, 1.5])
-
-
-def _checked_worst_case_bank(s, beta, p_m, slots):
-    """The worst-case rows as (n, T) arrays, through TraceBank's own checks."""
-    s, beta = (np.ravel(x) for x in np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(beta, dtype=float)))
-    with np.errstate(over="ignore", divide="ignore"):
-        p_g = np.where(beta != 1.0, s * p_m / ((1.0 - beta) * slots), 1.0)
-    prices = np.repeat((beta * p_g)[:, None], slots, axis=1)
-    return ps.TraceBank(prices=prices, demands=np.ones((len(s), slots)), p_g=p_g, p_m=p_m)
-
-
-class TestWorstCaseBank:
-    @pytest.mark.parametrize(
-        "s, beta, slots",
-        [
-            ([0.5, 1.0, 1.5, 2.0], [[0.3], [1.0]], 40),  # beta = 1 rows: p_g = 1, mass 0
-            (1e-320, 0.999, 7),  # a subnormal p_g and price
-            ([0.1, 0.9, 1.1, 1.9], [0.05, 0.5, 0.95, 0.999], 977),
-        ],
-    )
-    def test_the_bank_built_from_checked_parameters_is_the_checked_bank(self, s, beta, slots):
-        bank = ps.worst_case_bank(s, beta, p_m=50.0, slots=slots)
-        checked = _checked_worst_case_bank(s, beta, 50.0, slots)
-        for name in ("prices", "demands", "p_g", "p_m"):
-            ours, theirs = getattr(bank, name), getattr(checked, name)
-            assert (ours.dtype, ours.shape, ours.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
-            assert not ours.flags.writeable and not theirs.flags.writeable
-        assert bank.sigmas.tobytes() == checked.sigmas.tobytes()
-        thresholds = [-1.0, 0.0, 1e-320, 0.25, 0.5, 1.0, 1.5, 2.0 * (1 - 1e-9), math.inf]
-        slots_of = bank.switch_slots(thresholds)
-        assert slots_of.tobytes() == checked.switch_slots(thresholds).tobytes()
-        table = np.hstack([slots_of, bank.oracle_slots()[:, None], np.full((len(bank), 1), slots // 2)])
-        assert bank.switch_costs(table).tobytes() == checked.switch_costs(table).tobytes()
-
-    @pytest.mark.parametrize("s", [5e-324, 1e308, [0.5, 1e308]])
-    def test_a_row_that_fails_raises_what_the_checked_bank_raises(self, s):
-        # 5e-324 prices the row at 0; 1e308 overflows p_g to inf, which
-        # leaked a RuntimeWarning before the ValidationError
-        with pytest.raises(ps.ValidationError) as checked:
-            _checked_worst_case_bank(s, 0.5, 100.0, 1000)
-        with pytest.raises(ps.ValidationError) as built:
-            ps.worst_case_bank(s, 0.5)
-        assert str(built.value) == str(checked.value)
-        assert re.fullmatch(r"row \d: price at slot 0 is (0\.0|inf); prices must be finite and > 0", str(built.value))
-        with pytest.raises(ps.ValidationError) as instance:
-            ps.worst_case_instance(np.ravel(s)[-1], 0.5)
-        assert f"row {len(np.ravel(s)) - 1}: {instance.value}" == str(built.value)
-
-    @pytest.mark.parametrize(
-        "p_m, error, message",
-        [
-            ("100", ps.ValidationError, "peak price p_m must be a real number, got '100'"),
-            (True, ps.ValidationError, "peak price p_m must be a real number, got True"),
-            (10**400, ps.ValidationError, "peak price p_m must fit in a float, got 1000"),
-            (-2, ps.DomainError, "peak price must be > 0, got -2.0"),
-        ],
-    )
-    def test_a_bad_peak_price_is_named(self, p_m, error, message):
-        # a string raised a bare TypeError and a huge int a bare OverflowError
-        for build in (ps.worst_case_bank, ps.worst_case_instance):
-            with pytest.raises(error, match=f"^{re.escape(message)}"):
-                build(0.5, 0.5, p_m=p_m)
-
-    def test_banks_on_one_shared_demand_block_keep_to_their_rows(self):
-        unit = analysis._unit_demands(4, 30)
-        banks = [analysis._worst_case_bank(s, 0.4, 100.0, 30, unit) for s in ([0.5, 1.5, 2.0, 0.1], [1.2, 0.3])]
-        assert not unit[0].flags.writeable and not unit[1].flags.writeable
-        assert unit[1].tolist() == [list(range(31))] * 4
-        for bank, s in zip(banks, ([0.5, 1.5, 2.0, 0.1], [1.2, 0.3])):
-            own = ps.worst_case_bank(s, 0.4, slots=30)
-            assert np.shares_memory(bank.demands, unit[0])
-            assert bank.demands.tobytes() == own.demands.tobytes()
-            slots = bank.switch_slots([0.2, 1.0, math.inf])
-            assert bank.switch_costs(slots).tobytes() == own.switch_costs(slots).tobytes()
+def test_the_block_builder_makes_the_instance_builders_instances_in_order():
+    n = 300
+    betas = [0.05 + 0.9 * i / (n - 1) for i in range(n)]
+    rng = np.random.default_rng(42)
+    expected = [make_binary_instance(rng, beta=beta) for beta in betas]
+    seen = []
+    for index, prices, demands, p_m in make_binary_blocks(np.random.default_rng(42), betas):
+        assert prices.shape == demands.shape == (len(index), len(expected[index[0]][0]))
+        for row, i in enumerate(index.tolist()):
+            trace, params = expected[i]
+            assert prices[row].tobytes() == trace.prices.tobytes()
+            assert demands[row].tobytes() == trace.demands.tobytes()
+            assert (1.0, p_m[row]) == (params.p_g, params.p_m)
+            seen.append(i)
+    assert sorted(seen) == list(range(n))
 
 
 class TestPremiumPrefixMemo:

@@ -1,6 +1,5 @@
 """The package namespace: ``import peaksched`` loads the scheduling core,
-and the ``harness`` subpackage and the bank engine load the first time
-they are read."""
+and the ``harness`` subpackage loads the first time it is read."""
 import os
 import subprocess
 import sys
@@ -12,12 +11,6 @@ PROBE = """
 import sys
 import peaksched
 assert not [m for m in sys.modules if m.startswith("peaksched.harness")], "import peaksched loaded the harness"
-assert "peaksched.bank" not in sys.modules, "import peaksched loaded the bank engine"
-trace, params = peaksched.worst_case_instance(1.5, 0.4, slots=25)
-peaksched.switch_costs(trace, params, peaksched.switch_slots(trace, params, [0.5, 1.0, 2.0]))
-assert "peaksched.bank" not in sys.modules, "switch_slots or switch_costs loaded the bank engine"
-assert "TraceBank" in dir(peaksched)
-assert peaksched.TraceBank is sys.modules["peaksched.bank"].TraceBank
 assert "harness" in dir(peaksched)
 assert peaksched.harness is sys.modules["peaksched.harness"]
 from peaksched import harness

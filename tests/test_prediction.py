@@ -154,10 +154,13 @@ def test_prediction_keeps_negative_prices_and_rejects_negative_demand():
         ps.Prediction(prices=[1.0, 2.0], demands=[-1.0, 1.0])
 
 
-def test_prediction_vectors_are_frozen_and_share_frozen_inputs():
+def test_prediction_vectors_are_frozen_copies_of_their_inputs():
     trace = ps.Trace(prices=[1.0, 2.0], demands=[1.0, 0.0])
     prediction = ps.perfect_prediction(trace)
-    assert prediction.prices is trace.prices and prediction.demands is trace.demands
+    assert prediction.prices is not trace.prices and prediction.demands is not trace.demands
+    assert prediction.prices.tobytes() == trace.prices.tobytes()
+    assert prediction.demands.tobytes() == trace.demands.tobytes()
+    assert not prediction.prices.flags.writeable and not prediction.demands.flags.writeable
     writable = np.array([1.0, 2.0])
     copied = ps.Prediction(prices=writable, demands=[0.0, 0.0])
     assert copied.prices is not writable and not copied.prices.flags.writeable

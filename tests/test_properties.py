@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import peaksched as ps
-from peaksched import online, quadrature
-from peaksched.harness import experiment, parse_trace_csv
+from peaksched import analysis, online, quadrature
+from peaksched.harness import experiment, parse_trace_csv, verify
 from peaksched.harness.experiment import ExperimentConfig
 from peaksched.layering import project_ramp_block
 from peaksched.quadrature import integrate
@@ -432,7 +432,8 @@ def test_cost_of_equals_the_plain_reference_bit_for_bit(case):
         ps.Schedule(u=zeros, v=d),
         ps.Schedule(u=zeros, v=list(reversed(zeros))),
     ]
-    assert checked[0].u is d and checked[1].u is not d
+    # a schedule built from arrays copies them; only the engine's own shares the demand
+    assert switches[0].u is d and checked[0].u is not d
     layered = []
     if trace.has_integer_demands():
         layered = [_layered(trace, params, (algorithm, lam, hat, seed)) for algorithm in ALGORITHMS]
@@ -474,7 +475,7 @@ def test_each_layer_equals_the_checked_trace_of_its_demand(case):
     assert stack.depth == len(stack.layers) == int(trace.max_demand)
     for i, layer in enumerate(stack.layers, start=1):
         checked = ps.Trace(prices=trace.prices, demands=(trace.demands >= i).astype(float))
-        assert layer.prices is trace.prices and checked.prices is trace.prices
+        assert layer.prices is trace.prices and checked.prices.tobytes() == trace.prices.tobytes()
         assert layer.demands.tobytes() == checked.demands.tobytes() and not layer.demands.flags.writeable
         for name in ("min_price", "max_price", "max_demand"):
             assert getattr(layer, name).hex() == getattr(checked, name).hex()
@@ -557,13 +558,13 @@ def test_a_stored_policy_record_and_cost_each_equal_their_checked_twin(instance,
 
 
 @st.composite
-def trace_banks(draw, max_rows=4):
-    """A bank of 1 to ``max_rows`` 0/1 traces of 1 to 40 slots, and (n, k)
-    thresholds to run on it.  Rows may have no demand or prices tied with
-    their ``p_g``; a tied row's peak price is its premium, so its mass is
-    exactly 1, the oracle's tie.  Every row runs -1, inf and drawn
-    thresholds, and two that land on its own ``S(k) / p_m``.  The arrays
-    come in C or Fortran order."""
+def binary_blocks(draw, max_rows=4):
+    """1 to ``max_rows`` rows of 0/1 demand over 1 to 40 slots, each with
+    its own ``p_g`` and ``p_m``, and (n, k) thresholds to run on them.
+    Rows may have no demand or prices tied with their ``p_g``; a tied
+    row's peak price is its premium, so its mass is exactly 1.  Every row
+    runs -1, inf and drawn thresholds, and two that land on its own
+    ``S(k) / p_m``."""
     n, T = draw(st.integers(1, max_rows)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p_g = np.array(draw(st.lists(st.sampled_from([1.0, 2.5]), min_size=n, max_size=n)))
@@ -580,73 +581,61 @@ def trace_banks(draw, max_rows=4):
     landing = prefix[:, draw(st.lists(st.integers(0, T - 1), min_size=2, max_size=2))] / p_m[:, None]
     drawn = draw(st.lists(st.floats(0.0, 5.0), max_size=6))
     thresholds = np.hstack([np.tile([-1.0, math.inf, *drawn], (n, 1)), landing])
-    order = draw(st.sampled_from("CF"))
-    return ps.TraceBank(np.asarray(prices, order=order), np.asarray(demands, order=order), p_g, p_m), thresholds
+    return prices, demands, p_g, p_m, thresholds
 
 
 @PROPERTY
-@given(trace_banks())
-def test_a_bank_answers_each_row_as_its_trace_bit_for_bit(case):
-    bank, thresholds = case
-    slots = bank.switch_slots(thresholds)
-    costs = bank.switch_costs(np.hstack([slots, bank.oracle_slots()[:, None]]))
-    assert slots.shape == thresholds.shape and costs.shape == (len(bank), thresholds.shape[1] + 1)
-    for r in range(len(bank)):
-        trace, params = bank.instance(r)
-        cumulative = ((params.p_g - trace.prices) * trace.demands).cumsum()
-        assert slots[r].tolist() == cumulative.searchsorted(thresholds[r] * params.p_m, side="left").tolist()
-        for s, slot in zip(thresholds[r].tolist(), slots[r].tolist()):
-            record = ps.run_threshold(trace, params, ps.SwitchPolicy.at(s))
-            assert slot == (len(trace) if record.switch_slot is None else record.switch_slot)
-        expected = [ps.cost_of(ps.switch_schedule(trace, slot), trace, params).total for slot in slots[r].tolist()]
-        assert [cost.hex() for cost in costs[r, :-1].tolist()] == [cost.hex() for cost in expected]
-        assert costs[r, -1].hex() == ps.optimal_basic(trace, params).total.hex()
-        assert bank.sigmas[r].hex() == ps.sigma(trace, params).hex()
-        # the one-trace functions are the one-row case
-        assert ps.switch_slots(trace, params, thresholds[r]).tolist() == slots[r].tolist()
-        assert ps.switch_costs(trace, params, slots[r]).tobytes() == costs[r, :-1].tobytes()
-
-
-ROW_FAULTS = ["demand not 0/1", "price above p_g", "NaN price", "NaN demand", "slot out of range", "slot not an integer"]
-
-
-@PROPERTY
-@given(trace_banks(), st.sampled_from(ROW_FAULTS), st.data())
-def test_a_bad_row_raises_its_traces_error_naming_the_row(case, fault, data):
-    bank, _ = case
-    r, t = data.draw(st.integers(0, len(bank) - 1)), data.draw(st.integers(0, bank.horizon - 1))
-    prices, demands, p_g, p_m = (np.array(x) for x in (bank.prices, bank.demands, bank.p_g, bank.p_m))
-    slots = np.zeros((len(bank), 2), dtype=int)
-    if fault == "demand not 0/1":
-        demands[r, t] = data.draw(st.sampled_from([0.5, 2.0]))
-    elif fault == "price above p_g":
-        prices[r, t] = 1.5 * p_g[r]
-    elif fault == "NaN price":
-        prices[r, t] = math.nan
-    elif fault == "NaN demand":
-        demands[r, t] = math.nan
-    elif fault == "slot out of range":
-        slots[r, 1] = data.draw(st.sampled_from([-1, bank.horizon + 1]))
-    else:
-        slots = slots.astype(float)
-        slots[r, 1] = 0.5
-
-    def one_trace():
+@given(binary_blocks(), st.data())
+def test_block_functions_answer_each_row_as_its_trace_bit_for_bit(case, data):
+    prices, demands, p_g, p_m, thresholds = case
+    n, T = prices.shape
+    slots = online._block_slots(prices, demands, p_g[:, None], p_m[:, None], thresholds)
+    # each row's own slots, then two drawn ones, the never-switch slot T among them
+    drawn = data.draw(st.lists(st.lists(st.integers(0, T), min_size=2, max_size=2), min_size=n, max_size=n))
+    table = np.hstack([slots, np.array(drawn, dtype=np.intp)])
+    costs = online._block_costs(prices, demands, online._demand_counts(demands), p_g[:, None], p_m[:, None], table)
+    assert slots.shape == thresholds.shape and costs.shape == table.shape
+    for r in range(n):
         trace = ps.Trace(prices=prices[r], demands=demands[r])
-        ps.switch_costs(trace, ps.BillingParams(p_g=p_g[r], p_m=p_m[r], capacity=1), slots[r])
+        params = ps.BillingParams(p_g=float(p_g[r]), p_m=float(p_m[r]), capacity=1)
+        assert slots[r].tolist() == ps.switch_slots(trace, params, thresholds[r]).tolist()
+        assert costs[r].tobytes() == ps.switch_costs(trace, params, table[r]).tobytes()
 
-    def as_bank():
-        ps.TraceBank(prices, demands, p_g, p_m).switch_costs(slots)
 
-    with pytest.raises(ps.PeakSchedError) as expected:
-        one_trace()
-    with pytest.raises(ps.PeakSchedError) as caught:
-        as_bank()
-    message = str(caught.value)
-    assert type(caught.value) is type(expected.value)
-    assert message.startswith(f"row {r}") and message.endswith(str(expected.value))
-    if not fault.startswith("slot"):
-        assert f"slot {t}" in message
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.1, 0.5, 1.0, 1.3, 2.0]) | st.floats(0.01, 3.0),
+            st.sampled_from([0.05, 0.5, 0.95, 1.0]) | st.floats(0.01, 1.0),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.lists(st.sampled_from([0.1, 0.5, 1.0, 1.3, 2.0]) | st.floats(0.05, 3.0), min_size=1, max_size=4),
+    st.integers(1, 40),
+    st.integers(0, 2),
+)
+# s = 1 at beta = 0.3 over 8 slots has mass exactly 1, where the oracle's
+# all-local and all-grid totals differ in the last bit
+@example([(1.0, 0.3), (1.3, 0.5)], [1.0, 2.0], 8, 1)
+def test_measured_ratios_equal_the_one_trace_path_bit_for_bit(cases, s_grid, slots, spare):
+    # each row is its worst-case instance run and priced alone, at every
+    # grid threshold and at its own s nudged down, over optimal_basic; the
+    # rows share a demand block that may hold spare rows
+    s, beta = (np.array(column) for column in zip(*cases))
+    unit = analysis._unit_demands(len(cases) + spare, slots)
+    mass, measured = verify._measured_ratios(s, beta, s_grid, slots, unit)
+    assert mass.shape == (len(cases),) and measured.shape == (len(cases), len(s_grid) + 1)
+    for r, (s_r, beta_r) in enumerate(cases):
+        trace, params = ps.worst_case_instance(s_r, beta_r, slots=slots)
+        opt = ps.optimal_basic(trace, params).total
+        expected = []
+        for threshold in [*s_grid, s_r * (1.0 - 1e-9)]:
+            record = ps.run_threshold(trace, params, ps.SwitchPolicy(threshold))
+            expected.append(ps.empirical_ratio(ps.cost_of(record.schedule, trace, params).total, opt))
+        assert [x.hex() for x in measured[r].tolist()] == [x.hex() for x in expected]
+        assert mass[r].hex() == ps.sigma(trace, params).hex()
 
 
 binary_traces = st.integers(1, 8).flatmap(
@@ -1053,8 +1042,6 @@ NUMBER_READERS = {
     "BillingParams capacity": lambda v: float(ps.BillingParams(p_g=1.0, p_m=1.0, capacity=v).capacity),
     "Trace demand": lambda v: ps.Trace(prices=[0.5, 0.5], demands=[0.0, v]).demands.tobytes(),
     "Schedule output": lambda v: ps.Schedule(u=[0.0, v], v=[1.0, 0.0]).u.tobytes(),
-    "TraceBank p_g": lambda v: ps.TraceBank([[0.5]], [[1.0]], v, 1.0).p_g.tobytes(),
-    "TraceBank price": lambda v: ps.TraceBank([[0.5, v]], [[1.0, 1.0]], 1.0, 1.0).prices.tobytes(),
     "gaussian sigma1": lambda v: ps.gaussian_predictor(_ONE_SLOT, sigma1=v, sigma2=0.0, seed=1).prices.tobytes(),
     "worst_case_ratio s": lambda v: ps.worst_case_ratio(v, 0.5),
     "cost_reduction cost": lambda v: ps.cost_reduction(v, _ONE_SLOT, _ONE_SLOT_PARAMS),

@@ -1,4 +1,5 @@
 """CSV ingestion and synthetic trace generation."""
+import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -336,11 +337,31 @@ class TestSynthTrace:
             ({"days": 367}, "days must be at most 366, got 367"),
             ({"peak_level": 1e308, "base_level": 0.0}, "peak_level must be at most 1000.0, got 1e\\+308"),
             ({"noise": 1e300}, "noise must be at most 100.0, got 1e\\+300"),
+            # 2.5 built 60 slots, True one day, and nan raised a bare ValueError
+            ({"days": 2.5}, "days must be an integer, got 2.5"),
+            ({"days": True}, "days must be an integer, got True"),
+            ({"days": math.nan}, "days must be an integer, got nan"),
+            # None or a string raised a bare TypeError
+            ({"days": None}, "days must be an integer, got None"),
+            ({"days": "2"}, "days must be an integer, got '2'"),
+            ({"peak_level": None}, "peak_level must be a real number, got None"),
+            ({"base_level": "2"}, "base_level must be a real number, got '2'"),
+            ({"noise": None}, "noise must be a real number, got None"),
+            ({"noise": True}, "noise must be a real number, got True"),
+            # nan drew no noise, and a nan level passed every bound
+            ({"noise": math.nan}, "noise must be at most 100.0, got nan"),
+            ({"peak_level": math.nan}, "peak_level must be at most 1000.0, got nan"),
+            ({"base_level": math.nan}, "need peak_level >= base_level >= 0"),
         ],
     )
     def test_rejects_a_bad_length_level_or_noise_naming_it(self, kwargs, message):
         with pytest.raises(ps.ValidationError, match=f"^{message}$"):
             synth_trace(**{"days": 1, "seed": 0, **kwargs})
+
+    def test_numpy_integers_and_numbers_build_what_python_ones_build(self):
+        trace = synth_trace(days=2, seed=5, peak_level=12, base_level=2.0, noise=1)
+        twin = synth_trace(days=np.int64(2), seed=5, peak_level=np.float32(12.0), base_level=np.int64(2), noise=1.0)
+        assert twin.demands.tobytes() == trace.demands.tobytes() and twin.prices.tobytes() == trace.prices.tobytes()
 
     def test_monthly_cycle_length(self):
         assert len(synth_trace(days=30, seed=0)) == 720

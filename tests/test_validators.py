@@ -172,7 +172,6 @@ SCALAR_THRESHOLD_USERS = [
 ARRAY_THRESHOLD_USERS = [
     lambda s: ps.cost_ratio(s, 0.5, 0.5),
     lambda s: ps.worst_case_instance(s, 0.5),
-    lambda s: ps.worst_case_bank(s, 0.5, slots=10),
     lambda s: ps.switch_slots(
         ps.Trace(prices=[1, 2, 3], demands=[1, 1, 1]), ps.BillingParams(p_g=3, p_m=10, capacity=1), s
     ),
@@ -281,17 +280,7 @@ def test_real_arguments_of_every_type_still_pass():
     assert ps.empirical_ratio(np.array([1.0, 3.0]), np.float64(2.0)).tolist() == [0.5, 1.5]
 
 
-def test_a_bank_names_the_row_and_value_of_a_string_or_bool_threshold():
-    # the bank read "0.5" as 0.5 and True as 1 and gave [[9, 10], [3, 6]]
-    bank = ps.worst_case_bank([0.5, 1.5], 0.4, slots=10)
-    with pytest.raises(ps.DomainError, match=r"^row 0: threshold multiplier must be a real number, got '0\.5'$"):
-        bank.switch_slots(["0.5", True])
-    with pytest.raises(ps.DomainError, match=r"^row 1: threshold multiplier must be a real number, got True$"):
-        bank.switch_slots([[0.5, 1.0], [0.5, True]])
-
-
-# one message per check: the one-trace functions raise it as it is, and a
-# two-row bank with the value in row 1 raises it led by "row 1: "
+# one message per check, which the one-trace functions raise as it is
 SWITCH_FAULTS = [
     ("thresholds", math.nan, "threshold multiplier must be -1, >= 0, or inf; got nan"),
     ("thresholds", -0.5, "threshold multiplier must be -1, >= 0, or inf; got -0.5"),
@@ -307,19 +296,13 @@ SWITCH_FAULTS = [
 
 
 @pytest.mark.parametrize("kind, bad, message", SWITCH_FAULTS)
-def test_a_bad_threshold_or_slot_raises_one_message_with_or_without_its_row(kind, bad, message):
+def test_a_bad_threshold_or_slot_raises_one_message(kind, bad, message):
     trace = ps.Trace(prices=[1, 2, 3], demands=[1, 1, 1])
     params = ps.BillingParams(p_g=3, p_m=10, capacity=1)
-    bank = ps.TraceBank([trace.prices] * 2, [trace.demands] * 2, params.p_g, params.p_m)
     good = 0.5 if kind == "thresholds" else 1
-    if kind == "thresholds":
-        one_trace, rows = ps.switch_slots, bank.switch_slots
-    else:
-        one_trace, rows = ps.switch_costs, bank.switch_costs
+    one_trace = ps.switch_slots if kind == "thresholds" else ps.switch_costs
     with pytest.raises(ps.DomainError, match=f"^{re.escape(message)}$"):
         one_trace(trace, params, [good, bad])
-    with pytest.raises(ps.DomainError, match=f"^row 1: {re.escape(message)}$"):
-        rows([[good, good], [good, bad]])
 
 
 HUGE = 10**400
@@ -412,23 +395,11 @@ def test_a_switch_policy_stores_a_real_threshold_as_a_float():
         assert type(policy.s) is float and policy == ps.SwitchPolicy.at(s) == ps.SwitchPolicy(2.0)
 
 
-@pytest.mark.parametrize("field", ["p_g", "p_m"])
-def test_a_one_row_numeric_array_per_row_is_refused_as_the_list_is(field):
-    # the float fill broadcast the (1, 2) array into a row each, where the
-    # same values as a list raised StructuralError
-    args = {"p_g": 1.0, "p_m": 1.0}
-    message = rf"^{field} must be a number or one number per row \(2\)$"
-    for values in ([[2.0, 3.0]], np.array([[2.0, 3.0]])):
-        with pytest.raises(ps.StructuralError, match=message):
-            ps.TraceBank([[0.5, 0.5], [0.5, 0.5]], [[0, 1], [1, 0]], **{**args, field: values})
-
-
 @pytest.mark.parametrize(
     "call, name",
     [
         (lambda values: ps.cost_ratio(values, 0.5, 0.5), "threshold multiplier"),
         (lambda values: ps.Trace(prices=values, demands=[1, 1]), "prices"),
-        (lambda values: ps.TraceBank([[0.5]] * 2, [[1.0]] * 2, values, 1.0), "p_g"),
     ],
 )
 def test_arrays_numpy_cannot_stack_are_refused_naming_the_argument(call, name):

@@ -1,5 +1,6 @@
 """The batched verification checks against per-point reference loops."""
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,13 @@ def test_each_grid_needs_five_points(axis):
 def test_infinite_sigma_is_rejected_not_skipped():
     with pytest.raises(ps.DomainError, match="premium mass"):
         verify.verify_theorems(LAMBDAS, BETAS, SIGMAS + (math.inf,), empirical_slots=300)
+
+
+def test_a_worst_case_instance_priced_at_zero_is_refused_naming_the_price_rule():
+    # at beta = 5e-324 the first instance's price underflows to 0
+    message = "row 0: price at slot 0 is 0.0; prices must be finite and > 0"
+    with pytest.raises(ps.ValidationError, match=f"^{re.escape(message)}$"):
+        verify.verify_theorems(betas=[5e-324, 0.2, 0.3, 0.4, 0.5])
 
 
 def test_the_full_report_equals_the_golden_file_byte_for_byte():
