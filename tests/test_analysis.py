@@ -10,7 +10,7 @@ import pytest
 import conftest
 import peaksched as ps
 from conftest import reference_expected_ratio, reference_integrate
-from peaksched import analysis, quadrature
+from peaksched import analysis, online, quadrature
 from peaksched.harness import verify
 from peaksched.quadrature import integrate
 
@@ -507,10 +507,11 @@ class TestSlotCount:
         "build",
         [
             lambda slots: ps.worst_case_instance(1.0, 0.5, slots=slots),
+            lambda slots: analysis._worst_case_rows([0.5, 1.5], 0.5, 100.0, slots),
             lambda slots: verify.verify_theorems(empirical_slots=slots),
             lambda slots: verify.check_ratio_curve_empirical((0.5,), slots=slots),
         ],
-        ids=["instance", "verify_theorems", "ratio_curve"],
+        ids=["instance", "rows", "verify_theorems", "ratio_curve"],
     )
     def test_a_count_that_is_not_an_integer_from_one_is_refused_naming_slots(self, build, slots, message):
         with pytest.raises(ps.DomainError, match=f"^{re.escape(message)}$"):
@@ -521,6 +522,9 @@ class TestSlotCount:
         for slots in (np.int64(7), np.uint16(7)):
             twin, twin_params = ps.worst_case_instance(1.3, 0.4, slots=slots)
             assert twin.prices.tobytes() == trace.prices.tobytes() and twin_params == params
+            rows = analysis._worst_case_rows([0.5, 1.3], 0.4, 100.0, slots)
+            assert rows[3] == 7 and type(rows[3]) is int
+            assert rows[0].tobytes() == analysis._worst_case_rows([0.5, 1.3], 0.4, 100.0, 7)[0].tobytes()
 
 
 class TestWorstCaseRows:
@@ -552,6 +556,51 @@ class TestWorstCaseRows:
         for beta in (0.5, 1.0):
             with pytest.raises(error, match=f"^{re.escape(message)}"):
                 ps.worst_case_instance(0.5, beta, p_m=p_m)
+
+    @pytest.mark.parametrize("s", [5e-324, 1e308, [0.5, 1e308]])
+    def test_a_row_that_fails_raises_what_its_instance_raises_led_by_its_row(self, s):
+        with pytest.raises(ps.ValidationError) as rows:
+            analysis._worst_case_rows(s, 0.5, 100.0, 1000)
+        with pytest.raises(ps.ValidationError) as instance:
+            ps.worst_case_instance(np.ravel(s)[-1], 0.5)
+        lead = f"row {np.size(s) - 1}: " if np.size(s) > 1 else ""
+        assert str(rows.value) == f"{lead}{instance.value}"
+
+    @pytest.mark.parametrize(
+        "s, beta, slots",
+        [
+            ([0.5, 1.0, 1.5, 2.0], [[0.3], [1.0]], 40),  # beta = 1 rows: p_g = 1, mass 0
+            (1e-320, 0.999, 7),  # a subnormal p_g and price
+            ([0.1, 0.9, 1.1, 1.9], [0.05, 0.5, 0.95, 0.999], 977),
+        ],
+    )
+    def test_block_functions_on_the_rows_answer_as_their_instances_bit_for_bit(self, s, beta, slots):
+        price, p_g, p_m, slots = analysis._worst_case_rows(s, beta, 50.0, slots)
+        ones, counts = analysis._unit_demands(len(price), slots)
+        prices = np.empty(ones.shape)
+        prices[:] = price[:, None]
+        thresholds = np.array([[-1.0, 0.0, 1e-320, 0.25, 0.5, 1.0, 1.5, 2.0 * (1 - 1e-9), math.inf]] * len(price))
+        at = online._block_slots(prices, ones, p_g[:, None], p_m, thresholds)
+        table = np.hstack([at, np.full((len(price), 1), slots // 2)])
+        costs = online._block_costs(prices, ones, counts, p_g[:, None], p_m, table)
+        for row, (x, b) in enumerate(zip(*(np.ravel(a).tolist() for a in np.broadcast_arrays(s, beta)))):
+            trace, params = ps.worst_case_instance(x, b, p_m=50.0, slots=slots)
+            assert trace.prices.tobytes() == prices[row].tobytes() and params.p_g == p_g[row]
+            assert at[row].tobytes() == ps.switch_slots(trace, params, thresholds[row]).tobytes()
+            assert costs[row].tobytes() == ps.switch_costs(trace, params, table[row]).tobytes()
+
+    def test_blocks_on_one_shared_demand_block_keep_to_their_rows(self):
+        unit = analysis._unit_demands(4, 30)
+        grid = [0.2, 1.0, 3.0]
+        for s in ([0.5, 1.5, 2.0, 0.1], [1.2, 0.3]):
+            s = np.array(s)
+            beta = np.full(len(s), 0.4)
+            shared = verify._measured_ratios(s, beta, grid, 30, unit)
+            own = verify._measured_ratios(s, beta, grid, 30, analysis._unit_demands(len(s), 30))
+            for ours, theirs in zip(shared, own):
+                assert ours.tobytes() == theirs.tobytes()
+        assert not unit[0].flags.writeable and not unit[1].flags.writeable
+        assert unit[0].tolist() == [[1.0] * 30] * 4 and unit[1].tolist() == [list(range(31))] * 4
 
     def test_rows_broadcast_in_row_major_order_as_their_instances(self):
         price, p_g, p_m, slots = analysis._worst_case_rows([0.5, 1.5, 2.0], [[0.3], [1.0]], 50.0, 40)

@@ -328,6 +328,8 @@ def test_schedule_rejects_non_finite_values(u, v, message):
         (lambda: ps.Prediction(prices=[1.0, 1.0], demands=["a", 1]), "predicted demands at slot 0 is 'a'; must be a real number"),
         (lambda: ps.Prediction(prices=[1.0, True], demands=[1, 1]), "predicted prices at slot 1 is True; must be a real number"),
         (lambda: ps.Schedule(u=[1, "0"], v=[0, 1]), "u at slot 1 is '0'; must be a real number"),
+        (lambda: ps.Schedule(u=[1, 0], v=[True, 1]), "v at slot 0 is True; must be a real number"),
+        (lambda: ps.Prediction(prices=[1.0, None], demands=[1, 1]), "predicted prices at slot 1 is None; must be a real number"),
     ],
 )
 def test_instance_vectors_reject_strings_and_bools_naming_the_slot(build, message):

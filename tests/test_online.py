@@ -234,16 +234,17 @@ class TestSwitchSlots:
         with pytest.raises(ps.DomainError, match=message):
             ps.switch_slots(trace, params, bad)
 
-    def test_a_target_past_the_largest_float_never_switches_as_run_threshold_does(self):
+    @pytest.mark.parametrize("s", [1e308, np.finfo(float).max])
+    def test_a_target_past_the_largest_float_never_switches_as_run_threshold_does(self, s):
         # s * p_m overflowed to inf and leaked a RuntimeWarning, which the
         # suite turns into an error; run_threshold multiplies floats silently
         trace = ps.Trace(prices=[0.5, 0.5, 0.5], demands=[1, 1, 1])
         params = ps.BillingParams(p_g=1.0, p_m=100.0, capacity=1)
-        record = ps.run_threshold(trace, params, ps.SwitchPolicy(1e308))
+        record = ps.run_threshold(trace, params, ps.SwitchPolicy(s))
         assert record.switch_slot is None
-        assert ps.switch_slots(trace, params, [1e308, 0.01]).tolist() == [len(trace), 1]
+        assert ps.switch_slots(trace, params, [s, 0.01]).tolist() == [len(trace), 1]
         demands = np.ones((2, 3))
-        block = online._block_slots(np.full((2, 3), 0.5), demands, 1.0, np.array([[100.0], [1.0]]), np.full((2, 1), 1e308))
+        block = online._block_slots(np.full((2, 3), 0.5), demands, 1.0, np.array([[100.0], [1.0]]), np.full((2, 1), s))
         assert block.tolist() == [[3], [3]]
 
 

@@ -348,6 +348,9 @@ class TestSynthTrace:
             ({"base_level": "2"}, "base_level must be a real number, got '2'"),
             ({"noise": None}, "noise must be a real number, got None"),
             ({"noise": True}, "noise must be a real number, got True"),
+            ({"base_level": True}, "base_level must be a real number, got True"),
+            ({"peak_level": "12"}, "peak_level must be a real number, got '12'"),
+            ({"noise": 10**5000}, "noise must fit in a float, got a number too long to print \\(int\\)"),
             # nan drew no noise, and a nan level passed every bound
             ({"noise": math.nan}, "noise must be at most 100.0, got nan"),
             ({"peak_level": math.nan}, "peak_level must be at most 1000.0, got nan"),

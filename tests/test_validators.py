@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import peaksched as ps
+from peaksched import analysis
 from peaksched.harness import experiment
 from peaksched.harness.experiment import ExperimentConfig
 from peaksched.validators import NAIVE_LAMBDA_FLOOR
@@ -172,6 +173,7 @@ SCALAR_THRESHOLD_USERS = [
 ARRAY_THRESHOLD_USERS = [
     lambda s: ps.cost_ratio(s, 0.5, 0.5),
     lambda s: ps.worst_case_instance(s, 0.5),
+    lambda s: analysis._worst_case_rows(s, 0.5, 100.0, 10),
     lambda s: ps.switch_slots(
         ps.Trace(prices=[1, 2, 3], demands=[1, 1, 1]), ps.BillingParams(p_g=3, p_m=10, capacity=1), s
     ),
@@ -400,6 +402,13 @@ def test_a_switch_policy_stores_a_real_threshold_as_a_float():
     [
         (lambda values: ps.cost_ratio(values, 0.5, 0.5), "threshold multiplier"),
         (lambda values: ps.Trace(prices=values, demands=[1, 1]), "prices"),
+        (lambda values: ps.Trace(prices=[1, 1], demands=values), "demands"),
+        (
+            lambda values: ps.switch_slots(
+                ps.Trace(prices=[1, 2, 3], demands=[1, 1, 1]), ps.BillingParams(p_g=3, p_m=10, capacity=1), values
+            ),
+            "threshold multiplier",
+        ),
     ],
 )
 def test_arrays_numpy_cannot_stack_are_refused_naming_the_argument(call, name):
